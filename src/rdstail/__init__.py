@@ -16,6 +16,7 @@ from .budgets import Budgets, DEFAULTS
 from .counting import (
     CountProfile,
     count_profile,
+    count_profiles,
     min_cover_size,
     minimal_subcover,
     relative_count,
@@ -31,11 +32,11 @@ from .covers import (
     fiber_partition,
     fiber_sigma,
     iterate_cover,
+    iterate_covers,
     join,
     point_partition,
     pullback,
     pullback_cover,
-    pullback_sigma,
     refines,
     sigma_join,
     sigma_refines,

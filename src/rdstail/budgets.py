@@ -21,10 +21,6 @@ class Budgets:
     cover_elements: int = 4096
     # max total points of a system handed to polytope vertex enumeration
     polytope_points: int = 24
-    # containment search caps (kept for interface stability; the search is
-    # closed-form and never exceeds them, see covers.delta_contains)
-    containment_cells: int = 8
-    containment_parts: int = 4
     # max materialized configurations in symbolic cross-enumeration
     sft_enumeration: int = 4096
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import __version__
 from .budgets import Budgets, from_env, parse_overrides
-from .counting import count_profile
+from .counting import count_profiles
 from .covers import (
     RandomCover,
     RandomPartition,
@@ -38,7 +38,7 @@ from .measures import FiberedMeasure, conditional_entropy, relative_entropy_sequ
 from .model import BundleRDS, validate_system
 from .scenario import Scenario, ScenarioError, load_scenario, measure_payload
 from .symbolic import CylinderCoverSpec, sft_tail_sequence
-from .tail_entropy import EntropyEstimate, tail_entropy_estimate, tail_entropy_total
+from .tail_entropy import EntropyEstimate, tail_entropy_estimate
 from .verify import run_suite
 
 EXIT_OK = 0
@@ -127,11 +127,11 @@ def _resolve_sigma(sc: Scenario, name: str, system_name: str) -> SigmaAlgebra:
     return SigmaAlgebra(cover)
 
 
-def _estimate_rows(label: str, names: dict[str, str], est: EntropyEstimate) -> tuple[list[str], list[list]]:
+def _estimate_rows(names: dict[str, str], est: EntropyEstimate) -> tuple[list[str], list[list]]:
     header = [*names.keys(), "n", "integrated_log_count", "ratio", "running_inf"]
     rows = [
-        [*names.values(), n + 1, est.values[n], est.ratios[n], est.running_inf[n]]
-        for n in range(est.n_max)
+        [*names.values(), n, value, ratio, inf]
+        for n, (value, ratio, inf) in enumerate(zip(est.values, est.ratios, est.running_inf), 1)
     ]
     return header, rows
 
@@ -252,9 +252,8 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
         if rds_q is not rds:
             raise ScenarioError("covers live on different systems")
         rows = []
-        for n in range(1, args.n + 1):
-            prof = count_profile(rds, r, q, n, budgets)
-            rows.extend([sysname, args.r, args.q, w, n, c] for w, c in enumerate(prof.per_omega))
+        for prof in count_profiles(rds, r, q, args.n, budgets):
+            rows.extend([sysname, args.r, args.q, w, prof.depth, c] for w, c in enumerate(prof.per_omega))
         run.add_csv("count.csv", ["system", "r", "q", "omega", "n", "relative_count"], rows)
         run.add_json("count.json", {"rows": [[*row] for row in rows]})
         return EXIT_OK
@@ -265,7 +264,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
         if rds_q is not rds:
             raise ScenarioError("covers live on different systems")
         est = tail_entropy_estimate(rds, r, q, args.nmax, budgets)
-        header, rows = _estimate_rows("tail", {"system": sysname, "r": args.r, "q": args.q}, est)
+        header, rows = _estimate_rows({"system": sysname, "r": args.r, "q": args.q}, est)
         run.add_csv("tail.csv", header, rows)
         run.add_json("tail.json", _estimate_payload(est))
         return EXIT_OK
@@ -289,12 +288,13 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
 
         q_fam = resolve_family(q_names)
         r_fam = resolve_family(r_names)
-        value = tail_entropy_total(rds, q_fam, r_fam, args.nmax, budgets)
-        rows = []
+        # the total is the min over q of the max over r of the row values
+        rows, per_q = [], []
         for nm, q in zip(q_names, q_fam):
-            for rn, r in zip(r_names, r_fam):
-                est = tail_entropy_estimate(rds, r, q, args.nmax, budgets)
-                rows.append([sysname, nm, rn, args.nmax, est.value])
+            ests = [tail_entropy_estimate(rds, r, q, args.nmax, budgets).value for r in r_fam]
+            rows.extend([sysname, nm, rn, args.nmax, v] for rn, v in zip(r_names, ests))
+            per_q.append(max(ests))
+        value = min(per_q)
         run.add_csv("tail_total.csv", ["system", "q", "r", "n_max", "tail_estimate"], rows)
         run.add_json("tail_total.json", {"value": value, "n_max": args.nmax})
         return EXIT_OK
@@ -304,7 +304,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
             raise ScenarioError(f"unknown sft {args.sft!r}")
         sft = sc.sfts[args.sft]
         est = sft_tail_sequence(sft, _parse_cylinder_spec(args.rspec), _parse_cylinder_spec(args.qspec), args.nmax, budgets)
-        header, rows = _estimate_rows("sft", {"sft": args.sft, "rspec": args.rspec, "qspec": args.qspec}, est)
+        header, rows = _estimate_rows({"sft": args.sft, "rspec": args.rspec, "qspec": args.qspec}, est)
         run.add_csv("sft_tail.csv", header, rows)
         run.add_json("sft_tail.json", _estimate_payload(est))
         return EXIT_OK
@@ -332,7 +332,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
         else:
             est = relative_entropy_sequence(mu, r, sigma, rds, args.nmax, budgets)
             header, rows = _estimate_rows(
-                "entropy", {"system": sysname, "mu": args.mu, "r": args.r, "sigma": args.sigma}, est
+                {"system": sysname, "mu": args.mu, "r": args.r, "sigma": args.sigma}, est
             )
             run.add_csv("entropy.csv", header, rows)
             run.add_json("entropy.json", _estimate_payload(est))

@@ -11,15 +11,15 @@ approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator
 
 from .budgets import Budgets, DEFAULTS
-from .covers import RandomCover, RandomSet, iterate_cover
+from .covers import RandomCover, RandomSet, iterate_cover, iterate_covers
 from .errors import DomainError
 from .model import BundleRDS, sort_points
 
 
-def min_cover_size(target: int, masks: Sequence[int]) -> int:
+def min_cover_size(target: int, masks: Iterable[int]) -> int:
     """Minimum number of masks whose union contains ``target``.
 
     ``target == 0`` returns 1 by the empty-set convention.  Raises
@@ -99,9 +99,10 @@ def minimal_subcover(s: RandomSet, r: RandomCover, omega: int, rds: BundleRDS) -
 def relative_count(r: RandomCover, q: RandomCover, omega: int, rds: BundleRDS) -> int:
     """Largest minimal-subcover count of a ``q``-element by ``r`` at ``omega``."""
     index = _index_fiber(rds, omega)
+    # distinct elements often share their section here: one solve per section
     try:
-        masks = [_mask(sec, index) for sec in r.sections(omega)]
-        targets = [_mask(sec, index) for sec in q.sections(omega)]
+        masks = {_mask(sec, index) for sec in r.sections(omega)}
+        targets = {_mask(sec, index) for sec in q.sections(omega)}
     except KeyError:
         raise DomainError(f"cover leaves the fiber at omega={omega}")
     return max(min_cover_size(t, masks) for t in targets)
@@ -125,20 +126,26 @@ class CountProfile:
         if any(c < 1 for c in self.per_omega):
             raise ValueError("counts are always >= 1")
 
-    @property
-    def sup(self) -> int:
-        return max(self.per_omega)
+
+def _profile(
+    rds: BundleRDS, r: RandomCover, q: RandomCover, n: int, rn: RandomCover, qn: RandomCover
+) -> CountProfile:
+    per_omega = tuple(relative_count(rn, qn, w, rds) for w in range(rds.size))
+    return CountProfile(per_omega, n, r_label=r.label, q_label=q.label)
 
 
 def count_profile(
     rds: BundleRDS, r: RandomCover, q: RandomCover, n: int, budgets: Budgets = DEFAULTS
 ) -> CountProfile:
     """Relative counts of the depth-n iterates, one entry per base point."""
-    rn = iterate_cover(r, rds, n, budgets)
-    qn = iterate_cover(q, rds, n, budgets)
-    return CountProfile(
-        per_omega=tuple(relative_count(rn, qn, w, rds) for w in range(rds.size)),
-        depth=n,
-        r_label=r.label,
-        q_label=q.label,
-    )
+    return _profile(rds, r, q, n, iterate_cover(r, rds, n, budgets), iterate_cover(q, rds, n, budgets))
+
+
+def count_profiles(
+    rds: BundleRDS, r: RandomCover, q: RandomCover, n_max: int, budgets: Budgets = DEFAULTS
+) -> Iterator[CountProfile]:
+    """The profiles of depths 1..n_max in one pass, ``r`` before ``q`` at each
+    depth as in :func:`count_profile`; no older depth is kept referenced."""
+    q_iter = iterate_covers(q, rds, n_max, budgets)
+    for n, rn in enumerate(iterate_covers(r, rds, n_max, budgets), 1):
+        yield _profile(rds, r, q, n, rn, next(q_iter))

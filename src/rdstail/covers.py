@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .budgets import Budgets, DEFAULTS
 from .errors import BudgetExceededError, IncompatibleSystemsError
@@ -196,13 +196,6 @@ def join(a: RandomCover, b: RandomCover) -> RandomCover:
     return _assemble(elems, partition=both_partitions)
 
 
-def join_all(covers: Sequence[RandomCover]) -> RandomCover:
-    out = covers[0]
-    for c in covers[1:]:
-        out = join(out, c)
-    return out
-
-
 def sigma_join(s: SigmaAlgebra, t: SigmaAlgebra) -> SigmaAlgebra:
     joined = join(s.atoms, t.atoms)
     assert isinstance(joined, RandomPartition)
@@ -241,21 +234,35 @@ def pullback(q: RandomCover, rds: BundleRDS, i: int) -> RandomCover:
     return _assemble(elems, partition=isinstance(q, RandomPartition), label=q.label)
 
 
-def iterate_cover(
-    q: RandomCover, rds: BundleRDS, n: int, budgets: Budgets = DEFAULTS
-) -> RandomCover:
-    """Join of the pullbacks at steps 0..n-1 (depth-n dynamical refinement).
+def iterate_covers(
+    q: RandomCover, rds: BundleRDS, n_max: int, budgets: Budgets = DEFAULTS
+) -> Iterator[RandomCover]:
+    """The depth-1..n_max dynamical refinements of ``q`` in one pass: depth
+    n+1 joins depth n with the n-step pullback (none for n_max < 1).
 
     Raises :class:`BudgetExceededError` with the offending depth when the
     element count blows past ``budgets.cover_elements``.
     """
-    if n < 1:
-        raise ValueError("depth must be >= 1")
+    if n_max < 1:
+        return
     out = _assemble((e.sections for e in q.elements), partition=isinstance(q, RandomPartition), label=q.label)
-    for i in range(1, n):
+    yield out
+    for i in range(1, n_max):
         out = join(out, pullback(q, rds, i))
         if len(out) > budgets.cover_elements:
             raise BudgetExceededError("cover_elements", budgets.cover_elements, len(out), depth=i + 1)
+        yield out
+
+
+def iterate_cover(
+    q: RandomCover, rds: BundleRDS, n: int, budgets: Budgets = DEFAULTS
+) -> RandomCover:
+    """Join of the pullbacks at steps 0..n-1 (depth-n dynamical refinement):
+    the last item of :func:`iterate_covers`."""
+    if n < 1:
+        raise ValueError("depth must be >= 1")
+    for out in iterate_covers(q, rds, n, budgets):
+        pass
     return out
 
 
@@ -271,12 +278,6 @@ def pullback_cover(pi: FactorMap, cover: RandomCover) -> RandomCover:
         for e in cover.elements
     )
     return _assemble(elems, partition=isinstance(cover, RandomPartition), label=cover.label)
-
-
-def pullback_sigma(pi: FactorMap, s: SigmaAlgebra) -> SigmaAlgebra:
-    pulled = pullback_cover(pi, s.atoms)
-    assert isinstance(pulled, RandomPartition)
-    return SigmaAlgebra(pulled)
 
 
 def refines(r: RandomCover, q: RandomCover, fiberwise: bool = False) -> bool:
@@ -315,18 +316,16 @@ class SmallDiameterPartition:
     partition: RandomPartition
     # largest section diameter per base point, all bounded by the request
     achieved: tuple[Fraction, ...]
-    # in the finite discrete topology every section has empty boundary, so
-    # each supplied measure assigns boundary mass exactly zero
-    boundary_masses: tuple[Fraction, ...]
 
 
 def small_diameter_partition(
     rds: BundleRDS,
     delta: Fraction | Sequence[Fraction],
-    measures: Sequence["FiberedMeasure"] = (),
 ) -> SmallDiameterPartition:
     """Deterministic partition with section diameters at most ``delta`` on
-    every fiber (``delta`` may vary with the base point).
+    every fiber (``delta`` may vary with the base point).  In the finite
+    discrete topology every section has empty boundary, so every measure
+    gives the boundaries mass exactly zero.
 
     Greedy first-fit over lexicographically ordered points; a partition into
     singletons always satisfies the bound, so construction cannot fail.
@@ -362,8 +361,7 @@ def small_diameter_partition(
     achieved = tuple(
         max((space.diameter(c) for c in per_fiber[w]), default=Fraction(0)) for w in range(rds.size)
     )
-    boundary = tuple(Fraction(0) for _ in measures)
-    return SmallDiameterPartition(partition=part, achieved=achieved, boundary_masses=boundary)
+    return SmallDiameterPartition(partition=part, achieved=achieved)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .covers import (
     SigmaAlgebra,
     delta_contains,
     fiber_partition,
-    iterate_cover,
+    iterate_covers,
     join,
     pullback,
     refines,
@@ -236,10 +236,7 @@ def relative_entropy_sequence(
         raise PreconditionError("invariant_measure", "measure is not skew-invariant")
     if not sigma_backward_compatible(s, rds):
         raise PreconditionError("backward_compatible_algebra", "pullback of the algebra escapes it")
-    values = []
-    for n in range(1, n_max + 1):
-        rn = iterate_cover(r, rds, n, budgets)
-        values.append(conditional_entropy(mu, rn, s))
+    values = [conditional_entropy(mu, rn, s) for rn in iterate_covers(r, rds, n_max, budgets)]
     return EntropyEstimate(
         values=tuple(values), requested=n_max, subadditive_ok=check_subadditive(values)
     )

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .budgets import Budgets, DEFAULTS
-from .counting import CountProfile, count_profile
-from .covers import RandomCover, trivial_cover
+from .counting import CountProfile, count_profile, count_profiles
+from .covers import RandomCover, iterate_cover, trivial_cover
 from .errors import BudgetExceededError
 from .model import BundleRDS, power_system
 
@@ -48,12 +49,7 @@ class EntropyEstimate:
 
     @property
     def running_inf(self) -> tuple[float, ...]:
-        out: list[float] = []
-        cur = math.inf
-        for r in self.ratios:
-            cur = min(cur, r)
-            out.append(cur)
-        return tuple(out)
+        return tuple(accumulate(self.ratios, min))
 
     @property
     def value(self) -> float:
@@ -108,13 +104,12 @@ def tail_entropy_estimate(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     values: list[float] = []
-    for n in range(1, n_max + 1):
-        try:
-            values.append(integrated_log_count(rds, r, q, n, budgets))
-        except BudgetExceededError:
-            if not values:
-                raise
-            break
+    try:
+        for profile in count_profiles(rds, r, q, n_max, budgets):
+            values.append(_integrate(rds, profile))
+    except BudgetExceededError:
+        if not values:
+            raise
     return EntropyEstimate(
         values=tuple(values), requested=n_max, subadditive_ok=check_subadditive(values)
     )
@@ -183,8 +178,6 @@ def power_rule_check(
     system, not an index reinterpretation), so this is a black-box equality
     of two separate computations.
     """
-    from .covers import iterate_cover
-
     rm = iterate_cover(r, rds, m, budgets)
     qm = iterate_cover(q, rds, m, budgets)
     stepped = count_profile(power_system(rds, m), rm, qm, n, budgets)

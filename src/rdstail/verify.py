@@ -23,17 +23,18 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, Sequence
 
 from .budgets import Budgets, DEFAULTS
-from .counting import count_profile, relative_count
+from .counting import count_profiles, relative_count
 from .covers import (
     RandomCover,
     RandomPartition,
     RandomSet,
     SigmaAlgebra,
     fiber_sigma,
-    iterate_cover,
+    iterate_covers,
     join,
     point_partition,
     pullback,
@@ -79,8 +80,8 @@ from .scenario import canonical_digest, cover_payload, measure_payload, system_p
 from .tail_entropy import (
     EntropyEstimate,
     TOL,
-    integrated_log_count,
     power_rule_check,
+    tail_entropy_estimate,
     tail_entropy_total,
 )
 
@@ -342,10 +343,6 @@ def random_measure(rng: random.Random, rds: BundleRDS, denom: int = 64) -> Fiber
     return FiberedMeasure(tuple(weights))
 
 
-def random_invariant_measure(rng: random.Random, rds: BundleRDS) -> FiberedMeasure:
-    return cesaro_limit(random_measure(rng, rds), rds)
-
-
 def _trial_payload(rds: BundleRDS, **objects) -> Callable[[], dict]:
     def build() -> dict:
         out: dict = {"system": system_payload(rds)}
@@ -426,22 +423,27 @@ def run_cover_suite(seed: int, trials: int, budgets: Budgets = DEFAULTS) -> Suit
         )
         props["join_product_bound"].record(ok, payload)
 
+        # depths 1..4 of (r, q) and 1..3 of the others, interleaved depth by
+        # depth so that a budget stop names the shallowest offending depth
         depth_ok = True
-        trivial = trivial_cover(rds)
         dominate_ok = True
-        for n in (1, 2, 3):
-            lo = count_profile(rds, r, q, n, budgets).per_omega
-            hi = count_profile(rds, u, v, n, budgets).per_omega
-            if any(a > b for a, b in zip(lo, hi)):
+        profiles = {}
+        for lo, hi, free in zip_longest(
+            count_profiles(rds, r, q, 4, budgets),
+            count_profiles(rds, u, v, 3, budgets),
+            count_profiles(rds, r, trivial_cover(rds), 3, budgets),
+        ):
+            profiles[lo.depth] = lo.per_omega
+            if hi is None:
+                continue
+            if any(a > b for a, b in zip(lo.per_omega, hi.per_omega)):
                 depth_ok = False
-            free = count_profile(rds, r, trivial, n, budgets).per_omega
-            if any(f < c for f, c in zip(free, lo)):
+            if any(f < c for f, c in zip(free.per_omega, lo.per_omega)):
                 dominate_ok = False
         props["depth_monotonicity"].record(depth_ok, payload)
         props["trivial_conditioning_dominates"].record(dominate_ok, payload)
 
         sub_ok = True
-        profiles = {n: count_profile(rds, r, q, n, budgets).per_omega for n in (1, 2, 3, 4)}
         for n, m in ((1, 1), (1, 2), (2, 1), (2, 2)):
             for w in range(rds.size):
                 shifted = rds.base.theta_iterate(w, n)
@@ -676,24 +678,28 @@ def run_theorem_suite(
         q_e = coarsen(_rng(0, 0), point_partition(target))
         q_pulled = pullback_cover(prod.to_right, q_e)
         r_h = state_partition(h)
+        # a budget stop truncates a; the iterates raise it before the zip ends
+        a = tail_entropy_estimate(h, r_h, q_pulled, n_max, budgets).values
+        levels = list(
+            zip(iterate_covers(r_h, h, n_max, budgets), iterate_covers(q_pulled, h, n_max, budgets), a)
+        )
         chain_ok = True
         for v in poly.vertices:
-            for n in range(1, n_max + 1):
-                rn = iterate_cover(r_h, h, n, budgets)
-                qn = iterate_cover(q_pulled, h, n, budgets)
+            for rn, qn, a_n in levels:
                 lhs = conditional_entropy(v, rn, d_h)
-                rhs = conditional_entropy(v, qn, d_h) + integrated_log_count(h, r_h, q_pulled, n, budgets)
+                rhs = conditional_entropy(v, qn, d_h) + a_n
                 if lhs > rhs + TOL:
                     chain_ok = False
         props["finite_depth_chain"].record(chain_ok, payload)
 
         # counts of pulled-back covers match the downstairs counts exactly
         ident_ok = True
-        for n in range(1, n_max + 1):
-            up = count_profile(h, pullback_cover(prod.to_right, point_partition(target)),
-                               pullback_cover(prod.to_right, q_e), n, budgets).per_omega
-            down = count_profile(target, point_partition(target), q_e, n, budgets).per_omega
-            if up != down:
+        for up, down in zip(
+            count_profiles(h, pullback_cover(prod.to_right, point_partition(target)),
+                           pullback_cover(prod.to_right, q_e), n_max, budgets),
+            count_profiles(target, point_partition(target), q_e, n_max, budgets),
+        ):
+            if up.per_omega != down.per_omega:
                 ident_ok = False
         props["pullback_count_identity"].record(ident_ok, payload)
 
@@ -816,13 +822,14 @@ def principal_extension_check(
     agree = True
     mismatch = None
     for r, q in pairs:
-        for n in range(1, n_max + 1):
-            up = count_profile(pi.source, pullback_cover(pi, r), pullback_cover(pi, q), n, budgets)
-            down = count_profile(pi.target, r, q, n, budgets)
+        for up, down in zip(
+            count_profiles(pi.source, pullback_cover(pi, r), pullback_cover(pi, q), n_max, budgets),
+            count_profiles(pi.target, r, q, n_max, budgets),
+        ):
             if up.per_omega != down.per_omega:
                 agree = False
                 if mismatch is None:
-                    mismatch = {"n": n, "up": list(up.per_omega), "down": list(down.per_omega)}
+                    mismatch = {"n": up.depth, "up": list(up.per_omega), "down": list(down.per_omega)}
     checks.append(
         CheckResult(
             name="matched_depth_counts_agree",

@@ -11,10 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdstail import (
+    Budgets,
+    BudgetExceededError,
     conditional_entropy,
     count_profile,
+    count_profiles,
     integrated_log_count,
     iterate_cover,
+    iterate_covers,
     join,
     power_rule_check,
     pullback,
@@ -79,6 +83,25 @@ def test_count_monotonicity_and_subadditivity(seed):
         shifted = rds.base.theta_iterate(w, 1)
         assert profiles[2][w] <= profiles[1][w] * profiles[1][shifted]
         assert profiles[3][w] <= profiles[1][w] * profiles[2][shifted]
+    # the one-pass sweeps against the single-depth builds they replace
+    assert list(count_profiles(rds, r, q, 4)) == [count_profile(rds, r, q, n) for n in range(1, 5)]
+    for n, rn in enumerate(iterate_covers(r, rds, 4), 1):
+        assert sections_set(rn) == sections_set(iterate_cover(r, rds, n))
+    tight = Budgets(cover_elements=3)
+    swept = _budget_stop(lambda: list(count_profiles(rds, r, q, 6, tight)))
+    assert swept == _budget_stop(lambda: [count_profile(rds, r, q, n, tight) for n in range(1, 7)])
+    # the stop names the first depth past 1 at which either iterate is too big
+    over = [n for n in range(2, 7) if max(len(iterate_cover(c, rds, n)) for c in (r, q)) > 3]
+    assert (swept[0] if swept else None) == (over[0] if over else None)
+
+
+def _budget_stop(run):
+    """(depth, message) of the budget stop a run raises, or None."""
+    try:
+        run()
+    except BudgetExceededError as exc:
+        return exc.depth, str(exc)
+    return None
 
 
 @given(seeds)
