@@ -1,10 +1,10 @@
 """Desk-scale resource budgets.
 
-Budgets cap combinatorial blow-ups (iterated covers, polytope enumeration,
-symbolic spans).  Exceeding a budget raises
-:class:`rdstail.errors.BudgetExceededError`; results are never silently
-truncated.  Defaults can be overridden by the single environment variable
-``RDSTAIL_BUDGETS`` (comma-separated ``name=value`` pairs) or per call site.
+Budgets cap combinatorial blow-ups (iterated covers, polytope enumeration).
+Exceeding a budget raises :class:`rdstail.errors.BudgetExceededError`;
+results are never silently truncated.  Defaults can be overridden by the
+single environment variable ``RDSTAIL_BUDGETS`` (comma-separated
+``name=value`` pairs) or per call site.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ class Budgets:
     cover_elements: int = 4096
     # max total points of a system handed to polytope vertex enumeration
     polytope_points: int = 24
-    # max materialized configurations in symbolic cross-enumeration
-    sft_enumeration: int = 4096
 
     def with_overrides(self, overrides: dict[str, int]) -> "Budgets":
         unknown = set(overrides) - {f.name for f in fields(self)}

@@ -37,7 +37,7 @@ from .invariant import cesaro_limit, diagonal_measure, lift_invariant, separated
 from .measures import FiberedMeasure, conditional_entropy, relative_entropy_sequence
 from .model import BundleRDS, validate_system
 from .scenario import Scenario, ScenarioError, load_scenario, measure_payload
-from .symbolic import CylinderCoverSpec, sft_tail_sequence
+from .symbolic import CylinderCoverSpec, RandomSFT, sft_tail_sequence
 from .tail_entropy import EntropyEstimate, tail_entropy_estimate
 from .verify import run_suite
 
@@ -157,11 +157,18 @@ def _measure_rows(scenario: str, name: str, mu: FiberedMeasure) -> tuple[list[st
     return header, rows
 
 
-def _parse_cylinder_spec(text: str) -> CylinderCoverSpec:
+def _parse_cylinder_spec(text: str, sft: RandomSFT) -> CylinderCoverSpec:
     comps, _, depth = text.partition(":")
-    comps = comps.strip()
-    members = frozenset(int(c) for c in comps.split(",") if c.strip() not in ("", "-"))
-    return CylinderCoverSpec(components=members, depth=int(depth) if depth else 1)
+    try:
+        members = frozenset(int(c) for c in comps.split(",") if c.strip() not in ("", "-"))
+        depth = int(depth) if depth else 1
+    except ValueError:
+        raise ScenarioError(f"cylinder spec {text!r}: components and depth must be integers") from None
+    if depth < 1:
+        raise ScenarioError(f"cylinder spec {text!r}: depth must be >= 1")
+    if not members <= set(range(len(sft.components))):
+        raise ScenarioError(f"cylinder spec {text!r}: the sft has components 0..{len(sft.components) - 1}")
+    return CylinderCoverSpec(components=members, depth=depth)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sft-tail", help="cylinder-cover sequence on a driven subshift")
     common(p)
     p.add_argument("--sft", required=True)
-    p.add_argument("--rspec", required=True, help="components:depth, e.g. 0,1:1 (use -:1 for trivial)")
+    p.add_argument("--rspec", required=True, help="components:depth, e.g. 0,1:1 (use :1 for trivial)")
     p.add_argument("--qspec", required=True)
     p.add_argument("--nmax", type=int, required=True)
 
@@ -272,6 +279,8 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
     if name == "tail-total":
         q_names = [s for s in args.qfamily.split(",") if s]
         r_names = [s for s in args.rfamily.split(",") if s]
+        if not q_names or not r_names:
+            raise ScenarioError("families must be nonempty")
         rds, sysname = None, args.system
 
         def resolve_family(names):
@@ -303,7 +312,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
         if args.sft not in sc.sfts:
             raise ScenarioError(f"unknown sft {args.sft!r}")
         sft = sc.sfts[args.sft]
-        est = sft_tail_sequence(sft, _parse_cylinder_spec(args.rspec), _parse_cylinder_spec(args.qspec), args.nmax, budgets)
+        est = sft_tail_sequence(sft, _parse_cylinder_spec(args.rspec, sft), _parse_cylinder_spec(args.qspec, sft), args.nmax)
         header, rows = _estimate_rows({"sft": args.sft, "rspec": args.rspec, "qspec": args.qspec}, est)
         run.add_csv("sft_tail.csv", header, rows)
         run.add_json("sft_tail.json", _estimate_payload(est))

@@ -6,7 +6,10 @@ sequences (several independent components, each with a per-base-point 0/1
 transition matrix), dynamics is the left shift, and covers are cylinder
 families on an initial block of coordinates.  Iterated-cover counts then
 reduce to admissible-word counting, which is done with exact big-integer
-matrix products rather than by materializing fibers.
+matrix products rather than by materializing fibers.  A count is exact at
+any depth: its orbit product is one forward walk along the base orbit,
+linear in the depth, with no recursion and no cache.  A depth sweep walks
+each base point's orbit once for all depths.
 
 The count of a depth-n iterate spans coordinates ``0 .. n+d-2`` for a
 depth-d cylinder family; a cylinder family refines another whenever it
@@ -17,13 +20,11 @@ resolves at least the same components, which is the precondition of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product as iter_product
-from math import log
+from itertools import islice
+from math import log, prod
+from typing import Iterator
 
-from .budgets import Budgets, DEFAULTS
-from .counting import min_cover_size
-from .errors import BudgetExceededError, PreconditionError
+from .errors import PreconditionError
 from .model import DrivingSystem
 from .tail_entropy import EntropyEstimate, check_subadditive
 
@@ -95,42 +96,50 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-@lru_cache(maxsize=None)
+def _orbit_products(sft: RandomSFT, component: int, omega: int, length: int) -> Iterator[Matrix]:
+    """Products of 0, 1, ..., ``length`` consecutive transition matrices
+    along the base orbit starting at ``omega``, the identity first."""
+    comp = sft.components[component]
+    product = tuple(tuple(int(i == j) for j in range(comp.alphabet)) for i in range(comp.alphabet))
+    yield product
+    for _ in range(length):
+        product = _mat_mul(product, comp.matrices[omega])
+        omega = sft.base.theta[omega]
+        yield product
+
+
 def _orbit_product(sft: RandomSFT, component: int, omega: int, length: int) -> Matrix:
     """Product of ``length`` consecutive transition matrices along the base
     orbit starting at ``omega`` (identity for length zero)."""
-    comp = sft.components[component]
-    if length == 0:
-        return tuple(
-            tuple(1 if i == j else 0 for j in range(comp.alphabet)) for i in range(comp.alphabet)
-        )
-    prev = _orbit_product(sft, component, omega, length - 1)
-    last = comp.matrices[sft.base.theta_iterate(omega, length - 1)]
-    return _mat_mul(prev, last)
+    for product in _orbit_products(sft, component, omega, length):
+        pass
+    return product
+
+
+def _factor(product: Matrix, shared: bool) -> int:
+    """A component's factor of a count.  Free, it counts every admissible
+    word: the total of the product.  Shared with the conditioning family, it
+    counts the most admissible extensions of one conditioning word: the
+    largest row sum.  Every symbol is reachable by some admissible prefix (no
+    dead columns), so the maximum over end symbols is attained."""
+    rows = [sum(row) for row in product]
+    return max(rows) if shared else sum(rows)
 
 
 def admissible_word_count(sft: RandomSFT, component: int, omega: int, n: int) -> int:
     """Number of admissible length-n words of one component starting over
-    ``omega``: the alphabet size for n=1, otherwise the total of the
-    (n-1)-step orbit matrix product.  Exact big integers."""
+    ``omega``: the total of the (n-1)-step orbit matrix product.  Exact big
+    integers."""
     if n < 1:
         raise ValueError("word length must be >= 1")
-    comp = sft.components[component]
-    if n == 1:
-        return comp.alphabet
-    prod = _orbit_product(sft, component, omega, n - 1)
-    return sum(sum(row) for row in prod)
+    return _factor(_orbit_product(sft, component, omega, n - 1), shared=False)
 
 
-def _max_extension_count(sft: RandomSFT, component: int, omega: int, start: int, steps: int) -> int:
-    """Largest number of admissible continuations over ``steps`` coordinates,
-    maximized over the symbol at coordinate ``start``.  Every symbol is
-    reachable by some admissible prefix (no dead columns), so the maximum
-    over end symbols is attained."""
-    if steps <= 0:
-        return 1
-    prod = _orbit_product(sft, component, sft.base.theta_iterate(omega, start), steps)
-    return max(sum(row) for row in prod)
+def _check_refinement(r_spec: CylinderCoverSpec, q_spec: CylinderCoverSpec) -> None:
+    if not q_spec.components <= r_spec.components:
+        raise PreconditionError(
+            "cylinder_refinement", "the counted family must resolve every conditioned component"
+        )
 
 
 def relative_word_count(
@@ -144,95 +153,54 @@ def relative_word_count(
     largest number of admissible span extensions of a conditioning word (1
     when the conditioning span is at least as long).
     """
-    if not q_spec.components <= r_spec.components:
-        raise PreconditionError(
-            "cylinder_refinement", "the counted family must resolve every conditioned component"
-        )
+    _check_refinement(r_spec, q_spec)
+    s_r, s_q = r_spec.span(n), q_spec.span(n)
     total = 1
-    s_r = r_spec.span(n)
     for c in sorted(r_spec.components):
         if c in q_spec.components:
-            s_q = q_spec.span(n)
-            total *= _max_extension_count(sft, c, omega, s_q - 1, s_r - s_q)
+            start = sft.base.theta_iterate(omega, s_q - 1)
+            total *= _factor(_orbit_product(sft, c, start, max(0, s_r - s_q)), shared=True)
         else:
-            total *= admissible_word_count(sft, c, omega, s_r)
+            total *= _factor(_orbit_product(sft, c, omega, s_r - 1), shared=False)
     return total
 
 
+def _shared_factors(sft: RandomSFT, component: int, start: int, steps: int) -> Iterator[int]:
+    """Factors of a shared component at depths 1, 2, ...: the window of
+    ``steps`` matrices after the conditioning span moves one base step per
+    depth."""
+    while True:
+        yield _factor(_orbit_product(sft, component, start, steps), shared=True)
+        start = sft.base.theta[start]
+
+
+def _depth_counts(
+    sft: RandomSFT, r_spec: CylinderCoverSpec, q_spec: CylinderCoverSpec, n_max: int, omega: int
+) -> Iterator[int]:
+    """:func:`relative_word_count` at depths 1..n_max, walking the orbit of
+    ``omega`` forward once."""
+    streams = []
+    for c in sorted(r_spec.components):
+        if c in q_spec.components:
+            start = sft.base.theta_iterate(omega, q_spec.depth - 1)
+            streams.append(_shared_factors(sft, c, start, max(0, r_spec.depth - q_spec.depth)))
+        else:
+            prods = _orbit_products(sft, c, omega, r_spec.span(n_max) - 1)
+            streams.append(_factor(m, shared=False) for m in islice(prods, r_spec.depth - 1, None))
+    for _, *factors in zip(range(n_max), *streams):
+        yield prod(factors)
+
+
 def sft_tail_sequence(
-    sft: RandomSFT,
-    r_spec: CylinderCoverSpec,
-    q_spec: CylinderCoverSpec,
-    n_max: int,
-    budgets: Budgets = DEFAULTS,
+    sft: RandomSFT, r_spec: CylinderCoverSpec, q_spec: CylinderCoverSpec, n_max: int
 ) -> EntropyEstimate:
     """Integrated log-count sequence for cylinder covers, with the same
     contracts as the explicit-system estimates."""
-    values = []
-    for n in range(1, n_max + 1):
-        values.append(
-            sum(
-                float(sft.base.prob[w]) * log(relative_word_count(sft, r_spec, q_spec, n, w))
-                for w in range(sft.base.size)
-                if sft.base.prob[w] != 0
-            )
-        )
+    _check_refinement(r_spec, q_spec)
+    points = [w for w in range(sft.base.size) if sft.base.prob[w] != 0]
+    weights = [float(sft.base.prob[w]) for w in points]
+    logs = [[log(count) for count in _depth_counts(sft, r_spec, q_spec, n_max, w)] for w in points]
+    values = [sum(p * term for p, term in zip(weights, column)) for column in zip(*logs)]
     return EntropyEstimate(
         values=tuple(values), requested=n_max, subadditive_ok=check_subadditive(values)
     )
-
-
-def enumerate_words(sft: RandomSFT, component: int, omega: int, length: int) -> list[tuple[int, ...]]:
-    """All admissible words of one component, in lexicographic order."""
-    comp = sft.components[component]
-    words: list[tuple[int, ...]] = [(s,) for s in range(comp.alphabet)]
-    for i in range(length - 1):
-        m = comp.matrices[sft.base.theta_iterate(omega, i)]
-        words = [w + (t,) for w in words for t in range(comp.alphabet) if m[w[-1]][t]]
-    return words
-
-
-def relative_word_count_enumerated(
-    sft: RandomSFT,
-    r_spec: CylinderCoverSpec,
-    q_spec: CylinderCoverSpec,
-    n: int,
-    omega: int,
-    budgets: Budgets = DEFAULTS,
-) -> int:
-    """Cross-validation path: materialize every admissible joint
-    configuration on the full span and run the exact set-cover engine on the
-    induced cylinder incidence.  Equal to :func:`relative_word_count` by
-    construction; exercised in tests at small sizes."""
-    if not q_spec.components <= r_spec.components:
-        raise PreconditionError(
-            "cylinder_refinement", "the counted family must resolve every conditioned component"
-        )
-    comps = sorted(r_spec.components)
-    if not comps:
-        return 1
-    span = max(r_spec.span(n), q_spec.span(n) if q_spec.components else 1)
-    per_comp = [enumerate_words(sft, c, omega, span) for c in comps]
-    count = 1
-    for ws in per_comp:
-        count *= len(ws)
-        if count > budgets.sft_enumeration:
-            raise BudgetExceededError("sft_enumeration", budgets.sft_enumeration, count, depth=n)
-    configs = list(iter_product(*per_comp))
-
-    def key(config, members: frozenset[int], upto: int):
-        return tuple(config[comps.index(c)][:upto] for c in sorted(members))
-
-    r_keys = sorted({key(cfg, r_spec.components, r_spec.span(n)) for cfg in configs})
-    r_index = {k: i for i, k in enumerate(r_keys)}
-    masks = [0] * len(r_keys)
-    universe = 0
-    by_q: dict[tuple, int] = {}
-    for bit, cfg in enumerate(configs):
-        universe |= 1 << bit
-        masks[r_index[key(cfg, r_spec.components, r_spec.span(n))]] |= 1 << bit
-        if q_spec.components:
-            qk = key(cfg, q_spec.components, q_spec.span(n))
-            by_q[qk] = by_q.get(qk, 0) | (1 << bit)
-    targets = by_q.values() if q_spec.components else [universe]
-    return max(min_cover_size(t, masks) for t in targets)

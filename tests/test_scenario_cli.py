@@ -150,6 +150,13 @@ def test_cli_sft_tail(tmp_path):
     assert code == 0
     doc = json.loads(read(out, "sft_tail.json"))
     assert all(abs(r - math.log(2)) <= 1e-9 for r in doc["ratios"])
+    # ":1" is the trivial spec: two free full shifts give log 4
+    trivial = tmp_path / "trivial"
+    code = main(["sft-tail", "--scenario", scenario_path("shifts"), "--sft", "pairshift",
+                 "--rspec", "0,1:1", "--qspec", ":1", "--nmax", "12", "--out", str(trivial)])
+    assert code == 0
+    doc = json.loads(read(trivial, "sft_tail.json"))
+    assert all(abs(r - math.log(4)) <= 1e-9 for r in doc["ratios"])
 
 
 def test_cli_entropy_value(tmp_path):
@@ -354,6 +361,20 @@ def test_cli_unknown_name_exits_2(tmp_path):
     assert code == 2
     manifest = json.loads(read(out, "manifest.json"))
     assert "unknown cover" in manifest["error"]
+    bad_inputs = {
+        "spec-name": ["sft-tail", "--scenario", scenario_path("shifts"), "--sft", "golden",
+                      "--rspec", "a:1", "--qspec", ":1", "--nmax", "3"],
+        "spec-depth": ["sft-tail", "--scenario", scenario_path("shifts"), "--sft", "golden",
+                       "--rspec", "0:0", "--qspec", ":1", "--nmax", "3"],
+        "spec-component": ["sft-tail", "--scenario", scenario_path("shifts"), "--sft", "golden",
+                           "--rspec", "5:1", "--qspec", ":1", "--nmax", "3"],
+        "empty-family": ["tail-total", "--scenario", scenario_path("swap"), "--qfamily", ",",
+                         "--rfamily", "points", "--nmax", "2"],
+    }
+    for label, argv in bad_inputs.items():
+        out = tmp_path / label
+        assert main(argv + ["--out", str(out)]) == 2, label
+        assert json.loads(read(out, "manifest.json"))["error"], label
 
 
 def test_cli_budget_exits_3_with_partial_artifacts(tmp_path):

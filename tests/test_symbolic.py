@@ -4,12 +4,11 @@ oracles, cylinder-cover sequences against the set-cover cross-check."""
 import math
 import random
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 
 from rdstail import (
-    BudgetExceededError,
-    Budgets,
     CylinderCoverSpec,
     DrivingSystem,
     PreconditionError,
@@ -19,11 +18,56 @@ from rdstail import (
     relative_word_count,
     sft_tail_sequence,
 )
-from rdstail.symbolic import enumerate_words, relative_word_count_enumerated
+from rdstail.counting import min_cover_size
 
 POINT_BASE = DrivingSystem((Fraction(1),), (0,))
 FULL2 = SFTComponent(2, (((1, 1), (1, 1)),))
 GOLDEN = SFTComponent(2, (((1, 1), (1, 0)),))
+
+
+def enumerate_words(sft: RandomSFT, component: int, omega: int, length: int) -> list[tuple[int, ...]]:
+    """All admissible words of one component, in lexicographic order."""
+    comp = sft.components[component]
+    words: list[tuple[int, ...]] = [(s,) for s in range(comp.alphabet)]
+    for i in range(length - 1):
+        m = comp.matrices[sft.base.theta_iterate(omega, i)]
+        words = [w + (t,) for w in words for t in range(comp.alphabet) if m[w[-1]][t]]
+    return words
+
+
+def relative_word_count_enumerated(
+    sft: RandomSFT, r_spec: CylinderCoverSpec, q_spec: CylinderCoverSpec, n: int, omega: int
+) -> int:
+    """Cross-validation oracle: materialize every admissible joint
+    configuration on the full span and run the exact set-cover engine on the
+    induced cylinder incidence.  Equal to ``relative_word_count`` by
+    construction; only usable at small sizes."""
+    if not q_spec.components <= r_spec.components:
+        raise PreconditionError(
+            "cylinder_refinement", "the counted family must resolve every conditioned component"
+        )
+    comps = sorted(r_spec.components)
+    if not comps:
+        return 1
+    span = max(r_spec.span(n), q_spec.span(n) if q_spec.components else 1)
+    configs = list(iter_product(*(enumerate_words(sft, c, omega, span) for c in comps)))
+
+    def key(config, members: frozenset[int], upto: int):
+        return tuple(config[comps.index(c)][:upto] for c in sorted(members))
+
+    r_keys = sorted({key(cfg, r_spec.components, r_spec.span(n)) for cfg in configs})
+    r_index = {k: i for i, k in enumerate(r_keys)}
+    masks = [0] * len(r_keys)
+    universe = 0
+    by_q: dict[tuple, int] = {}
+    for bit, cfg in enumerate(configs):
+        universe |= 1 << bit
+        masks[r_index[key(cfg, r_spec.components, r_spec.span(n))]] |= 1 << bit
+        if q_spec.components:
+            qk = key(cfg, q_spec.components, q_spec.span(n))
+            by_q[qk] = by_q.get(qk, 0) | (1 << bit)
+    targets = by_q.values() if q_spec.components else [universe]
+    return max(min_cover_size(t, masks) for t in targets)
 
 
 def golden_counts(n_max: int) -> list[int]:
@@ -47,6 +91,9 @@ def test_golden_mean_counts_match_recurrence():
         assert admissible_word_count(sft, 0, 0, n) == oracle[n - 1]
     assert admissible_word_count(sft, 0, 0, 5) == 13
     assert oracle[19] == 17711
+    # F(5002), far past the depth where a per-step recursion would exhaust
+    # the default recursion limit
+    assert admissible_word_count(sft, 0, 0, 5000) == golden_counts(5000)[-1]
 
 
 def test_word_count_matches_enumeration_on_driven_base():
@@ -93,11 +140,11 @@ def test_submultiplicativity_and_full_shift_equality():
 
 def test_two_full_shifts_product_gives_log2():
     sft = RandomSFT(POINT_BASE, (FULL2, FULL2))
-    est = sft_tail_sequence(
-        sft, CylinderCoverSpec(frozenset({0, 1}), 1), CylinderCoverSpec(frozenset({0}), 1), 12
-    )
+    r_spec, q_spec = CylinderCoverSpec(frozenset({0, 1}), 1), CylinderCoverSpec(frozenset({0}), 1)
+    est = sft_tail_sequence(sft, r_spec, q_spec, 12)
     assert est.subadditive_ok
     assert all(abs(r - math.log(2)) <= 1e-9 for r in est.ratios)
+    assert relative_word_count(sft, r_spec, q_spec, 5000, 0) == 2**5000
 
 
 def test_equal_specs_give_exact_zero():
@@ -178,21 +225,14 @@ def test_sequences_subadditive_on_random_driven_shifts():
         allc = frozenset(range(ncomp))
         r = CylinderCoverSpec(allc, rng.choice([1, 2]))
         q = CylinderCoverSpec(rng.choice([frozenset(), allc, frozenset({0})]), rng.choice([1, 2]))
-        assert sft_tail_sequence(sft, r, q, 8).subadditive_ok
-
-
-def test_enumeration_budget():
-    sft = RandomSFT(POINT_BASE, (FULL2, FULL2))
-    tiny = Budgets(sft_enumeration=8)
-    with pytest.raises(BudgetExceededError):
-        relative_word_count_enumerated(
-            sft,
-            CylinderCoverSpec(frozenset({0, 1}), 1),
-            CylinderCoverSpec(frozenset(), 1),
-            6,
-            0,
-            tiny,
-        )
+        est = sft_tail_sequence(sft, r, q, 8)
+        assert est.subadditive_ok
+        # the sweep's one walk per base point against per-depth point counts
+        for n, value in enumerate(est.values, 1):
+            assert value == sum(
+                float(base.prob[w]) * math.log(relative_word_count(sft, r, q, n, w))
+                for w in range(size)
+            )
 
 
 def test_validate_catches_dead_symbols():
