@@ -4,7 +4,7 @@ Explicit finite fibers force every asymptotic rate to zero, so the positive
 ground truths come from symbol sequences: fibers are admissible one-sided
 sequences of a 0/1 transition matrix (one matrix per base point), dynamics is
 the left shift, and covers are cylinder families on initial coordinates.
-Counts reduce to exact big-integer matrix products.
+Counts reduce to exact big-integer vector walks along the base orbit.
 """
 
 import math

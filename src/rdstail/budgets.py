@@ -39,7 +39,10 @@ def parse_overrides(text: str) -> dict[str, int]:
         name, _, value = item.partition("=")
         if not _:
             raise ValueError(f"malformed budget override {item!r}, expected name=value")
-        out[name.strip()] = int(value)
+        try:
+            out[name.strip()] = int(value)
+        except ValueError:
+            raise ValueError(f"budget override {item!r}: the value must be an integer") from None
     return out
 
 

@@ -62,7 +62,7 @@ _BUILTINS = {
 class _Run:
     """Collects artifacts, then writes them with a digest manifest."""
 
-    def __init__(self, out_dir: str, command: str, args: dict, budgets: Budgets, scenario_digest: str | None):
+    def __init__(self, out_dir: str, command: str, args: dict, budgets: Budgets | None, scenario_digest: str | None):
         self.out_dir = out_dir
         self.command = command
         self.args = args
@@ -92,7 +92,7 @@ class _Run:
         manifest = {
             "command": self.command,
             "args": self.args,
-            "budgets": {k: getattr(self.budgets, k) for k in vars(self.budgets)},
+            "budgets": None if self.budgets is None else {k: getattr(self.budgets, k) for k in vars(self.budgets)},
             "version": __version__,
             "scenario_digest": self.scenario_digest,
             "column_convention": COLUMN_CONVENTION,
@@ -146,6 +146,17 @@ def _estimate_payload(est: EntropyEstimate) -> dict:
         "subadditive_ok": est.subadditive_ok,
         "value": est.value,
     }
+
+
+def _estimate_exit(run: _Run, ests: list[EntropyEstimate]) -> int:
+    """A budget that stopped an estimate short of the requested depth exits
+    with the budget code, and the manifest says how deep it got."""
+    short = next((est for est in ests if est.n_max < est.requested), None)
+    if short is None:
+        return EXIT_OK
+    run.error = f"a budget stopped the estimate at depth {short.n_max} of {short.requested} requested"
+    print(f"budget exceeded: {run.error}", file=sys.stderr)
+    return EXIT_BUDGET
 
 
 def _measure_rows(scenario: str, name: str, mu: FiberedMeasure) -> tuple[list[str], list[list]]:
@@ -246,6 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenario | None) -> int:
     name = args.command
+    for flag in ("n", "nmax"):
+        depth = getattr(args, flag, None)
+        if depth is not None and depth < 1:
+            raise ScenarioError(f"--{flag} must be >= 1, got {depth}")
     if name == "validate":
         report = {}
         for sysname, rds in sc.systems.items():
@@ -274,7 +289,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
         header, rows = _estimate_rows({"system": sysname, "r": args.r, "q": args.q}, est)
         run.add_csv("tail.csv", header, rows)
         run.add_json("tail.json", _estimate_payload(est))
-        return EXIT_OK
+        return _estimate_exit(run, [est])
 
     if name == "tail-total":
         q_names = [s for s in args.qfamily.split(",") if s]
@@ -298,15 +313,16 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
         q_fam = resolve_family(q_names)
         r_fam = resolve_family(r_names)
         # the total is the min over q of the max over r of the row values
-        rows, per_q = [], []
+        rows, per_q, all_ests = [], [], []
         for nm, q in zip(q_names, q_fam):
-            ests = [tail_entropy_estimate(rds, r, q, args.nmax, budgets).value for r in r_fam]
-            rows.extend([sysname, nm, rn, args.nmax, v] for rn, v in zip(r_names, ests))
-            per_q.append(max(ests))
+            ests = [tail_entropy_estimate(rds, r, q, args.nmax, budgets) for r in r_fam]
+            rows.extend([sysname, nm, rn, args.nmax, est.value] for rn, est in zip(r_names, ests))
+            per_q.append(max(est.value for est in ests))
+            all_ests.extend(ests)
         value = min(per_q)
         run.add_csv("tail_total.csv", ["system", "q", "r", "n_max", "tail_estimate"], rows)
         run.add_json("tail_total.json", {"value": value, "n_max": args.nmax})
-        return EXIT_OK
+        return _estimate_exit(run, all_ests)
 
     if name == "sft-tail":
         if args.sft not in sc.sfts:
@@ -382,8 +398,13 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
         return EXIT_OK
 
     if name == "construct":
-        delta = Fraction(args.delta)
+        try:
+            delta = Fraction(args.delta)
+        except (ValueError, ZeroDivisionError):
+            raise ScenarioError(f"--delta {args.delta!r} is not an exact rational such as 1/2") from None
         if args.separated:
+            if args.p_cover is None or args.q_cover is None:
+                raise ScenarioError("--separated needs --p and --q")
             p, rds, sysname = _resolve_cover(sc, args.p_cover, args.system)
             q, rds_q, _ = _resolve_cover(sc, args.q_cover, sysname)
             if rds_q is not rds:
@@ -441,25 +462,27 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
     raise ScenarioError(f"unknown command {name!r}")
 
 
+def _budgets(items: list[str]) -> Budgets:
+    try:
+        overrides = {}
+        for item in items:
+            overrides.update(parse_overrides(item))
+        return from_env().with_overrides(overrides)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        overrides = {}
-        for item in args.budget:
-            overrides.update(parse_overrides(item))
-        budgets = from_env().with_overrides(overrides)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-
     sc: Scenario | None = None
-    scenario_digest = None
     # the output directory is not semantic: reruns into different directories
     # must stay byte-identical, so it is excluded from the manifest
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "out") and v is not None}
-    run = _Run(args.out, args.command, {k: str(v) for k, v in flags.items()}, budgets, scenario_digest)
+    # budgets stay null in the manifest of a run whose budgets do not parse
+    run = _Run(args.out, args.command, {k: str(v) for k, v in flags.items()}, None, None)
     try:
+        budgets = run.budgets = _budgets(args.budget)
         if getattr(args, "scenario", None):
             sc = load_scenario(args.scenario)
             run.scenario_digest = sc.digest()

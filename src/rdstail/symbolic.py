@@ -6,10 +6,14 @@ sequences (several independent components, each with a per-base-point 0/1
 transition matrix), dynamics is the left shift, and covers are cylinder
 families on an initial block of coordinates.  Iterated-cover counts then
 reduce to admissible-word counting, which is done with exact big-integer
-matrix products rather than by materializing fibers.  A count is exact at
-any depth: its orbit product is one forward walk along the base orbit,
-linear in the depth, with no recursion and no cache.  A depth sweep walks
-each base point's orbit once for all depths.
+vector walks rather than by materializing fibers.  A component the
+conditioning family does not resolve counts its words with a row vector
+walked forward along the base orbit; a shared component counts the
+extensions of a conditioning word with a column vector walked backwards over
+a fixed window.  The transition matrices are 0/1, so each step is O(a^2)
+big-integer additions for an alphabet of size a.  A count is exact at any
+depth, linear in the depth, with no recursion and no cache.  A depth sweep
+walks each base point's orbit once for all depths.
 
 The count of a depth-n iterate spans coordinates ``0 .. n+d-2`` for a
 depth-d cylinder family; a cylinder family refines another whenever it
@@ -20,7 +24,7 @@ resolves at least the same components, which is the precondition of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice
 from math import log, prod
 from typing import Iterator
 
@@ -88,51 +92,44 @@ class CylinderCoverSpec:
         return n + self.depth - 1
 
 
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    size = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(size)) for j in range(size))
-        for i in range(size)
-    )
-
-
-def _orbit_products(sft: RandomSFT, component: int, omega: int, length: int) -> Iterator[Matrix]:
-    """Products of 0, 1, ..., ``length`` consecutive transition matrices
-    along the base orbit starting at ``omega``, the identity first."""
+def _word_counts(sft: RandomSFT, component: int, omega: int) -> Iterator[int]:
+    """Numbers of admissible words of lengths 1, 2, ... of one component
+    starting over ``omega``.  A row vector walks forward along the base
+    orbit, ``u <- u^T M_omega`` from all ones: entry j counts the words that
+    end in symbol j, and the count is ``sum(u)``."""
     comp = sft.components[component]
-    product = tuple(tuple(int(i == j) for j in range(comp.alphabet)) for i in range(comp.alphabet))
-    yield product
-    for _ in range(length):
-        product = _mat_mul(product, comp.matrices[omega])
+    columns = [tuple(zip(*m)) for m in comp.matrices]
+    u = [1] * comp.alphabet
+    while True:
+        yield sum(u)
+        u = [sum(compress(u, col)) for col in columns[omega]]
         omega = sft.base.theta[omega]
-        yield product
 
 
-def _orbit_product(sft: RandomSFT, component: int, omega: int, length: int) -> Matrix:
-    """Product of ``length`` consecutive transition matrices along the base
-    orbit starting at ``omega`` (identity for length zero)."""
-    for product in _orbit_products(sft, component, omega, length):
-        pass
-    return product
-
-
-def _factor(product: Matrix, shared: bool) -> int:
-    """A component's factor of a count.  Free, it counts every admissible
-    word: the total of the product.  Shared with the conditioning family, it
-    counts the most admissible extensions of one conditioning word: the
-    largest row sum.  Every symbol is reachable by some admissible prefix (no
-    dead columns), so the maximum over end symbols is attained."""
-    rows = [sum(row) for row in product]
-    return max(rows) if shared else sum(rows)
+def _extension_count(sft: RandomSFT, component: int, start: int, steps: int) -> int:
+    """Most admissible extensions by ``steps`` symbols of one conditioning
+    word whose last symbol sits over ``start``.  A column vector walks
+    backwards over the window of ``steps`` matrices, ``v <- M v`` from all
+    ones: entry i counts the extensions of a word ending in symbol i.  Every
+    symbol ends some admissible prefix (no dead columns), so the largest
+    entry is attained."""
+    comp = sft.components[component]
+    window = []
+    for _ in range(steps):
+        window.append(comp.matrices[start])
+        start = sft.base.theta[start]
+    v = [1] * comp.alphabet
+    for m in reversed(window):
+        v = [sum(compress(v, row)) for row in m]
+    return max(v)
 
 
 def admissible_word_count(sft: RandomSFT, component: int, omega: int, n: int) -> int:
     """Number of admissible length-n words of one component starting over
-    ``omega``: the total of the (n-1)-step orbit matrix product.  Exact big
-    integers."""
+    ``omega``.  Exact big integers."""
     if n < 1:
         raise ValueError("word length must be >= 1")
-    return _factor(_orbit_product(sft, component, omega, n - 1), shared=False)
+    return next(islice(_word_counts(sft, component, omega), n - 1, None))
 
 
 def _check_refinement(r_spec: CylinderCoverSpec, q_spec: CylinderCoverSpec) -> None:
@@ -159,9 +156,9 @@ def relative_word_count(
     for c in sorted(r_spec.components):
         if c in q_spec.components:
             start = sft.base.theta_iterate(omega, s_q - 1)
-            total *= _factor(_orbit_product(sft, c, start, max(0, s_r - s_q)), shared=True)
+            total *= _extension_count(sft, c, start, max(0, s_r - s_q))
         else:
-            total *= _factor(_orbit_product(sft, c, omega, s_r - 1), shared=False)
+            total *= next(islice(_word_counts(sft, c, omega), s_r - 1, None))
     return total
 
 
@@ -170,7 +167,7 @@ def _shared_factors(sft: RandomSFT, component: int, start: int, steps: int) -> I
     ``steps`` matrices after the conditioning span moves one base step per
     depth."""
     while True:
-        yield _factor(_orbit_product(sft, component, start, steps), shared=True)
+        yield _extension_count(sft, component, start, steps)
         start = sft.base.theta[start]
 
 
@@ -185,8 +182,7 @@ def _depth_counts(
             start = sft.base.theta_iterate(omega, q_spec.depth - 1)
             streams.append(_shared_factors(sft, c, start, max(0, r_spec.depth - q_spec.depth)))
         else:
-            prods = _orbit_products(sft, c, omega, r_spec.span(n_max) - 1)
-            streams.append(_factor(m, shared=False) for m in islice(prods, r_spec.depth - 1, None))
+            streams.append(islice(_word_counts(sft, c, omega), r_spec.depth - 1, None))
     for _, *factors in zip(range(n_max), *streams):
         yield prod(factors)
 

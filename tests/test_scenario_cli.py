@@ -370,6 +370,30 @@ def test_cli_unknown_name_exits_2(tmp_path):
                            "--rspec", "5:1", "--qspec", ":1", "--nmax", "3"],
         "empty-family": ["tail-total", "--scenario", scenario_path("swap"), "--qfamily", ",",
                          "--rfamily", "points", "--nmax", "2"],
+        "tail-nmax-0": ["tail", "--scenario", scenario_path("swap"), "--r", "points", "--q", "whole",
+                        "--nmax", "0"],
+        "tail-total-nmax-0": ["tail-total", "--scenario", scenario_path("swap"), "--qfamily", "whole",
+                              "--rfamily", "points", "--nmax", "0"],
+        "sft-tail-nmax-0": ["sft-tail", "--scenario", scenario_path("shifts"), "--sft", "golden",
+                            "--rspec", "0:1", "--qspec", ":1", "--nmax", "0"],
+        "entropy-nmax-0": ["entropy", "--scenario", scenario_path("swap"), "--mu", "uniform", "--r", "points",
+                           "--sigma", "@fibers", "--nmax", "0"],
+        "count-n-0": ["count", "--scenario", scenario_path("swap"), "--r", "points", "--q", "whole",
+                      "--n", "0"],
+        "construct-n-0": ["construct", "--scenario", scenario_path("cycle4"), "--diagonal", "--p", "points",
+                          "--q", "points", "--n", "0", "--delta", "1"],
+        "delta-text": ["construct", "--scenario", scenario_path("cycle4"), "--diagonal", "--p", "points",
+                       "--q", "points", "--n", "2", "--delta", "abc"],
+        "delta-zero-denominator": ["construct", "--scenario", scenario_path("cycle4"), "--diagonal", "--p",
+                                   "points", "--q", "points", "--n", "2", "--delta", "1/0"],
+        "separated-no-covers": ["construct", "--scenario", scenario_path("cycle4"), "--separated",
+                                "--n", "2", "--delta", "1"],
+        "budget-unknown": ["--budget", "bogus=1", "sft-tail", "--scenario", scenario_path("shifts"),
+                           "--sft", "golden", "--rspec", "0:1", "--qspec", ":1", "--nmax", "3"],
+        "budget-value": ["--budget", "cover_elements=x", "tail", "--scenario", scenario_path("swap"),
+                         "--r", "points", "--q", "whole", "--nmax", "3"],
+        "budget-malformed": ["--budget", "cover_elements", "tail", "--scenario", scenario_path("swap"),
+                             "--r", "points", "--q", "whole", "--nmax", "3"],
     }
     for label, argv in bad_inputs.items():
         out = tmp_path / label
@@ -400,6 +424,20 @@ def test_cli_budget_exits_3_with_partial_artifacts(tmp_path):
     manifest = json.loads(read(out, "manifest.json"))
     assert "cover_elements" in manifest["error"]
     assert manifest["budgets"]["cover_elements"] == 3
+    # an estimate the budget stops early is partial, not a success
+    swap = ["--scenario", scenario_path("swap"), "--nmax", "6"]
+    stopped = {
+        "tail": (["tail", "--r", "points", "--q", "whole"], "tail.json"),
+        "tail-total": (["tail-total", "--qfamily", "whole", "--rfamily", "points"], "tail_total.json"),
+    }
+    for label, (argv, artifact) in stopped.items():
+        out = tmp_path / label
+        assert main(["--budget", "cover_elements=1", *argv, *swap, "--out", str(out)]) == 3, label
+        manifest = json.loads(read(out, "manifest.json"))
+        assert "depth 1 of 6" in manifest["error"], label
+        assert artifact in manifest["outputs"], label
+    est = json.loads(read(tmp_path / "tail", "tail.json"))
+    assert (est["n_max"], est["requested"]) == (1, 6)
 
 
 def test_cli_reruns_are_byte_identical(tmp_path):

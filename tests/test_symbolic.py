@@ -19,6 +19,7 @@ from rdstail import (
     sft_tail_sequence,
 )
 from rdstail.counting import min_cover_size
+from rdstail.symbolic import _depth_counts
 
 POINT_BASE = DrivingSystem((Fraction(1),), (0,))
 FULL2 = SFTComponent(2, (((1, 1), (1, 1)),))
@@ -70,6 +71,52 @@ def relative_word_count_enumerated(
     return max(min_cover_size(t, masks) for t in targets)
 
 
+def _mat_mul(a, b):
+    size = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(size)) for j in range(size))
+        for i in range(size)
+    )
+
+
+def orbit_products(sft: RandomSFT, component: int, omega: int, length: int):
+    """Products of 0, 1, ..., ``length`` consecutive transition matrices
+    along the base orbit starting at ``omega``, the identity first."""
+    comp = sft.components[component]
+    product = tuple(tuple(int(i == j) for j in range(comp.alphabet)) for i in range(comp.alphabet))
+    yield product
+    for _ in range(length):
+        product = _mat_mul(product, comp.matrices[omega])
+        omega = sft.base.theta[omega]
+        yield product
+
+
+def matrix_depth_counts(
+    sft: RandomSFT, r_spec: CylinderCoverSpec, q_spec: CylinderCoverSpec, n_max: int, omega: int
+) -> list[int]:
+    """Reference for the vector walks: relative word counts at depths
+    1..n_max from full matrix products.  A free component contributes the
+    total of its span product, a shared one the largest row sum of the
+    product over the window past the conditioning span."""
+    counts = [1] * n_max
+    for c in sorted(r_spec.components):
+        if c in q_spec.components:
+            steps = max(0, r_spec.depth - q_spec.depth)
+            start = sft.base.theta_iterate(omega, q_spec.depth - 1)
+            factors = {}  # the window product depends only on its start
+            for k in range(n_max):
+                if start not in factors:
+                    *_, window = orbit_products(sft, c, start, steps)
+                    factors[start] = max(sum(row) for row in window)
+                counts[k] *= factors[start]
+                start = sft.base.theta[start]
+        else:
+            products = list(orbit_products(sft, c, omega, r_spec.span(n_max) - 1))
+            for k in range(n_max):
+                counts[k] *= sum(map(sum, products[r_spec.span(k + 1) - 1]))
+    return counts
+
+
 def golden_counts(n_max: int) -> list[int]:
     """Independent oracle: the two-term recurrence with w1=2, w2=3."""
     w = [2, 3]
@@ -91,9 +138,10 @@ def test_golden_mean_counts_match_recurrence():
         assert admissible_word_count(sft, 0, 0, n) == oracle[n - 1]
     assert admissible_word_count(sft, 0, 0, 5) == 13
     assert oracle[19] == 17711
-    # F(5002), far past the depth where a per-step recursion would exhaust
-    # the default recursion limit
+    # F(5002) and F(10002), far past the depth where a per-step recursion
+    # would exhaust the default recursion limit
     assert admissible_word_count(sft, 0, 0, 5000) == golden_counts(5000)[-1]
+    assert admissible_word_count(sft, 0, 0, 10_000) == golden_counts(10_000)[-1]
 
 
 def test_word_count_matches_enumeration_on_driven_base():
@@ -241,3 +289,55 @@ def test_validate_catches_dead_symbols():
     assert any("row 0" in v for v in sft.validate())
     dead_col = SFTComponent(2, (((1, 0), (1, 0)),))
     assert any("column 1" in v for v in RandomSFT(POINT_BASE, (dead_col,)).validate())
+
+
+def _random_driven_sft(rng):
+    """A base map that need not be a bijection, with the mass spread evenly
+    over the cycle that point 0 falls into and zero mass elsewhere (so
+    transient points carry none), and components on alphabets 1-3."""
+    size = rng.randint(1, 4)
+    theta = tuple(rng.randrange(size) for _ in range(size))
+    path = [0]
+    while theta[path[-1]] not in path:
+        path.append(theta[path[-1]])
+    cycle = path[path.index(theta[path[-1]]):]
+    prob = tuple(Fraction(1, len(cycle)) if w in cycle else Fraction(0) for w in range(size))
+    comps = []
+    for _ in range(rng.randint(1, 2)):
+        alphabet = rng.randint(1, 3)
+        comps.append(SFTComponent(alphabet, tuple(_random_valid_matrix(rng, alphabet) for _ in range(size))))
+    return RandomSFT(DrivingSystem(prob, theta), tuple(comps))
+
+
+def test_vector_walks_match_matrix_products():
+    rng = random.Random(2024)
+    n_max = 200
+    probes = (1, 2, 3, 7, 50, n_max)
+    words_spec = (CylinderCoverSpec(frozenset({0})), CylinderCoverSpec(frozenset()))
+    for _ in range(30):
+        sft = _random_driven_sft(rng)
+        assert sft.validate() == []
+        for omega in range(sft.base.size):
+            words = matrix_depth_counts(sft, *words_spec, n_max, omega)
+            for n in probes:
+                assert admissible_word_count(sft, 0, omega, n) == words[n - 1]
+        comps = range(len(sft.components))
+        spec_pairs = []
+        for _ in range(2):
+            r_members = frozenset(c for c in comps if rng.random() < 0.9)
+            q_members = frozenset(c for c in r_members if rng.random() < 0.6)
+            r = CylinderCoverSpec(r_members, rng.randint(1, 4))
+            spec_pairs.append((r, CylinderCoverSpec(q_members, rng.randint(1, 4))))
+        # every component shared over a window of two or three matrices
+        spec_pairs.append((CylinderCoverSpec(frozenset(comps), 4), CylinderCoverSpec(frozenset(comps), rng.randint(1, 2))))
+        for r, q in spec_pairs:
+            weighted_logs = []
+            for omega in range(sft.base.size):
+                want = matrix_depth_counts(sft, r, q, n_max, omega)
+                assert list(_depth_counts(sft, r, q, n_max, omega)) == want
+                for n in probes:
+                    assert relative_word_count(sft, r, q, n, omega) == want[n - 1]
+                if sft.base.prob[omega] != 0:
+                    weighted_logs.append([float(sft.base.prob[omega]) * math.log(c) for c in want])
+            est = sft_tail_sequence(sft, r, q, n_max)
+            assert est.values == tuple(sum(column) for column in zip(*weighted_logs))

@@ -3,6 +3,9 @@
 import math
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from rdstail import (
     Budgets,
     EntropyEstimate,
@@ -18,6 +21,7 @@ from rdstail import (
     tail_entropy_total,
     trivial_cover,
 )
+from rdstail.tail_entropy import check_subadditive
 from rdstail.verify import _rng, random_cover, random_system
 
 SWAP = swap_system()
@@ -164,3 +168,45 @@ def test_matched_depth_dominance_against_trivial():
             free = integrated_log_count(rds, r, trivial_cover(rds), n)
             cond = integrated_log_count(rds, r, q, n)
             assert free >= cond - TOL
+
+
+def check_subadditive_all_pairs(values, tol=TOL):
+    """Reference for ``check_subadditive``: the plain double loop over every
+    ordered pair (i, j), each compared as a(i+j) > (a(i) + a(j)) + tol."""
+    if any(v < -tol for v in values):
+        return False
+    n = len(values)
+    for i in range(1, n + 1):
+        for j in range(1, n - i + 1):
+            if values[i + j - 1] > values[i - 1] + values[j - 1] + tol:
+                return False
+    return True
+
+
+# terms that sit on the decision boundaries: exact ties at the tolerance and
+# one ulp past it, small negatives around -tol, NaN and both infinities
+EDGE_TERMS = st.sampled_from([
+    0.0, TOL, math.nextafter(TOL, math.inf), 2 * TOL, 0.5, 1.0, 1.5, math.log(2),
+    -TOL, -TOL / 2, math.nextafter(-TOL, -math.inf), -1e-3,
+    math.nan, math.inf, -math.inf,
+])
+TERMS = st.one_of(EDGE_TERMS, st.floats(min_value=-2 * TOL, max_value=4.0), st.floats())
+
+
+@st.composite
+def near_linear(draw):
+    """a_n = n * x plus a few boundary nudges: many pairs tie exactly."""
+    length = draw(st.integers(0, 40))
+    x = draw(st.sampled_from([0.0, TOL, 0.25, math.log(2), 1.0]))
+    values = [k * x for k in range(1, length + 1)]
+    for _ in range(draw(st.integers(0, 3))):
+        if values:
+            values[draw(st.integers(0, length - 1))] += draw(EDGE_TERMS)
+    return values
+
+
+@given(st.one_of(st.lists(TERMS, max_size=40), near_linear()), st.sampled_from([TOL, 0.0]))
+@settings(max_examples=300, deadline=None)
+def test_check_subadditive_matches_all_pairs(values, tol):
+    assert check_subadditive(values, tol) == check_subadditive_all_pairs(values, tol)
+    assert check_subadditive(tuple(values), tol) == check_subadditive_all_pairs(values, tol)
