@@ -85,9 +85,9 @@ from .measures import (
     mix,
     pushforward_measure,
     relative_entropy_sequence,
+    relative_entropy_sequences,
     skew_pushforward,
     total_variation,
-    transformation_relative_entropy,
     transformation_relative_entropy_sequence,
     two_partition_count_bound_check,
 )

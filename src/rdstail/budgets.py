@@ -2,9 +2,10 @@
 
 Budgets cap combinatorial blow-ups (iterated covers, polytope enumeration).
 Exceeding a budget raises :class:`rdstail.errors.BudgetExceededError`;
-results are never silently truncated.  Defaults can be overridden by the
-single environment variable ``RDSTAIL_BUDGETS`` (comma-separated
-``name=value`` pairs) or per call site.
+results are never silently truncated.  Library calls take their budgets
+per call site.  CLI runs read the environment variable ``RDSTAIL_BUDGETS``
+(comma-separated ``name=value`` pairs) on each run, so a malformed value
+is a bad-input error of that run, never an import failure.
 """
 
 from __future__ import annotations
@@ -52,4 +53,4 @@ def from_env(env: dict[str, str] | None = None) -> Budgets:
     return Budgets().with_overrides(parse_overrides(text)) if text else Budgets()
 
 
-DEFAULTS = from_env()
+DEFAULTS = Budgets()

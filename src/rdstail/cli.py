@@ -202,33 +202,33 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--r", required=True)
     p.add_argument("--q", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", required=True)
 
     p = sub.add_parser("tail", help="integrated log-count sequence")
     common(p)
     p.add_argument("--r", required=True)
     p.add_argument("--q", required=True)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", required=True)
 
     p = sub.add_parser("tail-total", help="min over conditioning family of max over refining family")
     common(p)
     p.add_argument("--qfamily", required=True, help="comma-separated cover names")
     p.add_argument("--rfamily", required=True, help="comma-separated cover names")
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", required=True)
 
     p = sub.add_parser("sft-tail", help="cylinder-cover sequence on a driven subshift")
     common(p)
     p.add_argument("--sft", required=True)
     p.add_argument("--rspec", required=True, help="components:depth, e.g. 0,1:1 (use :1 for trivial)")
     p.add_argument("--qspec", required=True)
-    p.add_argument("--nmax", type=int, required=True)
+    p.add_argument("--nmax", required=True)
 
     p = sub.add_parser("entropy", help="conditional entropy, or its depth sequence with --nmax")
     common(p)
     p.add_argument("--mu", required=True)
     p.add_argument("--r", required=True)
     p.add_argument("--sigma", required=True, help="partition name or builtin (@fibers, @states)")
-    p.add_argument("--nmax", type=int, default=None)
+    p.add_argument("--nmax", default=None)
 
     p = sub.add_parser("invariant", help="invariant-measure machinery")
     common(p)
@@ -244,23 +244,34 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--diagonal", action="store_true")
     p.add_argument("--p", dest="p_cover", help="refining cover (or comma chain for --diagonal)")
     p.add_argument("--q", dest="q_cover", help="conditioning cover (or comma chain for --diagonal)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", required=True)
     p.add_argument("--delta", required=True, help="exact rational radius, e.g. 1/2")
 
     p = sub.add_parser("verify", help="run a verification suite")
     common(p, scenario_required=False)
     p.add_argument("--suite", required=True, choices=["cover", "entropy", "invariant", "theorem", "principal"])
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--seed", default=1)
+    p.add_argument("--trials", default=100)
     return parser
 
 
 def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenario | None) -> int:
     name = args.command
-    for flag in ("n", "nmax"):
-        depth = getattr(args, flag, None)
-        if depth is not None and depth < 1:
-            raise ScenarioError(f"--{flag} must be >= 1, got {depth}")
+    # integer flags are parsed here, not by argparse, so that a bad value
+    # gets a manifest like every other bad input; the manifest records the
+    # parsed integer
+    for flag in ("n", "nmax", "seed", "trials"):
+        text = getattr(args, flag, None)
+        if text is None:
+            continue
+        try:
+            value = int(text)
+        except ValueError:
+            raise ScenarioError(f"--{flag} must be an integer, got {text!r}") from None
+        if flag in ("n", "nmax") and value < 1:
+            raise ScenarioError(f"--{flag} must be >= 1, got {value}")
+        setattr(args, flag, value)
+        run.args[flag] = str(value)
     if name == "validate":
         report = {}
         for sysname, rds in sc.systems.items():

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from . import _linalg
 from .budgets import Budgets, DEFAULTS
@@ -49,35 +49,38 @@ def invariance_defect(mu: FiberedMeasure, rds: BundleRDS) -> Fraction:
     return total_variation(skew_pushforward(mu, rds), mu)
 
 
-def _cycle_structure(rds: BundleRDS) -> tuple[list[list[State]], dict[State, int]]:
-    """Terminal cycles of the skew map and, for every state, the index of
-    the cycle its orbit falls into."""
-    nxt = {
-        (w, x): (rds.base.theta[w], rds.apply(w, x))
-        for w in range(rds.size)
-        for x in rds.fibers[w]
-    }
-    cycles: list[list[State]] = []
-    terminal: dict[State, int] = {}
-    for start in rds.states():
+def terminal_cycles(
+    nodes: Iterable[Hashable], step: Callable[[Hashable], Hashable]
+) -> tuple[list[list], dict]:
+    """Terminal cycles of a map on a finite set, in order of discovery from
+    ``nodes``, and for every node reached the index of the cycle its forward
+    path falls into."""
+    cycles: list[list] = []
+    terminal: dict = {}
+    for start in nodes:
         if start in terminal:
             continue
-        path: list[State] = []
-        on_path: dict[State, int] = {}
+        path: list = []
+        on_path: dict = {}
         s = start
         while s not in terminal and s not in on_path:
             on_path[s] = len(path)
             path.append(s)
-            s = nxt[s]
+            s = step(s)
         if s in on_path:
-            cycle = path[on_path[s]:]
-            cycles.append(cycle)
+            cycles.append(path[on_path[s]:])
             cid = len(cycles) - 1
         else:
             cid = terminal[s]
         for p in path:
             terminal[p] = cid
     return cycles, terminal
+
+
+def _cycle_structure(rds: BundleRDS) -> tuple[list[list[State]], dict[State, int]]:
+    """Terminal cycles of the skew map and, for every state, the index of
+    the cycle its orbit falls into."""
+    return terminal_cycles(rds.states(), lambda s: (rds.base.theta[s[0]], rds.apply(*s)))
 
 
 def cesaro_limit(nu: FiberedMeasure, rds: BundleRDS) -> FiberedMeasure:

@@ -22,7 +22,6 @@ from .covers import (
     ContainmentWitness,
     RandomCover,
     RandomPartition,
-    RandomSet,
     SigmaAlgebra,
     delta_contains,
     fiber_partition,
@@ -128,10 +127,6 @@ def mass_of_sections(mu: FiberedMeasure, sections: Sequence[frozenset]) -> Fract
     )
 
 
-def mass_of_set(mu: FiberedMeasure, rs: RandomSet) -> Fraction:
-    return mass_of_sections(mu, rs.sections)
-
-
 def disintegrate(mu: FiberedMeasure, rds: BundleRDS) -> tuple[dict[Point, Fraction] | None, ...]:
     """Fiber conditionals: weights divided by the base mass, summing to one
     on every fiber of positive base mass.  Fibers with zero base mass get
@@ -186,7 +181,7 @@ def conditional_entropy(mu: FiberedMeasure, r: RandomCover, s: SigmaAlgebra) -> 
     contributing nothing.  Lies in ``[0, log len(r)]``."""
     total = 0.0
     for atom in s.atoms.elements:
-        atom_mass = mass_of_set(mu, atom)
+        atom_mass = mass_of_sections(mu, atom.sections)
         if atom_mass == 0:
             continue
         for cell in r.elements:
@@ -195,7 +190,6 @@ def conditional_entropy(mu: FiberedMeasure, r: RandomCover, s: SigmaAlgebra) -> 
             )
             total += _plogq(joint, atom_mass)
     return total
-
 
 
 @dataclass(frozen=True)
@@ -217,6 +211,36 @@ def sigma_backward_compatible(s: SigmaAlgebra, rds: BundleRDS) -> bool:
     return refines(s.atoms, pulled, fiberwise=True)
 
 
+def relative_entropy_sequences(
+    measures: Sequence[FiberedMeasure],
+    r: RandomPartition,
+    s: SigmaAlgebra,
+    rds: BundleRDS,
+    n_max: int,
+    budgets: Budgets = DEFAULTS,
+) -> list[EntropyEstimate]:
+    """Conditional entropies of the depth-n iterates of ``r`` given ``s``,
+    with the running-infimum bracket, for every measure of a family: one
+    pass over the iterates evaluates all measures at each depth.
+
+    Preconditions are verified, not assumed: each measure must be exactly
+    invariant under the skew map and the algebra must contain its own
+    dynamical pullback; both are needed for subadditivity.
+    """
+    if not all(measures_equal(skew_pushforward(mu, rds), mu) for mu in measures):
+        raise PreconditionError("invariant_measure", "measure is not skew-invariant")
+    if not sigma_backward_compatible(s, rds):
+        raise PreconditionError("backward_compatible_algebra", "pullback of the algebra escapes it")
+    values: list[list[float]] = [[] for _ in measures]
+    for rn in iterate_covers(r, rds, n_max, budgets):
+        for mu, seq in zip(measures, values):
+            seq.append(conditional_entropy(mu, rn, s))
+    return [
+        EntropyEstimate(values=tuple(seq), requested=n_max, subadditive_ok=check_subadditive(seq))
+        for seq in values
+    ]
+
+
 def relative_entropy_sequence(
     mu: FiberedMeasure,
     r: RandomPartition,
@@ -225,34 +249,8 @@ def relative_entropy_sequence(
     n_max: int,
     budgets: Budgets = DEFAULTS,
 ) -> EntropyEstimate:
-    """Conditional entropies of the depth-n iterates of ``r`` given ``s``,
-    with the running-infimum bracket.
-
-    Preconditions are verified, not assumed: the measure must be exactly
-    invariant under the skew map and the algebra must contain its own
-    dynamical pullback; both are needed for subadditivity.
-    """
-    if not measures_equal(skew_pushforward(mu, rds), mu):
-        raise PreconditionError("invariant_measure", "measure is not skew-invariant")
-    if not sigma_backward_compatible(s, rds):
-        raise PreconditionError("backward_compatible_algebra", "pullback of the algebra escapes it")
-    values = [conditional_entropy(mu, rn, s) for rn in iterate_covers(r, rds, n_max, budgets)]
-    return EntropyEstimate(
-        values=tuple(values), requested=n_max, subadditive_ok=check_subadditive(values)
-    )
-
-
-def transformation_relative_entropy(
-    mu: FiberedMeasure,
-    s: SigmaAlgebra,
-    rds: BundleRDS,
-    n_max: int,
-    budgets: Budgets = DEFAULTS,
-) -> float:
-    """Bracket of the supremum over partitions, evaluated at the state
-    partition, which dominates every partition's sequence at each depth on
-    finite fibers (refinement monotonicity of conditional entropy)."""
-    return transformation_relative_entropy_sequence(mu, s, rds, n_max, budgets).value
+    """:func:`relative_entropy_sequences` for a single measure."""
+    return relative_entropy_sequences([mu], r, s, rds, n_max, budgets)[0]
 
 
 def transformation_relative_entropy_sequence(
@@ -262,6 +260,9 @@ def transformation_relative_entropy_sequence(
     n_max: int,
     budgets: Budgets = DEFAULTS,
 ) -> EntropyEstimate:
+    """Bracket of the supremum over partitions, evaluated at the state
+    partition, which dominates every partition's sequence at each depth on
+    finite fibers (refinement monotonicity of conditional entropy)."""
     return relative_entropy_sequence(mu, state_partition(rds), s, rds, n_max, budgets)
 
 
@@ -291,12 +292,12 @@ def defect(
     budgets: Budgets = DEFAULTS,
 ) -> DefectEstimate:
     """Largest entropy excess over ``m`` among family members within
-    ``epsilon`` total variation.  All measures must be invariant."""
-    for cand in (m, *family):
-        if not measures_equal(skew_pushforward(cand, rds), m if cand is m else cand):
-            raise PreconditionError("invariant_measure", "defect needs invariant measures")
-    base_seq = transformation_relative_entropy_sequence(m, s, rds, n_max, budgets)
-    near = [mu for mu in family if total_variation(mu, m) <= epsilon]
+    ``epsilon`` total variation.  All measures must be invariant; the
+    sequences of ``m`` and of every member come from one sweep."""
+    base_seq, *seqs = relative_entropy_sequences(
+        [m, *family], state_partition(rds), s, rds, n_max, budgets
+    )
+    near = [seq for mu, seq in zip(family, seqs) if total_variation(mu, m) <= epsilon]
     if not near:
         return DefectEstimate(
             value=0.0,
@@ -304,10 +305,9 @@ def defect(
             truncated=tuple(0.0 for _ in range(n_max)),
             neighborhood_empty=True,
         )
-    seqs = [transformation_relative_entropy_sequence(mu, s, rds, n_max, budgets) for mu in near]
-    raw = max(seq.value for seq in seqs) - base_seq.value
+    raw = max(seq.value for seq in near) - base_seq.value
     truncated = tuple(
-        max(seq.ratios[k] for seq in seqs) - base_seq.ratios[k] for k in range(n_max)
+        max(column) - base for column, base in zip(zip(*(seq.ratios for seq in near)), base_seq.ratios)
     )
     return DefectEstimate(value=max(raw, 0.0), raw=raw, truncated=truncated, neighborhood_empty=False)
 

@@ -15,7 +15,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .covers import RandomCover, RandomPartition, RandomSet, validate_cover
 from .errors import RdstailError
@@ -57,6 +57,32 @@ class Scenario:
         return self.systems[self.cover_system[name]]
 
 
+def _name(value: Any) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a name, got {value!r}")
+    return value
+
+
+def _read(spec: Any, key: str, where: str, convert: Callable[[Any], Any] = _name) -> Any:
+    """One field of a scenario object through ``convert``: a missing or
+    mistyped field fails the load naming the object and the field."""
+    if not isinstance(spec, dict):
+        raise ScenarioError(f"{where}: must be an object")
+    if key not in spec:
+        raise ScenarioError(f"{where}: missing field {key!r}")
+    try:
+        return convert(spec[key])
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where}: field {key!r}: {exc}") from None
+
+
+def _section(doc: dict, key: str, source: str) -> dict:
+    section = doc.get(key, {})
+    if not isinstance(section, dict):
+        raise ScenarioError(f"{source}: section {key!r} must be an object")
+    return section
+
+
 def _lookup(table: dict, name: str, kind: str, owner: str) -> Any:
     if name not in table:
         raise ScenarioError(f"{owner}: unknown {kind} {name!r}")
@@ -75,31 +101,31 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
         raise ScenarioError(f"{source}: unsupported schema_version {version!r}")
     sc = Scenario(raw=doc)
 
-    for name, spec in doc.get("driving_systems", {}).items():
+    for name, spec in _section(doc, "driving_systems", source).items():
         where = f"driving system {name!r}"
-        prob = tuple(_frac(v, where) for v in spec["prob"])
-        theta = tuple(int(v) for v in spec["theta"])
+        prob = _read(spec, "prob", where, lambda vs: tuple(_frac(v, where) for v in vs))
+        theta = _read(spec, "theta", where, lambda vs: tuple(int(v) for v in vs))
         try:
             sc.driving[name] = DrivingSystem(prob=prob, theta=theta)
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
 
-    for name, spec in doc.get("metric_spaces", {}).items():
+    for name, spec in _section(doc, "metric_spaces", source).items():
         where = f"metric space {name!r}"
-        points = tuple(spec["points"])
-        matrix = [[_frac(v, where) for v in row] for row in spec["dist"]]
+        points = _read(spec, "points", where, tuple)
+        matrix = _read(spec, "dist", where, lambda rows: [[_frac(v, where) for v in row] for row in rows])
         space = MetricSpace.from_matrix(points, matrix)
         bad = space.validate()
         if bad:
             raise ScenarioError(f"{where}: " + "; ".join(bad))
         sc.spaces[name] = space
 
-    for name, spec in doc.get("systems", {}).items():
+    for name, spec in _section(doc, "systems", source).items():
         where = f"system {name!r}"
-        base = _lookup(sc.driving, spec["base"], "driving system", where)
-        space = _lookup(sc.spaces, spec["space"], "metric space", where) if "space" in spec else None
-        fibers = tuple(frozenset(f) for f in spec["fibers"])
-        maps = tuple(dict(m) for m in spec["maps"])
+        base = _lookup(sc.driving, _read(spec, "base", where), "driving system", where)
+        space = _lookup(sc.spaces, _read(spec, "space", where), "metric space", where) if "space" in spec else None
+        fibers = _read(spec, "fibers", where, lambda fs: tuple(frozenset(f) for f in fs))
+        maps = _read(spec, "maps", where, lambda ms: tuple(dict(m) for m in ms))
         try:
             rds = BundleRDS(base=base, fibers=fibers, maps=maps, space=space)
         except ValueError as exc:
@@ -111,27 +137,31 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
             raise ScenarioError(f"{where}: " + "; ".join(bad))
         sc.systems[name] = rds
 
-    for name, spec in doc.get("covers", {}).items():
+    for name, spec in _section(doc, "covers", source).items():
         where = f"cover {name!r}"
-        system_name = spec["system"]
+        system_name = _read(spec, "system", where)
         rds = _lookup(sc.systems, system_name, "system", where)
-        elements = tuple(
-            RandomSet(tuple(frozenset(sec) for sec in elem)) for elem in spec["elements"]
+        elements = _read(
+            spec, "elements", where,
+            lambda es: tuple(RandomSet(tuple(frozenset(sec) for sec in elem)) for elem in es),
         )
         cls = RandomPartition if spec.get("partition") else RandomCover
-        cover = cls(elements, label=name)
+        try:
+            cover = cls(elements, label=name)
+        except ValueError as exc:
+            raise ScenarioError(f"{where}: {exc}") from exc
         bad = validate_cover(cover, rds)
         if bad:
             raise ScenarioError(f"{where}: " + "; ".join(bad))
         sc.covers[name] = cover
         sc.cover_system[name] = system_name
 
-    for name, spec in doc.get("measures", {}).items():
+    for name, spec in _section(doc, "measures", source).items():
         where = f"measure {name!r}"
-        system_name = spec["system"]
+        system_name = _read(spec, "system", where)
         rds = _lookup(sc.systems, system_name, "system", where)
-        weights = tuple(
-            {x: _frac(v, where) for x, v in w.items()} for w in spec["weights"]
+        weights = _read(
+            spec, "weights", where, lambda ws: tuple({x: _frac(v, where) for x, v in w.items()} for w in ws)
         )
         mu = FiberedMeasure(weights)
         bad = mu.validate(rds)
@@ -140,17 +170,20 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
         sc.measures[name] = mu
         sc.measure_system[name] = system_name
 
-    for name, spec in doc.get("sfts", {}).items():
+    for name, spec in _section(doc, "sfts", source).items():
         where = f"sft {name!r}"
-        base = _lookup(sc.driving, spec["base"], "driving system", where)
-        comps = tuple(
-            SFTComponent(
-                alphabet=int(c["alphabet"]),
-                matrices=tuple(tuple(tuple(int(v) for v in row) for row in m) for m in c["matrices"]),
-            )
-            for c in spec["components"]
-        )
+        base = _lookup(sc.driving, _read(spec, "base", where), "driving system", where)
         try:
+            comps = tuple(
+                SFTComponent(
+                    alphabet=_read(c, "alphabet", f"{where} component {i}", int),
+                    matrices=_read(
+                        c, "matrices", f"{where} component {i}",
+                        lambda ms: tuple(tuple(tuple(int(v) for v in row) for row in m) for m in ms),
+                    ),
+                )
+                for i, c in enumerate(_read(spec, "components", where, list))
+            )
             sft = RandomSFT(base=base, components=comps)
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
@@ -159,11 +192,11 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
             raise ScenarioError(f"{where}: " + "; ".join(bad))
         sc.sfts[name] = sft
 
-    for name, spec in doc.get("factor_maps", {}).items():
+    for name, spec in _section(doc, "factor_maps", source).items():
         where = f"factor map {name!r}"
-        source = _lookup(sc.systems, spec["source"], "system", where)
-        target = _lookup(sc.systems, spec["target"], "system", where)
-        maps = tuple(dict(m) for m in spec["maps"])
+        source = _lookup(sc.systems, _read(spec, "source", where), "system", where)
+        target = _lookup(sc.systems, _read(spec, "target", where), "system", where)
+        maps = _read(spec, "maps", where, lambda ms: tuple(dict(m) for m in ms))
         pi = FactorMap(source=source, target=target, maps=maps)
         bad = pi.validate()
         if bad:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Callable, Sequence
@@ -34,7 +34,6 @@ from .covers import (
     RandomSet,
     SigmaAlgebra,
     fiber_sigma,
-    iterate_covers,
     join,
     point_partition,
     pullback,
@@ -49,6 +48,7 @@ from .invariant import (
     diagonal_measure,
     invariance_defect,
     lift_invariant,
+    terminal_cycles,
     vertex_enumeration,
 )
 from .measures import (
@@ -62,7 +62,7 @@ from .measures import (
     filtration_limit_check,
     measures_equal,
     pushforward_measure,
-    transformation_relative_entropy_sequence,
+    relative_entropy_sequences,
     two_partition_count_bound_check,
 )
 from .model import (
@@ -172,6 +172,7 @@ class _Prop:
         self.failures = 0
         self.skipped = 0
         self.first_failure: dict | None = None
+        self.skip_reason: str | None = None
 
     def record(self, ok: bool, payload: Callable[[], dict] | None = None):
         self.trials += 1
@@ -183,7 +184,7 @@ class _Prop:
     def skip(self, reason: str):
         self.trials += 1
         self.skipped += 1
-        self._skip_reason = reason
+        self.skip_reason = reason
 
     def result(self) -> CheckResult:
         status = STATUS_FAIL if self.failures else STATUS_PASS
@@ -192,8 +193,8 @@ class _Prop:
         detail: dict | None = None
         if self.first_failure is not None:
             detail = {"counterexample": self.first_failure}
-        elif self.skipped and hasattr(self, "_skip_reason"):
-            detail = {"skip_reason": self._skip_reason}
+        elif self.skip_reason is not None:
+            detail = {"skip_reason": self.skip_reason}
         return CheckResult(
             name=self.name,
             status=status,
@@ -212,22 +213,6 @@ def _rng(seed: int, trial: int) -> random.Random:
     return random.Random(f"{seed}:{trial}")
 
 
-def _theta_cycles(theta: Sequence[int]) -> list[list[int]]:
-    cycles, done = [], set()
-    for start in range(len(theta)):
-        if start in done:
-            continue
-        path, pos, s = [], {}, start
-        while s not in pos and s not in done:
-            pos[s] = len(path)
-            path.append(s)
-            s = theta[s]
-        if s in pos:
-            cycles.append(path[pos[s]:])
-        done.update(path)
-    return cycles
-
-
 def random_driving(rng: random.Random, max_size: int = 4) -> DrivingSystem:
     """Random base: mostly permutations, sometimes non-invertible maps.
     Masses are constant along terminal cycles and zero elsewhere, which is
@@ -239,8 +224,7 @@ def random_driving(rng: random.Random, max_size: int = 4) -> DrivingSystem:
     else:
         theta = [rng.randrange(size) for _ in range(size)]
     weights = [Fraction(0)] * size
-    cycles = _theta_cycles(theta)
-    for cyc in cycles:
+    for cyc in terminal_cycles(range(size), theta.__getitem__)[0]:
         w = Fraction(rng.randint(1, 16))
         for i in cyc:
             weights[i] = w
@@ -576,6 +560,50 @@ def run_entropy_suite(seed: int, trials: int, budgets: Budgets = DEFAULTS) -> Su
 
 
 # ---------------------------------------------------------------------------
+# certificate helpers shared by the theorem and principal suites
+
+
+def _verdict(name: str, ok: bool, trials: int, detail: dict | None) -> CheckResult:
+    return CheckResult(
+        name=name,
+        status=STATUS_PASS if ok else STATUS_FAIL,
+        trials=trials,
+        failures=0 if ok else 1,
+        detail=detail,
+    )
+
+
+def _vertex_sequences(
+    pi: FactorMap, n_max: int, budgets: Budgets
+) -> tuple[tuple[FiberedMeasure, ...], SigmaAlgebra, list[EntropyEstimate]]:
+    """The invariant-polytope vertices of the extension, the algebra pulled
+    back from the states of its factor, and every vertex's conditioned
+    state-partition sequence from one sweep."""
+    algebra = SigmaAlgebra(pullback_cover(pi, state_partition(pi.target)))
+    vertices = vertex_enumeration(pi.source, budgets).vertices
+    seqs = relative_entropy_sequences(
+        vertices, state_partition(pi.source), algebra, pi.source, n_max, budgets
+    )
+    return vertices, algebra, seqs
+
+
+def _count_mismatch(
+    pi: FactorMap, r: RandomCover, q: RandomCover, n_max: int, budgets: Budgets
+) -> dict | None:
+    """First depth at which the counts of the pulled-back covers upstairs
+    differ from the counts downstairs, or ``None`` when all depths agree.
+    Every depth is built, matched or not."""
+    mismatch = None
+    for up, down in zip(
+        count_profiles(pi.source, pullback_cover(pi, r), pullback_cover(pi, q), n_max, budgets),
+        count_profiles(pi.target, r, q, n_max, budgets),
+    ):
+        if mismatch is None and up.per_omega != down.per_omega:
+            mismatch = {"n": up.depth, "up": list(up.per_omega), "down": list(down.per_omega)}
+    return mismatch
+
+
+# ---------------------------------------------------------------------------
 # theorem-level suite
 
 
@@ -641,22 +669,17 @@ def run_theorem_suite(
         target = sc.system
         prod = product_system(sc.companion, target)
         h = prod.system
-        d_h = SigmaAlgebra(pullback_cover(prod.to_left, state_partition(sc.companion)))
         payload = _trial_payload(h)
 
         families = [point_partition(target), trivial_cover(target)]
         h_star = tail_entropy_total(target, families, families, n_max, budgets)
         props["tail_entropy_exact_zero"].record(h_star == 0.0, payload)
 
-        poly = vertex_enumeration(h, budgets)
+        vertices, d_h, seqs = _vertex_sequences(prod.to_left, n_max, budgets)
         bound = fiber_entropy_bound(h)
-        seqs = {
-            i: transformation_relative_entropy_sequence(v, d_h, h, n_max, budgets)
-            for i, v in enumerate(poly.vertices)
-        }
-        certified = all(certified_zero_limit(s, bound) for s in seqs.values())
+        certified = all(certified_zero_limit(s, bound) for s in seqs)
         props["conditioned_sequences_certified_zero"].record(
-            certified, lambda: {**payload(), "values": {i: list(s.values) for i, s in seqs.items()}}
+            certified, lambda: {**payload(), "values": {i: list(s.values) for i, s in enumerate(seqs)}}
         )
 
         # upper-semicontinuity defect at each vertex over the vertex family:
@@ -664,57 +687,37 @@ def run_theorem_suite(
         # is zero and its bound by the (exactly zero) tail entropy is an exact
         # statement; the finite-depth surrogate is reported as diagnostics
         defect_ok = certified and h_star == 0.0
-        truncated_diag = []
-        for v in poly.vertices:
-            d = defect(v, d_h, h, list(poly.vertices), Fraction(4), n_max, budgets)
-            truncated_diag.append(list(d.truncated))
+        truncated_diag = [
+            list(defect(v, d_h, h, vertices, Fraction(4), n_max, budgets).truncated)
+            for v in vertices
+        ]
         props["defect_bounded_by_tail"].record(
             defect_ok, lambda: {**payload(), "truncated": truncated_diag}
         )
 
         # finite-depth skeleton: conditioned entropy of the finest partition
-        # is controlled by a pulled-back conditioning partition plus the
-        # integrated log count, at every depth
+        # (the vertex sequences above) is controlled by a pulled-back
+        # conditioning partition plus the integrated log count, at every depth
         q_e = coarsen(_rng(0, 0), point_partition(target))
         q_pulled = pullback_cover(prod.to_right, q_e)
-        r_h = state_partition(h)
-        # a budget stop truncates a; the iterates raise it before the zip ends
-        a = tail_entropy_estimate(h, r_h, q_pulled, n_max, budgets).values
-        levels = list(
-            zip(iterate_covers(r_h, h, n_max, budgets), iterate_covers(q_pulled, h, n_max, budgets), a)
+        a = tail_entropy_estimate(h, state_partition(h), q_pulled, n_max, budgets).values
+        q_seqs = relative_entropy_sequences(vertices, q_pulled, d_h, h, n_max, budgets)
+        chain_ok = all(
+            lhs <= rhs + a_n + TOL
+            for r_seq, q_seq in zip(seqs, q_seqs)
+            for lhs, rhs, a_n in zip(r_seq.values, q_seq.values, a)
         )
-        chain_ok = True
-        for v in poly.vertices:
-            for rn, qn, a_n in levels:
-                lhs = conditional_entropy(v, rn, d_h)
-                rhs = conditional_entropy(v, qn, d_h) + a_n
-                if lhs > rhs + TOL:
-                    chain_ok = False
         props["finite_depth_chain"].record(chain_ok, payload)
 
         # counts of pulled-back covers match the downstairs counts exactly
-        ident_ok = True
-        for up, down in zip(
-            count_profiles(h, pullback_cover(prod.to_right, point_partition(target)),
-                           pullback_cover(prod.to_right, q_e), n_max, budgets),
-            count_profiles(target, point_partition(target), q_e, n_max, budgets),
-        ):
-            if up.per_omega != down.per_omega:
-                ident_ok = False
+        ident_ok = _count_mismatch(prod.to_right, point_partition(target), q_e, n_max, budgets) is None
         props["pullback_count_identity"].record(ident_ok, payload)
 
         # pair variational principle in its exact degenerate form
         pair = pair_system(target)
-        a_pair = SigmaAlgebra(pullback_cover(pair.first, state_partition(target)))
-        pair_poly = vertex_enumeration(pair.system, budgets)
+        _, _, pair_seqs = _vertex_sequences(pair.first, n_max, budgets)
         pair_bound = fiber_entropy_bound(pair.system)
-        pair_certified = all(
-            certified_zero_limit(
-                transformation_relative_entropy_sequence(v, a_pair, pair.system, n_max, budgets),
-                pair_bound,
-            )
-            for v in pair_poly.vertices
-        )
+        pair_certified = all(certified_zero_limit(s, pair_bound) for s in pair_seqs)
         props["pair_variational_exact"].record(
             pair_certified and h_star == 0.0, payload
         )
@@ -772,86 +775,48 @@ def principal_extension_check(
     term by term.
     """
     bad = pi.validate()
-    checks: list[CheckResult] = [
-        CheckResult(
-            name="factor_map_valid",
-            status=STATUS_PASS if not bad else STATUS_FAIL,
-            trials=1,
-            failures=0 if not bad else 1,
-            detail=None if not bad else {"violations": bad},
-        )
-    ]
+    checks = [_verdict("factor_map_valid", not bad, 1, {"violations": bad} if bad else None)]
     digests = [canonical_digest({"source": system_payload(pi.source), "target": system_payload(pi.target)})]
     if bad:
         return SuiteReport(
             suite=f"principal:{label}", seed=0, trials=1, checks=tuple(checks), scenario_digests=tuple(digests)
         )
 
-    a_source = SigmaAlgebra(pullback_cover(pi, state_partition(pi.target)))
     max_preimage = max(
         len(pi.preimage(w, x)) for w in range(pi.target.size) for x in pi.target.fibers[w]
     )
     bound = math.log(max_preimage) if max_preimage > 1 else 0.0
-    poly = vertex_enumeration(pi.source, budgets)
-    per_vertex = []
-    principal_ok = True
-    for v in poly.vertices:
-        seq = transformation_relative_entropy_sequence(v, a_source, pi.source, n_max, budgets)
-        certified = certified_zero_limit(seq, bound)
-        principal_ok = principal_ok and certified
-        per_vertex.append(
-            {
-                "values": list(seq.values),
-                "all_zero": all(x == 0.0 for x in seq.values),
-                "certified_zero_limit": certified,
-            }
-        )
+    _, _, seqs = _vertex_sequences(pi, n_max, budgets)
+    per_vertex = [
+        {
+            "values": list(seq.values),
+            "all_zero": all(x == 0.0 for x in seq.values),
+            "certified_zero_limit": certified_zero_limit(seq, bound),
+        }
+        for seq in seqs
+    ]
+    principal_ok = all(v["certified_zero_limit"] for v in per_vertex)
     checks.append(
-        CheckResult(
-            name="principality_certified",
-            status=STATUS_PASS if principal_ok else STATUS_FAIL,
-            trials=len(poly.vertices),
-            failures=0 if principal_ok else 1,
-            detail={"bound": bound, "vertices": per_vertex},
-        )
+        _verdict("principality_certified", principal_ok, len(seqs), {"bound": bound, "vertices": per_vertex})
     )
 
     pairs = list(cover_pairs) if cover_pairs is not None else [
         (point_partition(pi.target), trivial_cover(pi.target))
     ]
-    agree = True
-    mismatch = None
-    for r, q in pairs:
-        for up, down in zip(
-            count_profiles(pi.source, pullback_cover(pi, r), pullback_cover(pi, q), n_max, budgets),
-            count_profiles(pi.target, r, q, n_max, budgets),
-        ):
-            if up.per_omega != down.per_omega:
-                agree = False
-                if mismatch is None:
-                    mismatch = {"n": up.depth, "up": list(up.per_omega), "down": list(down.per_omega)}
-    checks.append(
-        CheckResult(
-            name="matched_depth_counts_agree",
-            status=STATUS_PASS if agree else STATUS_FAIL,
-            trials=len(pairs) * n_max,
-            failures=0 if agree else 1,
-            detail=mismatch,
-        )
-    )
+    mismatches = [_count_mismatch(pi, r, q, n_max, budgets) for r, q in pairs]
+    mismatch = next((m for m in mismatches if m is not None), None)
+    checks.append(_verdict("matched_depth_counts_agree", mismatch is None, len(pairs) * n_max, mismatch))
 
     fam_down = [point_partition(pi.target), trivial_cover(pi.target)]
     fam_up = [pullback_cover(pi, c) for c in fam_down]
     up_star = tail_entropy_total(pi.source, fam_up, fam_up, n_max, budgets)
     down_star = tail_entropy_total(pi.target, fam_down, fam_down, n_max, budgets)
-    equal = up_star == down_star == 0.0
     checks.append(
-        CheckResult(
-            name="tail_entropy_conserved",
-            status=STATUS_PASS if equal else STATUS_FAIL,
-            trials=1,
-            failures=0 if equal else 1,
-            detail={"upstairs": up_star, "downstairs": down_star},
+        _verdict(
+            "tail_entropy_conserved",
+            up_star == down_star == 0.0,
+            1,
+            {"upstairs": up_star, "downstairs": down_star},
         )
     )
     return SuiteReport(
@@ -874,22 +839,10 @@ def run_principal_suite(n_max: int = 4, budgets: Budgets = DEFAULTS) -> SuiteRep
     ]
     checks: list[CheckResult] = []
     digests: list[str] = []
-    ok_all = True
     for name, pi in cases:
         report = principal_extension_check(pi, n_max=n_max, budgets=budgets, label=name)
         digests.extend(report.scenario_digests)
-        for c in report.checks:
-            checks.append(
-                CheckResult(
-                    name=f"{name}:{c.name}",
-                    status=c.status,
-                    trials=c.trials,
-                    failures=c.failures,
-                    skipped=c.skipped,
-                    detail=c.detail,
-                )
-            )
-        ok_all = ok_all and report.passed
+        checks.extend(replace(c, name=f"{name}:{c.name}") for c in report.checks)
     return SuiteReport(
         suite="principal",
         seed=0,

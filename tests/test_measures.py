@@ -7,12 +7,17 @@ from fractions import Fraction
 import pytest
 
 from rdstail import (
+    BudgetExceededError,
+    Budgets,
+    DefectEstimate,
+    EntropyEstimate,
     FiberedMeasure,
     Filtration,
     PreconditionError,
     RandomPartition,
     RandomSet,
     SigmaAlgebra,
+    cesaro_limit,
     conditional_entropy,
     containment_entropy_bound_check,
     cycle_system,
@@ -23,27 +28,31 @@ from rdstail import (
     fiber_sigma,
     filtration_limit_check,
     identity_factor,
+    iterate_covers,
     join,
     measures_equal,
     mix,
     pair_system,
     point_partition,
+    product_system,
     pushforward_measure,
     relative_entropy_sequence,
+    relative_entropy_sequences,
     sigma_join,
     skew_pushforward,
     state_partition,
     state_sigma,
     swap_system,
     total_variation,
-    transformation_relative_entropy,
     transformation_relative_entropy_sequence,
     trivial_cover,
     two_partition_count_bound_check,
     vertex_enumeration,
 )
 from rdstail.covers import pullback_cover
-from rdstail.verify import _rng, random_measure, random_partition, random_system
+from rdstail.measures import sigma_backward_compatible
+from rdstail.tail_entropy import check_subadditive
+from rdstail.verify import _rng, random_driving, random_measure, random_partition, random_system
 
 SWAP = swap_system()
 TOL = 1e-9
@@ -174,6 +183,62 @@ def test_relative_entropy_depth_one_is_conditional_entropy():
     assert abs(est.values[0] - conditional_entropy(mu, two, s)) <= TOL
 
 
+def relative_entropy_sequence_per_measure(mu, r, s, rds, n_max, budgets=Budgets()):
+    """Reference: the checks and a sweep of the iterates for one measure
+    alone, as the library ran it before one sweep served a whole family."""
+    if not measures_equal(skew_pushforward(mu, rds), mu):
+        raise PreconditionError("invariant_measure", "measure is not skew-invariant")
+    if not sigma_backward_compatible(s, rds):
+        raise PreconditionError("backward_compatible_algebra", "pullback of the algebra escapes it")
+    values = [conditional_entropy(mu, rn, s) for rn in iterate_covers(r, rds, n_max, budgets)]
+    return EntropyEstimate(values=tuple(values), requested=n_max, subadditive_ok=check_subadditive(values))
+
+
+def _outcome(fn):
+    try:
+        return ("values", fn())
+    except PreconditionError as exc:
+        return ("precondition", exc.name)
+    except BudgetExceededError as exc:
+        return ("budget", str(exc))
+
+
+def test_family_sweep_matches_per_measure_sequences():
+    seen = set()
+    for trial in range(30):
+        rng = _rng(91, trial)
+        base = random_driving(rng, 3)
+        left = random_system(rng, base=base, max_fiber=3, pool=4)
+        prod = product_system(left, random_system(rng, base=base, max_fiber=3, pool=4))
+        h = prod.system
+        family = [cesaro_limit(random_measure(rng, h), h) for _ in range(rng.randint(1, 4))]
+        r = random_partition(rng, h, max_cells=3)
+        d_h = SigmaAlgebra(pullback_cover(prod.to_left, state_partition(left)))
+        # the random partition's algebra is often not backward compatible
+        algebras = [d_h, fiber_sigma(h), state_sigma(h), SigmaAlgebra(random_partition(rng, h))]
+        cases = [(family, s, budgets) for s in algebras for budgets in (Budgets(), Budgets(cover_elements=6))]
+        stray = random_measure(rng, h)
+        if not measures_equal(skew_pushforward(stray, h), stray):
+            mixed = list(family)
+            mixed.insert(rng.randrange(len(mixed) + 1), stray)
+            # default budgets only: the family checks every member before it
+            # sweeps, so a budget stop no longer comes before the precondition
+            cases.append((mixed, d_h, Budgets()))
+        for measures, s, budgets in cases:
+            got = _outcome(lambda: relative_entropy_sequences(measures, r, s, h, 4, budgets))
+            want = _outcome(
+                lambda: [relative_entropy_sequence_per_measure(mu, r, s, h, 4, budgets) for mu in measures]
+            )
+            assert got == want, (trial, got, want)
+            seen.add(want if want[0] == "precondition" else want[0])
+    assert seen == {
+        "values",
+        "budget",
+        ("precondition", "invariant_measure"),
+        ("precondition", "backward_compatible_algebra"),
+    }
+
+
 def test_entropy_continuous_along_tv_converging_sequences():
     # blend the invariant measure toward a perturbation with geometrically
     # shrinking weight: total variation halves each step and the entropy gap
@@ -196,7 +261,7 @@ def test_entropy_continuous_along_tv_converging_sequences():
 
 def test_transformation_relative_entropy_full_algebra_zero():
     mu = swap_invariant()
-    assert transformation_relative_entropy(mu, state_sigma(SWAP), SWAP, 4) == 0.0
+    assert transformation_relative_entropy_sequence(mu, state_sigma(SWAP), SWAP, 4).value == 0.0
 
 
 def test_transformation_on_diagonal_pair_measure():
@@ -217,6 +282,43 @@ def test_defect_trivial_and_truncated():
     assert d.truncated == (0.0, 0.0, 0.0, 0.0)
     empty = defect(mu, s, SWAP, [], Fraction(1), 3)
     assert empty.neighborhood_empty and empty.value == 0.0
+
+
+def defect_per_measure(m, s, rds, family, epsilon, n_max):
+    """Reference: the defect from one sequence per measure, near members only."""
+    for cand in (m, *family):
+        if not measures_equal(skew_pushforward(cand, rds), cand):
+            raise PreconditionError("invariant_measure", "defect needs invariant measures")
+    base_seq = relative_entropy_sequence_per_measure(m, state_partition(rds), s, rds, n_max)
+    near = [mu for mu in family if total_variation(mu, m) <= epsilon]
+    if not near:
+        return DefectEstimate(value=0.0, raw=0.0, truncated=tuple(0.0 for _ in range(n_max)), neighborhood_empty=True)
+    seqs = [relative_entropy_sequence_per_measure(mu, state_partition(rds), s, rds, n_max) for mu in near]
+    raw = max(seq.value for seq in seqs) - base_seq.value
+    truncated = tuple(max(seq.ratios[k] for seq in seqs) - base_seq.ratios[k] for k in range(n_max))
+    return DefectEstimate(value=max(raw, 0.0), raw=raw, truncated=truncated, neighborhood_empty=False)
+
+
+def test_defect_matches_per_measure_formula():
+    near_and_far = 0
+    for trial in range(15):
+        rng = _rng(93, trial)
+        base = random_driving(rng, 3)
+        left = random_system(rng, base=base, max_fiber=3, pool=4)
+        prod = product_system(left, random_system(rng, base=base, max_fiber=2, pool=4))
+        h = prod.system
+        d_h = SigmaAlgebra(pullback_cover(prod.to_left, state_partition(left)))
+        m, *family = [cesaro_limit(random_measure(rng, h), h) for _ in range(rng.randint(1, 5))]
+        distances = sorted(total_variation(mu, m) for mu in family)
+        radii = [Fraction(0), Fraction(2)]
+        if distances:
+            radii.append(distances[len(distances) // 2])  # some members near, some far
+        for epsilon in radii:
+            got = defect(m, d_h, h, family, epsilon, 4)
+            assert got == defect_per_measure(m, d_h, h, family, epsilon, 4), trial
+            near_and_far += 0 < sum(d <= epsilon for d in distances) < len(distances)
+        assert defect(m, d_h, h, [], Fraction(1), 3) == defect_per_measure(m, d_h, h, [], Fraction(1), 3)
+    assert near_and_far
 
 
 def test_defect_requires_invariance():

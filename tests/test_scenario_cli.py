@@ -3,9 +3,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import rdstail
 from rdstail.cli import main
 from rdstail.scenario import ScenarioError, load_scenario, loads_scenario
 
@@ -54,6 +57,33 @@ def test_loader_reports_dangling_reference():
     with pytest.raises(ScenarioError) as err:
         loads_scenario(json.dumps(bad))
     assert "unknown driving system" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "section,value,message",
+    [
+        ("driving_systems", {"flip": {"theta": [0]}}, "driving system 'flip': missing field 'prob'"),
+        ("driving_systems", {"flip": {"prob": ["1"], "theta": ["x"]}}, "driving system 'flip': field 'theta'"),
+        ("driving_systems", {"flip": 5}, "driving system 'flip': must be an object"),
+        ("systems", [], "section 'systems' must be an object"),
+        ("covers", {"c": {"system": "s", "elements": 5}}, "cover 'c': field 'elements'"),
+        ("covers", {"c": {"system": "s", "elements": []}}, "cover 'c': a cover needs at least one element"),
+        ("measures", {"m": {"system": "s", "weights": ["x"]}}, "measure 'm': field 'weights'"),
+        ("sfts", {"g": {"base": "flip", "components": [{"alphabet": 3, "matrices": [[[1]]]}]}}, "sft 'g': "),
+        ("sfts", {"g": {"base": "flip", "components": [{"matrices": [[[1]]]}]}},
+         "sft 'g' component 0: missing field 'alphabet'"),
+    ],
+)
+def test_loader_names_object_and_field(section, value, message):
+    doc = {
+        "schema_version": 1,
+        "driving_systems": {"flip": {"prob": ["1"], "theta": [0]}},
+        "systems": {"s": {"base": "flip", "fibers": [["x"]], "maps": [{"x": "x"}]}},
+        section: value,
+    }
+    with pytest.raises(ScenarioError) as err:
+        loads_scenario(json.dumps(doc))
+    assert message in str(err.value)
 
 
 def test_loader_reports_parse_position():
@@ -361,7 +391,23 @@ def test_cli_unknown_name_exits_2(tmp_path):
     assert code == 2
     manifest = json.loads(read(out, "manifest.json"))
     assert "unknown cover" in manifest["error"]
+    with open(scenario_path("swap")) as fh:
+        doc = json.load(fh)
+    (base,) = doc["driving_systems"].values()
+    del base["prob"]
+    no_prob = tmp_path / "no_prob.json"
+    no_prob.write_text(json.dumps(doc))
+    base.update(prob=["1/2", "1/2"], theta=["x"])
+    theta_text = tmp_path / "theta_text.json"
+    theta_text.write_text(json.dumps(doc))
     bad_inputs = {
+        "scenario-missing-prob": ["validate", "--scenario", str(no_prob)],
+        "scenario-theta-text": ["validate", "--scenario", str(theta_text)],
+        "nmax-text": ["tail", "--scenario", scenario_path("swap"), "--r", "points", "--q", "whole",
+                      "--nmax", "abc"],
+        "n-text": ["count", "--scenario", scenario_path("swap"), "--r", "points", "--q", "whole", "--n", "2.5"],
+        "seed-text": ["verify", "--suite", "cover", "--seed", "abc", "--trials", "2"],
+        "trials-text": ["verify", "--suite", "cover", "--trials", "x"],
         "spec-name": ["sft-tail", "--scenario", scenario_path("shifts"), "--sft", "golden",
                       "--rspec", "a:1", "--qspec", ":1", "--nmax", "3"],
         "spec-depth": ["sft-tail", "--scenario", scenario_path("shifts"), "--sft", "golden",
@@ -395,10 +441,30 @@ def test_cli_unknown_name_exits_2(tmp_path):
         "budget-malformed": ["--budget", "cover_elements", "tail", "--scenario", scenario_path("swap"),
                              "--r", "points", "--q", "whole", "--nmax", "3"],
     }
+    errors = {}
     for label, argv in bad_inputs.items():
         out = tmp_path / label
         assert main(argv + ["--out", str(out)]) == 2, label
-        assert json.loads(read(out, "manifest.json"))["error"], label
+        errors[label] = json.loads(read(out, "manifest.json"))["error"]
+        assert errors[label], label
+    assert "missing field 'prob'" in errors["scenario-missing-prob"]
+    assert "field 'theta'" in errors["scenario-theta-text"]
+    assert errors["nmax-text"] == "--nmax must be an integer, got 'abc'"
+
+
+def test_malformed_budgets_variable_is_a_cli_error(tmp_path):
+    env = dict(os.environ, RDSTAIL_BUDGETS="zzz")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(rdstail.__file__)), env.get("PYTHONPATH", "")]
+    )
+    imported = subprocess.run([sys.executable, "-c", "import rdstail"], env=env, capture_output=True)
+    assert imported.returncode == 0, imported.stderr
+    out = tmp_path / "env"
+    argv = ["tail", "--scenario", scenario_path("swap"), "--r", "points", "--q", "whole", "--nmax", "3",
+            "--out", str(out)]
+    run = subprocess.run([sys.executable, "-m", "rdstail.cli", *argv], env=env, capture_output=True)
+    assert run.returncode == 2, run.stderr
+    assert "malformed budget override 'zzz'" in json.loads(read(out, "manifest.json"))["error"]
 
 
 def test_cli_budget_exits_3_with_partial_artifacts(tmp_path):

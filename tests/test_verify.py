@@ -1,5 +1,6 @@
 """Verification suites: determinism, passing status, honest reporting."""
 
+import hashlib
 import json
 import math
 
@@ -96,3 +97,41 @@ def test_run_suite_dispatcher():
     assert run_suite("principal", seed=0, trials=0).passed
     with pytest.raises(ValueError):
         run_suite("nope", seed=0, trials=0)
+
+
+# sha256 of run_suite(...).to_json(), recorded on Python 3.11.7 before the
+# theorem and principal suites shared one family sweep per polytope
+REPORT_DIGESTS = {
+    ("theorem", 0, 0): "b10e4fd6ca49cf06ca1d4236b708b0d504af4851f5dc67009d45b57beac4cea3",
+    ("principal", 0, 0): "ef40babff7667e84b9f5a7b214c40888706be458892f30e8e014b19fe8e7babd",
+    ("cover", 1, 20): "0d6c4120af0bf9e323626b1890207ab314d6b05436707ac26e560a1c134c2322",
+    ("entropy", 1, 20): "39e31ae6324bc015e555f24afe72dc5a1d407098f2fde5ff2ef9d5c78bf4b051",
+    ("invariant", 1, 20): "28f5e9e1a153d9835fe89739174cebb96cabc77e14c14baaa874ecc0e412e00d",
+}
+
+
+@pytest.mark.parametrize("name,seed,trials", sorted(REPORT_DIGESTS))
+def test_suite_reports_are_pinned(name, seed, trials):
+    report = run_suite(name, seed=seed, trials=trials).to_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == REPORT_DIGESTS[name, seed, trials]
+
+
+def test_suites_sweep_each_family_once(monkeypatch):
+    import rdstail.measures
+
+    sweeps = []
+    original = rdstail.measures.iterate_covers
+
+    def counted(*args, **kwargs):
+        sweeps.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(rdstail.measures, "iterate_covers", counted)
+    run_theorem_suite()
+    # per scenario: the vertex family, one defect per vertex (1, 1 and 4
+    # vertices), the finite-depth chain's conditioning partition, the pair
+    # vertex family and the diagonal measure
+    assert len(sweeps) == 18
+    sweeps.clear()
+    run_principal_suite()
+    assert len(sweeps) == 3
