@@ -12,6 +12,8 @@ that tie all of it together.
 
 __version__ = "0.1.0"
 
+# bench/tracer.py traces rdstail._linalg.rank by module name, so the package keeps it loaded
+from . import _linalg  # noqa: F401
 from .budgets import Budgets, DEFAULTS
 from .counting import (
     CountProfile,

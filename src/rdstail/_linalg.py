@@ -1,4 +1,5 @@
-"""Small exact linear algebra over Fractions (dense, desk-scale)."""
+"""Small exact linear algebra over Fractions (dense, desk-scale); the
+invariant-polytope oracle in ``tests/test_invariant.py`` is its only user."""
 
 from __future__ import annotations
 
@@ -55,19 +56,3 @@ def solve(a: Matrix, b: Vector) -> Vector | None:
         x[c] = red[i][ncols]
     return x
 
-
-def nullspace(a: Matrix) -> list[Vector]:
-    """Basis of the kernel of ``a`` (empty list for trivial kernel)."""
-    if not a:
-        return []
-    red, pivots = rref(a)
-    ncols = len(a[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis: list[Vector] = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][fc]
-        basis.append(v)
-    return basis

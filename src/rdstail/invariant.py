@@ -7,17 +7,21 @@ The skew map is a function on the finite set of bundle states, so every
 forward orbit falls into a cycle; Cesaro averages therefore have exact
 limits (each state's mass spreads uniformly over its terminal cycle) and no
 numerical limit is ever taken.  The invariant measures with the prescribed
-base marginal form a polytope whose vertices are computed exactly; they play
-the role the extreme (ergodic-like) measures play in general.
+base marginal form a polytope: each skew cycle lies over one base cycle, so
+the polytope is a product of one simplex per base cycle of positive mass,
+and its vertices pick one skew cycle over each.  They play the role the
+extreme (ergodic-like) measures play in general; a north-west-corner peel
+over the simplices writes any invariant measure with that marginal as an
+exact convex combination of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Hashable, Iterable, Sequence
 
-from . import _linalg
 from .budgets import Budgets, DEFAULTS
 from .counting import minimal_subcover
 from .covers import (
@@ -133,10 +137,12 @@ class InvariantPolytope:
     """Vertices of the invariant measures with the prescribed marginal.
 
     ``cycles`` are the terminal cycles of the skew map; every invariant
-    measure is a nonnegative combination of the uniform cycle measures, so
-    the polytope lives in cycle-coefficient space where the marginal
-    constraints are linear.  ``vertex_weights[i]`` gives vertex i's cycle
-    coefficients.
+    measure is a nonnegative combination of the uniform cycle measures.  A
+    skew cycle lies over one base cycle B and visits each point of B equally
+    often, so the marginal equations on the cycle coefficients split into
+    one per base cycle, ``sum of the coefficients over B = mass(B)``: the
+    polytope is a product of one simplex per base cycle of positive mass.
+    ``vertex_weights[i]`` gives vertex i's cycle coefficients.
     """
 
     vertices: tuple[FiberedMeasure, ...]
@@ -152,51 +158,38 @@ def _uniform_on_cycle(rds: BundleRDS, cycle: Sequence[State]) -> FiberedMeasure:
     return FiberedMeasure(tuple(acc))
 
 
+def _cycles_by_base(cycles: Sequence[Sequence[State]]) -> list[list[int]]:
+    """Indices of the skew cycles grouped by the base cycle they lie over."""
+    groups: dict[frozenset[int], list[int]] = {}
+    for c, cycle in enumerate(cycles):
+        groups.setdefault(frozenset(w for w, _ in cycle), []).append(c)
+    return list(groups.values())
+
+
 def vertex_enumeration(rds: BundleRDS, budgets: Budgets = DEFAULTS) -> InvariantPolytope:
     """Exact vertex list of the invariant-measure polytope.
 
-    Works in cycle-coefficient coordinates: vertices are the basic feasible
-    solutions of the marginal equations, found by enumerating independent
-    column subsets and solving exactly.  Every vertex is checked to be
-    invariant with the right marginal before it is returned.
+    A vertex of the product of simplices picks one skew cycle over each base
+    cycle of positive mass and gives it the whole mass of that base cycle; a
+    base measure that is not invariant leaves the polytope empty.  Vertices
+    come in the lexicographic order of their sorted cycle picks, and every
+    vertex is checked to be invariant with the right marginal before it is
+    returned.
     """
     npoints = sum(len(f) for f in rds.fibers)
     if npoints > budgets.polytope_points:
         raise BudgetExceededError("polytope_points", budgets.polytope_points, npoints)
     cycles, _ = _cycle_structure(rds)
-    ncy = len(cycles)
-    m = [
-        [
-            Fraction(sum(1 for (cw, _) in cycles[c] if cw == w), len(cycles[c]))
-            for c in range(ncy)
-        ]
-        for w in range(rds.size)
-    ]
-    b = list(rds.base.prob)
-    r = _linalg.rank(m)
-    from itertools import combinations
-
+    mass = [sum(rds.base.prob[w] for w in {w for w, _ in cycle}) for cycle in cycles]
+    simplices = [group for group in _cycles_by_base(cycles) if mass[group[0]]]
+    picks = sorted(tuple(sorted(pick)) for pick in product(*simplices)) if rds.base.is_invariant() else []
     found: list[tuple[tuple[Fraction, ...], FiberedMeasure]] = []
-    for k in range(1, r + 1):
-        for cols in combinations(range(ncy), k):
-            sub = [[row[c] for c in cols] for row in m]
-            if _linalg.rank(sub) < k:
-                continue
-            sol = _linalg.solve(sub, b)
-            if sol is None or any(v <= 0 for v in sol):
-                # support must be exactly the chosen columns; zero entries
-                # re-appear as smaller supports
-                continue
-            lam = [Fraction(0)] * ncy
-            for c, v in zip(cols, sol):
-                lam[c] = v
-            # consistency: the full system must hold, not just the square part
-            if any(sum(m[w][c] * lam[c] for c in range(ncy)) != b[w] for w in range(rds.size)):
-                continue
-            mu = mix([(lam[c], _uniform_on_cycle(rds, cycles[c])) for c in range(ncy) if lam[c]])
-            if invariance_defect(mu, rds) != 0 or mu.validate(rds):
-                raise AssertionError("enumerated vertex fails its own certificates")
-            found.append((tuple(lam), mu))
+    for pick in picks:
+        lam = tuple(mass[c] if c in pick else Fraction(0) for c in range(len(cycles)))
+        mu = mix([(lam[c], _uniform_on_cycle(rds, cycles[c])) for c in pick])
+        if invariance_defect(mu, rds) != 0 or mu.validate(rds):
+            raise AssertionError("enumerated vertex fails its own certificates")
+        found.append((lam, mu))
     return InvariantPolytope(
         vertices=tuple(v for _, v in found),
         cycles=tuple(tuple(c) for c in cycles),
@@ -226,54 +219,40 @@ def hull_certificate(
     polytope: InvariantPolytope, mu: FiberedMeasure
 ) -> dict[int, Fraction] | None:
     """Exact convex combination of vertices reproducing ``mu`` (an explicit
-    feasibility certificate), or None when the measure lies outside.
+    feasibility certificate), or None when the measure is not invariant or
+    its base marginal differs from the polytope's.
 
-    Constructive Caratheodory over cycle coefficients: walk along kernel
-    directions to the boundary, shrinking the support each step.
+    North-west-corner peel: each simplex's cycle coefficients, divided by
+    the mass of its base cycle, are shares stacked in cycle order.  Each step
+    takes the vertex that picks every simplex's first cycle with a share
+    left, with the smallest of those shares as its weight, and subtracts it
+    from all of them, which empties at least one.  The certificate therefore
+    has at most ``sum_B |cycles over B| - #B + 1`` vertices, B over the base
+    cycles of positive mass.
     """
     lam = cycle_coefficients(polytope, mu)
-    if lam is None:
+    if lam is None or not polytope.vertex_weights or min(lam) < 0:
         return None
-    vertex_index = {vw: i for i, vw in enumerate(polytope.vertex_weights)}
-    ncy = len(polytope.cycles)
-    m = [
-        [
-            Fraction(sum(1 for (cw, _) in polytope.cycles[c] if cw == w), len(polytope.cycles[c]))
-            for c in range(ncy)
-        ]
-        for w in range(len(mu.weights))
-    ]
-
-    def decompose(vec: tuple[Fraction, ...]) -> dict[int, Fraction] | None:
-        if vec in vertex_index:
-            return {vertex_index[vec]: Fraction(1)}
-        support = [c for c in range(ncy) if vec[c] > 0]
-        sub = [[row[c] for c in support] for row in m]
-        kernel = _linalg.nullspace(sub)
-        if not kernel:
-            return None  # independent support but not a listed vertex: outside
-        d = [Fraction(0)] * ncy
-        for c, v in zip(support, kernel[0]):
-            d[c] = v
-        steps_pos = [vec[c] / -d[c] for c in support if d[c] < 0]
-        steps_neg = [vec[c] / d[c] for c in support if d[c] > 0]
-        if not steps_pos or not steps_neg:
-            return None  # unbounded direction cannot occur in a polytope
-        tp, tn = min(steps_pos), min(steps_neg)
-        plus = tuple(v + tp * dv for v, dv in zip(vec, d))
-        minus = tuple(v - tn * dv for v, dv in zip(vec, d))
-        left, right = decompose(plus), decompose(minus)
-        if left is None or right is None:
+    mass = polytope.vertex_weights[0]
+    stacks = []
+    for group in _cycles_by_base(polytope.cycles):
+        base_mass = sum(mass[c] for c in group)
+        if sum(lam[c] for c in group) != base_mass:
             return None
-        alpha = tn / (tp + tn)
-        out: dict[int, Fraction] = {}
-        for idx, c in left.items():
-            out[idx] = out.get(idx, Fraction(0)) + alpha * c
-        for idx, c in right.items():
-            out[idx] = out.get(idx, Fraction(0)) + (1 - alpha) * c
-        return {i: c for i, c in out.items() if c != 0}
-
-    return decompose(lam)
+        if base_mass:
+            stacks.append([[c, lam[c] / base_mass] for c in reversed(group) if lam[c]])
+    vertex_index = {
+        tuple(c for c, v in enumerate(vw) if v): i for i, vw in enumerate(polytope.vertex_weights)
+    }
+    certificate: dict[int, Fraction] = {}
+    while stacks[0]:
+        step = min(stack[-1][1] for stack in stacks)
+        certificate[vertex_index[tuple(sorted(stack[-1][0] for stack in stacks))]] = step
+        for stack in stacks:
+            stack[-1][1] -= step
+            if not stack[-1][1]:
+                stack.pop()
+    return certificate
 
 
 def _deltas(rds: BundleRDS, delta) -> list[Fraction]:

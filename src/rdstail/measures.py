@@ -297,12 +297,24 @@ def defect(
     base_seq, *seqs = relative_entropy_sequences(
         [m, *family], state_partition(rds), s, rds, n_max, budgets
     )
+    return defect_from_sequences(m, base_seq, family, seqs, epsilon)
+
+
+def defect_from_sequences(
+    m: FiberedMeasure,
+    base_seq: EntropyEstimate,
+    family: Sequence[FiberedMeasure],
+    seqs: Sequence[EntropyEstimate],
+    epsilon: Fraction,
+) -> DefectEstimate:
+    """:func:`defect` from sequences already swept: ``base_seq`` is the
+    state-partition sequence of ``m`` and ``seqs[i]`` that of ``family[i]``."""
     near = [seq for mu, seq in zip(family, seqs) if total_variation(mu, m) <= epsilon]
     if not near:
         return DefectEstimate(
             value=0.0,
             raw=0.0,
-            truncated=tuple(0.0 for _ in range(n_max)),
+            truncated=tuple(0.0 for _ in range(base_seq.requested)),
             neighborhood_empty=True,
         )
     raw = max(seq.value for seq in near) - base_seq.value

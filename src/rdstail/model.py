@@ -259,6 +259,9 @@ class FactorMap:
         if self.source.base != self.target.base:
             out.append("source and target have different driving systems")
             return out
+        if len(self.maps) != self.source.size:
+            out.append(f"{len(self.maps)} fiber maps for {self.source.size} base points")
+            return out
         for w in range(self.source.size):
             dom = set(self.maps[w].keys())
             if dom != set(self.source.fibers[w]):

@@ -63,6 +63,16 @@ def _name(value: Any) -> str:
     return value
 
 
+def _ids(values: Any) -> tuple[str, ...]:
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise TypeError(f"expected a list of string point ids, got {values!r}")
+    return tuple(values)
+
+
+def _id_map(m: Any) -> dict[str, str]:
+    return dict(zip(m, _ids(list(m.values()))))
+
+
 def _read(spec: Any, key: str, where: str, convert: Callable[[Any], Any] = _name) -> Any:
     """One field of a scenario object through ``convert``: a missing or
     mistyped field fails the load naming the object and the field."""
@@ -112,8 +122,10 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
 
     for name, spec in _section(doc, "metric_spaces", source).items():
         where = f"metric space {name!r}"
-        points = _read(spec, "points", where, tuple)
+        points = _read(spec, "points", where, _ids)
         matrix = _read(spec, "dist", where, lambda rows: [[_frac(v, where) for v in row] for row in rows])
+        if len(matrix) != len(points) or any(len(row) != len(points) for row in matrix):
+            raise ScenarioError(f"{where}: dist must be a {len(points)}x{len(points)} matrix in points order")
         space = MetricSpace.from_matrix(points, matrix)
         bad = space.validate()
         if bad:
@@ -124,8 +136,8 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
         where = f"system {name!r}"
         base = _lookup(sc.driving, _read(spec, "base", where), "driving system", where)
         space = _lookup(sc.spaces, _read(spec, "space", where), "metric space", where) if "space" in spec else None
-        fibers = _read(spec, "fibers", where, lambda fs: tuple(frozenset(f) for f in fs))
-        maps = _read(spec, "maps", where, lambda ms: tuple(dict(m) for m in ms))
+        fibers = _read(spec, "fibers", where, lambda fs: tuple(frozenset(_ids(f)) for f in fs))
+        maps = _read(spec, "maps", where, lambda ms: tuple(_id_map(m) for m in ms))
         try:
             rds = BundleRDS(base=base, fibers=fibers, maps=maps, space=space)
         except ValueError as exc:
@@ -143,7 +155,7 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
         rds = _lookup(sc.systems, system_name, "system", where)
         elements = _read(
             spec, "elements", where,
-            lambda es: tuple(RandomSet(tuple(frozenset(sec) for sec in elem)) for elem in es),
+            lambda es: tuple(RandomSet(tuple(frozenset(_ids(sec)) for sec in elem)) for elem in es),
         )
         cls = RandomPartition if spec.get("partition") else RandomCover
         try:
@@ -196,7 +208,7 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
         where = f"factor map {name!r}"
         source = _lookup(sc.systems, _read(spec, "source", where), "system", where)
         target = _lookup(sc.systems, _read(spec, "target", where), "system", where)
-        maps = _read(spec, "maps", where, lambda ms: tuple(dict(m) for m in ms))
+        maps = _read(spec, "maps", where, lambda ms: tuple(_id_map(m) for m in ms))
         pi = FactorMap(source=source, target=target, maps=maps)
         bad = pi.validate()
         if bad:

@@ -55,7 +55,7 @@ from .measures import (
     FiberedMeasure,
     conditional_entropy,
     containment_entropy_bound_check,
-    defect,
+    defect_from_sequences,
     disintegrate,
     entropy_count_bound_check,
     Filtration,
@@ -688,8 +688,8 @@ def run_theorem_suite(
         # statement; the finite-depth surrogate is reported as diagnostics
         defect_ok = certified and h_star == 0.0
         truncated_diag = [
-            list(defect(v, d_h, h, vertices, Fraction(4), n_max, budgets).truncated)
-            for v in vertices
+            list(defect_from_sequences(v, seq, vertices, seqs, Fraction(4)).truncated)
+            for v, seq in zip(vertices, seqs)
         ]
         props["defect_bounded_by_tail"].record(
             defect_ok, lambda: {**payload(), "truncated": truncated_diag}

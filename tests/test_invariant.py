@@ -2,10 +2,12 @@
 Bowen balls, separated empirical measures, diagonal construction."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from rdstail import (
+    _linalg,
     BundleRDS,
     DrivingSystem,
     FiberedMeasure,
@@ -30,7 +32,8 @@ from rdstail import (
     trivial_cover,
     vertex_enumeration,
 )
-from rdstail.verify import _rng, random_measure, random_system
+from rdstail.invariant import _cycle_structure, _uniform_on_cycle, terminal_cycles
+from rdstail.verify import _rng, random_driving, random_measure, random_system
 
 SWAP = swap_system()
 CYCLE = cycle_system()
@@ -132,6 +135,147 @@ def test_hull_certificate_reconstructs_random_invariants():
         assert all(c > 0 for c in cert.values())
         rebuilt = mix([(c, poly.vertices[i]) for i, c in cert.items()])
         assert measures_equal(rebuilt, mu)
+
+
+def vertex_enumeration_by_bases(rds: BundleRDS) -> list[tuple[tuple[Fraction, ...], FiberedMeasure]]:
+    """Reference: the basic feasible solutions of the marginal equations in
+    cycle-coefficient coordinates, found by solving every independent column
+    subset exactly (the search the product of simplices replaced)."""
+    cycles, _ = _cycle_structure(rds)
+    ncy = len(cycles)
+    m = [
+        [Fraction(sum(1 for cw, _ in cycles[c] if cw == w), len(cycles[c])) for c in range(ncy)]
+        for w in range(rds.size)
+    ]
+    b = list(rds.base.prob)
+    found = []
+    for k in range(1, _linalg.rank(m) + 1):
+        for cols in combinations(range(ncy), k):
+            sub = [[row[c] for c in cols] for row in m]
+            if _linalg.rank(sub) < k:
+                continue
+            sol = _linalg.solve(sub, b)
+            if sol is None or any(v <= 0 for v in sol):
+                continue  # zero entries re-appear as smaller supports
+            lam = [Fraction(0)] * ncy
+            for c, v in zip(cols, sol):
+                lam[c] = v
+            # the full system must hold, not just the square part
+            if any(sum(m[w][c] * lam[c] for c in range(ncy)) != b[w] for w in range(rds.size)):
+                continue
+            mu = mix([(lam[c], _uniform_on_cycle(rds, cycles[c])) for c in range(ncy) if lam[c]])
+            found.append((tuple(lam), mu))
+    return found
+
+
+def _system_with_dead_cycles(rng) -> BundleRDS:
+    """Up to 6 base points, some base cycles of zero mass, transient base
+    points when theta is not a permutation, and now and then a uniform base
+    measure, which theta preserves only when it is a permutation."""
+    base = random_driving(rng, max_size=6)
+    cycles = terminal_cycles(range(base.size), base.theta.__getitem__)[0]
+    weights = list(base.prob)
+    for cycle in rng.sample(cycles, rng.randrange(len(cycles))):
+        for w in cycle:
+            weights[w] = Fraction(0)
+    if rng.random() < 0.1:
+        weights = [Fraction(1)] * base.size
+    total = sum(weights)
+    base = DrivingSystem(tuple(w / total for w in weights), base.theta)
+    return random_system(rng, base=base, max_fiber=4)
+
+
+def _support_bound(poly) -> int:
+    """sum over base cycles B of positive mass of (|cycles over B| - 1), plus one."""
+    groups: dict[frozenset, list[int]] = {}
+    for c, cycle in enumerate(poly.cycles):
+        groups.setdefault(frozenset(w for w, _ in cycle), []).append(c)
+    live = [g for g in groups.values() if any(poly.vertex_weights[0][c] for c in g)]
+    return sum(len(g) - 1 for g in live) + 1
+
+
+def test_product_of_simplices_matches_basis_search():
+    kinds = {"several base cycles": 0, "no vertex": 0, "dead base cycle": 0, "transient base point": 0}
+    for trial in range(320):
+        rng = _rng(93, trial)
+        rds = random_system(rng) if trial % 2 == 0 else _system_with_dead_cycles(rng)
+        poly = vertex_enumeration(rds)
+        reference = vertex_enumeration_by_bases(rds)
+        assert poly.vertex_weights == tuple(lam for lam, _ in reference)
+        assert [v.weights for v in poly.vertices] == [mu.weights for _, mu in reference]
+        bases = {frozenset(w for w, _ in cycle) for cycle in poly.cycles}
+        kinds["several base cycles"] += len(bases) > 1
+        kinds["no vertex"] += not reference
+        kinds["dead base cycle"] += any(sum(rds.base.prob[w] for w in b) == 0 for b in bases)
+        kinds["transient base point"] += len(set().union(*bases)) < rds.size
+
+        mu = cesaro_limit(random_measure(rng, rds), rds)
+        cert = hull_certificate(poly, mu)
+        if not reference:
+            assert cert is None
+            continue
+        assert cert is not None
+        assert len(cert) <= _support_bound(poly)
+        assert sum(cert.values(), Fraction(0)) == 1
+        assert all(c > 0 for c in cert.values())
+        assert measures_equal(mix([(c, poly.vertices[i]) for i, c in cert.items()]), mu)
+    assert all(kinds.values()), kinds
+
+
+def test_sixteen_points_give_the_product_of_cycle_counts():
+    # base: a 2-cycle {0, 1} and two fixed points; four points per fiber
+    base = DrivingSystem((Fraction(1, 6), Fraction(1, 6), Fraction(1, 3), Fraction(1, 3)), (1, 0, 2, 3))
+    fiber = frozenset("abcd")
+    rds = BundleRDS(
+        base=base,
+        fibers=(fiber,) * 4,
+        maps=(
+            {x: x for x in fiber},  # with the identity back: 4 cycles over {0, 1}
+            {x: x for x in fiber},
+            {"a": "a", "b": "b", "c": "c", "d": "a"},  # 3 cycles, d transient
+            {"a": "b", "b": "a", "c": "d", "d": "c"},  # 2 cycles
+        ),
+    )
+    poly = vertex_enumeration(rds)
+    assert len(poly.cycles) == 4 + 3 + 2
+    assert len(poly.vertices) == 4 * 3 * 2
+    assert poly.vertex_weights == tuple(lam for lam, _ in vertex_enumeration_by_bases(rds))
+    mu = cesaro_limit(FiberedMeasure.uniform(rds), rds)
+    cert = hull_certificate(poly, mu)
+    assert 0 < len(cert) <= (4 + 3 + 2) - 3 + 1
+    assert measures_equal(mix([(c, poly.vertices[i]) for i, c in cert.items()]), mu)
+
+
+def test_vertex_order_when_cycle_indices_interleave():
+    # transient base points 0 -> 2 and 1 -> 3 find one cycle over each base
+    # fixed point first, so the cycles over {2} get indices 0, 2, 3 and those
+    # over {3} get 1, 4: the product's own order is not the sorted one
+    rds = BundleRDS(
+        base=DrivingSystem((Fraction(0), Fraction(0), Fraction(1, 2), Fraction(1, 2)), (2, 3, 2, 3)),
+        fibers=(frozenset("a"), frozenset("a"), frozenset("abc"), frozenset("ab")),
+        maps=({"a": "a"}, {"a": "a"}, {x: x for x in "abc"}, {x: x for x in "ab"}),
+    )
+    poly = vertex_enumeration(rds)
+    picks = [tuple(c for c, v in enumerate(lam) if v) for lam in poly.vertex_weights]
+    assert picks == [(0, 1), (0, 4), (1, 2), (1, 3), (2, 4), (3, 4)]
+    assert poly.vertex_weights == tuple(lam for lam, _ in vertex_enumeration_by_bases(rds))
+
+
+def test_hull_certificate_rejects_other_base_marginal():
+    rds = BundleRDS(
+        base=DrivingSystem((Fraction(1, 2), Fraction(1, 2)), (0, 1)),
+        fibers=(frozenset({"x", "y"}),) * 2,
+        maps=({"x": "x", "y": "y"},) * 2,
+    )
+    poly = vertex_enumeration(rds)
+    assert len(poly.vertices) == 4
+    one_sided = FiberedMeasure(({"x": Fraction(1)}, {}))
+    assert invariance_defect(one_sided, rds) == 0
+    assert hull_certificate(poly, one_sided) is None
+    # invariant with the right marginal, but signed: not in the polytope
+    signed = FiberedMeasure(({"x": Fraction(1), "y": Fraction(-1, 2)}, {"x": Fraction(1, 2)}))
+    assert invariance_defect(signed, rds) == 0
+    assert hull_certificate(poly, signed) is None
 
 
 def test_cycle_coefficients_rejects_noninvariant():

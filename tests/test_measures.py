@@ -50,7 +50,7 @@ from rdstail import (
     vertex_enumeration,
 )
 from rdstail.covers import pullback_cover
-from rdstail.measures import sigma_backward_compatible
+from rdstail.measures import defect_from_sequences, sigma_backward_compatible
 from rdstail.tail_entropy import check_subadditive
 from rdstail.verify import _rng, random_driving, random_measure, random_partition, random_system
 
@@ -318,6 +318,11 @@ def test_defect_matches_per_measure_formula():
             assert got == defect_per_measure(m, d_h, h, family, epsilon, 4), trial
             near_and_far += 0 < sum(d <= epsilon for d in distances) < len(distances)
         assert defect(m, d_h, h, [], Fraction(1), 3) == defect_per_measure(m, d_h, h, [], Fraction(1), 3)
+        # the theorem suite's form: every member against the family, from one sweep
+        seqs = relative_entropy_sequences(family, state_partition(h), d_h, h, 4)
+        for mu, seq in zip(family, seqs):
+            got = defect_from_sequences(mu, seq, family, seqs, Fraction(1))
+            assert got == defect(mu, d_h, h, family, Fraction(1), 4), trial
     assert near_and_far
 
 

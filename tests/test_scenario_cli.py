@@ -72,6 +72,20 @@ def test_loader_reports_dangling_reference():
         ("sfts", {"g": {"base": "flip", "components": [{"alphabet": 3, "matrices": [[[1]]]}]}}, "sft 'g': "),
         ("sfts", {"g": {"base": "flip", "components": [{"matrices": [[[1]]]}]}},
          "sft 'g' component 0: missing field 'alphabet'"),
+        ("metric_spaces", {"d": {"points": ["x", "y"], "dist": [["0", "1"]]}},
+         "metric space 'd': dist must be a 2x2 matrix in points order"),
+        ("metric_spaces", {"d": {"points": ["x", "y"], "dist": [["0", "1"], ["1"]]}},
+         "metric space 'd': dist must be a 2x2 matrix in points order"),
+        ("metric_spaces", {"d": {"points": [["x"]], "dist": [["0"]]}},
+         "metric space 'd': field 'points': expected a list of string point ids, got [['x']]"),
+        ("systems", {"t": {"base": "flip", "fibers": [["x"]], "maps": [{"x": ["x"]}]}},
+         "system 't': field 'maps': expected a list of string point ids"),
+        ("systems", {"t": {"base": "flip", "fibers": ["xy"], "maps": [{"x": "x", "y": "y"}]}},
+         "system 't': field 'fibers': expected a list of string point ids, got 'xy'"),
+        ("factor_maps", {"f": {"source": "s", "target": "s", "maps": [{"x": ["x"]}]}},
+         "factor map 'f': field 'maps': expected a list of string point ids"),
+        ("factor_maps", {"f": {"source": "s", "target": "s", "maps": []}},
+         "factor map 'f': 0 fiber maps for 1 base points"),
     ],
 )
 def test_loader_names_object_and_field(section, value, message):
@@ -400,9 +414,15 @@ def test_cli_unknown_name_exits_2(tmp_path):
     base.update(prob=["1/2", "1/2"], theta=["x"])
     theta_text = tmp_path / "theta_text.json"
     theta_text.write_text(json.dumps(doc))
+    with open(scenario_path("cycle4")) as fh:
+        doc = json.load(fh)
+    del doc["metric_spaces"]["ring"]["dist"][3]
+    short_dist = tmp_path / "short_dist.json"
+    short_dist.write_text(json.dumps(doc))
     bad_inputs = {
         "scenario-missing-prob": ["validate", "--scenario", str(no_prob)],
         "scenario-theta-text": ["validate", "--scenario", str(theta_text)],
+        "scenario-short-dist": ["validate", "--scenario", str(short_dist)],
         "nmax-text": ["tail", "--scenario", scenario_path("swap"), "--r", "points", "--q", "whole",
                       "--nmax", "abc"],
         "n-text": ["count", "--scenario", scenario_path("swap"), "--r", "points", "--q", "whole", "--n", "2.5"],
@@ -449,6 +469,7 @@ def test_cli_unknown_name_exits_2(tmp_path):
         assert errors[label], label
     assert "missing field 'prob'" in errors["scenario-missing-prob"]
     assert "field 'theta'" in errors["scenario-theta-text"]
+    assert "metric space 'ring': dist must be a 4x4 matrix" in errors["scenario-short-dist"]
     assert errors["nmax-text"] == "--nmax must be an integer, got 'abc'"
 
 

@@ -128,10 +128,10 @@ def test_suites_sweep_each_family_once(monkeypatch):
 
     monkeypatch.setattr(rdstail.measures, "iterate_covers", counted)
     run_theorem_suite()
-    # per scenario: the vertex family, one defect per vertex (1, 1 and 4
-    # vertices), the finite-depth chain's conditioning partition, the pair
+    # per scenario: the vertex family (whose sequences also give the defect
+    # diagnostics), the finite-depth chain's conditioning partition, the pair
     # vertex family and the diagonal measure
-    assert len(sweeps) == 18
+    assert len(sweeps) == 12
     sweeps.clear()
     run_principal_suite()
     assert len(sweeps) == 3
