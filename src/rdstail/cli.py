@@ -284,11 +284,16 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
         q, rds_q, _ = _resolve_cover(sc, args.q, sysname)
         if rds_q is not rds:
             raise ScenarioError("covers live on different systems")
-        rows = []
-        for prof in count_profiles(rds, r, q, args.n, budgets):
-            rows.extend([sysname, args.r, args.q, w, prof.depth, c] for w, c in enumerate(prof.per_omega))
+        rows, stop = [], None
+        try:
+            for prof in count_profiles(rds, r, q, args.n, budgets):
+                rows.extend([sysname, args.r, args.q, w, prof.depth, c] for w, c in enumerate(prof.per_omega))
+        except BudgetExceededError as exc:
+            stop = exc  # the depths that completed are still written
         run.add_csv("count.csv", ["system", "r", "q", "omega", "n", "relative_count"], rows)
         run.add_json("count.json", {"rows": [[*row] for row in rows]})
+        if stop is not None:
+            raise stop
         return EXIT_OK
 
     if name == "tail":

@@ -1,9 +1,13 @@
 """Exact minimal-subcover counting, the combinatorial core of the tail
 entropy sequences.
 
-Fiber sections are packed into integer bitmasks (Python integers, so any
-fiber size works without a word-size fallback) and the minimum subcover is
-found by branch and bound with a greedy initial bound and dominated-element
+Fiber sections are integer bitmasks (Python integers, so any fiber size works
+without a word-size fallback), with the bit order of the iterated covers:
+bit k over base point w is the k-th point of ``sort_points(rds.fibers[w])``.
+The depth sweeps read the masks of ``covers._mask_iterates`` directly; the
+single-fiber queries encode their frozenset arguments with the same index.
+On each fiber the minimum subcover of every distinct target section is found
+by branch and bound with a greedy initial bound and dominated-element
 elimination.  Results are always exact; the search never returns an
 approximation.
 """
@@ -14,9 +18,19 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .budgets import Budgets, DEFAULTS
-from .covers import RandomCover, RandomSet, iterate_cover, iterate_covers
+from .covers import Masks, RandomCover, RandomSet, _fiber_index, _mask_iterate, _mask_iterates, _section_masks
 from .errors import DomainError
-from .model import BundleRDS, sort_points
+from .model import BundleRDS
+
+
+def _maximal(masks: Iterable[int]) -> list[int]:
+    """The distinct masks contained in no other, largest first: a mask inside
+    another never helps a minimum cover (dominated-element elimination)."""
+    kept: list[int] = []
+    for m in sorted(set(masks), key=lambda m: -m.bit_count()):
+        if not any(m | k == k for k in kept):
+            kept.append(m)
+    return kept
 
 
 def min_cover_size(target: int, masks: Iterable[int]) -> int:
@@ -27,17 +41,12 @@ def min_cover_size(target: int, masks: Iterable[int]) -> int:
     """
     if target == 0:
         return 1
-    clipped = sorted({m & target for m in masks if m & target}, key=lambda m: -m.bit_count())
+    kept = _maximal(m & target for m in masks if m & target)
     covered_all = 0
-    for m in clipped:
+    for m in kept:
         covered_all |= m
-    if covered_all & target != target:
+    if covered_all != target:
         raise DomainError("target is not coverable by the given family")
-    # dominated-element elimination: drop masks contained in an earlier one
-    kept: list[int] = []
-    for m in clipped:
-        if not any(m | k == k for k in kept):
-            kept.append(m)
 
     # greedy upper bound
     best = 0
@@ -74,38 +83,28 @@ def min_cover_size(target: int, masks: Iterable[int]) -> int:
     return search(target, 0, best)
 
 
-def _index_fiber(rds: BundleRDS, omega: int) -> dict:
-    return {x: 1 << i for i, x in enumerate(sort_points(rds.fibers[omega]))}
-
-
-def _mask(section: frozenset, index: dict) -> int:
-    m = 0
-    for x in section:
-        m |= index[x]
-    return m
+def _fiber_count(r_masks: Iterable[int], q_masks: Iterable[int]) -> int:
+    """Largest minimal-subcover count of a ``q`` section by the ``r``
+    sections on one fiber: distinct elements often share their section
+    there, so one solve per distinct section."""
+    masks = _maximal(r_masks)
+    return max(min_cover_size(t, masks) for t in set(q_masks))
 
 
 def minimal_subcover(s: RandomSet, r: RandomCover, omega: int, rds: BundleRDS) -> int:
     """Exact minimum number of elements of ``r`` whose sections at ``omega``
     cover the section of ``s`` there; 1 when that section is empty."""
-    index = _index_fiber(rds, omega)
-    try:
-        target = _mask(s.sections[omega], index)
-    except KeyError:
-        raise DomainError(f"set leaves the fiber at omega={omega}")
-    return min_cover_size(target, [_mask(sec, index) for sec in r.sections(omega)])
+    index = _fiber_index(rds.fibers[omega])
+    (target,) = _section_masks([s.sections[omega]], index, omega)
+    return min_cover_size(target, _section_masks(r.sections(omega), index, omega))
 
 
 def relative_count(r: RandomCover, q: RandomCover, omega: int, rds: BundleRDS) -> int:
     """Largest minimal-subcover count of a ``q``-element by ``r`` at ``omega``."""
-    index = _index_fiber(rds, omega)
-    # distinct elements often share their section here: one solve per section
-    try:
-        masks = {_mask(sec, index) for sec in r.sections(omega)}
-        targets = {_mask(sec, index) for sec in q.sections(omega)}
-    except KeyError:
-        raise DomainError(f"cover leaves the fiber at omega={omega}")
-    return max(min_cover_size(t, masks) for t in targets)
+    index = _fiber_index(rds.fibers[omega])
+    return _fiber_count(
+        _section_masks(r.sections(omega), index, omega), _section_masks(q.sections(omega), index, omega)
+    )
 
 
 def relative_count_sup(r: RandomCover, q: RandomCover, rds: BundleRDS) -> int:
@@ -127,10 +126,8 @@ class CountProfile:
             raise ValueError("counts are always >= 1")
 
 
-def _profile(
-    rds: BundleRDS, r: RandomCover, q: RandomCover, n: int, rn: RandomCover, qn: RandomCover
-) -> CountProfile:
-    per_omega = tuple(relative_count(rn, qn, w, rds) for w in range(rds.size))
+def _profile(r: RandomCover, q: RandomCover, n: int, rn: Masks, qn: Masks) -> CountProfile:
+    per_omega = tuple(_fiber_count(r_col, q_col) for r_col, q_col in zip(zip(*rn), zip(*qn)))
     return CountProfile(per_omega, n, r_label=r.label, q_label=q.label)
 
 
@@ -138,7 +135,7 @@ def count_profile(
     rds: BundleRDS, r: RandomCover, q: RandomCover, n: int, budgets: Budgets = DEFAULTS
 ) -> CountProfile:
     """Relative counts of the depth-n iterates, one entry per base point."""
-    return _profile(rds, r, q, n, iterate_cover(r, rds, n, budgets), iterate_cover(q, rds, n, budgets))
+    return _profile(r, q, n, _mask_iterate(r, rds, n, budgets), _mask_iterate(q, rds, n, budgets))
 
 
 def count_profiles(
@@ -146,6 +143,6 @@ def count_profiles(
 ) -> Iterator[CountProfile]:
     """The profiles of depths 1..n_max in one pass, ``r`` before ``q`` at each
     depth as in :func:`count_profile`; no older depth is kept referenced."""
-    q_iter = iterate_covers(q, rds, n_max, budgets)
-    for n, rn in enumerate(iterate_covers(r, rds, n_max, budgets), 1):
-        yield _profile(rds, r, q, n, rn, next(q_iter))
+    q_iter = _mask_iterates(q, rds, n_max, budgets)
+    for n, rn in enumerate(_mask_iterates(r, rds, n_max, budgets), 1):
+        yield _profile(r, q, n, rn, next(q_iter))

@@ -8,16 +8,24 @@ full fiber everywhere.  Covers are plain data (indexed by base point), so one
 cover can be reused across systems sharing a base, e.g. a system and its
 m-step power.  In the finite discrete topology every random set is both open
 and closed, so no open/closed distinction is tracked.
+
+Iterated covers are built on integer bitmasks: bit k of a section over base
+point w is the k-th point of ``sort_points(rds.fibers[w])``, so an element is
+one ``int`` per fiber and a join is a fiberwise ``&``.  One join loop,
+:func:`_mask_iterates`, builds every depth; the counts read its masks
+directly, and :func:`iterate_covers` decodes them into the same frozenset
+covers a fold of :func:`join` and :func:`pullback` gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import and_
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .budgets import Budgets, DEFAULTS
-from .errors import BudgetExceededError, IncompatibleSystemsError
+from .errors import BudgetExceededError, DomainError, IncompatibleSystemsError
 from .model import BundleRDS, FactorMap, Point, sort_points
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -234,24 +242,109 @@ def pullback(q: RandomCover, rds: BundleRDS, i: int) -> RandomCover:
     return _assemble(elems, partition=isinstance(q, RandomPartition), label=q.label)
 
 
+Masks = list[tuple[int, ...]]
+
+
+def _fiber_index(fiber: Iterable[Point]) -> dict[Point, int]:
+    """Bit of every point of a fiber: bit k is the k-th of ``sort_points``."""
+    return {x: 1 << k for k, x in enumerate(sort_points(fiber))}
+
+
+def _section_masks(sections: Iterable[frozenset], index: dict[Point, int], omega: int) -> list[int]:
+    try:
+        return [sum(map(index.__getitem__, sec)) for sec in sections]
+    except KeyError:
+        raise DomainError(f"cover leaves the fiber at omega={omega}") from None
+
+
+def _distinct(elements: Iterable[tuple[int, ...]], empty: tuple[int, ...]) -> Masks:
+    # the mask form of _assemble: dedup in first-seen order, then drop the
+    # element empty on every fiber
+    out = dict.fromkeys(elements)
+    out.pop(empty, None)
+    return list(out)
+
+
+def _mask_iterates(q: RandomCover, rds: BundleRDS, n_max: int, budgets: Budgets = DEFAULTS) -> Iterator[Masks]:
+    """The depth-1..n_max refinements of ``q`` as lists of per-fiber mask
+    tuples, in the element order of :func:`iterate_covers`.
+
+    Depth i+1 joins depth i with the i-step pullback of ``q``, which reads
+    the bit of every point's i-step image; the images advance one step per
+    depth.  Raises :class:`DomainError` if a section of ``q`` leaves its
+    fiber and :class:`BudgetExceededError` with the offending depth when the
+    element count blows past ``budgets.cover_elements``.
+    """
+    if n_max < 1:
+        return
+    if q.size != rds.size:
+        raise IncompatibleSystemsError("cover does not span the system base")
+    indices = [_fiber_index(f) for f in rds.fibers]
+    empty = (0,) * rds.size
+    base = _distinct(zip(*(_section_masks(q.sections(w), index, w) for w, index in enumerate(indices))), empty)
+    out = base
+    yield out
+    images, targets = [sort_points(f) for f in rds.fibers], list(range(rds.size))
+    for i in range(1, n_max):
+        images = [[rds.apply(v, y) for y in ys] for v, ys in zip(targets, images)]
+        targets = [rds.base.theta[v] for v in targets]
+        # per fiber: image bit -> mask of the points whose i-step image it is
+        # (bit 0 collects images that left their fiber: they pull back nothing)
+        preimages = []
+        for ys, t in zip(images, targets):
+            pre: dict[int, int] = {}
+            for k, y in enumerate(ys):
+                bit = indices[t].get(y, 0)
+                pre[bit] = pre.get(bit, 0) | 1 << k
+            preimages.append(pre)
+        pulled = _distinct(
+            (
+                tuple(sum(m for bit, m in pre.items() if bit & e[t]) for pre, t in zip(preimages, targets))
+                for e in base
+            ),
+            empty,
+        )
+        out = _distinct((tuple(map(and_, a, b)) for a in out for b in pulled), empty)
+        if len(out) > budgets.cover_elements:
+            raise BudgetExceededError("cover_elements", budgets.cover_elements, len(out), depth=i + 1)
+        yield out
+
+
+def _mask_iterate(q: RandomCover, rds: BundleRDS, n: int, budgets: Budgets = DEFAULTS) -> Masks:
+    """The depth-n masks of ``q``: the last item of :func:`_mask_iterates`."""
+    if n < 1:
+        raise ValueError("depth must be >= 1")
+    for out in _mask_iterates(q, rds, n, budgets):
+        pass
+    return out
+
+
+def _decode(q: RandomCover, rds: BundleRDS, masks: Masks, n: int) -> RandomCover:
+    """The depth-n cover of ``q`` from its masks; a section that several
+    elements share is decoded once."""
+    points = [sort_points(f) for f in rds.fibers]
+    sections = [
+        {m: frozenset(x for k, x in enumerate(pts) if m >> k & 1) for m in set(col)}
+        for pts, col in zip(points, zip(*masks))
+    ]
+    cls = RandomPartition if isinstance(q, RandomPartition) else RandomCover
+    elements = tuple(RandomSet(tuple(s[m] for s, m in zip(sections, e))) for e in masks)
+    return cls(elements, label=q.label if n == 1 else None)
+
+
 def iterate_covers(
     q: RandomCover, rds: BundleRDS, n_max: int, budgets: Budgets = DEFAULTS
 ) -> Iterator[RandomCover]:
     """The depth-1..n_max dynamical refinements of ``q`` in one pass: depth
     n+1 joins depth n with the n-step pullback (none for n_max < 1).
 
-    Raises :class:`BudgetExceededError` with the offending depth when the
-    element count blows past ``budgets.cover_elements``.
+    Depth 1 keeps the label of ``q``; every depth is a partition iff ``q``
+    is one.  Raises :class:`DomainError` if a section of ``q`` leaves its
+    fiber, and :class:`BudgetExceededError` with the offending depth when
+    the element count blows past ``budgets.cover_elements``.
     """
-    if n_max < 1:
-        return
-    out = _assemble((e.sections for e in q.elements), partition=isinstance(q, RandomPartition), label=q.label)
-    yield out
-    for i in range(1, n_max):
-        out = join(out, pullback(q, rds, i))
-        if len(out) > budgets.cover_elements:
-            raise BudgetExceededError("cover_elements", budgets.cover_elements, len(out), depth=i + 1)
-        yield out
+    for n, masks in enumerate(_mask_iterates(q, rds, n_max, budgets), 1):
+        yield _decode(q, rds, masks, n)
 
 
 def iterate_cover(
@@ -259,11 +352,7 @@ def iterate_cover(
 ) -> RandomCover:
     """Join of the pullbacks at steps 0..n-1 (depth-n dynamical refinement):
     the last item of :func:`iterate_covers`."""
-    if n < 1:
-        raise ValueError("depth must be >= 1")
-    for out in iterate_covers(q, rds, n, budgets):
-        pass
-    return out
+    return _decode(q, rds, _mask_iterate(q, rds, n, budgets), n)
 
 
 def pullback_cover(pi: FactorMap, cover: RandomCover) -> RandomCover:

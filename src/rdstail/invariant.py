@@ -23,12 +23,12 @@ from itertools import product
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .budgets import Budgets, DEFAULTS
-from .counting import minimal_subcover
+from .counting import min_cover_size
 from .covers import (
     RandomCover,
     RandomPartition,
     SigmaAlgebra,
-    iterate_cover,
+    _mask_iterate,
     pullback_cover,
     refines,
     state_partition,
@@ -380,30 +380,37 @@ def separated_empirical(
     """
     rds.requires_metric()
     deltas = _deltas(rds, delta)
-    pn = iterate_cover(p, rds, n, budgets)
-    qn = iterate_cover(q, rds, n, budgets)
+    pn = _mask_iterate(p, rds, n, budgets)
+    qn = _mask_iterate(q, rds, n, budgets)
     pair = pair_system(rds)
 
     chosen: list[frozenset] = []
     anchors: list[Point] = []
     separated: list[tuple[Point, ...]] = []
+    sep_masks: list[int] = []
     counts: list[int] = []
     sigma_weights: list[dict[Point, Fraction]] = [{} for _ in range(rds.size)]
-    for w in range(rds.size):
-        best_sec, best_count = None, 0
-        for elem in qn.elements:
-            if not elem.sections[w]:
-                continue
-            c = minimal_subcover(elem, pn, w, rds)
-            if c > best_count:
-                best_sec, best_count = elem.sections[w], c
-        assert best_sec is not None  # covers have a nonempty section somewhere
-        anchor = sort_points(best_sec)[0]
+    for w, (p_col, q_col) in enumerate(zip(zip(*pn), zip(*qn))):
+        # the first q-section with the largest count by the p-sections
+        p_masks = set(p_col)
+        best, best_count = 0, 0
+        for t in dict.fromkeys(q_col):
+            if t:
+                c = min_cover_size(t, p_masks)
+                if c > best_count:
+                    best, best_count = t, c
+        assert best  # covers have a nonempty section somewhere
+        # mask bits follow sort_points, so decoding gives the sorted section
+        best_bits = [(1 << k, x) for k, x in enumerate(sort_points(rds.fibers[w])) if best >> k & 1]
+        anchor = best_bits[0][1]
         sep: list[Point] = []
-        for x in sort_points(best_sec):
+        sep_mask = 0
+        for bit, x in best_bits:
             if all(_separation_at_least_one(rds, w, x, y, n, deltas) for y in sep):
                 sep.append(x)
-        chosen.append(best_sec)
+                sep_mask |= bit
+        chosen.append(frozenset(x for _, x in best_bits))
+        sep_masks.append(sep_mask)
         anchors.append(anchor)
         separated.append(tuple(sep))
         counts.append(best_count)
@@ -425,11 +432,7 @@ def separated_empirical(
     card_ok = all(len(separated[w]) >= counts[w] for w in range(rds.size))
     isolate: bool | None = None
     if isinstance(p, RandomPartition):
-        isolate = all(
-            sum(1 for y in separated[w] if y in sec) <= 1
-            for w in range(rds.size)
-            for sec in pn.sections(w)
-        )
+        isolate = all((m & sep_masks[w]).bit_count() <= 1 for e in pn for w, m in enumerate(e))
     return SeparatedEmpirical(
         n=n,
         deltas=tuple(deltas),

@@ -12,6 +12,7 @@ from rdstail import (
     DrivingSystem,
     FiberedMeasure,
     PreconditionError,
+    RandomPartition,
     bowen_ball,
     cesaro_limit,
     cycle_coefficients,
@@ -21,9 +22,11 @@ from rdstail import (
     hull_certificate,
     identity_factor,
     invariance_defect,
+    iterate_cover,
     lebesgue_number,
     lift_invariant,
     measures_equal,
+    minimal_subcover,
     mix,
     point_partition,
     pushforward_measure,
@@ -32,8 +35,9 @@ from rdstail import (
     trivial_cover,
     vertex_enumeration,
 )
-from rdstail.invariant import _cycle_structure, _uniform_on_cycle, terminal_cycles
-from rdstail.verify import _rng, random_driving, random_measure, random_system
+from rdstail.invariant import _cycle_structure, _separation_at_least_one, _uniform_on_cycle, terminal_cycles
+from rdstail.model import sort_points
+from rdstail.verify import _rng, random_cover, random_driving, random_measure, random_partition, random_system
 
 SWAP = swap_system()
 CYCLE = cycle_system()
@@ -327,6 +331,45 @@ def test_separated_with_everything_apart():
     )
     assert set(se.separated[0]) == set(CYCLE.fibers[0])
     assert len(se.separated[0]) == se.counts[0]
+
+
+def separated_choice_by_subcovers(rds, p, q, n, delta):
+    """Oracle: the frozenset scan that ``separated_empirical`` replaced, one
+    ``minimal_subcover`` per conditioning element and fiber."""
+    pn, qn = iterate_cover(p, rds, n), iterate_cover(q, rds, n)
+    chosen, anchors, separated, counts = [], [], [], []
+    for w in range(rds.size):
+        best_sec, best_count = None, 0
+        for elem in qn.elements:
+            if elem.sections[w]:
+                c = minimal_subcover(elem, pn, w, rds)
+                if c > best_count:
+                    best_sec, best_count = elem.sections[w], c
+        sep = []
+        for x in sort_points(best_sec):
+            if all(_separation_at_least_one(rds, w, x, y, n, [delta] * rds.size) for y in sep):
+                sep.append(x)
+        chosen.append(best_sec)
+        anchors.append(sort_points(best_sec)[0])
+        separated.append(tuple(sep))
+        counts.append(best_count)
+    isolate = None
+    if isinstance(p, RandomPartition):
+        isolate = all(
+            sum(1 for y in separated[w] if y in sec) <= 1 for w in range(rds.size) for sec in pn.sections(w)
+        )
+    return tuple(chosen), tuple(anchors), tuple(separated), tuple(counts), isolate
+
+
+def test_separated_choice_matches_subcover_scan():
+    for trial in range(60):
+        rng = _rng(57, trial)
+        rds = random_system(rng, max_fiber=5, with_metric=True)
+        p, q = (rng.choice([random_cover, random_partition])(rng, rds) for _ in range(2))
+        n, delta = rng.randint(1, 3), rng.choice([Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)])
+        se = separated_empirical(rds, p, q, n, delta)
+        got = (se.chosen, se.anchors, se.separated, se.counts, se.atoms_isolate_separated)
+        assert got == separated_choice_by_subcovers(rds, p, q, n, delta), trial
 
 
 def test_diagonal_measure_on_cycle():

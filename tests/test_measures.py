@@ -326,6 +326,22 @@ def test_defect_matches_per_measure_formula():
     assert near_and_far
 
 
+def test_defect_diagnostics_ignore_far_members():
+    # a far member with the largest ratio at depths 2 and 3, and the largest
+    # bracket, reaches neither the truncated defects nor the raw defect
+    m = FiberedMeasure.uniform(SWAP)
+    far = FiberedMeasure(({"a": Fraction(1, 2)}, {"c": Fraction(1, 2)}))
+    assert total_variation(far, m) > 0
+    base_seq = EntropyEstimate.from_values([0.125, 0.25, 0.375])
+    near_seq = EntropyEstimate.from_values([0.5, 0.25, 0.375])  # ratios 1/2, 1/8, 1/8
+    far_seq = EntropyEstimate.from_values([0.25, 1.0, 0.75])  # ratios 1/4, 1/2, 1/4
+    got = defect_from_sequences(m, base_seq, [m, far], [near_seq, far_seq], Fraction(0))
+    assert got == DefectEstimate(value=0.0, raw=0.0, truncated=(0.375, 0.0, 0.0), neighborhood_empty=False)
+    # with the far member inside the radius its columns count
+    wide = defect_from_sequences(m, base_seq, [m, far], [near_seq, far_seq], Fraction(2))
+    assert wide.truncated == (0.375, 0.375, 0.125) and wide.raw == 0.125
+
+
 def test_defect_requires_invariance():
     with pytest.raises(PreconditionError):
         defect(FiberedMeasure.uniform(SWAP), fiber_sigma(SWAP), SWAP, [], Fraction(1), 2)

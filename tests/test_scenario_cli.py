@@ -511,6 +511,16 @@ def test_cli_budget_exits_3_with_partial_artifacts(tmp_path):
     manifest = json.loads(read(out, "manifest.json"))
     assert "cover_elements" in manifest["error"]
     assert manifest["budgets"]["cover_elements"] == 3
+    # a stopped count keeps the rows of the depths it finished
+    out = tmp_path / "count"
+    argv = ["count", "--scenario", scenario_path("cycle4"), "--r", "points", "--q", "halves", "--n", "6"]
+    assert main(["--budget", "cover_elements=2", *argv, "--out", str(out)]) == 3
+    manifest = json.loads(read(out, "manifest.json"))
+    assert "depth n=2" in manifest["error"]
+    assert {"count.csv", "count.json"} <= set(manifest["outputs"])
+    rows = read(out, "count.csv").splitlines()[1:]
+    assert rows and all(row.split(",")[4] == "1" for row in rows)
+    assert len(json.loads(read(out, "count.json"))["rows"]) == len(rows)
     # an estimate the budget stops early is partial, not a success
     swap = ["--scenario", scenario_path("swap"), "--nmax", "6"]
     stopped = {
