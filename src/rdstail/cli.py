@@ -118,6 +118,23 @@ def _resolve_cover(sc: Scenario, name: str, system: str | None) -> tuple[RandomC
     return sc.covers[name], sc.system_of_cover(name), sc.cover_system[name]
 
 
+def _resolve_covers(
+    sc: Scenario, names: list[str], system: str | None
+) -> tuple[list[RandomCover], BundleRDS, str]:
+    """Covers named in order on one system: the first name fixes the system
+    (``system`` serves a leading builtin), and every later name must live on
+    it."""
+    covers, rds = [], None
+    for name in names:
+        cover, c_rds, c_sys = _resolve_cover(sc, name, system)
+        if rds is None:
+            rds, system = c_rds, c_sys
+        elif c_rds is not rds:
+            raise ScenarioError("covers live on different systems")
+        covers.append(cover)
+    return covers, rds, system
+
+
 def _resolve_sigma(sc: Scenario, name: str, system_name: str) -> SigmaAlgebra:
     cover, _, sysname = _resolve_cover(sc, name, system_name)
     if sysname != system_name:
@@ -280,10 +297,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
         return EXIT_OK
 
     if name == "count":
-        r, rds, sysname = _resolve_cover(sc, args.r, args.system)
-        q, rds_q, _ = _resolve_cover(sc, args.q, sysname)
-        if rds_q is not rds:
-            raise ScenarioError("covers live on different systems")
+        (r, q), rds, sysname = _resolve_covers(sc, [args.r, args.q], args.system)
         rows, stop = [], None
         try:
             for prof in count_profiles(rds, r, q, args.n, budgets):
@@ -297,10 +311,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
         return EXIT_OK
 
     if name == "tail":
-        r, rds, sysname = _resolve_cover(sc, args.r, args.system)
-        q, rds_q, _ = _resolve_cover(sc, args.q, sysname)
-        if rds_q is not rds:
-            raise ScenarioError("covers live on different systems")
+        (r, q), rds, sysname = _resolve_covers(sc, [args.r, args.q], args.system)
         est = tail_entropy_estimate(rds, r, q, args.nmax, budgets)
         header, rows = _estimate_rows({"system": sysname, "r": args.r, "q": args.q}, est)
         run.add_csv("tail.csv", header, rows)
@@ -312,22 +323,8 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
         r_names = [s for s in args.rfamily.split(",") if s]
         if not q_names or not r_names:
             raise ScenarioError("families must be nonempty")
-        rds, sysname = None, args.system
-
-        def resolve_family(names):
-            nonlocal rds, sysname
-            out = []
-            for nm in names:
-                c, c_sys, c_sysname = _resolve_cover(sc, nm, sysname)
-                if rds is None:
-                    rds, sysname = c_sys, c_sysname
-                elif c_sys is not rds:
-                    raise ScenarioError("family covers live on different systems")
-                out.append(c)
-            return out
-
-        q_fam = resolve_family(q_names)
-        r_fam = resolve_family(r_names)
+        covers, rds, sysname = _resolve_covers(sc, q_names + r_names, args.system)
+        q_fam, r_fam = covers[: len(q_names)], covers[len(q_names) :]
         # the total is the min over q of the max over r of the row values
         rows, per_q, all_ests = [], [], []
         for nm, q in zip(q_names, q_fam):
@@ -356,7 +353,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
         mu = sc.measures[args.mu]
         sysname = sc.measure_system[args.mu]
         rds = sc.systems[sysname]
-        r, rds_r, _ = _resolve_cover(sc, args.r, sysname)
+        (r,), rds_r, _ = _resolve_covers(sc, [args.r], sysname)
         if rds_r is not rds:
             raise ScenarioError("partition lives on a different system than the measure")
         if not isinstance(r, RandomPartition):
@@ -370,13 +367,21 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
                 [[sysname, args.mu, args.r, args.sigma, value]],
             )
             run.add_json("entropy.json", {"conditional_entropy": value})
-        else:
+            return EXIT_OK
+        stop = None
+        try:
             est = relative_entropy_sequence(mu, r, sigma, rds, args.nmax, budgets)
-            header, rows = _estimate_rows(
-                {"system": sysname, "mu": args.mu, "r": args.r, "sigma": args.sigma}, est
-            )
-            run.add_csv("entropy.csv", header, rows)
-            run.add_json("entropy.json", _estimate_payload(est))
+        except BudgetExceededError as exc:
+            # the depths before the offending one are still written; depth 1
+            # is never budget-checked, so there is at least one
+            stop = exc
+            partial = relative_entropy_sequence(mu, r, sigma, rds, exc.depth - 1, budgets)
+            est = EntropyEstimate(values=partial.values, requested=args.nmax)
+        header, rows = _estimate_rows({"system": sysname, "mu": args.mu, "r": args.r, "sigma": args.sigma}, est)
+        run.add_csv("entropy.csv", header, rows)
+        run.add_json("entropy.json", _estimate_payload(est))
+        if stop is not None:
+            raise stop
         return EXIT_OK
 
     if name == "invariant":
@@ -421,10 +426,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
         if args.separated:
             if args.p_cover is None or args.q_cover is None:
                 raise ScenarioError("--separated needs --p and --q")
-            p, rds, sysname = _resolve_cover(sc, args.p_cover, args.system)
-            q, rds_q, _ = _resolve_cover(sc, args.q_cover, sysname)
-            if rds_q is not rds:
-                raise ScenarioError("covers live on different systems")
+            (p, q), rds, sysname = _resolve_covers(sc, [args.p_cover, args.q_cover], args.system)
             se = separated_empirical(rds, p, q, args.n, delta, budgets)
             run.add_json(
                 "separated.json",
@@ -446,14 +448,8 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
         p_names = [s for s in (args.p_cover or "").split(",") if s]
         if not chain_names or len(chain_names) != len(p_names):
             raise ScenarioError("--diagonal needs matching comma-separated --p and --q chains")
-        chain, p_chain, rds, sysname = [], [], None, None
-        for nm in chain_names:
-            c, r_sys, sysname = _resolve_cover(sc, nm, args.system)
-            rds = r_sys
-            chain.append(c)
-        for nm in p_names:
-            c, r_sys, _ = _resolve_cover(sc, nm, sysname)
-            p_chain.append(c)
+        covers, rds, sysname = _resolve_covers(sc, chain_names + p_names, args.system)
+        chain, p_chain = covers[: len(chain_names)], covers[len(chain_names) :]
         diag = diagonal_measure(rds, chain, p_chain, args.n, delta, budgets=budgets)
         run.add_json(
             "diagonal.json",

@@ -118,24 +118,21 @@ class CountProfile:
 
     per_omega: tuple[int, ...]
     depth: int
-    r_label: str | None = None
-    q_label: str | None = None
 
     def __post_init__(self):
         if any(c < 1 for c in self.per_omega):
             raise ValueError("counts are always >= 1")
 
 
-def _profile(r: RandomCover, q: RandomCover, n: int, rn: Masks, qn: Masks) -> CountProfile:
-    per_omega = tuple(_fiber_count(r_col, q_col) for r_col, q_col in zip(zip(*rn), zip(*qn)))
-    return CountProfile(per_omega, n, r_label=r.label, q_label=q.label)
+def _profile(n: int, rn: Masks, qn: Masks) -> CountProfile:
+    return CountProfile(tuple(_fiber_count(r_col, q_col) for r_col, q_col in zip(zip(*rn), zip(*qn))), n)
 
 
 def count_profile(
     rds: BundleRDS, r: RandomCover, q: RandomCover, n: int, budgets: Budgets = DEFAULTS
 ) -> CountProfile:
     """Relative counts of the depth-n iterates, one entry per base point."""
-    return _profile(r, q, n, _mask_iterate(r, rds, n, budgets), _mask_iterate(q, rds, n, budgets))
+    return _profile(n, _mask_iterate(r, rds, n, budgets), _mask_iterate(q, rds, n, budgets))
 
 
 def count_profiles(
@@ -145,4 +142,4 @@ def count_profiles(
     depth as in :func:`count_profile`; no older depth is kept referenced."""
     q_iter = _mask_iterates(q, rds, n_max, budgets)
     for n, rn in enumerate(_mask_iterates(r, rds, n_max, budgets), 1):
-        yield _profile(r, q, n, rn, next(q_iter))
+        yield _profile(n, rn, next(q_iter))

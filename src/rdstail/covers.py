@@ -407,6 +407,17 @@ class SmallDiameterPartition:
     achieved: tuple[Fraction, ...]
 
 
+def _per_base(rds: BundleRDS, delta: Fraction | Sequence[Fraction]) -> list[Fraction]:
+    """``delta`` as one exact rational per base point; a scalar applies to
+    every base point."""
+    if isinstance(delta, (Fraction, int)):
+        return [Fraction(delta)] * rds.size
+    out = [Fraction(d) for d in delta]
+    if len(out) != rds.size:
+        raise ValueError("need one delta per base point")
+    return out
+
+
 def small_diameter_partition(
     rds: BundleRDS,
     delta: Fraction | Sequence[Fraction],
@@ -420,9 +431,7 @@ def small_diameter_partition(
     singletons always satisfies the bound, so construction cannot fail.
     """
     space = rds.requires_metric()
-    deltas = [Fraction(delta)] * rds.size if isinstance(delta, (Fraction, int)) else [Fraction(d) for d in delta]
-    if len(deltas) != rds.size:
-        raise ValueError("need one diameter bound per base point")
+    deltas = _per_base(rds, delta)
     per_fiber: list[list[set]] = []
     for w in range(rds.size):
         cells: list[set] = []

@@ -13,6 +13,10 @@ and its vertices pick one skew cycle over each.  They play the role the
 extreme (ergodic-like) measures play in general; a north-west-corner peel
 over the simplices writes any invariant measure with that marginal as an
 exact convex combination of them.
+
+Two points are (n, delta)-separated exactly when one leaves the other's
+Bowen ball, so the greedy separated-set scan keeps the ball of each accepted
+point and takes the next candidate lying in none of them.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .covers import (
     RandomPartition,
     SigmaAlgebra,
     _mask_iterate,
+    _per_base,
     pullback_cover,
     refines,
     state_partition,
@@ -36,6 +41,7 @@ from .covers import (
 from .errors import BudgetExceededError, PreconditionError
 from .measures import (
     FiberedMeasure,
+    _gather,
     measures_equal,
     mix,
     pushforward_measure,
@@ -92,16 +98,17 @@ def cesaro_limit(nu: FiberedMeasure, rds: BundleRDS) -> FiberedMeasure:
     state's mass distributes uniformly over its terminal cycle.  The output
     always has invariance defect zero and the same base marginal."""
     cycles, terminal = _cycle_structure(rds)
-    acc: list[dict[Point, Fraction]] = [{} for _ in range(rds.size)]
-    for w in range(rds.size):
-        for x, v in nu.weights[w].items():
-            if v == 0:
-                continue
-            cycle = cycles[terminal[(w, x)]]
-            share = v / len(cycle)
-            for cw, cx in cycle:
-                acc[cw][cx] = acc[cw].get(cx, Fraction(0)) + share
-    return FiberedMeasure(tuple(acc))
+
+    def spread():
+        for w in range(rds.size):
+            for x, v in nu.weights[w].items():
+                if v:
+                    cycle = cycles[terminal[(w, x)]]
+                    share = v / len(cycle)
+                    for cw, cx in cycle:
+                        yield cw, cx, share
+
+    return _gather(rds.size, spread())
 
 
 def lift_invariant(pi: FactorMap, mu: FiberedMeasure) -> FiberedMeasure:
@@ -115,16 +122,17 @@ def lift_invariant(pi: FactorMap, mu: FiberedMeasure) -> FiberedMeasure:
     """
     if invariance_defect(mu, pi.target) != 0:
         raise PreconditionError("invariant_measure", "lift needs an invariant input")
-    acc: list[dict[Point, Fraction]] = [{} for _ in range(pi.source.size)]
-    for w in range(pi.source.size):
-        for x, v in mu.weights[w].items():
-            if v == 0:
-                continue
-            pre = sort_points(pi.preimage(w, x))
-            share = v / len(pre)
-            for y in pre:
-                acc[w][y] = acc[w].get(y, Fraction(0)) + share
-    lifted = cesaro_limit(FiberedMeasure(tuple(acc)), pi.source)
+
+    def uniform_lift():
+        for w in range(pi.source.size):
+            for x, v in mu.weights[w].items():
+                if v:
+                    pre = sort_points(pi.preimage(w, x))
+                    share = v / len(pre)
+                    for y in pre:
+                        yield w, y, share
+
+    lifted = cesaro_limit(_gather(pi.source.size, uniform_lift()), pi.source)
     if invariance_defect(lifted, pi.source) != 0:
         raise AssertionError("cesaro projection failed to produce an invariant measure")
     if not measures_equal(pushforward_measure(pi, lifted), mu):
@@ -148,14 +156,6 @@ class InvariantPolytope:
     vertices: tuple[FiberedMeasure, ...]
     cycles: tuple[tuple[State, ...], ...]
     vertex_weights: tuple[tuple[Fraction, ...], ...]
-
-
-def _uniform_on_cycle(rds: BundleRDS, cycle: Sequence[State]) -> FiberedMeasure:
-    acc: list[dict[Point, Fraction]] = [{} for _ in range(rds.size)]
-    share = Fraction(1, len(cycle))
-    for w, x in cycle:
-        acc[w][x] = acc[w].get(x, Fraction(0)) + share
-    return FiberedMeasure(tuple(acc))
 
 
 def _cycles_by_base(cycles: Sequence[Sequence[State]]) -> list[list[int]]:
@@ -186,7 +186,7 @@ def vertex_enumeration(rds: BundleRDS, budgets: Budgets = DEFAULTS) -> Invariant
     found: list[tuple[tuple[Fraction, ...], FiberedMeasure]] = []
     for pick in picks:
         lam = tuple(mass[c] if c in pick else Fraction(0) for c in range(len(cycles)))
-        mu = mix([(lam[c], _uniform_on_cycle(rds, cycles[c])) for c in pick])
+        mu = _gather(rds.size, ((w, x, mass[c] / len(cycles[c])) for c in pick for w, x in cycles[c]))
         if invariance_defect(mu, rds) != 0 or mu.validate(rds):
             raise AssertionError("enumerated vertex fails its own certificates")
         found.append((lam, mu))
@@ -255,22 +255,13 @@ def hull_certificate(
     return certificate
 
 
-def _deltas(rds: BundleRDS, delta) -> list[Fraction]:
-    if isinstance(delta, (Fraction, int)):
-        return [Fraction(delta)] * rds.size
-    out = [Fraction(d) for d in delta]
-    if len(out) != rds.size:
-        raise ValueError("need one radius per base point")
-    return out
-
-
 def bowen_ball(
     rds: BundleRDS, omega: int, y: Point, n: int, delta
 ) -> frozenset:
     """Points staying strictly within the per-step radii of the orbit of
     ``y`` for ``n`` steps (the intersection of pulled-back open balls)."""
     space = rds.requires_metric()
-    deltas = _deltas(rds, delta)
+    deltas = _per_base(rds, delta)
     if y not in rds.fibers[omega]:
         raise PreconditionError("center_in_fiber", f"{y!r} not in fiber {omega}")
     ball = []
@@ -306,17 +297,6 @@ def lebesgue_number(rds: BundleRDS, cover: RandomCover, omega: int) -> Fraction 
         if best_here is not None and (best_over_fiber is None or best_here < best_over_fiber):
             best_over_fiber = best_here
     return best_over_fiber
-
-
-def _separation_at_least_one(rds: BundleRDS, omega: int, x: Point, y: Point, n: int, deltas) -> bool:
-    # normalized orbit distance >= 1, i.e. some step reaches its radius
-    space = rds.space
-    xi, yi, w = x, y, omega
-    for _ in range(n):
-        if space.d(xi, yi) >= deltas[w]:
-            return True
-        xi, yi, w = rds.apply(w, xi), rds.apply(w, yi), rds.base.theta[w]
-    return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,7 +359,7 @@ def separated_empirical(
     ``card_ok`` whether the domination did.
     """
     rds.requires_metric()
-    deltas = _deltas(rds, delta)
+    deltas = _per_base(rds, delta)
     pn = _mask_iterate(p, rds, n, budgets)
     qn = _mask_iterate(q, rds, n, budgets)
     pair = pair_system(rds)
@@ -403,11 +383,14 @@ def separated_empirical(
         # mask bits follow sort_points, so decoding gives the sorted section
         best_bits = [(1 << k, x) for k, x in enumerate(sort_points(rds.fibers[w])) if best >> k & 1]
         anchor = best_bits[0][1]
+        # x is separated from an accepted y exactly when it leaves y's ball
         sep: list[Point] = []
+        balls: list[frozenset] = []
         sep_mask = 0
         for bit, x in best_bits:
-            if all(_separation_at_least_one(rds, w, x, y, n, deltas) for y in sep):
+            if not any(x in ball for ball in balls):
                 sep.append(x)
+                balls.append(bowen_ball(rds, w, x, n, deltas))
                 sep_mask |= bit
         chosen.append(frozenset(x for _, x in best_bits))
         sep_masks.append(sep_mask)

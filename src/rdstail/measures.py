@@ -8,6 +8,10 @@ their atom partitions, so conditional expectations are exact ratio
 computations.  Only logarithms are floating point; every inequality check
 carries the module tolerance.  The convention ``0 * log 0 = 0`` applies
 throughout.
+
+Every measure built from others (mixtures, pushforwards, and the Cesaro
+limits, lifts and polytope vertices of :mod:`rdstail.invariant`) sums its
+``(omega, point, mass)`` contributions in one accumulator, :func:`_gather`.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .covers import (
 )
 from .errors import PreconditionError
 from .model import BundleRDS, FactorMap, Point
-from .tail_entropy import EntropyEstimate, TOL, check_subadditive, integrated_log_count
+from .tail_entropy import EntropyEstimate, TOL, integrated_log_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,13 +95,7 @@ class FiberedMeasure:
 
 def measures_equal(a: FiberedMeasure, b: FiberedMeasure) -> bool:
     """Exact equality, insensitive to explicitly stored zeros."""
-    if a.size != b.size:
-        return False
-    for wa, wb in zip(a.weights, b.weights):
-        for x in set(wa) | set(wb):
-            if wa.get(x, Fraction(0)) != wb.get(x, Fraction(0)):
-                return False
-    return True
+    return a.size == b.size and total_variation(a, b) == 0
 
 
 def total_variation(a: FiberedMeasure, b: FiberedMeasure) -> Fraction:
@@ -109,15 +107,21 @@ def total_variation(a: FiberedMeasure, b: FiberedMeasure) -> Fraction:
     return out
 
 
+def _gather(size: int, masses: Iterable[tuple[int, Point, Fraction]]) -> FiberedMeasure:
+    """Sum ``(omega, point, mass)`` contributions into fiber weights.  Every
+    point met gets a key, in first-seen order, zero masses included."""
+    acc: list[dict[Point, Fraction]] = [{} for _ in range(size)]
+    for w, x, v in masses:
+        acc[w][x] = acc[w].get(x, Fraction(0)) + v
+    return FiberedMeasure(tuple(acc))
+
+
 def mix(parts: Sequence[tuple[Fraction, FiberedMeasure]]) -> FiberedMeasure:
     """Exact affine combination of measures over one bundle."""
     size = parts[0][1].size
-    acc: list[dict[Point, Fraction]] = [{} for _ in range(size)]
-    for coeff, mu in parts:
-        for w in range(size):
-            for x, v in mu.weights[w].items():
-                acc[w][x] = acc[w].get(x, Fraction(0)) + Fraction(coeff) * v
-    return FiberedMeasure(tuple(acc))
+    return _gather(
+        size, ((w, x, Fraction(c) * v) for c, mu in parts for w in range(size) for x, v in mu.weights[w].items())
+    )
 
 
 def mass_of_sections(mu: FiberedMeasure, sections: Sequence[frozenset]) -> Fraction:
@@ -144,28 +148,19 @@ def disintegrate(mu: FiberedMeasure, rds: BundleRDS) -> tuple[dict[Point, Fracti
 
 def skew_pushforward(mu: FiberedMeasure, rds: BundleRDS) -> FiberedMeasure:
     """Image of the measure under one step of the skew map."""
-    acc: list[dict[Point, Fraction]] = [{} for _ in range(rds.size)]
-    for w in range(rds.size):
-        wn = rds.base.theta[w]
-        for x, v in mu.weights[w].items():
-            if v == 0:
-                continue
-            y = rds.apply(w, x)
-            acc[wn][y] = acc[wn].get(y, Fraction(0)) + v
-    return FiberedMeasure(tuple(acc))
+    return _gather(
+        rds.size,
+        ((rds.base.theta[w], rds.apply(w, x), v) for w in range(rds.size) for x, v in mu.weights[w].items() if v),
+    )
 
 
 def pushforward_measure(pi: FactorMap, mu: FiberedMeasure) -> FiberedMeasure:
     """Transport a measure through a factor map (exact, affine, marginal
     preserving; sends invariant measures to invariant measures)."""
-    acc: list[dict[Point, Fraction]] = [{} for _ in range(pi.source.size)]
-    for w in range(pi.source.size):
-        for y, v in mu.weights[w].items():
-            if v == 0:
-                continue
-            x = pi.apply(w, y)
-            acc[w][x] = acc[w].get(x, Fraction(0)) + v
-    return FiberedMeasure(tuple(acc))
+    return _gather(
+        pi.source.size,
+        ((w, pi.apply(w, y), v) for w in range(pi.source.size) for y, v in mu.weights[w].items() if v),
+    )
 
 
 def _plogq(mass: Fraction, given: Fraction) -> float:
@@ -235,10 +230,7 @@ def relative_entropy_sequences(
     for rn in iterate_covers(r, rds, n_max, budgets):
         for mu, seq in zip(measures, values):
             seq.append(conditional_entropy(mu, rn, s))
-    return [
-        EntropyEstimate(values=tuple(seq), requested=n_max, subadditive_ok=check_subadditive(seq))
-        for seq in values
-    ]
+    return [EntropyEstimate(values=tuple(seq), requested=n_max) for seq in values]
 
 
 def relative_entropy_sequence(

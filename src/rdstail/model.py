@@ -343,18 +343,10 @@ class PairSystem:
 
 
 def pair_system(t: BundleRDS) -> PairSystem:
-    """Squared system: fibers are ordered pairs from one fiber, the same fiber
-    map applied to both coordinates.  The diagonal is forward-invariant."""
-    fibers = tuple(
-        frozenset((x, y) for x in t.fibers[w] for y in t.fibers[w]) for w in range(t.size)
-    )
-    maps = tuple(
-        {(x, y): (t.apply(w, x), t.apply(w, y)) for (x, y) in fibers[w]} for w in range(t.size)
-    )
-    system = BundleRDS(base=t.base, fibers=fibers, maps=maps, space=_product_space(t.space, t.space))
-    first = FactorMap(system, t, tuple({(x, y): x for (x, y) in fibers[w]} for w in range(t.size)))
-    second = FactorMap(system, t, tuple({(x, y): y for (x, y) in fibers[w]} for w in range(t.size)))
-    return PairSystem(system=system, factor=t, first=first, second=second)
+    """Squared system: the product of the system with itself, fibers the
+    ordered pairs from one fiber.  The diagonal is forward-invariant."""
+    square = product_system(t, t)
+    return PairSystem(system=square.system, factor=t, first=square.to_left, second=square.to_right)
 
 
 def induced_pair_factor(pi: FactorMap, source_pair: PairSystem, target_pair: PairSystem) -> FactorMap:

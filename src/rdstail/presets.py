@@ -9,13 +9,18 @@ one-liners.
 
 ``cycle_system``: a single base point whose fiber is one four-cycle; the
 canonical positive-recurrence example with a unique invariant measure.
+
+``extend_with_tags``: an extension is a product, the input system times a
+tag system over the same base, built by :func:`rdstail.model.product_system`
+like every other derived pair system; its projection is the product's left
+coordinate map.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .model import BundleRDS, DrivingSystem, FactorMap, MetricSpace
+from .model import BundleRDS, DrivingSystem, FactorMap, MetricSpace, product_system
 
 
 def swap_system(with_metric: bool = True) -> BundleRDS:
@@ -43,31 +48,16 @@ def one_point_system(base: DrivingSystem) -> BundleRDS:
 
 
 def extend_with_tags(rds: BundleRDS, tags: int, rotate: bool) -> FactorMap:
-    """Extension with fibers ``fiber x {t0..t_{tags-1}}``; the tag coordinate
-    is either frozen or cyclically rotated each step.  Returns the projection
-    factor map from the extension onto the input system."""
+    """Extension with fibers ``fiber x {t0..t_{tags-1}}``: the product with a
+    tag system whose tag is either frozen or cyclically rotated each step,
+    under the discrete tag metric.  Returns the projection factor map from
+    the extension onto the input system."""
     names = tuple(f"t{i}" for i in range(tags))
-    fibers = tuple(
-        frozenset((x, t) for x in rds.fibers[w] for t in names) for w in range(rds.size)
+    step = {t: names[(i + 1) % tags] if rotate else t for i, t in enumerate(names)}
+    tag_system = BundleRDS(
+        base=rds.base,
+        fibers=tuple(frozenset(names) for _ in range(rds.size)),
+        maps=tuple(step for _ in range(rds.size)),
+        space=MetricSpace.discrete(names),
     )
-
-    def step(t: str) -> str:
-        if not rotate:
-            return t
-        return names[(names.index(t) + 1) % tags]
-
-    maps = tuple(
-        {(x, t): (rds.apply(w, x), step(t)) for (x, t) in fibers[w]} for w in range(rds.size)
-    )
-    space = None
-    if rds.space is not None:
-        pts = tuple((x, t) for x in rds.space.points for t in names)
-        dist = {
-            ((x, t), (y, u)): max(rds.space.d(x, y), Fraction(0) if t == u else Fraction(1))
-            for (x, t) in pts
-            for (y, u) in pts
-        }
-        space = MetricSpace(pts, dist)
-    source = BundleRDS(base=rds.base, fibers=fibers, maps=maps, space=space)
-    proj = tuple({(x, t): x for (x, t) in fibers[w]} for w in range(rds.size))
-    return FactorMap(source=source, target=rds, maps=proj)
+    return product_system(rds, tag_system).to_left

@@ -30,7 +30,7 @@ from typing import Iterator
 
 from .errors import PreconditionError
 from .model import DrivingSystem
-from .tail_entropy import EntropyEstimate, check_subadditive
+from .tail_entropy import EntropyEstimate
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -197,6 +197,4 @@ def sft_tail_sequence(
     weights = [float(sft.base.prob[w]) for w in points]
     logs = [[log(count) for count in _depth_counts(sft, r_spec, q_spec, n_max, w)] for w in points]
     values = [sum(p * term for p, term in zip(weights, column)) for column in zip(*logs)]
-    return EntropyEstimate(
-        values=tuple(values), requested=n_max, subadditive_ok=check_subadditive(values)
-    )
+    return EntropyEstimate(values=tuple(values), requested=n_max)

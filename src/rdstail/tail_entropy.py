@@ -13,7 +13,7 @@ module tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from operator import add, gt
 from typing import Sequence
@@ -34,11 +34,15 @@ class EntropyEstimate:
     ``values[k]`` is the term at depth ``k+1``.  ``requested`` records the
     depth that was asked for; shorter ``values`` mean a budget stopped the
     computation early (the honest depth reached is ``n_max``).
+    ``subadditive_ok`` is :func:`check_subadditive` of ``values``.
     """
 
     values: tuple[float, ...]
     requested: int
-    subadditive_ok: bool = True
+    subadditive_ok: bool = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "subadditive_ok", check_subadditive(self.values))
 
     @property
     def n_max(self) -> int:
@@ -56,12 +60,6 @@ class EntropyEstimate:
     def value(self) -> float:
         """The certified upper bracket at the deepest computed level."""
         return self.running_inf[-1]
-
-    @classmethod
-    def from_values(cls, values: Sequence[float], requested: int | None = None) -> "EntropyEstimate":
-        vals = tuple(float(v) for v in values)
-        return cls(values=vals, requested=len(vals) if requested is None else requested,
-                   subadditive_ok=check_subadditive(vals))
 
 
 def check_subadditive(values: Sequence[float], tol: float = TOL) -> bool:
@@ -118,9 +116,7 @@ def tail_entropy_estimate(
     except BudgetExceededError:
         if not values:
             raise
-    return EntropyEstimate(
-        values=tuple(values), requested=n_max, subadditive_ok=check_subadditive(values)
-    )
+    return EntropyEstimate(values=tuple(values), requested=n_max)
 
 
 def cover_conditional_entropy(

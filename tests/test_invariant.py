@@ -35,12 +35,34 @@ from rdstail import (
     trivial_cover,
     vertex_enumeration,
 )
-from rdstail.invariant import _cycle_structure, _separation_at_least_one, _uniform_on_cycle, terminal_cycles
+from rdstail.invariant import _cycle_structure, terminal_cycles
 from rdstail.model import sort_points
 from rdstail.verify import _rng, random_cover, random_driving, random_measure, random_partition, random_system
 
 SWAP = swap_system()
 CYCLE = cycle_system()
+
+
+def _uniform_on_cycle(rds, cycle):
+    """Oracle: the uniform measure on one skew cycle, as ``vertex_enumeration``
+    built it before its vertices went through the measures accumulator."""
+    acc = [{} for _ in range(rds.size)]
+    share = Fraction(1, len(cycle))
+    for w, x in cycle:
+        acc[w][x] = acc[w].get(x, Fraction(0)) + share
+    return FiberedMeasure(tuple(acc))
+
+
+def _separation_at_least_one(rds, omega, x, y, n, deltas):
+    """Oracle: the orbit-distance walk the separated-set scan used before it
+    tested Bowen-ball membership; true when some step reaches its radius."""
+    space = rds.space
+    xi, yi, w = x, y, omega
+    for _ in range(n):
+        if space.d(xi, yi) >= deltas[w]:
+            return True
+        xi, yi, w = rds.apply(w, xi), rds.apply(w, yi), rds.base.theta[w]
+    return False
 
 
 def test_invariance_defect_cases():
@@ -370,6 +392,69 @@ def test_separated_choice_matches_subcover_scan():
         se = separated_empirical(rds, p, q, n, delta)
         got = (se.chosen, se.anchors, se.separated, se.counts, se.atoms_isolate_separated)
         assert got == separated_choice_by_subcovers(rds, p, q, n, delta), trial
+
+
+def test_separation_is_leaving_a_bowen_ball():
+    # per-base radii, n = 0 included (nothing is separated, every ball is the fiber)
+    radii = [Fraction(1, 2), Fraction(1), Fraction(9, 8), Fraction(3, 2), Fraction(2), Fraction(5, 2)]
+    for trial in range(80):
+        rng = _rng(67, trial)
+        rds = random_system(rng, max_fiber=5, with_metric=True)
+        n, deltas = rng.randint(0, 3), [rng.choice(radii) for _ in range(rds.size)]
+        for w in range(rds.size):
+            for y in rds.fibers[w]:
+                ball = bowen_ball(rds, w, y, n, deltas)
+                for x in rds.fibers[w]:
+                    assert _separation_at_least_one(rds, w, x, y, n, deltas) == (x not in ball), trial
+        p, q = (rng.choice([random_cover, random_partition])(rng, rds) for _ in range(2))
+        n = max(n, 1)
+        se = separated_empirical(rds, p, q, n, deltas)
+        for w in range(rds.size):
+            sep = []
+            for x in sort_points(se.chosen[w]):
+                if all(_separation_at_least_one(rds, w, x, y, n, deltas) for y in sep):
+                    sep.append(x)
+            assert se.separated[w] == tuple(sep), trial
+
+
+def cesaro_limit_by_loop(nu, rds):
+    """Oracle: the Cesaro limit with its own accumulation loop."""
+    cycles, terminal = _cycle_structure(rds)
+    acc = [{} for _ in range(rds.size)]
+    for w in range(rds.size):
+        for x, v in nu.weights[w].items():
+            if v == 0:
+                continue
+            cycle = cycles[terminal[(w, x)]]
+            for cw, cx in cycle:
+                acc[cw][cx] = acc[cw].get(cx, Fraction(0)) + v / len(cycle)
+    return FiberedMeasure(tuple(acc))
+
+
+def uniform_lift_by_loop(pi, mu):
+    """Oracle: the uniform lift that ``lift_invariant`` projects, with its own
+    accumulation loop."""
+    acc = [{} for _ in range(pi.source.size)]
+    for w in range(pi.source.size):
+        for x, v in mu.weights[w].items():
+            if v == 0:
+                continue
+            pre = sort_points(pi.preimage(w, x))
+            for y in pre:
+                acc[w][y] = acc[w].get(y, Fraction(0)) + v / len(pre)
+    return FiberedMeasure(tuple(acc))
+
+
+def test_cesaro_and_lift_match_their_loops():
+    for trial in range(100):
+        rng = _rng(79, trial)
+        rds = random_system(rng, max_fiber=4)
+        nu = mix([(Fraction(1, 2), random_measure(rng, rds, denom=2)) for _ in range(2)])
+        assert cesaro_limit(nu, rds).weights == cesaro_limit_by_loop(nu, rds).weights, trial
+        pi = extend_with_tags(rds, tags=rng.randint(1, 3), rotate=rng.random() < 0.5)
+        mu = cesaro_limit(nu, rds)
+        want = cesaro_limit_by_loop(uniform_lift_by_loop(pi, mu), pi.source)
+        assert lift_invariant(pi, mu).weights == want.weights, trial
 
 
 def test_diagonal_measure_on_cycle():

@@ -51,7 +51,6 @@ from rdstail import (
 )
 from rdstail.covers import pullback_cover
 from rdstail.measures import defect_from_sequences, sigma_backward_compatible
-from rdstail.tail_entropy import check_subadditive
 from rdstail.verify import _rng, random_driving, random_measure, random_partition, random_system
 
 SWAP = swap_system()
@@ -191,7 +190,7 @@ def relative_entropy_sequence_per_measure(mu, r, s, rds, n_max, budgets=Budgets(
     if not sigma_backward_compatible(s, rds):
         raise PreconditionError("backward_compatible_algebra", "pullback of the algebra escapes it")
     values = [conditional_entropy(mu, rn, s) for rn in iterate_covers(r, rds, n_max, budgets)]
-    return EntropyEstimate(values=tuple(values), requested=n_max, subadditive_ok=check_subadditive(values))
+    return EntropyEstimate(values=tuple(values), requested=n_max)
 
 
 def _outcome(fn):
@@ -332,9 +331,9 @@ def test_defect_diagnostics_ignore_far_members():
     m = FiberedMeasure.uniform(SWAP)
     far = FiberedMeasure(({"a": Fraction(1, 2)}, {"c": Fraction(1, 2)}))
     assert total_variation(far, m) > 0
-    base_seq = EntropyEstimate.from_values([0.125, 0.25, 0.375])
-    near_seq = EntropyEstimate.from_values([0.5, 0.25, 0.375])  # ratios 1/2, 1/8, 1/8
-    far_seq = EntropyEstimate.from_values([0.25, 1.0, 0.75])  # ratios 1/4, 1/2, 1/4
+    base_seq = EntropyEstimate(values=(0.125, 0.25, 0.375), requested=3)
+    near_seq = EntropyEstimate(values=(0.5, 0.25, 0.375), requested=3)  # ratios 1/2, 1/8, 1/8
+    far_seq = EntropyEstimate(values=(0.25, 1.0, 0.75), requested=3)  # ratios 1/4, 1/2, 1/4
     got = defect_from_sequences(m, base_seq, [m, far], [near_seq, far_seq], Fraction(0))
     assert got == DefectEstimate(value=0.0, raw=0.0, truncated=(0.375, 0.0, 0.0), neighborhood_empty=False)
     # with the far member inside the radius its columns count
@@ -448,3 +447,79 @@ def test_total_variation_convention():
     a = FiberedMeasure(({"a": Fraction(1, 2)}, {"c": Fraction(1, 2)}))
     b = FiberedMeasure(({"b": Fraction(1, 2)}, {"c": Fraction(1, 2)}))
     assert total_variation(a, b) == 1
+
+
+# Oracles: the per-function accumulation loops that the measures accumulator
+# replaced.  The pushforwards skip zero masses; a mixture keeps them.
+
+
+def mix_by_loop(parts):
+    size = parts[0][1].size
+    acc = [{} for _ in range(size)]
+    for coeff, mu in parts:
+        for w in range(size):
+            for x, v in mu.weights[w].items():
+                acc[w][x] = acc[w].get(x, Fraction(0)) + Fraction(coeff) * v
+    return FiberedMeasure(tuple(acc))
+
+
+def skew_pushforward_by_loop(mu, rds):
+    acc = [{} for _ in range(rds.size)]
+    for w in range(rds.size):
+        wn = rds.base.theta[w]
+        for x, v in mu.weights[w].items():
+            if v == 0:
+                continue
+            y = rds.apply(w, x)
+            acc[wn][y] = acc[wn].get(y, Fraction(0)) + v
+    return FiberedMeasure(tuple(acc))
+
+
+def pushforward_measure_by_loop(pi, mu):
+    acc = [{} for _ in range(pi.source.size)]
+    for w in range(pi.source.size):
+        for y, v in mu.weights[w].items():
+            if v == 0:
+                continue
+            x = pi.apply(w, y)
+            acc[w][x] = acc[w].get(x, Fraction(0)) + v
+    return FiberedMeasure(tuple(acc))
+
+
+def measures_equal_by_loop(a, b):
+    if a.size != b.size:
+        return False
+    for wa, wb in zip(a.weights, b.weights):
+        for x in set(wa) | set(wb):
+            if wa.get(x, Fraction(0)) != wb.get(x, Fraction(0)):
+                return False
+    return True
+
+
+def stored(mu):
+    """Every stored key with its mass, zeros included, in storage order."""
+    return [list(w.items()) for w in mu.weights]
+
+
+def test_accumulator_matches_per_function_loops():
+    zeros_kept = 0
+    for trial in range(100):
+        rng = _rng(89, trial)
+        rds = random_system(rng, max_fiber=4)
+        pi = extend_with_tags(rds, tags=rng.randint(1, 3), rotate=rng.random() < 0.5)
+        # small denominators store many zero masses
+        mus = [random_measure(rng, rds, denom=2) for _ in range(rng.randint(1, 3))]
+        parts = [(Fraction(rng.randint(0, 3), 3), mu) for mu in mus]
+        mixed = mix(parts)
+        assert stored(mixed) == stored(mix_by_loop(parts)), trial
+        zeros_kept += sum(v == 0 for w in mixed.weights for v in w.values())
+        for mu in (*mus, mixed):
+            assert stored(skew_pushforward(mu, rds)) == stored(skew_pushforward_by_loop(mu, rds)), trial
+        up = mix([(Fraction(1, 2), random_measure(rng, pi.source, denom=2)) for _ in range(2)])
+        assert stored(pushforward_measure(pi, up)) == stored(pushforward_measure_by_loop(pi, up)), trial
+        nonzero = FiberedMeasure(tuple({x: v for x, v in w.items() if v} for w in mus[0].weights))
+        longer = FiberedMeasure((*mus[0].weights, {}))
+        for b in (mixed, nonzero, longer, up, skew_pushforward(mus[0], rds)):
+            assert measures_equal(mus[0], b) == measures_equal_by_loop(mus[0], b), trial
+        assert measures_equal(mus[0], nonzero) and not measures_equal(mus[0], longer)
+    assert zeros_kept  # the mixtures did store zeros

@@ -8,9 +8,11 @@ from rdstail import (
     BundleRDS,
     DomainError,
     DrivingSystem,
+    FactorMap,
     MetricSpace,
     canonical_projections,
     cycle_system,
+    extend_with_tags,
     identity_factor,
     induced_pair_factor,
     one_point_system,
@@ -21,6 +23,7 @@ from rdstail import (
     swap_system,
     validate_system,
 )
+from rdstail.verify import _rng, random_system
 
 
 def test_driving_system_rejects_bad_mass():
@@ -174,3 +177,73 @@ def test_metric_space_validation():
         ],
     )
     assert any("triangle" in v for v in skinny.validate())
+
+
+def pair_system_by_hand(t):
+    """Oracle: the squared system as it was built before it became
+    ``product_system(t, t)``."""
+    fibers = tuple(frozenset((x, y) for x in t.fibers[w] for y in t.fibers[w]) for w in range(t.size))
+    maps = tuple({(x, y): (t.apply(w, x), t.apply(w, y)) for (x, y) in fibers[w]} for w in range(t.size))
+    space = None
+    if t.space is not None:
+        pts = tuple((a, b) for a in t.space.points for b in t.space.points)
+        space = MetricSpace(pts, {(p, q): max(t.space.d(p[0], q[0]), t.space.d(p[1], q[1])) for p in pts for q in pts})
+    system = BundleRDS(base=t.base, fibers=fibers, maps=maps, space=space)
+    first = FactorMap(system, t, tuple({(x, y): x for (x, y) in fibers[w]} for w in range(t.size)))
+    second = FactorMap(system, t, tuple({(x, y): y for (x, y) in fibers[w]} for w in range(t.size)))
+    return system, first, second
+
+
+def extend_with_tags_by_hand(rds, tags, rotate):
+    """Oracle: the tag extension with its hand-built tag metric, as it was
+    built before it became a product with a tag system."""
+    names = tuple(f"t{i}" for i in range(tags))
+    fibers = tuple(frozenset((x, t) for x in rds.fibers[w] for t in names) for w in range(rds.size))
+
+    def step(t):
+        return names[(names.index(t) + 1) % tags] if rotate else t
+
+    maps = tuple({(x, t): (rds.apply(w, x), step(t)) for (x, t) in fibers[w]} for w in range(rds.size))
+    space = None
+    if rds.space is not None:
+        pts = tuple((x, t) for x in rds.space.points for t in names)
+        dist = {
+            ((x, t), (y, u)): max(rds.space.d(x, y), Fraction(0) if t == u else Fraction(1))
+            for (x, t) in pts
+            for (y, u) in pts
+        }
+        space = MetricSpace(pts, dist)
+    source = BundleRDS(base=rds.base, fibers=fibers, maps=maps, space=space)
+    return FactorMap(source=source, target=rds, maps=tuple({(x, t): x for (x, t) in fibers[w]} for w in range(rds.size)))
+
+
+def assert_same_system(got, want):
+    assert got.base == want.base
+    assert got.fibers == want.fibers
+    assert got.maps == want.maps
+    if want.space is None:
+        assert got.space is None
+    else:
+        assert got.space.points == want.space.points
+        assert got.space.dist == want.space.dist
+
+
+def assert_same_factor(got, want):
+    assert_same_system(got.source, want.source)
+    assert got.target is want.target
+    assert got.maps == want.maps
+
+
+def test_pair_and_tag_products_match_hand_built_systems():
+    for trial in range(120):
+        rng = _rng(71, trial)
+        rds = random_system(rng, max_fiber=4, with_metric=trial % 2 == 0)
+        pair = pair_system(rds)
+        system, first, second = pair_system_by_hand(rds)
+        assert_same_system(pair.system, system)
+        assert pair.factor is rds
+        assert_same_factor(pair.first, first)
+        assert_same_factor(pair.second, second)
+        for tags in (1, 2, 3):
+            for rotate in (False, True):
+                assert_same_factor(extend_with_tags(rds, tags, rotate), extend_with_tags_by_hand(rds, tags, rotate))

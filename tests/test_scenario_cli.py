@@ -535,6 +535,68 @@ def test_cli_budget_exits_3_with_partial_artifacts(tmp_path):
         assert artifact in manifest["outputs"], label
     est = json.loads(read(tmp_path / "tail", "tail.json"))
     assert (est["n_max"], est["requested"]) == (1, 6)
+    # a stopped entropy sequence keeps the depths before the offending one
+    out = tmp_path / "entropy"
+    argv = ["entropy", "--scenario", scenario_path("cycle4"), "--mu", "spread", "--r", "points", "--sigma", "@states"]
+    assert main(["--budget", "cover_elements=2", *argv, "--nmax", "6", "--out", str(out)]) == 3
+    manifest = json.loads(read(out, "manifest.json"))
+    assert "depth n=2" in manifest["error"]
+    assert {"entropy.csv", "entropy.json"} <= set(manifest["outputs"])
+    est = json.loads(read(out, "entropy.json"))
+    assert (est["n_max"], est["requested"]) == (1, 6)
+    rows = read(out, "entropy.csv").splitlines()[1:]
+    assert [row.split(",")[4] for row in rows] == ["1"]
+    # on an eight-cycle the halves refine to 2n arcs, so 4 elements stop depth 3
+    pts = [f"p{i}" for i in range(8)]
+    ring = {
+        "schema_version": 1,
+        "driving_systems": {"still": {"prob": ["1"], "theta": [0]}},
+        "systems": {"ring": {"base": "still", "fibers": [pts], "maps": [{x: pts[(i + 1) % 8] for i, x in enumerate(pts)}]}},
+        "covers": {"halves": {"system": "ring", "partition": True, "elements": [[pts[:4]], [pts[4:]]]}},
+        "measures": {"spread": {"system": "ring", "weights": [{x: "1/8" for x in pts}]}},
+    }
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(ring))
+    argv = ["entropy", "--scenario", str(path), "--mu", "spread", "--r", "halves", "--sigma", "@fibers"]
+    out = tmp_path / "ring"
+    assert main(["--budget", "cover_elements=4", *argv, "--nmax", "6", "--out", str(out)]) == 3
+    assert "depth n=3" in json.loads(read(out, "manifest.json"))["error"]
+    est = json.loads(read(out, "entropy.json"))
+    assert (est["n_max"], est["requested"]) == (2, 6)
+    assert main([*argv, "--nmax", "2", "--out", str(tmp_path / "ring2")]) == 0
+    assert json.loads(read(tmp_path / "ring2", "entropy.json"))["values"] == est["values"]
+
+
+def test_cli_rejects_covers_of_two_systems(tmp_path):
+    # "back" shares loop's base and fiber and runs the cycle backwards; the
+    # first cover named fixes the system and every later one must live on it
+    with open(scenario_path("cycle4")) as fh:
+        data = json.load(fh)
+    data["systems"]["back"] = {**data["systems"]["loop"], "maps": [{"p0": "p3", "p1": "p0", "p2": "p1", "p3": "p2"}]}
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(data))
+    common = ["--scenario", str(path), "--system", "back", "--n", "2"]
+    bad = {
+        "diagonal": ["construct", "--diagonal", "--p", "points", "--q", "@points", "--delta", "1"],
+        "q-chain": ["construct", "--diagonal", "--p", "@points,@points", "--q", "@points,points", "--delta", "1"],
+        "separated": ["construct", "--separated", "--p", "@points", "--q", "points", "--delta", "1"],
+        "count": ["count", "--r", "@points", "--q", "points"],
+    }
+    for label, argv in bad.items():
+        out = tmp_path / label
+        assert main([*argv, *common, "--out", str(out)]) == 2, label
+        manifest = json.loads(read(out, "manifest.json"))
+        assert manifest["error"] == "covers live on different systems", label
+        assert manifest["outputs"] == {}, label
+    out = tmp_path / "tail-total"
+    argv = ["tail-total", "--scenario", str(path), "--system", "back", "--qfamily", "@points,points"]
+    assert main([*argv, "--rfamily", "@points", "--nmax", "2", "--out", str(out)]) == 2
+    assert json.loads(read(out, "manifest.json"))["error"] == "covers live on different systems"
+    # the same chains run when every name lives on the system the first fixes
+    out = tmp_path / "one-system"
+    argv = ["construct", "--diagonal", "--p", "@points,points", "--q", "@points,points", "--delta", "1"]
+    assert main([*argv, "--scenario", str(path), "--system", "loop", "--n", "2", "--out", str(out)]) == 0
+    assert {row.split(",")[0] for row in read(out, "diagonal.csv").splitlines()[1:]} == {"loop"}
 
 
 def test_cli_reruns_are_byte_identical(tmp_path):

@@ -68,7 +68,7 @@ def test_estimate_running_inf_nonincreasing():
 
 
 def test_synthetic_linear_sequence():
-    est = EntropyEstimate.from_values([n * math.log(2) for n in range(1, 9)])
+    est = EntropyEstimate(values=tuple(n * math.log(2) for n in range(1, 9)), requested=8)
     assert est.subadditive_ok
     assert all(abs(r - math.log(2)) <= TOL for r in est.running_inf)
 
@@ -83,7 +83,7 @@ def test_fekete_bracket_equals_min_ratio_on_synthetic():
             for i in range(1, n):
                 best = min(best, vals[i - 1] + vals[n - i - 1])
             vals.append(best)
-        est = EntropyEstimate.from_values(vals)
+        est = EntropyEstimate(values=tuple(vals), requested=len(vals))
         assert est.subadditive_ok
         assert est.value == min(est.ratios)
 
