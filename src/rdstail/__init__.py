@@ -98,7 +98,6 @@ from .model import (
     DrivingSystem,
     FactorMap,
     MetricSpace,
-    PairSystem,
     ProductSystem,
     canonical_projections,
     identity_factor,

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Callable, TypeVar
 
 from . import __version__
 from .budgets import Budgets, from_env, parse_overrides
@@ -40,6 +41,8 @@ from .scenario import Scenario, ScenarioError, load_scenario, measure_payload
 from .symbolic import CylinderCoverSpec, RandomSFT, sft_tail_sequence
 from .tail_entropy import EntropyEstimate, tail_entropy_estimate
 from .verify import run_suite
+
+T = TypeVar("T")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -70,6 +73,8 @@ class _Run:
         self.scenario_digest = scenario_digest
         self.files: dict[str, bytes] = {}
         self.error: str | None = None
+        # the budget stop behind partial artifacts; main exits with its code
+        self.stop: BudgetExceededError | None = None
 
     def add_json(self, name: str, payload) -> None:
         self.files[name] = (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
@@ -103,40 +108,39 @@ class _Run:
             fh.write((json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode())
 
 
-def _resolve_cover(sc: Scenario, name: str, system: str | None) -> tuple[RandomCover, BundleRDS, str]:
+def _resolve_cover(sc: Scenario, name: str, system: str | None) -> tuple[RandomCover, str]:
     if name.startswith("@"):
         if name not in _BUILTINS:
             raise ScenarioError(f"unknown builtin cover {name!r} (have {sorted(_BUILTINS)})")
         if system is None:
             raise ScenarioError(f"builtin cover {name!r} needs --system")
-        if system not in sc.systems:
-            raise ScenarioError(f"unknown system {system!r}")
-        rds = sc.systems[system]
-        return _BUILTINS[name](rds), rds, system
+        return _BUILTINS[name](sc.systems[system]), system
     if name not in sc.covers:
         raise ScenarioError(f"unknown cover {name!r}")
-    return sc.covers[name], sc.system_of_cover(name), sc.cover_system[name]
+    return sc.covers[name], sc.cover_system[name]
 
 
 def _resolve_covers(
     sc: Scenario, names: list[str], system: str | None
 ) -> tuple[list[RandomCover], BundleRDS, str]:
-    """Covers named in order on one system: the first name fixes the system
-    (``system`` serves a leading builtin), and every later name must live on
-    it."""
-    covers, rds = [], None
+    """Covers named in order on one system: ``system`` when given, else the
+    system of the first name.  Builtins are built on it, and every scenario
+    cover must live on it."""
+    if system is not None and system not in sc.systems:
+        raise ScenarioError(f"unknown system {system!r}")
+    covers = []
     for name in names:
-        cover, c_rds, c_sys = _resolve_cover(sc, name, system)
-        if rds is None:
-            rds, system = c_rds, c_sys
-        elif c_rds is not rds:
+        cover, c_sys = _resolve_cover(sc, name, system)
+        if system is None:
+            system = c_sys
+        elif c_sys != system:
             raise ScenarioError("covers live on different systems")
         covers.append(cover)
-    return covers, rds, system
+    return covers, sc.systems[system], system
 
 
 def _resolve_sigma(sc: Scenario, name: str, system_name: str) -> SigmaAlgebra:
-    cover, _, sysname = _resolve_cover(sc, name, system_name)
+    cover, sysname = _resolve_cover(sc, name, system_name)
     if sysname != system_name:
         raise ScenarioError(f"sigma algebra {name!r} lives on {sysname!r}, expected {system_name!r}")
     if not isinstance(cover, RandomPartition):
@@ -153,27 +157,32 @@ def _estimate_rows(names: dict[str, str], est: EntropyEstimate) -> tuple[list[st
     return header, rows
 
 
-def _estimate_payload(est: EntropyEstimate) -> dict:
+def _estimate_payload(est: EntropyEstimate, requested: int) -> dict:
+    """The estimate with the depth asked for on the command line, which
+    exceeds ``n_max`` when a budget stopped the sweep."""
     return {
         "values": list(est.values),
         "ratios": list(est.ratios),
         "running_inf": list(est.running_inf),
         "n_max": est.n_max,
-        "requested": est.requested,
+        "requested": requested,
         "subadditive_ok": est.subadditive_ok,
         "value": est.value,
     }
 
 
-def _estimate_exit(run: _Run, ests: list[EntropyEstimate]) -> int:
-    """A budget that stopped an estimate short of the requested depth exits
-    with the budget code, and the manifest says how deep it got."""
-    short = next((est for est in ests if est.n_max < est.requested), None)
-    if short is None:
-        return EXIT_OK
-    run.error = f"a budget stopped the estimate at depth {short.n_max} of {short.requested} requested"
-    print(f"budget exceeded: {run.error}", file=sys.stderr)
-    return EXIT_BUDGET
+def _depths(run: _Run, sweep: Callable[[int], T], n: int) -> T:
+    """``sweep(n)``, or, when a budget stops it at depth k, ``sweep(k - 1)``
+    with the stop recorded on the run, so that the completed depths are
+    still written before :func:`main` exits with the budget code.  Depth 1
+    is never budget-checked, so a stopped sweep keeps at least one depth."""
+    while True:
+        try:
+            return sweep(n)
+        except BudgetExceededError as exc:
+            # a shorter sweep may stop earlier on another cover of a family
+            run.stop = exc
+            n = exc.depth - 1
 
 
 def _measure_rows(scenario: str, name: str, mu: FiberedMeasure) -> tuple[list[str], list[list]]:
@@ -298,25 +307,21 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
 
     if name == "count":
         (r, q), rds, sysname = _resolve_covers(sc, [args.r, args.q], args.system)
-        rows, stop = [], None
-        try:
-            for prof in count_profiles(rds, r, q, args.n, budgets):
-                rows.extend([sysname, args.r, args.q, w, prof.depth, c] for w, c in enumerate(prof.per_omega))
-        except BudgetExceededError as exc:
-            stop = exc  # the depths that completed are still written
+        profiles = _depths(run, lambda n: list(count_profiles(rds, r, q, n, budgets)), args.n)
+        rows = [
+            [sysname, args.r, args.q, w, prof.depth, c] for prof in profiles for w, c in enumerate(prof.per_omega)
+        ]
         run.add_csv("count.csv", ["system", "r", "q", "omega", "n", "relative_count"], rows)
-        run.add_json("count.json", {"rows": [[*row] for row in rows]})
-        if stop is not None:
-            raise stop
+        run.add_json("count.json", {"rows": rows})
         return EXIT_OK
 
     if name == "tail":
         (r, q), rds, sysname = _resolve_covers(sc, [args.r, args.q], args.system)
-        est = tail_entropy_estimate(rds, r, q, args.nmax, budgets)
+        est = _depths(run, lambda n: tail_entropy_estimate(rds, r, q, n, budgets), args.nmax)
         header, rows = _estimate_rows({"system": sysname, "r": args.r, "q": args.q}, est)
         run.add_csv("tail.csv", header, rows)
-        run.add_json("tail.json", _estimate_payload(est))
-        return _estimate_exit(run, [est])
+        run.add_json("tail.json", _estimate_payload(est, args.nmax))
+        return EXIT_OK
 
     if name == "tail-total":
         q_names = [s for s in args.qfamily.split(",") if s]
@@ -325,17 +330,16 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
             raise ScenarioError("families must be nonempty")
         covers, rds, sysname = _resolve_covers(sc, q_names + r_names, args.system)
         q_fam, r_fam = covers[: len(q_names)], covers[len(q_names) :]
+
+        def grid(n: int) -> list[list[float]]:
+            return [[tail_entropy_estimate(rds, r, q, n, budgets).value for r in r_fam] for q in q_fam]
+
+        values = _depths(run, grid, args.nmax)
         # the total is the min over q of the max over r of the row values
-        rows, per_q, all_ests = [], [], []
-        for nm, q in zip(q_names, q_fam):
-            ests = [tail_entropy_estimate(rds, r, q, args.nmax, budgets) for r in r_fam]
-            rows.extend([sysname, nm, rn, args.nmax, est.value] for rn, est in zip(r_names, ests))
-            per_q.append(max(est.value for est in ests))
-            all_ests.extend(ests)
-        value = min(per_q)
+        rows = [[sysname, qn, rn, args.nmax, v] for qn, vs in zip(q_names, values) for rn, v in zip(r_names, vs)]
         run.add_csv("tail_total.csv", ["system", "q", "r", "n_max", "tail_estimate"], rows)
-        run.add_json("tail_total.json", {"value": value, "n_max": args.nmax})
-        return _estimate_exit(run, all_ests)
+        run.add_json("tail_total.json", {"value": min(map(max, values)), "n_max": args.nmax})
+        return EXIT_OK
 
     if name == "sft-tail":
         if args.sft not in sc.sfts:
@@ -344,7 +348,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
         est = sft_tail_sequence(sft, _parse_cylinder_spec(args.rspec, sft), _parse_cylinder_spec(args.qspec, sft), args.nmax)
         header, rows = _estimate_rows({"sft": args.sft, "rspec": args.rspec, "qspec": args.qspec}, est)
         run.add_csv("sft_tail.csv", header, rows)
-        run.add_json("sft_tail.json", _estimate_payload(est))
+        run.add_json("sft_tail.json", _estimate_payload(est, args.nmax))
         return EXIT_OK
 
     if name == "entropy":
@@ -352,10 +356,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
             raise ScenarioError(f"unknown measure {args.mu!r}")
         mu = sc.measures[args.mu]
         sysname = sc.measure_system[args.mu]
-        rds = sc.systems[sysname]
-        (r,), rds_r, _ = _resolve_covers(sc, [args.r], sysname)
-        if rds_r is not rds:
-            raise ScenarioError("partition lives on a different system than the measure")
+        (r,), rds, _ = _resolve_covers(sc, [args.r], sysname)
         if not isinstance(r, RandomPartition):
             raise ScenarioError(f"--r {args.r!r} must be a partition")
         sigma = _resolve_sigma(sc, args.sigma, sysname)
@@ -368,20 +369,10 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
             )
             run.add_json("entropy.json", {"conditional_entropy": value})
             return EXIT_OK
-        stop = None
-        try:
-            est = relative_entropy_sequence(mu, r, sigma, rds, args.nmax, budgets)
-        except BudgetExceededError as exc:
-            # the depths before the offending one are still written; depth 1
-            # is never budget-checked, so there is at least one
-            stop = exc
-            partial = relative_entropy_sequence(mu, r, sigma, rds, exc.depth - 1, budgets)
-            est = EntropyEstimate(values=partial.values, requested=args.nmax)
+        est = _depths(run, lambda n: relative_entropy_sequence(mu, r, sigma, rds, n, budgets), args.nmax)
         header, rows = _estimate_rows({"system": sysname, "mu": args.mu, "r": args.r, "sigma": args.sigma}, est)
         run.add_csv("entropy.csv", header, rows)
-        run.add_json("entropy.json", _estimate_payload(est))
-        if stop is not None:
-            raise stop
+        run.add_json("entropy.json", _estimate_payload(est, args.nmax))
         return EXIT_OK
 
     if name == "invariant":
@@ -501,6 +492,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command != "verify":
             raise ScenarioError("this command needs --scenario")
         code = _dispatch(args, budgets, run, sc)
+        if run.stop is not None:
+            raise run.stop
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         run.error = str(exc)

@@ -11,16 +11,20 @@ and closed, so no open/closed distinction is tracked.
 
 Iterated covers are built on integer bitmasks: bit k of a section over base
 point w is the k-th point of ``sort_points(rds.fibers[w])``, so an element is
-one ``int`` per fiber and a join is a fiberwise ``&``.  One join loop,
-:func:`_mask_iterates`, builds every depth; the counts read its masks
-directly, and :func:`iterate_covers` decodes them into the same frozenset
-covers a fold of :func:`join` and :func:`pullback` gives.
+one ``int`` per fiber and a join is a fiberwise ``&``.  One generator,
+:func:`_mask_pullbacks`, pulls a cover back 0, 1, 2, ... steps by advancing
+every point's image one step per item; it is the only loop that walks the
+fiber maps for covers.  :func:`pullback` decodes one of its items, and one
+join fold over it, :func:`_mask_iterates`, builds every depth: the counts
+read its masks directly, and :func:`iterate_covers` decodes them into the
+same frozenset covers a fold of :func:`join` and :func:`pullback` gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from operator import and_
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -210,38 +214,6 @@ def sigma_join(s: SigmaAlgebra, t: SigmaAlgebra) -> SigmaAlgebra:
     return SigmaAlgebra(joined)
 
 
-def pullback(q: RandomCover, rds: BundleRDS, i: int) -> RandomCover:
-    """Pull every element back i dynamical steps: the section at a base point
-    is the i-step fiber-map preimage of the element's section at the i-step
-    image base point.  Partitions pull back to partitions."""
-    if i < 0:
-        raise ValueError("pullback steps must be nonnegative")
-    if q.size != rds.size:
-        raise IncompatibleSystemsError("cover does not span the system base")
-    if i == 0:
-        return q
-    # i-step image of every point and base point, computed once
-    targets = [rds.base.theta_iterate(w, i) for w in range(rds.size)]
-    forward: list[dict[Point, Point]] = []
-    for w in range(rds.size):
-        fw = {}
-        for x in rds.fibers[w]:
-            y, v = x, w
-            for _ in range(i):
-                y = rds.apply(v, y)
-                v = rds.base.theta[v]
-            fw[x] = y
-        forward.append(fw)
-    elems = (
-        tuple(
-            frozenset(x for x in rds.fibers[w] if forward[w][x] in e.sections[targets[w]])
-            for w in range(rds.size)
-        )
-        for e in q.elements
-    )
-    return _assemble(elems, partition=isinstance(q, RandomPartition), label=q.label)
-
-
 Masks = list[tuple[int, ...]]
 
 
@@ -265,27 +237,24 @@ def _distinct(elements: Iterable[tuple[int, ...]], empty: tuple[int, ...]) -> Ma
     return list(out)
 
 
-def _mask_iterates(q: RandomCover, rds: BundleRDS, n_max: int, budgets: Budgets = DEFAULTS) -> Iterator[Masks]:
-    """The depth-1..n_max refinements of ``q`` as lists of per-fiber mask
-    tuples, in the element order of :func:`iterate_covers`.
+def _mask_pullbacks(q: RandomCover, rds: BundleRDS, n: int) -> Iterator[Masks]:
+    """The 0..n-1-step pullbacks of ``q`` as lists of distinct per-fiber mask
+    tuples, in the element order of ``q``.
 
-    Depth i+1 joins depth i with the i-step pullback of ``q``, which reads
-    the bit of every point's i-step image; the images advance one step per
-    depth.  Raises :class:`DomainError` if a section of ``q`` leaves its
-    fiber and :class:`BudgetExceededError` with the offending depth when the
-    element count blows past ``budgets.cover_elements``.
+    The i-step pullback reads the bit of every point's i-step image; the
+    images advance one step per item.  Raises :class:`DomainError` if a
+    section of ``q`` leaves its fiber.
     """
-    if n_max < 1:
+    if n < 1:
         return
     if q.size != rds.size:
         raise IncompatibleSystemsError("cover does not span the system base")
     indices = [_fiber_index(f) for f in rds.fibers]
     empty = (0,) * rds.size
     base = _distinct(zip(*(_section_masks(q.sections(w), index, w) for w, index in enumerate(indices))), empty)
-    out = base
-    yield out
+    yield base
     images, targets = [sort_points(f) for f in rds.fibers], list(range(rds.size))
-    for i in range(1, n_max):
+    for i in range(1, n):
         images = [[rds.apply(v, y) for y in ys] for v, ys in zip(targets, images)]
         targets = [rds.base.theta[v] for v in targets]
         # per fiber: image bit -> mask of the points whose i-step image it is
@@ -297,16 +266,34 @@ def _mask_iterates(q: RandomCover, rds: BundleRDS, n_max: int, budgets: Budgets 
                 bit = indices[t].get(y, 0)
                 pre[bit] = pre.get(bit, 0) | 1 << k
             preimages.append(pre)
-        pulled = _distinct(
+        yield _distinct(
             (
                 tuple(sum(m for bit, m in pre.items() if bit & e[t]) for pre, t in zip(preimages, targets))
                 for e in base
             ),
             empty,
         )
+
+
+def _mask_iterates(q: RandomCover, rds: BundleRDS, n_max: int, budgets: Budgets = DEFAULTS) -> Iterator[Masks]:
+    """The depth-1..n_max refinements of ``q`` as lists of per-fiber mask
+    tuples, in the element order of :func:`iterate_covers`: depth i+1 joins
+    depth i with the i-step item of :func:`_mask_pullbacks`.
+
+    Raises :class:`DomainError` if a section of ``q`` leaves its fiber and
+    :class:`BudgetExceededError` with the offending depth when the element
+    count blows past ``budgets.cover_elements``.
+    """
+    pulls = _mask_pullbacks(q, rds, n_max)
+    out = next(pulls, None)
+    if out is None:
+        return
+    yield out
+    empty = (0,) * rds.size
+    for depth, pulled in enumerate(pulls, 2):
         out = _distinct((tuple(map(and_, a, b)) for a in out for b in pulled), empty)
         if len(out) > budgets.cover_elements:
-            raise BudgetExceededError("cover_elements", budgets.cover_elements, len(out), depth=i + 1)
+            raise BudgetExceededError("cover_elements", budgets.cover_elements, len(out), depth=depth)
         yield out
 
 
@@ -319,9 +306,9 @@ def _mask_iterate(q: RandomCover, rds: BundleRDS, n: int, budgets: Budgets = DEF
     return out
 
 
-def _decode(q: RandomCover, rds: BundleRDS, masks: Masks, n: int) -> RandomCover:
-    """The depth-n cover of ``q`` from its masks; a section that several
-    elements share is decoded once."""
+def _decode(q: RandomCover, rds: BundleRDS, masks: Masks, label: str | None) -> RandomCover:
+    """The cover of the masks, a partition iff ``q`` is one; a section that
+    several elements share is decoded once."""
     points = [sort_points(f) for f in rds.fibers]
     sections = [
         {m: frozenset(x for k, x in enumerate(pts) if m >> k & 1) for m in set(col)}
@@ -329,7 +316,7 @@ def _decode(q: RandomCover, rds: BundleRDS, masks: Masks, n: int) -> RandomCover
     ]
     cls = RandomPartition if isinstance(q, RandomPartition) else RandomCover
     elements = tuple(RandomSet(tuple(s[m] for s, m in zip(sections, e))) for e in masks)
-    return cls(elements, label=q.label if n == 1 else None)
+    return cls(elements, label=label)
 
 
 def iterate_covers(
@@ -344,7 +331,7 @@ def iterate_covers(
     the element count blows past ``budgets.cover_elements``.
     """
     for n, masks in enumerate(_mask_iterates(q, rds, n_max, budgets), 1):
-        yield _decode(q, rds, masks, n)
+        yield _decode(q, rds, masks, q.label if n == 1 else None)
 
 
 def iterate_cover(
@@ -352,7 +339,22 @@ def iterate_cover(
 ) -> RandomCover:
     """Join of the pullbacks at steps 0..n-1 (depth-n dynamical refinement):
     the last item of :func:`iterate_covers`."""
-    return _decode(q, rds, _mask_iterate(q, rds, n, budgets), n)
+    return _decode(q, rds, _mask_iterate(q, rds, n, budgets), q.label if n == 1 else None)
+
+
+def pullback(q: RandomCover, rds: BundleRDS, i: int) -> RandomCover:
+    """Pull every element back i dynamical steps: the section at a base point
+    is the i-step fiber-map preimage of the element's section at the i-step
+    image base point.  It is the i-step item of :func:`_mask_pullbacks`, the
+    one loop that advances fiber-map images for covers.  Keeps the class
+    and the label of ``q``."""
+    if i < 0:
+        raise ValueError("pullback steps must be nonnegative")
+    if q.size != rds.size:
+        raise IncompatibleSystemsError("cover does not span the system base")
+    if i == 0:
+        return q
+    return _decode(q, rds, next(islice(_mask_pullbacks(q, rds, i + 1), i, None)), q.label)
 
 
 def pullback_cover(pi: FactorMap, cover: RandomCover) -> RandomCover:

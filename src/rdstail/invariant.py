@@ -49,7 +49,7 @@ from .measures import (
     total_variation,
     transformation_relative_entropy_sequence,
 )
-from .model import BundleRDS, FactorMap, PairSystem, Point, State, pair_system, sort_points
+from .model import BundleRDS, FactorMap, Point, ProductSystem, State, pair_system, sort_points
 from .tail_entropy import EntropyEstimate
 
 
@@ -316,7 +316,7 @@ class SeparatedEmpirical:
     anchors: tuple[Point, ...]
     separated: tuple[tuple[Point, ...], ...]
     counts: tuple[int, ...]
-    pair: PairSystem
+    pair: ProductSystem
     sigma: FiberedMeasure
     mu_n: FiberedMeasure
     mu_n_defect: Fraction
@@ -486,7 +486,7 @@ def diagonal_measure(
         support_diagonal = all(
             x == y for w in range(m.size) for (x, y), v in m.weights[w].items() if v != 0
         )
-    first_algebra = SigmaAlgebra(pullback_cover(last.pair.first, state_partition(rds)))
+    first_algebra = SigmaAlgebra(pullback_cover(last.pair.to_left, state_partition(rds)))
     est = transformation_relative_entropy_sequence(
         m, first_algebra, last.pair.system, entropy_depth or n, budgets
     )

@@ -92,9 +92,9 @@ class MetricSpace:
         return cls(pts, d)
 
     @classmethod
-    def discrete(cls, points: Iterable[Point], radius: Fraction = Fraction(1)) -> "MetricSpace":
+    def discrete(cls, points: Iterable[Point]) -> "MetricSpace":
         pts = tuple(points)
-        d = {(p, q): Fraction(0) if p == q else radius for p in pts for q in pts}
+        d = {(p, q): Fraction(0 if p == q else 1) for p in pts for q in pts}
         return cls(pts, d)
 
     def d(self, p: Point, q: Point) -> Fraction:
@@ -332,26 +332,15 @@ def product_system(s: BundleRDS, t: BundleRDS) -> ProductSystem:
     return ProductSystem(system=system, left=s, right=t, to_left=to_left, to_right=to_right)
 
 
-@dataclass(frozen=True, eq=False)
-class PairSystem:
-    """A system run against itself on pairs from the same fiber."""
-
-    system: BundleRDS
-    factor: BundleRDS
-    first: FactorMap
-    second: FactorMap
-
-
-def pair_system(t: BundleRDS) -> PairSystem:
+def pair_system(t: BundleRDS) -> ProductSystem:
     """Squared system: the product of the system with itself, fibers the
     ordered pairs from one fiber.  The diagonal is forward-invariant."""
-    square = product_system(t, t)
-    return PairSystem(system=square.system, factor=t, first=square.to_left, second=square.to_right)
+    return product_system(t, t)
 
 
-def induced_pair_factor(pi: FactorMap, source_pair: PairSystem, target_pair: PairSystem) -> FactorMap:
+def induced_pair_factor(pi: FactorMap, source_pair: ProductSystem, target_pair: ProductSystem) -> FactorMap:
     """Apply a factor map to both coordinates of a pair system."""
-    if source_pair.factor is not pi.source and source_pair.factor != pi.source:
+    if source_pair.left is not pi.source and source_pair.left != pi.source:
         raise IncompatibleSystemsError("source pair system does not square the factor map source")
     maps = tuple(
         {(y, z): (pi.apply(w, y), pi.apply(w, z)) for (y, z) in source_pair.system.fibers[w]}
@@ -360,10 +349,6 @@ def induced_pair_factor(pi: FactorMap, source_pair: PairSystem, target_pair: Pai
     return FactorMap(source_pair.system, target_pair.system, maps)
 
 
-def canonical_projections(derived: ProductSystem | PairSystem) -> dict[str, FactorMap]:
+def canonical_projections(derived: ProductSystem) -> dict[str, FactorMap]:
     """The coordinate factor maps carried by a derived system, keyed by role."""
-    if isinstance(derived, ProductSystem):
-        return {"left": derived.to_left, "right": derived.to_right}
-    if isinstance(derived, PairSystem):
-        return {"first": derived.first, "second": derived.second}
-    raise TypeError("expected a ProductSystem or PairSystem")
+    return {"left": derived.to_left, "right": derived.to_right}

@@ -23,21 +23,19 @@ from fractions import Fraction
 from .model import BundleRDS, DrivingSystem, FactorMap, MetricSpace, product_system
 
 
-def swap_system(with_metric: bool = True) -> BundleRDS:
+def swap_system() -> BundleRDS:
     base = DrivingSystem(prob=(Fraction(1, 2), Fraction(1, 2)), theta=(1, 0))
     fibers = (frozenset({"a", "b"}), frozenset({"c", "d"}))
     maps = ({"a": "c", "b": "c"}, {"c": "a", "d": "b"})
-    space = MetricSpace.discrete(("a", "b", "c", "d")) if with_metric else None
-    return BundleRDS(base=base, fibers=fibers, maps=maps, space=space)
+    return BundleRDS(base=base, fibers=fibers, maps=maps, space=MetricSpace.discrete(("a", "b", "c", "d")))
 
 
-def cycle_system(length: int = 4, with_metric: bool = True) -> BundleRDS:
+def cycle_system(length: int = 4) -> BundleRDS:
     base = DrivingSystem(prob=(Fraction(1),), theta=(0,))
     pts = tuple(f"p{i}" for i in range(length))
     fibers = (frozenset(pts),)
     maps = ({pts[i]: pts[(i + 1) % length] for i in range(length)},)
-    space = MetricSpace.discrete(pts) if with_metric else None
-    return BundleRDS(base=base, fibers=fibers, maps=maps, space=space)
+    return BundleRDS(base=base, fibers=fibers, maps=maps, space=MetricSpace.discrete(pts))
 
 
 def one_point_system(base: DrivingSystem) -> BundleRDS:

@@ -53,9 +53,6 @@ class Scenario:
     def digest(self) -> str:
         return canonical_digest(self.raw)
 
-    def system_of_cover(self, name: str) -> BundleRDS:
-        return self.systems[self.cover_system[name]]
-
 
 def _name(value: Any) -> str:
     if not isinstance(value, str):

@@ -21,7 +21,6 @@ from typing import Sequence
 from .budgets import Budgets, DEFAULTS
 from .counting import CountProfile, count_profile, count_profiles
 from .covers import RandomCover, iterate_cover, trivial_cover
-from .errors import BudgetExceededError
 from .model import BundleRDS, power_system
 
 TOL = 1e-9
@@ -32,8 +31,9 @@ class EntropyEstimate:
     """A finite stretch of a subadditive sequence with its Fekete bracket.
 
     ``values[k]`` is the term at depth ``k+1``.  ``requested`` records the
-    depth that was asked for; shorter ``values`` mean a budget stopped the
-    computation early (the honest depth reached is ``n_max``).
+    depth that was asked for.  Library sweeps raise when a budget stops
+    them, so ``requested`` differs from ``n_max`` only in the partial
+    artifacts the CLI writes before it exits with the budget code.
     ``subadditive_ok`` is :func:`check_subadditive` of ``values``.
     """
 
@@ -103,20 +103,14 @@ def tail_entropy_estimate(
 ) -> EntropyEstimate:
     """Terms a_1..a_{n_max} with the running-infimum bracket.
 
-    If the cover budget stops the iteration, the estimate is returned with
-    the depths that did complete (never a silent truncation: ``requested``
-    still records the asked-for depth).
+    Raises :class:`BudgetExceededError` with the offending depth when an
+    iterated cover blows past ``budgets.cover_elements``; no truncated
+    estimate is ever returned.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    values: list[float] = []
-    try:
-        for profile in count_profiles(rds, r, q, n_max, budgets):
-            values.append(_integrate(rds, profile))
-    except BudgetExceededError:
-        if not values:
-            raise
-    return EntropyEstimate(values=tuple(values), requested=n_max)
+    values = tuple(_integrate(rds, profile) for profile in count_profiles(rds, r, q, n_max, budgets))
+    return EntropyEstimate(values=values, requested=n_max)
 
 
 def cover_conditional_entropy(

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Callable, Sequence
+from typing import Callable
 
 from .budgets import Budgets, DEFAULTS
 from .counting import count_profiles, relative_count
@@ -265,8 +265,8 @@ def random_system(
     return BundleRDS(base=base, fibers=fibers, maps=maps, space=space)
 
 
-def random_cover(rng: random.Random, rds: BundleRDS, max_elems: int = 4) -> RandomCover:
-    k = rng.randint(2, max_elems)
+def random_cover(rng: random.Random, rds: BundleRDS) -> RandomCover:
+    k = rng.randint(2, 4)
     secs: list[list[set]] = [[set() for _ in range(rds.size)] for _ in range(k)]
     for w in range(rds.size):
         for x in sort_points(rds.fibers[w]):
@@ -618,29 +618,7 @@ def certified_zero_limit(est: EntropyEstimate, bound: float) -> bool:
     return est.subadditive_ok and all(v <= bound + TOL for v in est.values)
 
 
-@dataclass(frozen=True)
-class TheoremScenario:
-    name: str
-    system: BundleRDS  # the driven system whose tail entropy is conditioned on
-    companion: BundleRDS  # the second factor of the joint system
-
-
-def default_theorem_scenarios() -> tuple[TheoremScenario, ...]:
-    swap = swap_system()
-    return (
-        TheoremScenario("swap-product", swap, swap),
-        # one-point companion: the joint system degenerates to the original,
-        # the classical single-system special case
-        TheoremScenario("one-point-companion", swap, one_point_system(swap.base)),
-        TheoremScenario("cycle-product", cycle_system(), cycle_system()),
-    )
-
-
-def run_theorem_suite(
-    scenarios: Sequence[TheoremScenario] | None = None,
-    n_max: int = 6,
-    budgets: Budgets = DEFAULTS,
-) -> SuiteReport:
+def run_theorem_suite(n_max: int = 6, budgets: Budgets = DEFAULTS) -> SuiteReport:
     """Theorem instances on explicit systems.
 
     (a) degenerate exact forms: the tail entropy over a family containing the
@@ -650,7 +628,16 @@ def run_theorem_suite(
     finite-depth inequality skeleton is asserted at every depth; (c) the
     diagonal construction attains the pair maximum.
     """
-    scenarios = tuple(scenarios) if scenarios is not None else default_theorem_scenarios()
+    swap = swap_system()
+    # (name, the driven system whose tail entropy is conditioned on, the
+    # second factor of the joint system); the one-point companion makes the
+    # joint system degenerate to the original, the classical single-system
+    # special case
+    scenarios = (
+        ("swap-product", swap, swap),
+        ("one-point-companion", swap, one_point_system(swap.base)),
+        ("cycle-product", cycle_system(), cycle_system()),
+    )
     props = {
         name: _Prop(name)
         for name in (
@@ -664,10 +651,9 @@ def run_theorem_suite(
         )
     }
     digests: list[str] = []
-    for sc in scenarios:
-        digests.append(canonical_digest({sc.name: system_payload(sc.system)}))
-        target = sc.system
-        prod = product_system(sc.companion, target)
+    for name, target, companion in scenarios:
+        digests.append(canonical_digest({name: system_payload(target)}))
+        prod = product_system(companion, target)
         h = prod.system
         payload = _trial_payload(h)
 
@@ -715,7 +701,7 @@ def run_theorem_suite(
 
         # pair variational principle in its exact degenerate form
         pair = pair_system(target)
-        _, _, pair_seqs = _vertex_sequences(pair.first, n_max, budgets)
+        _, _, pair_seqs = _vertex_sequences(pair.to_left, n_max, budgets)
         pair_bound = fiber_entropy_bound(pair.system)
         pair_certified = all(certified_zero_limit(s, pair_bound) for s in pair_seqs)
         props["pair_variational_exact"].record(
@@ -756,7 +742,6 @@ def run_theorem_suite(
 def principal_extension_check(
     pi: FactorMap,
     n_max: int = 4,
-    cover_pairs: Sequence[tuple[RandomCover, RandomCover]] | None = None,
     budgets: Budgets = DEFAULTS,
     label: str = "extension",
 ) -> SuiteReport:
@@ -800,12 +785,8 @@ def principal_extension_check(
         _verdict("principality_certified", principal_ok, len(seqs), {"bound": bound, "vertices": per_vertex})
     )
 
-    pairs = list(cover_pairs) if cover_pairs is not None else [
-        (point_partition(pi.target), trivial_cover(pi.target))
-    ]
-    mismatches = [_count_mismatch(pi, r, q, n_max, budgets) for r, q in pairs]
-    mismatch = next((m for m in mismatches if m is not None), None)
-    checks.append(_verdict("matched_depth_counts_agree", mismatch is None, len(pairs) * n_max, mismatch))
+    mismatch = _count_mismatch(pi, point_partition(pi.target), trivial_cover(pi.target), n_max, budgets)
+    checks.append(_verdict("matched_depth_counts_agree", mismatch is None, n_max, mismatch))
 
     fam_down = [point_partition(pi.target), trivial_cover(pi.target)]
     fam_up = [pullback_cover(pi, c) for c in fam_down]

@@ -1,10 +1,13 @@
 """Differential test of the bitmask join loop against the frozenset fold it
 replaced.
 
-``iterate_covers_by_joins`` is that fold: depth n+1 joins depth n with the
-n-step ``pullback`` of the cover.  Over random systems (non-bijective fiber
-maps, empty sections, covers and partitions, labels) the mask loop must give
-equal covers, equal counts, the same budget stops and the same domain errors.
+``pullback_by_walk`` is the per-point orbit walk that pulled covers back
+before the mask pullbacks, and ``iterate_covers_by_joins`` is the fold over
+it: depth n+1 joins depth n with the n-step walk pullback of the cover, so
+the oracle never calls the mask engine.  Over random systems (non-bijective
+fiber maps, empty sections, covers and partitions, labels) the mask loop
+must give equal pullbacks, equal covers, equal counts, the same budget stops
+and the same domain errors.
 """
 
 import random
@@ -21,6 +24,7 @@ from rdstail import (
     RandomCover,
     RandomPartition,
     RandomSet,
+    IncompatibleSystemsError,
     count_profile,
     count_profiles,
     iterate_cover,
@@ -36,6 +40,36 @@ from rdstail.verify import _rng, coarsen, random_cover, random_partition, random
 seeds = st.integers(min_value=0, max_value=10**6)
 
 
+def pullback_by_walk(q, rds, i):
+    """Oracle: the i-step pullback of ``q`` by walking every point's orbit."""
+    if i < 0:
+        raise ValueError("pullback steps must be nonnegative")
+    if q.size != rds.size:
+        raise IncompatibleSystemsError("cover does not span the system base")
+    if i == 0:
+        return q
+    # i-step image of every point and base point, computed once
+    targets = [rds.base.theta_iterate(w, i) for w in range(rds.size)]
+    forward = []
+    for w in range(rds.size):
+        fw = {}
+        for x in rds.fibers[w]:
+            y, v = x, w
+            for _ in range(i):
+                y = rds.apply(v, y)
+                v = rds.base.theta[v]
+            fw[x] = y
+        forward.append(fw)
+    elems = (
+        tuple(
+            frozenset(x for x in rds.fibers[w] if forward[w][x] in e.sections[targets[w]])
+            for w in range(rds.size)
+        )
+        for e in q.elements
+    )
+    return _assemble(elems, partition=isinstance(q, RandomPartition), label=q.label)
+
+
 def iterate_covers_by_joins(q, rds, n_max, budgets=DEFAULTS):
     """Oracle: the depth-1..n_max refinements of ``q`` by frozenset joins."""
     if n_max < 1:
@@ -43,7 +77,7 @@ def iterate_covers_by_joins(q, rds, n_max, budgets=DEFAULTS):
     out = _assemble((e.sections for e in q.elements), partition=isinstance(q, RandomPartition), label=q.label)
     yield out
     for i in range(1, n_max):
-        out = join(out, pullback(q, rds, i))
+        out = join(out, pullback_by_walk(q, rds, i))
         if len(out) > budgets.cover_elements:
             raise BudgetExceededError("cover_elements", budgets.cover_elements, len(out), depth=i + 1)
         yield out
@@ -96,6 +130,27 @@ def test_mask_loop_matches_frozenset_fold(seed):
     want = list(counts_by_joins(rds, r, q, n_max))
     assert [p.per_omega for p in count_profiles(rds, r, q, n_max)] == want
     assert count_profile(rds, r, q, n_max).per_omega == want[-1]
+
+
+@given(seeds)
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_pullback_matches_orbit_walk(seed):
+    _, rds, r, q = _random_pair(seed)
+    for c in (r, q):
+        for i in range(6):
+            got, want = pullback(c, rds, i), pullback_by_walk(c, rds, i)
+            assert got == want
+            assert type(got) is type(want)
+            assert got.label == want.label == c.label
+
+
+def test_pullback_errors_match_orbit_walk():
+    _, rds, r, _ = _random_pair(0)
+    for oracle in (pullback, pullback_by_walk):
+        with pytest.raises(ValueError, match="nonnegative"):
+            oracle(r, rds, -1)
+        with pytest.raises(IncompatibleSystemsError, match="system base"):
+            oracle(RandomCover((RandomSet((frozenset(),) * (rds.size + 1)),)), rds, 1)
 
 
 @given(seeds)

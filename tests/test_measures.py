@@ -268,7 +268,7 @@ def test_transformation_on_diagonal_pair_measure():
     pair = pair_system(cyc)
     diag = FiberedMeasure(({(p, p): Fraction(1, 4) for p in cyc.fibers[0]},))
     assert diag.validate(pair.system) == []
-    first_algebra = SigmaAlgebra(pullback_cover(pair.first, state_partition(cyc)))
+    first_algebra = SigmaAlgebra(pullback_cover(pair.to_left, state_partition(cyc)))
     est = transformation_relative_entropy_sequence(diag, first_algebra, pair.system, 4)
     assert est.values == tuple(0.0 for _ in range(4))
 
@@ -503,6 +503,7 @@ def stored(mu):
 
 def test_accumulator_matches_per_function_loops():
     zeros_kept = 0
+    same_size_verdicts = set()
     for trial in range(100):
         rng = _rng(89, trial)
         rds = random_system(rng, max_fiber=4)
@@ -520,6 +521,11 @@ def test_accumulator_matches_per_function_loops():
         nonzero = FiberedMeasure(tuple({x: v for x, v in w.items() if v} for w in mus[0].weights))
         longer = FiberedMeasure((*mus[0].weights, {}))
         for b in (mixed, nonzero, longer, up, skew_pushforward(mus[0], rds)):
-            assert measures_equal(mus[0], b) == measures_equal_by_loop(mus[0], b), trial
+            equal = measures_equal(mus[0], b)
+            assert equal == measures_equal_by_loop(mus[0], b), trial
+            if b.size == mus[0].size:
+                same_size_verdicts.add(equal)
         assert measures_equal(mus[0], nonzero) and not measures_equal(mus[0], longer)
     assert zeros_kept  # the mixtures did store zeros
+    # the oracle saw equal and unequal measures of one size
+    assert same_size_verdicts == {True, False}

@@ -122,12 +122,11 @@ def test_canonical_projections():
     swap = swap_system()
     prod = product_system(swap, swap)
     pair = pair_system(swap)
-    assert set(canonical_projections(prod)) == {"left", "right"}
-    assert set(canonical_projections(pair)) == {"first", "second"}
+    assert set(canonical_projections(prod)) == set(canonical_projections(pair)) == {"left", "right"}
     for pi in (*canonical_projections(prod).values(), *canonical_projections(pair).values()):
         assert pi.validate() == []
-    assert pair.first.apply(0, ("a", "b")) == "a"
-    assert pair.second.apply(0, ("a", "b")) == "b"
+    assert pair.to_left.apply(0, ("a", "b")) == "a"
+    assert pair.to_right.apply(0, ("a", "b")) == "b"
 
 
 def test_induced_pair_factor_identity():
@@ -241,9 +240,9 @@ def test_pair_and_tag_products_match_hand_built_systems():
         pair = pair_system(rds)
         system, first, second = pair_system_by_hand(rds)
         assert_same_system(pair.system, system)
-        assert pair.factor is rds
-        assert_same_factor(pair.first, first)
-        assert_same_factor(pair.second, second)
+        assert pair.left is pair.right is rds
+        assert_same_factor(pair.to_left, first)
+        assert_same_factor(pair.to_right, second)
         for tags in (1, 2, 3):
             for rotate in (False, True):
                 assert_same_factor(extend_with_tags(rds, tags, rotate), extend_with_tags_by_hand(rds, tags, rotate))

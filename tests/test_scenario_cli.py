@@ -531,7 +531,7 @@ def test_cli_budget_exits_3_with_partial_artifacts(tmp_path):
         out = tmp_path / label
         assert main(["--budget", "cover_elements=1", *argv, *swap, "--out", str(out)]) == 3, label
         manifest = json.loads(read(out, "manifest.json"))
-        assert "depth 1 of 6" in manifest["error"], label
+        assert "depth n=2" in manifest["error"], label
         assert artifact in manifest["outputs"], label
     est = json.loads(read(tmp_path / "tail", "tail.json"))
     assert (est["n_max"], est["requested"]) == (1, 6)
@@ -569,7 +569,8 @@ def test_cli_budget_exits_3_with_partial_artifacts(tmp_path):
 
 def test_cli_rejects_covers_of_two_systems(tmp_path):
     # "back" shares loop's base and fiber and runs the cycle backwards; the
-    # first cover named fixes the system and every later one must live on it
+    # system is --system when given (it builds the builtins), else the first
+    # cover's, and every scenario cover named must live on it
     with open(scenario_path("cycle4")) as fh:
         data = json.load(fh)
     data["systems"]["back"] = {**data["systems"]["loop"], "maps": [{"p0": "p3", "p1": "p0", "p2": "p1", "p3": "p2"}]}
@@ -581,6 +582,9 @@ def test_cli_rejects_covers_of_two_systems(tmp_path):
         "q-chain": ["construct", "--diagonal", "--p", "@points,@points", "--q", "@points,points", "--delta", "1"],
         "separated": ["construct", "--separated", "--p", "@points", "--q", "points", "--delta", "1"],
         "count": ["count", "--r", "@points", "--q", "points"],
+        # a scenario cover named first does not override --system
+        "count-scenario-first": ["count", "--r", "points", "--q", "@points"],
+        "separated-scenario-first": ["construct", "--separated", "--p", "points", "--q", "@points", "--delta", "1"],
     }
     for label, argv in bad.items():
         out = tmp_path / label

@@ -3,10 +3,12 @@
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdstail import (
+    BudgetExceededError,
     Budgets,
     EntropyEstimate,
     RandomCover,
@@ -88,11 +90,21 @@ def test_fekete_bracket_equals_min_ratio_on_synthetic():
         assert est.value == min(est.ratios)
 
 
-def test_estimate_partial_on_budget():
-    tight = Budgets(cover_elements=3)
-    est = tail_entropy_estimate(SWAP, point_partition(SWAP), trivial_cover(SWAP), 6, tight)
-    assert est.requested == 6
-    assert est.n_max < 6
+def test_sweeps_raise_on_budget():
+    # the two-element iterate of the points at depth 2 is past one element;
+    # no sweep returns the depth-1 value instead
+    tight = Budgets(cover_elements=1)
+    pts, triv = point_partition(SWAP), trivial_cover(SWAP)
+    sweeps = {
+        "tail_entropy_estimate": lambda: tail_entropy_estimate(SWAP, pts, triv, 6, tight),
+        "cover_conditional_entropy": lambda: cover_conditional_entropy(SWAP, triv, [pts], 6, tight),
+        "tail_entropy_total": lambda: tail_entropy_total(SWAP, [triv], [pts], 6, tight),
+        "relative_topological": lambda: relative_topological(SWAP, pts, 6, tight),
+    }
+    for name, sweep in sweeps.items():
+        with pytest.raises(BudgetExceededError) as stop:
+            sweep()
+        assert stop.value.depth == 2, name
 
 
 def test_cover_conditional_entropy():

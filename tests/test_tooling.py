@@ -1,10 +1,12 @@
-"""The benchmark's tracer still finds every library function it wraps."""
+"""The benchmark still finds every library name it traces, calls or reads."""
 
+import ast
 import os
 import subprocess
 import sys
 
 import rdstail
+import rdstail.cli  # noqa: F401  (the benchmark calls rd.cli.main)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -35,3 +37,36 @@ def test_bench_tracer_installs_over_the_library():
         text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+def _rd_chains(path):
+    """Every ``rd.<name>[.<name>...]`` attribute chain used in a file."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    chains = set()
+    for node in ast.walk(tree):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        if names and isinstance(node, ast.Name) and node.id == "rd":
+            chains.add(tuple(reversed(names)))
+    return chains
+
+
+def test_bench_names_resolve_on_the_library():
+    chains = set()
+    for name in ("workloads.py", "bench_pass.py"):
+        chains |= _rd_chains(os.path.join(ROOT, "bench", name))
+    assert ("iterate_cover",) in chains and ("cli", "main") in chains
+    missing = []
+    for chain in sorted(chains):
+        obj = rdstail
+        for attr in chain:
+            if not hasattr(obj, attr):
+                missing.append("rd." + ".".join(chain))
+                break
+            obj = getattr(obj, attr)
+    assert not missing
+    # bench/workloads.py _short_sweep reads the depth an estimate was asked for
+    assert "requested" in rdstail.EntropyEstimate.__dataclass_fields__
