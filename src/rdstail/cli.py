@@ -208,8 +208,30 @@ def _parse_cylinder_spec(text: str, sft: RandomSFT) -> CylinderCoverSpec:
     return CylinderCoverSpec(components=members, depth=depth)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (a missing flag, an unknown choice, a stray argument)
+    raise :class:`ScenarioError` instead of exiting, so that :func:`main`
+    writes a manifest for them as for every other bad input.  Subcommand
+    parsers are built with the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ScenarioError(message)
+
+
+def _out_dir(argv: list[str]) -> str:
+    """The ``--out`` an argv names, read without the rest of its grammar,
+    for the manifest of an argv that does not parse."""
+    parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    parser.add_argument("--out", default="out")
+    try:
+        return parser.parse_known_args(argv)[0].out
+    except argparse.ArgumentError:
+        return "out"
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rdstail",
         description="exact desk-scale calculus for driven fiberwise dynamics",
     )
@@ -331,14 +353,15 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
         covers, rds, sysname = _resolve_covers(sc, q_names + r_names, args.system)
         q_fam, r_fam = covers[: len(q_names)], covers[len(q_names) :]
 
-        def grid(n: int) -> list[list[float]]:
-            return [[tail_entropy_estimate(rds, r, q, n, budgets).value for r in r_fam] for q in q_fam]
+        def grid(n: int) -> tuple[int, list[list[float]]]:
+            return n, [[tail_entropy_estimate(rds, r, q, n, budgets).value for r in r_fam] for q in q_fam]
 
-        values = _depths(run, grid, args.nmax)
+        # a budget stop leaves the values of a shallower sweep: n_max is its depth
+        n_max, values = _depths(run, grid, args.nmax)
         # the total is the min over q of the max over r of the row values
-        rows = [[sysname, qn, rn, args.nmax, v] for qn, vs in zip(q_names, values) for rn, v in zip(r_names, vs)]
+        rows = [[sysname, qn, rn, n_max, v] for qn, vs in zip(q_names, values) for rn, v in zip(r_names, vs)]
         run.add_csv("tail_total.csv", ["system", "q", "r", "n_max", "tail_estimate"], rows)
-        run.add_json("tail_total.json", {"value": min(map(max, values)), "n_max": args.nmax})
+        run.add_json("tail_total.json", {"value": min(map(max, values)), "n_max": n_max})
         return EXIT_OK
 
     if name == "sft-tail":
@@ -476,15 +499,18 @@ def _budgets(items: list[str]) -> Budgets:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a usage error leaves no command or flags to record
+    run = _Run(_out_dir(argv), None, {}, None, None)
     sc: Scenario | None = None
-    # the output directory is not semantic: reruns into different directories
-    # must stay byte-identical, so it is excluded from the manifest
-    flags = {k: v for k, v in vars(args).items() if k not in ("command", "out") and v is not None}
-    # budgets stay null in the manifest of a run whose budgets do not parse
-    run = _Run(args.out, args.command, {k: str(v) for k, v in flags.items()}, None, None)
     try:
+        args = build_parser().parse_args(argv)
+        # the output directory is not semantic: reruns into different
+        # directories must stay byte-identical, so it is excluded from the
+        # manifest
+        flags = {k: v for k, v in vars(args).items() if k not in ("command", "out") and v is not None}
+        # budgets stay null in the manifest of a run whose budgets do not parse
+        run = _Run(args.out, args.command, {k: str(v) for k, v in flags.items()}, None, None)
         budgets = run.budgets = _budgets(args.budget)
         if getattr(args, "scenario", None):
             sc = load_scenario(args.scenario)
@@ -494,17 +520,12 @@ def main(argv: list[str] | None = None) -> int:
         code = _dispatch(args, budgets, run, sc)
         if run.stop is not None:
             raise run.stop
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        run.error = str(exc)
-        run.flush()
-        return EXIT_BAD_INPUT
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         run.error = str(exc)
         run.flush()
         return EXIT_BUDGET
-    except RdstailError as exc:
+    except RdstailError as exc:  # ScenarioError among them
         print(f"error: {exc}", file=sys.stderr)
         run.error = str(exc)
         run.flush()

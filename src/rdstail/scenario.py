@@ -216,8 +216,16 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_scenario(fh.read(), source=str(path))
+    """Read and load a scenario file; a path that cannot be read as UTF-8
+    text fails the load like malformed content."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ScenarioError(f"{path}: cannot read scenario file: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    return loads_scenario(text, source=str(path))
 
 
 # ---------------------------------------------------------------------------

@@ -419,6 +419,8 @@ def test_cli_unknown_name_exits_2(tmp_path):
     del doc["metric_spaces"]["ring"]["dist"][3]
     short_dist = tmp_path / "short_dist.json"
     short_dist.write_text(json.dumps(doc))
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes('{"schema_version": 1, "note": "café"}'.encode("latin-1"))
     bad_inputs = {
         "scenario-missing-prob": ["validate", "--scenario", str(no_prob)],
         "scenario-theta-text": ["validate", "--scenario", str(theta_text)],
@@ -460,6 +462,10 @@ def test_cli_unknown_name_exits_2(tmp_path):
                          "--r", "points", "--q", "whole", "--nmax", "3"],
         "budget-malformed": ["--budget", "cover_elements", "tail", "--scenario", scenario_path("swap"),
                              "--r", "points", "--q", "whole", "--nmax", "3"],
+        "scenario-absent": ["count", "--scenario", scenario_path("nosuch"), "--r", "points", "--q", "whole",
+                            "--n", "3"],
+        "scenario-directory": ["count", "--scenario", SCENARIOS, "--r", "points", "--q", "whole", "--n", "3"],
+        "scenario-not-utf8": ["count", "--scenario", str(not_utf8), "--r", "points", "--q", "whole", "--n", "3"],
     }
     errors = {}
     for label, argv in bad_inputs.items():
@@ -471,6 +477,9 @@ def test_cli_unknown_name_exits_2(tmp_path):
     assert "field 'theta'" in errors["scenario-theta-text"]
     assert "metric space 'ring': dist must be a 4x4 matrix" in errors["scenario-short-dist"]
     assert errors["nmax-text"] == "--nmax must be an integer, got 'abc'"
+    assert errors["scenario-absent"].endswith("cannot read scenario file: No such file or directory")
+    assert errors["scenario-directory"].endswith("cannot read scenario file: Is a directory")
+    assert "latin1.json: not UTF-8 text" in errors["scenario-not-utf8"]
 
 
 def test_malformed_budgets_variable_is_a_cli_error(tmp_path):
@@ -535,6 +544,17 @@ def test_cli_budget_exits_3_with_partial_artifacts(tmp_path):
         assert artifact in manifest["outputs"], label
     est = json.loads(read(tmp_path / "tail", "tail.json"))
     assert (est["n_max"], est["requested"]) == (1, 6)
+    # a stopped tail-total labels its rows with the depth of its values,
+    # which are those of an unstopped run to that depth
+    family = "points,twocell,whole,@points,@trivial"
+    argv = ["tail-total", "--scenario", scenario_path("swap"), "--system", "swap", "--qfamily", family,
+            "--rfamily", family]
+    assert main(["--budget", "cover_elements=3", *argv, "--nmax", "6", "--out", str(tmp_path / "total")]) == 3
+    assert "depth n=2" in json.loads(read(tmp_path / "total", "manifest.json"))["error"]
+    assert json.loads(read(tmp_path / "total", "tail_total.json"))["n_max"] == 1
+    assert main([*argv, "--nmax", "1", "--out", str(tmp_path / "total1")]) == 0
+    for artifact in ("tail_total.csv", "tail_total.json"):
+        assert read(tmp_path / "total", artifact) == read(tmp_path / "total1", artifact)
     # a stopped entropy sequence keeps the depths before the offending one
     out = tmp_path / "entropy"
     argv = ["entropy", "--scenario", scenario_path("cycle4"), "--mu", "spread", "--r", "points", "--sigma", "@states"]

@@ -1,6 +1,8 @@
-"""Mutated scenarios through the command line: whatever one field of a
+"""Mutated scenarios and mutated command lines: whatever one field of a
 packaged scenario is changed to, ``validate`` and a command on it exit with
-a documented code (0, 1, 2 or 3), raise nothing and write a manifest."""
+a documented code (0, 1, 2 or 3), raise nothing and write a manifest; so
+does every README command line with one flag dropped, duplicated or given a
+bad value or path."""
 
 import contextlib
 import copy
@@ -99,3 +101,53 @@ def test_mutated_scenarios_exit_with_a_documented_code(target, how, value, pick)
         _run(["validate", "--scenario", scenario], os.path.join(tmp, "validate"))
         command = commands[pick % len(commands)]
         _run([command[0], "--scenario", scenario, *command[1:]], os.path.join(tmp, "command"))
+
+
+def _scenario(name):
+    return os.path.join(SCENARIOS, f"{name}.json")
+
+
+# the README's command lines without --out, the verify suite cut to 3 trials
+README_COMMANDS = [
+    ["validate", "--scenario", _scenario("swap")],
+    ["count", "--scenario", _scenario("swap"), "--r", "points", "--q", "whole", "--n", "3"],
+    ["tail", "--scenario", _scenario("swap"), "--r", "points", "--q", "whole", "--nmax", "8"],
+    ["tail-total", "--scenario", _scenario("swap"), "--qfamily", "points,whole", "--rfamily", "points",
+     "--nmax", "6"],
+    ["sft-tail", "--scenario", _scenario("shifts"), "--sft", "pairshift", "--rspec", "0,1:1", "--qspec", "0:1",
+     "--nmax", "12"],
+    ["entropy", "--scenario", _scenario("swap"), "--mu", "uniform", "--r", "points", "--sigma", "@fibers"],
+    ["invariant", "--scenario", _scenario("cycle4"), "--vertices", "--system", "loop"],
+    ["construct", "--scenario", _scenario("cycle4"), "--diagonal", "--p", "points", "--q", "points", "--n", "2",
+     "--delta", "1"],
+    ["verify", "--suite", "cover", "--seed", "1", "--trials", "3"],
+]
+# bad values; the bracketed ones become paths: absent, a directory, a file
+# that is not UTF-8
+BAD_VALUES = ["", "0", "-1", "2.5", "abc", "1/0", "@nosuch", "0,1:0", "<absent>", "<directory>", "<latin1>"]
+
+
+def _flags(argv):
+    """(start, end) of every flag with its values in an argv."""
+    starts = [k for k, token in enumerate(argv) if token.startswith("--")]
+    return list(zip(starts, starts[1:] + [len(argv)]))
+
+
+@given(
+    st.sampled_from(README_COMMANDS),
+    st.integers(min_value=0, max_value=7),
+    st.sampled_from(["drop", "duplicate", "bad"]),
+    st.sampled_from(BAD_VALUES),
+)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_mutated_argv_exits_with_a_documented_code(argv, pick, how, value):
+    flags = _flags(argv)
+    start, end = flags[pick % len(flags)]
+    flag = argv[start:end]
+    with tempfile.TemporaryDirectory() as tmp:
+        latin1 = os.path.join(tmp, "latin1.json")
+        with open(latin1, "wb") as fh:
+            fh.write('{"schema_version": 1, "note": "café"}'.encode("latin-1"))
+        paths = {"<absent>": os.path.join(tmp, "absent.json"), "<directory>": tmp, "<latin1>": latin1}
+        replacement = {"drop": [], "duplicate": flag + flag, "bad": [flag[0], paths.get(value, value)]}[how]
+        _run(argv[:start] + replacement + argv[end:], os.path.join(tmp, "out"))

@@ -2,6 +2,8 @@
 
 import math
 import random
+from itertools import repeat
+from operator import add, gt
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,8 @@ from rdstail import (
     tail_entropy_total,
     trivial_cover,
 )
-from rdstail.tail_entropy import check_subadditive
+from rdstail import CylinderCoverSpec, DrivingSystem, RandomSFT, SFTComponent, sft_tail_sequence
+from rdstail.tail_entropy import _uncertified_rows, check_subadditive
 from rdstail.verify import _rng, random_cover, random_system
 
 SWAP = swap_system()
@@ -183,15 +186,17 @@ def test_matched_depth_dominance_against_trivial():
 
 
 def check_subadditive_all_pairs(values, tol=TOL):
-    """Reference for ``check_subadditive``: the plain double loop over every
-    ordered pair (i, j), each compared as a(i+j) > (a(i) + a(j)) + tol."""
+    """Reference for ``check_subadditive``: every ordered pair (i, j), each
+    compared as a(i+j) > (a(i) + a(j)) + tol.  Row i pairs a(i) with every
+    a(j), j = 1..N-i, in one ``map``, so sequences of thousands of terms
+    stay cheap to check."""
     if any(v < -tol for v in values):
         return False
     n = len(values)
     for i in range(1, n + 1):
-        for j in range(1, n - i + 1):
-            if values[i + j - 1] > values[i - 1] + values[j - 1] + tol:
-                return False
+        sums = map(add, map(add, repeat(values[i - 1]), values[: n - i]), repeat(tol))
+        if any(map(gt, values[i:], sums)):
+            return False
     return True
 
 
@@ -217,8 +222,132 @@ def near_linear(draw):
     return values
 
 
-@given(st.one_of(st.lists(TERMS, max_size=40), near_linear()), st.sampled_from([TOL, 0.0]))
+def log_fibonacci(length):
+    """log F(n+2) for n = 1..length: the golden-mean word counts."""
+    counts = [2, 3]
+    while len(counts) < length:
+        counts.append(counts[-1] + counts[-2])
+    return [math.log(c) for c in counts[:length]]
+
+
+def plant_tie(values, i, j, tol, past):
+    """Set a(i+j) to (a(i) + a(j)) + tol, the last value that passes, or
+    one ulp above it, the first that fails."""
+    edge = (values[i - 1] + values[j - 1]) + tol
+    values[i + j - 1] = math.nextafter(edge, math.inf) if past else edge
+
+
+@st.composite
+def long_sequences(draw):
+    """500-2500 terms of n*h plus a bounded periodic or decaying offset, or
+    log-Fibonacci terms, with exact and one-ulp-past ties planted in late
+    rows.  The slopes put the rounding margin on both sides of the tolerance
+    1e-9: slope 1 keeps it below 4e-11 and slope 300 lifts it past 1e-9."""
+    length = draw(st.integers(500, 2500))
+    h = draw(st.sampled_from([0.0, 0.25, math.log(2), 1.0, 300.0]))
+    c = draw(st.sampled_from([0.0, TOL, 0.01, 1.0]))
+    shape = draw(st.sampled_from(["periodic", "cos", "decaying", "fibonacci"]))
+    period = draw(st.integers(2, 7))
+    if shape == "fibonacci":
+        values = log_fibonacci(length)
+    elif shape == "periodic":
+        values = [k * h + c * (k % period) / period for k in range(1, length + 1)]
+    elif shape == "cos":
+        values = [k * h + c * math.cos(k) ** 2 for k in range(1, length + 1)]
+    else:
+        values = [k * h + c * 0.9**k for k in range(1, length + 1)]
+    for _ in range(draw(st.integers(0, 2))):
+        i = length // 2 - draw(st.integers(0, 8))
+        j = draw(st.sampled_from([i, length - i, (length + 1) // 2]))
+        plant_tie(values, i, j, TOL, draw(st.booleans()))
+    return values
+
+
+@given(
+    st.one_of(st.lists(TERMS, max_size=40), near_linear(), near_linear(), long_sequences()),
+    st.sampled_from([TOL, 0.0]),
+)
 @settings(max_examples=300, deadline=None)
 def test_check_subadditive_matches_all_pairs(values, tol):
-    assert check_subadditive(values, tol) == check_subadditive_all_pairs(values, tol)
-    assert check_subadditive(tuple(values), tol) == check_subadditive_all_pairs(values, tol)
+    expected = check_subadditive_all_pairs(values, tol)
+    assert check_subadditive(values, tol) == expected
+    assert check_subadditive(tuple(values), tol) == expected
+
+
+def convex_offsets(length, c=0.5, slope=math.log(2)):
+    """n*slope + c/n: subadditive, and in the pairs of one term a(k) the
+    slack is smallest for the middle pair, in the pairs of one a(j) for the
+    last row, so one raised or lowered term breaks a single pair."""
+    return [k * slope + c / k for k in range(1, length + 1)]
+
+
+def plant_low_tie(values, i, j, tol, past):
+    """Lower a(j), and with it a(i) when i = j, to the smallest value with
+    a(i+j) <= (a(i) + a(j)) + tol, or one ulp below it."""
+    target, other = values[i + j - 1], None if i == j else values[i - 1]
+
+    def passes(x):
+        return target <= ((x if other is None else other) + x) + tol
+
+    x = (target - tol) / 2 if other is None else target - tol - other
+    while passes(x):
+        x = math.nextafter(x, -math.inf)
+    while not passes(x):
+        x = math.nextafter(x, math.inf)
+    values[j - 1] = math.nextafter(x, -math.inf) if past else x
+
+
+@pytest.mark.parametrize("length", [600, 601])
+def test_row_certificate_edges(length):
+    """A violation one ulp past the tolerance at an end of one row is left
+    to the exact loop, so the verdict is False; the tie itself passes.
+    Raising a(2i) breaks the first pair of row i (j = i, the first suffix
+    maximum); lowering a(i) breaks the same pair from the inner end of the
+    window, where b(i) is its minimum; lowering a(N-i) breaks the last pair
+    (j = N-i, the outer end of the window)."""
+    rows = length // 2
+    for i in (1, 2, rows // 3, rows - 1, rows):
+        plants = [(i, plant_tie), (i, plant_low_tie), (length - i, plant_low_tie)]
+        for j, plant in plants[: 3 if length - i != i else 2]:
+            for past in (False, True):
+                values = convex_offsets(length)
+                plant(values, i, j, TOL, past)
+                assert check_subadditive_all_pairs(values) is (not past), (i, j, plant, past)
+                assert check_subadditive(values) is (not past), (i, j, plant, past)
+                if past:
+                    assert i in _uncertified_rows(values, TOL), (i, j, plant)
+
+
+def test_row_certificate_clears_near_linear_sequences():
+    # the certificate leaves nothing to the exact loop on n*h + c with c >= 0
+    assert _uncertified_rows([k * 0.7 + 0.3 for k in range(1, 2001)], TOL) == []
+    assert _uncertified_rows(convex_offsets(2000), TOL) == []
+    # the rounding margin reaches the tolerance near magnitude 2**47 * 1e-9
+    # (about 1.4e5): past it, and for tol = 0, every row goes to the loop
+    steep = [k * 300.0 for k in range(1, 1001)]
+    assert _uncertified_rows(steep, TOL) == list(range(1, 501))
+    assert _uncertified_rows([k * 0.7 for k in range(1, 1001)], 0.0) == list(range(1, 501))
+    assert check_subadditive(steep) and check_subadditive_all_pairs(steep)
+    # a NaN or an infinity anywhere certifies nothing
+    for bad in (math.nan, math.inf):
+        values = [k * 0.7 for k in range(1, 101)]
+        values[60] = bad
+        assert _uncertified_rows(values, TOL) == list(range(1, 51))
+
+
+GOLDEN_MEAN = RandomSFT(DrivingSystem((1,), (0,)), (SFTComponent(2, (((1, 1), (1, 0)),)),))
+
+
+def test_golden_mean_sweep_to_depth_20000():
+    depth = 20_000
+    est = sft_tail_sequence(
+        GOLDEN_MEAN, CylinderCoverSpec(frozenset({0}), 1), CylinderCoverSpec(frozenset(), 1), depth
+    )
+    assert est.subadditive_ok
+    expected = log_fibonacci(depth)
+    for n in (1, 2, 10, 999, 5000, 12_345, depth):
+        assert abs(est.values[n - 1] - expected[n - 1]) <= TOL
+    # the running infimum approaches log(golden ratio) from above
+    assert 0 <= est.value - math.log((1 + math.sqrt(5)) / 2) < 1e-4
+    # the exact loop sees a handful of the 10,000 rows, not all of them
+    assert len(_uncertified_rows(est.values, TOL)) <= 10
