@@ -8,7 +8,6 @@ invariant measures) is built from these pieces.
 """
 
 from rdstail import (
-    canonical_projections,
     pair_system,
     point_partition,
     product_system,
@@ -36,7 +35,7 @@ print("pair system fiber sizes:", [len(f) for f in pair.system.fibers])
 print("the diagonal is forward-invariant:",
       skew_iterate(pair.system, (0, ("a", "a")), 1))
 
-projections = canonical_projections(pair)
+projections = {"left": pair.to_left, "right": pair.to_right}
 print("projection validity:", {k: v.validate() == [] for k, v in projections.items()})
 
 points = point_partition(swap)

@@ -22,7 +22,6 @@ from .counting import (
     min_cover_size,
     minimal_subcover,
     relative_count,
-    relative_count_sup,
 )
 from .covers import (
     ContainmentWitness,
@@ -42,7 +41,6 @@ from .covers import (
     refines,
     sigma_join,
     sigma_refines,
-    small_diameter_partition,
     state_partition,
     state_sigma,
     trivial_cover,
@@ -99,9 +97,7 @@ from .model import (
     FactorMap,
     MetricSpace,
     ProductSystem,
-    canonical_projections,
     identity_factor,
-    induced_pair_factor,
     pair_system,
     power_system,
     product_system,
@@ -124,7 +120,6 @@ from .tail_entropy import (
     cover_conditional_entropy,
     integrated_log_count,
     power_rule_check,
-    relative_topological,
     tail_entropy_estimate,
     tail_entropy_total,
 )

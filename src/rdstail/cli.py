@@ -316,7 +316,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
             value = int(text)
         except ValueError:
             raise ScenarioError(f"--{flag} must be an integer, got {text!r}") from None
-        if flag in ("n", "nmax") and value < 1:
+        if flag in ("n", "nmax", "trials") and value < 1:
             raise ScenarioError(f"--{flag} must be >= 1, got {value}")
         setattr(args, flag, value)
         run.args[flag] = str(value)

@@ -107,11 +107,6 @@ def relative_count(r: RandomCover, q: RandomCover, omega: int, rds: BundleRDS) -
     )
 
 
-def relative_count_sup(r: RandomCover, q: RandomCover, rds: BundleRDS) -> int:
-    """The base-point-free count: maximum of the fiber counts."""
-    return max(relative_count(r, q, w, rds) for w in range(rds.size))
-
-
 @dataclass(frozen=True)
 class CountProfile:
     """Per-base-point counts of the depth-n iterated covers."""

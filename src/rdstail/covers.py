@@ -1,6 +1,6 @@
 """Random sets, covers, partitions, finite sub-sigma-algebras, and the cover
-calculus: joins, dynamical pullbacks, iterates, refinement, small-diameter
-partitions, and approximate containment of one partition in another.
+calculus: joins, dynamical pullbacks, iterates, refinement, and approximate
+containment of one partition in another.
 
 A random set assigns a subset of the fiber to every base point; a random
 cover is a finite ordered family of random sets whose sections union to the
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import and_
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .budgets import Budgets, DEFAULTS
 from .errors import BudgetExceededError, DomainError, IncompatibleSystemsError
@@ -52,9 +52,6 @@ class RandomSet:
 
     def is_empty(self) -> bool:
         return all(not s for s in self.sections)
-
-    def section(self, omega: int) -> frozenset:
-        return self.sections[omega]
 
 
 @dataclass(frozen=True)
@@ -267,12 +264,20 @@ def _mask_pullbacks(q: RandomCover, rds: BundleRDS, n: int) -> Iterator[Masks]:
                 pre[bit] = pre.get(bit, 0) | 1 << k
             preimages.append(pre)
         yield _distinct(
-            (
-                tuple(sum(m for bit, m in pre.items() if bit & e[t]) for pre, t in zip(preimages, targets))
-                for e in base
-            ),
+            (tuple(_preimage(pre, e[t]) for pre, t in zip(preimages, targets)) for e in base),
             empty,
         )
+
+
+def _preimage(pre: dict[int, int], mask: int) -> int:
+    """The union of the preimage masks of the set bits of ``mask``: one
+    lookup per point of the section."""
+    out = 0
+    while mask:
+        bit = mask & -mask
+        out |= pre.get(bit, 0)
+        mask ^= bit
+    return out
 
 
 def _mask_iterates(q: RandomCover, rds: BundleRDS, n_max: int, budgets: Budgets = DEFAULTS) -> Iterator[Masks]:
@@ -403,68 +408,6 @@ def sigma_refines(fine: SigmaAlgebra, coarse: SigmaAlgebra) -> bool:
 
 
 @dataclass(frozen=True)
-class SmallDiameterPartition:
-    partition: RandomPartition
-    # largest section diameter per base point, all bounded by the request
-    achieved: tuple[Fraction, ...]
-
-
-def _per_base(rds: BundleRDS, delta: Fraction | Sequence[Fraction]) -> list[Fraction]:
-    """``delta`` as one exact rational per base point; a scalar applies to
-    every base point."""
-    if isinstance(delta, (Fraction, int)):
-        return [Fraction(delta)] * rds.size
-    out = [Fraction(d) for d in delta]
-    if len(out) != rds.size:
-        raise ValueError("need one delta per base point")
-    return out
-
-
-def small_diameter_partition(
-    rds: BundleRDS,
-    delta: Fraction | Sequence[Fraction],
-) -> SmallDiameterPartition:
-    """Deterministic partition with section diameters at most ``delta`` on
-    every fiber (``delta`` may vary with the base point).  In the finite
-    discrete topology every section has empty boundary, so every measure
-    gives the boundaries mass exactly zero.
-
-    Greedy first-fit over lexicographically ordered points; a partition into
-    singletons always satisfies the bound, so construction cannot fail.
-    """
-    space = rds.requires_metric()
-    deltas = _per_base(rds, delta)
-    per_fiber: list[list[set]] = []
-    for w in range(rds.size):
-        cells: list[set] = []
-        for x in sort_points(rds.fibers[w]):
-            placed = False
-            for cell in cells:
-                if all(space.d(x, y) <= deltas[w] for y in cell):
-                    cell.add(x)
-                    placed = True
-                    break
-            if not placed:
-                cells.append({x})
-        per_fiber.append(cells)
-    width = max(len(cells) for cells in per_fiber)
-    elems = tuple(
-        RandomSet(
-            tuple(
-                frozenset(per_fiber[w][j]) if j < len(per_fiber[w]) else frozenset()
-                for w in range(rds.size)
-            )
-        )
-        for j in range(width)
-    )
-    part = RandomPartition(elems)
-    achieved = tuple(
-        max((space.diameter(c) for c in per_fiber[w]), default=Fraction(0)) for w in range(rds.size)
-    )
-    return SmallDiameterPartition(partition=part, achieved=achieved)
-
-
-@dataclass(frozen=True)
 class ContainmentWitness:
     contained: bool
     # exact optimum of the total symmetric-difference mass over all
@@ -480,7 +423,6 @@ def delta_contains(
     q: RandomPartition,
     mu: "FiberedMeasure",
     delta: Fraction,
-    budgets: Budgets = DEFAULTS,
 ) -> ContainmentWitness:
     """Can some coarsening of ``p``, suitably ordered against ``q``, bring the
     total symmetric-difference mass strictly below ``delta``?
@@ -489,7 +431,7 @@ def delta_contains(
     total over any matching equals ``mass(p) + mass(q) - 2 * (sum of matched
     intersection masses)``, so the best coarsening simply sends each p-element
     to the q-element with which it shares the most mass; no combinatorial
-    search is required and the configured budgets are never exceeded.
+    search is required.
     """
     from .measures import mass_of_sections  # local import to avoid a cycle
 

@@ -33,7 +33,6 @@ from .covers import (
     RandomPartition,
     SigmaAlgebra,
     _mask_iterate,
-    _per_base,
     pullback_cover,
     refines,
     state_partition,
@@ -253,6 +252,17 @@ def hull_certificate(
             if not stack[-1][1]:
                 stack.pop()
     return certificate
+
+
+def _per_base(rds: BundleRDS, delta: Fraction | Sequence[Fraction]) -> list[Fraction]:
+    """``delta`` as one exact rational per base point; a scalar applies to
+    every base point."""
+    if isinstance(delta, (Fraction, int)):
+        return [Fraction(delta)] * rds.size
+    out = [Fraction(d) for d in delta]
+    if len(out) != rds.size:
+        raise ValueError("need one delta per base point")
+    return out
 
 
 def bowen_ball(

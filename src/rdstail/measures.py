@@ -372,7 +372,6 @@ def containment_entropy_bound_check(
     p: RandomPartition,
     q: RandomPartition,
     delta: Fraction,
-    budgets: Budgets = DEFAULTS,
 ) -> ContainmentBound:
     """If some coarsening of ``p`` matches ``q`` to within ``delta`` in total
     symmetric-difference mass, the conditional entropy of ``q`` given ``p``
@@ -385,7 +384,7 @@ def containment_entropy_bound_check(
     delta = Fraction(delta)
     if not 0 < delta < 1:
         raise ValueError("delta must lie strictly between 0 and 1")
-    witness = delta_contains(p, q, mu, delta, budgets)
+    witness = delta_contains(p, q, mu, delta)
     if not witness.contained:
         raise PreconditionError("delta_containment", f"best achievable sum {witness.best_sum} >= {delta}")
     d = float(delta)

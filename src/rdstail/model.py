@@ -122,10 +122,6 @@ class MetricSpace:
                         out.append(f"triangle inequality fails at ({p!r},{q!r},{r!r})")
         return out
 
-    def diameter(self, subset: Iterable[Point]) -> Fraction:
-        pts = list(subset)
-        return max((self.dist[(p, q)] for p in pts for q in pts), default=Fraction(0))
-
 
 @dataclass(frozen=True, eq=False)
 class BundleRDS:
@@ -134,7 +130,7 @@ class BundleRDS:
     ``fibers[omega]`` is the (nonempty) set of points over base point
     ``omega``; ``maps[omega]`` sends each of those points into
     ``fibers[theta[omega]]``.  ``space`` is optional and only required by
-    metric operations (balls, diameters, separated sets).
+    metric operations (balls, Lebesgue numbers, separated sets).
     """
 
     base: DrivingSystem
@@ -149,9 +145,6 @@ class BundleRDS:
     @property
     def size(self) -> int:
         return self.base.size
-
-    def fiber(self, omega: int) -> frozenset:
-        return self.fibers[omega]
 
     def apply(self, omega: int, x: Point) -> Point:
         try:
@@ -306,11 +299,10 @@ def _product_space(left: MetricSpace | None, right: MetricSpace | None) -> Metri
 
 @dataclass(frozen=True, eq=False)
 class ProductSystem:
-    """Two bundle systems over one base, run side by side on pair fibers."""
+    """Two bundle systems over one base, run side by side on pair fibers;
+    the factors are the targets of the two coordinate projections."""
 
     system: BundleRDS
-    left: BundleRDS
-    right: BundleRDS
     to_left: FactorMap
     to_right: FactorMap
 
@@ -329,26 +321,10 @@ def product_system(s: BundleRDS, t: BundleRDS) -> ProductSystem:
     system = BundleRDS(base=s.base, fibers=fibers, maps=maps, space=_product_space(s.space, t.space))
     to_left = FactorMap(system, s, tuple({(y, x): y for (y, x) in fibers[w]} for w in range(s.size)))
     to_right = FactorMap(system, t, tuple({(y, x): x for (y, x) in fibers[w]} for w in range(s.size)))
-    return ProductSystem(system=system, left=s, right=t, to_left=to_left, to_right=to_right)
+    return ProductSystem(system=system, to_left=to_left, to_right=to_right)
 
 
 def pair_system(t: BundleRDS) -> ProductSystem:
     """Squared system: the product of the system with itself, fibers the
     ordered pairs from one fiber.  The diagonal is forward-invariant."""
     return product_system(t, t)
-
-
-def induced_pair_factor(pi: FactorMap, source_pair: ProductSystem, target_pair: ProductSystem) -> FactorMap:
-    """Apply a factor map to both coordinates of a pair system."""
-    if source_pair.left is not pi.source and source_pair.left != pi.source:
-        raise IncompatibleSystemsError("source pair system does not square the factor map source")
-    maps = tuple(
-        {(y, z): (pi.apply(w, y), pi.apply(w, z)) for (y, z) in source_pair.system.fibers[w]}
-        for w in range(pi.source.size)
-    )
-    return FactorMap(source_pair.system, target_pair.system, maps)
-
-
-def canonical_projections(derived: ProductSystem) -> dict[str, FactorMap]:
-    """The coordinate factor maps carried by a derived system, keyed by role."""
-    return {"left": derived.to_left, "right": derived.to_right}

@@ -24,7 +24,7 @@ resolves at least the same components, which is the precondition of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import compress, islice, repeat
 from math import log, prod
 from typing import Iterator
 
@@ -143,27 +143,16 @@ def relative_word_count(
     sft: RandomSFT, r_spec: CylinderCoverSpec, q_spec: CylinderCoverSpec, n: int, omega: int
 ) -> int:
     """Count of the depth-n iterated cylinder cover of ``r_spec`` relative to
-    that of ``q_spec`` at one base point.
-
-    Components factor independently: a component unresolved by ``q_spec``
-    contributes its full span word count; a shared component contributes the
-    largest number of admissible span extensions of a conditioning word (1
-    when the conditioning span is at least as long).
-    """
+    that of ``q_spec`` at one base point: the first item of
+    :func:`_depth_counts` started at depth n."""
     _check_refinement(r_spec, q_spec)
-    s_r, s_q = r_spec.span(n), q_spec.span(n)
-    total = 1
-    for c in sorted(r_spec.components):
-        if c in q_spec.components:
-            start = sft.base.theta_iterate(omega, s_q - 1)
-            total *= _extension_count(sft, c, start, max(0, s_r - s_q))
-        else:
-            total *= next(islice(_word_counts(sft, c, omega), s_r - 1, None))
-    return total
+    if n < 1:
+        raise ValueError("depth must be >= 1")
+    return next(_depth_counts(sft, r_spec, q_spec, omega, n))
 
 
 def _shared_factors(sft: RandomSFT, component: int, start: int, steps: int) -> Iterator[int]:
-    """Factors of a shared component at depths 1, 2, ...: the window of
+    """Factors of a shared component at successive depths: the window of
     ``steps`` matrices after the conditioning span moves one base step per
     depth."""
     while True:
@@ -172,19 +161,28 @@ def _shared_factors(sft: RandomSFT, component: int, start: int, steps: int) -> I
 
 
 def _depth_counts(
-    sft: RandomSFT, r_spec: CylinderCoverSpec, q_spec: CylinderCoverSpec, n_max: int, omega: int
+    sft: RandomSFT, r_spec: CylinderCoverSpec, q_spec: CylinderCoverSpec, omega: int, first: int = 1
 ) -> Iterator[int]:
-    """:func:`relative_word_count` at depths 1..n_max, walking the orbit of
-    ``omega`` forward once."""
-    streams = []
+    """Counts of the iterated cylinder covers of ``r_spec`` relative to those
+    of ``q_spec`` at base point ``omega``, at depths ``first, first+1, ...``,
+    walking the orbit of ``omega`` forward once.  It is the one place that
+    decides what each component contributes.
+
+    Components factor independently: a component unresolved by ``q_spec``
+    contributes its span word count; a shared component contributes the
+    largest number of admissible span extensions of a conditioning word (1
+    when the conditioning span is at least as long).  The walks start at the
+    spans of depth ``first``, so the first item costs what one count at that
+    depth costs.  An empty counted family yields 1 at every depth.
+    """
+    streams = [repeat(1)]  # an empty counted family counts 1 at every depth
     for c in sorted(r_spec.components):
         if c in q_spec.components:
-            start = sft.base.theta_iterate(omega, q_spec.depth - 1)
+            start = sft.base.theta_iterate(omega, q_spec.span(first) - 1)
             streams.append(_shared_factors(sft, c, start, max(0, r_spec.depth - q_spec.depth)))
         else:
-            streams.append(islice(_word_counts(sft, c, omega), r_spec.depth - 1, None))
-    for _, *factors in zip(range(n_max), *streams):
-        yield prod(factors)
+            streams.append(islice(_word_counts(sft, c, omega), r_spec.span(first) - 1, None))
+    return map(prod, zip(*streams))
 
 
 def sft_tail_sequence(
@@ -195,6 +193,6 @@ def sft_tail_sequence(
     _check_refinement(r_spec, q_spec)
     points = [w for w in range(sft.base.size) if sft.base.prob[w] != 0]
     weights = [float(sft.base.prob[w]) for w in points]
-    logs = [[log(count) for count in _depth_counts(sft, r_spec, q_spec, n_max, w)] for w in points]
+    logs = [[log(count) for count in islice(_depth_counts(sft, r_spec, q_spec, w), n_max)] for w in points]
     values = [sum(p * term for p, term in zip(weights, column)) for column in zip(*logs)]
     return EntropyEstimate(values=tuple(values), requested=n_max)

@@ -27,7 +27,7 @@ from typing import Sequence
 
 from .budgets import Budgets, DEFAULTS
 from .counting import CountProfile, count_profile, count_profiles
-from .covers import RandomCover, iterate_cover, trivial_cover
+from .covers import RandomCover, iterate_cover
 from .model import BundleRDS, power_system
 
 TOL = 1e-9
@@ -37,10 +37,11 @@ TOL = 1e-9
 class EntropyEstimate:
     """A finite stretch of a subadditive sequence with its Fekete bracket.
 
-    ``values[k]`` is the term at depth ``k+1``.  ``requested`` records the
-    depth that was asked for.  Library sweeps raise when a budget stops
-    them, so ``requested`` differs from ``n_max`` only in the partial
-    artifacts the CLI writes before it exits with the budget code.
+    ``values[k]`` is the term at depth ``k+1``; an estimate has at least
+    one depth.  ``requested`` records the depth that was asked for.
+    Library sweeps raise when a budget stops them, so ``requested``
+    differs from ``n_max`` only in the partial artifacts the CLI writes
+    before it exits with the budget code.
     ``subadditive_ok`` is :func:`check_subadditive` of ``values``.
     """
 
@@ -49,6 +50,8 @@ class EntropyEstimate:
     subadditive_ok: bool = field(init=False)
 
     def __post_init__(self):
+        if not self.values:
+            raise ValueError("an estimate needs at least one depth")
         object.__setattr__(self, "subadditive_ok", check_subadditive(self.values))
 
     @property
@@ -178,8 +181,6 @@ def tail_entropy_estimate(
     iterated cover blows past ``budgets.cover_elements``; no truncated
     estimate is ever returned.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     values = tuple(_integrate(rds, profile) for profile in count_profiles(rds, r, q, n_max, budgets))
     return EntropyEstimate(values=values, requested=n_max)
 
@@ -218,14 +219,6 @@ def tail_entropy_total(
     if not q_family or not r_family:
         raise ValueError("families must be nonempty")
     return min(cover_conditional_entropy(rds, q, r_family, n_max, budgets) for q in q_family)
-
-
-def relative_topological(
-    rds: BundleRDS, r: RandomCover, n_max: int, budgets: Budgets = DEFAULTS
-) -> float:
-    """Bracket against the trivial conditioning cover; dominates the bracket
-    against any other cover at matched depth."""
-    return tail_entropy_estimate(rds, r, trivial_cover(rds), n_max, budgets).value
 
 
 @dataclass(frozen=True)

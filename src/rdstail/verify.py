@@ -542,7 +542,7 @@ def run_entropy_suite(seed: int, trials: int, budgets: Budgets = DEFAULTS) -> Su
         assert isinstance(target, RandomPartition)
         delta = Fraction(1, rng.choice([4, 8, 16]))
         try:
-            bound = containment_entropy_bound_check(mu, p_fine, target, delta, budgets)
+            bound = containment_entropy_bound_check(mu, p_fine, target, delta)
             props["containment_entropy_bound"].record(
                 bound.ok and bound.delta_in_range,
                 lambda: {**payload(), "entropy": bound.entropy, "bound": bound.bound},

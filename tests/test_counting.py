@@ -108,16 +108,6 @@ def test_relative_count_cases():
     assert all(relative_count(pts, pts, w, SWAP) == 1 for w in range(2))
 
 
-def test_relative_count_sup_is_max_over_base():
-    from rdstail import relative_count_sup
-
-    pts = point_partition(SWAP)
-    triv = trivial_cover(SWAP)
-    assert relative_count_sup(pts, triv, SWAP) == max(
-        relative_count(pts, triv, w, SWAP) for w in range(2)
-    )
-
-
 def test_count_profile_on_swap():
     pts = point_partition(SWAP)
     triv = trivial_cover(SWAP)

@@ -1,5 +1,5 @@
-"""Cover calculus: joins, pullbacks, iterates, refinement, small-diameter
-partitions, containment search."""
+"""Cover calculus: joins, pullbacks, iterates, refinement, containment
+search."""
 
 from fractions import Fraction
 
@@ -15,7 +15,6 @@ from rdstail import (
     point_partition,
     pullback,
     refines,
-    small_diameter_partition,
     state_partition,
     swap_system,
     trivial_cover,
@@ -168,18 +167,6 @@ def test_iterates_refine_shallower_iterates():
     deep = iterate_cover(q, SWAP, 3)
     for m in (1, 2):
         assert refines(deep, iterate_cover(q, SWAP, m), fiberwise=True)
-
-
-def test_small_diameter_partition_extremes():
-    big = small_diameter_partition(SWAP, Fraction(5))
-    assert len(big.partition.elements) == 1
-    tiny = small_diameter_partition(SWAP, Fraction(1, 100))
-    for w in range(SWAP.size):
-        assert all(len(sec) <= 1 for sec in tiny.partition.sections(w))
-    mid = small_diameter_partition(SWAP, (Fraction(1), Fraction(1, 2)))
-    assert mid.achieved[0] <= Fraction(1)
-    assert mid.achieved[1] <= Fraction(1, 2)
-    assert validate_cover(mid.partition, SWAP) == []
 
 
 def _brute_force_containment(p, q, mu):

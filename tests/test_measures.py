@@ -160,6 +160,18 @@ def test_relative_entropy_sequence_fiber_conditioning():
     assert est.subadditive_ok
 
 
+def test_relative_entropy_sweeps_reject_depth_zero():
+    mu = swap_invariant()
+    sweeps = (
+        lambda: relative_entropy_sequence(mu, point_partition(SWAP), fiber_sigma(SWAP), SWAP, 0),
+        lambda: relative_entropy_sequences([mu, mu], point_partition(SWAP), fiber_sigma(SWAP), SWAP, 0),
+        lambda: transformation_relative_entropy_sequence(mu, state_sigma(SWAP), SWAP, 0),
+    )
+    for sweep in sweeps:
+        with pytest.raises(ValueError, match="at least one depth"):
+            sweep()
+
+
 def test_relative_entropy_preconditions():
     mu = FiberedMeasure.uniform(SWAP)  # not invariant
     with pytest.raises(PreconditionError) as err:

@@ -10,11 +10,9 @@ from rdstail import (
     DrivingSystem,
     FactorMap,
     MetricSpace,
-    canonical_projections,
     cycle_system,
     extend_with_tags,
     identity_factor,
-    induced_pair_factor,
     one_point_system,
     pair_system,
     power_system,
@@ -122,21 +120,12 @@ def test_canonical_projections():
     swap = swap_system()
     prod = product_system(swap, swap)
     pair = pair_system(swap)
-    assert set(canonical_projections(prod)) == set(canonical_projections(pair)) == {"left", "right"}
-    for pi in (*canonical_projections(prod).values(), *canonical_projections(pair).values()):
-        assert pi.validate() == []
+    for derived in (prod, pair):
+        for pi in (derived.to_left, derived.to_right):
+            assert pi.source is derived.system and pi.target is swap
+            assert pi.validate() == []
     assert pair.to_left.apply(0, ("a", "b")) == "a"
     assert pair.to_right.apply(0, ("a", "b")) == "b"
-
-
-def test_induced_pair_factor_identity():
-    swap = swap_system()
-    pair = pair_system(swap)
-    phi = induced_pair_factor(identity_factor(swap), pair, pair)
-    assert phi.validate() == []
-    assert all(
-        phi.apply(w, p) == p for w in range(swap.size) for p in pair.system.fibers[w]
-    )
 
 
 def test_power_system():
@@ -240,7 +229,7 @@ def test_pair_and_tag_products_match_hand_built_systems():
         pair = pair_system(rds)
         system, first, second = pair_system_by_hand(rds)
         assert_same_system(pair.system, system)
-        assert pair.left is pair.right is rds
+        assert pair.to_left.target is pair.to_right.target is rds
         assert_same_factor(pair.to_left, first)
         assert_same_factor(pair.to_right, second)
         for tags in (1, 2, 3):

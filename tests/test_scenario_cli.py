@@ -430,6 +430,8 @@ def test_cli_unknown_name_exits_2(tmp_path):
         "n-text": ["count", "--scenario", scenario_path("swap"), "--r", "points", "--q", "whole", "--n", "2.5"],
         "seed-text": ["verify", "--suite", "cover", "--seed", "abc", "--trials", "2"],
         "trials-text": ["verify", "--suite", "cover", "--trials", "x"],
+        "trials-zero": ["verify", "--suite", "cover", "--trials", "0"],
+        "trials-negative": ["verify", "--suite", "cover", "--trials", "-3"],
         "spec-name": ["sft-tail", "--scenario", scenario_path("shifts"), "--sft", "golden",
                       "--rspec", "a:1", "--qspec", ":1", "--nmax", "3"],
         "spec-depth": ["sft-tail", "--scenario", scenario_path("shifts"), "--sft", "golden",
@@ -477,6 +479,8 @@ def test_cli_unknown_name_exits_2(tmp_path):
     assert "field 'theta'" in errors["scenario-theta-text"]
     assert "metric space 'ring': dist must be a 4x4 matrix" in errors["scenario-short-dist"]
     assert errors["nmax-text"] == "--nmax must be an integer, got 'abc'"
+    assert errors["trials-zero"] == "--trials must be >= 1, got 0"
+    assert errors["trials-negative"] == "--trials must be >= 1, got -3"
     assert errors["scenario-absent"].endswith("cannot read scenario file: No such file or directory")
     assert errors["scenario-directory"].endswith("cannot read scenario file: Is a directory")
     assert "latin1.json: not UTF-8 text" in errors["scenario-not-utf8"]

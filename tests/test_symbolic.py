@@ -4,7 +4,7 @@ oracles, cylinder-cover sequences against the set-cover cross-check."""
 import math
 import random
 from fractions import Fraction
-from itertools import product as iter_product
+from itertools import islice, product as iter_product
 
 import pytest
 
@@ -202,6 +202,26 @@ def test_equal_specs_give_exact_zero():
     assert est.values == tuple(0.0 for _ in range(10))
 
 
+def test_empty_counted_family_counts_one_at_every_depth():
+    sft = RandomSFT(POINT_BASE, (GOLDEN,))
+    empty = CylinderCoverSpec(frozenset())
+    for n in (1, 2, 5000):
+        assert relative_word_count(sft, empty, empty, n, 0) == 1
+        assert next(_depth_counts(sft, empty, empty, 0, n)) == 1
+    assert sft_tail_sequence(sft, empty, empty, 12).values == (0.0,) * 12
+
+
+def test_sweeps_reject_depth_zero():
+    sft = RandomSFT(POINT_BASE, (GOLDEN,))
+    spec, empty = CylinderCoverSpec(frozenset({0})), CylinderCoverSpec(frozenset())
+    for r in (spec, empty):
+        with pytest.raises(ValueError):
+            sft_tail_sequence(sft, r, empty, 0)
+        for n in (0, -1):
+            with pytest.raises(ValueError):
+                relative_word_count(sft, r, empty, n, 0)
+
+
 def test_golden_mean_against_trivial_conditioning():
     sft = RandomSFT(POINT_BASE, (GOLDEN,))
     est = sft_tail_sequence(
@@ -334,7 +354,7 @@ def test_vector_walks_match_matrix_products():
             weighted_logs = []
             for omega in range(sft.base.size):
                 want = matrix_depth_counts(sft, r, q, n_max, omega)
-                assert list(_depth_counts(sft, r, q, n_max, omega)) == want
+                assert list(islice(_depth_counts(sft, r, q, omega), n_max)) == want
                 for n in probes:
                     assert relative_word_count(sft, r, q, n, omega) == want[n - 1]
                 if sft.base.prob[omega] != 0:

@@ -19,7 +19,6 @@ from rdstail import (
     integrated_log_count,
     point_partition,
     power_rule_check,
-    relative_topological,
     swap_system,
     tail_entropy_estimate,
     tail_entropy_total,
@@ -72,6 +71,17 @@ def test_estimate_running_inf_nonincreasing():
     assert all(v >= -TOL for v in est.values)
 
 
+def test_empty_estimate_is_rejected():
+    with pytest.raises(ValueError, match="at least one depth"):
+        EntropyEstimate(values=(), requested=0)
+    pts, triv = point_partition(SWAP), trivial_cover(SWAP)
+    for n_max in (0, -2):
+        with pytest.raises(ValueError, match="at least one depth"):
+            tail_entropy_estimate(SWAP, pts, triv, n_max)
+        with pytest.raises(ValueError, match="at least one depth"):
+            cover_conditional_entropy(SWAP, triv, [pts], n_max)
+
+
 def test_synthetic_linear_sequence():
     est = EntropyEstimate(values=tuple(n * math.log(2) for n in range(1, 9)), requested=8)
     assert est.subadditive_ok
@@ -102,7 +112,6 @@ def test_sweeps_raise_on_budget():
         "tail_entropy_estimate": lambda: tail_entropy_estimate(SWAP, pts, triv, 6, tight),
         "cover_conditional_entropy": lambda: cover_conditional_entropy(SWAP, triv, [pts], 6, tight),
         "tail_entropy_total": lambda: tail_entropy_total(SWAP, [triv], [pts], 6, tight),
-        "relative_topological": lambda: relative_topological(SWAP, pts, 6, tight),
     }
     for name, sweep in sweeps.items():
         with pytest.raises(BudgetExceededError) as stop:
@@ -126,15 +135,6 @@ def test_tail_entropy_total_exact_zero_with_singletons():
     assert tail_entropy_total(SWAP, [pts, triv], [pts, triv], 6) == 0.0
     single = tail_entropy_total(SWAP, [triv], [pts], 8)
     assert abs(single - cover_conditional_entropy(SWAP, triv, [pts], 8)) <= TOL
-
-
-def test_relative_topological():
-    assert relative_topological(SWAP, trivial_cover(SWAP), 4) == 0.0
-    val = relative_topological(SWAP, point_partition(SWAP), 8)
-    assert abs(val - math.log(2) / 8) <= TOL
-    # conditioning on anything else can only lower the bracket
-    est = tail_entropy_estimate(SWAP, point_partition(SWAP), point_partition(SWAP), 8)
-    assert val >= est.value - TOL
 
 
 def test_power_rule_on_swap():

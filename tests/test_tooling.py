@@ -1,4 +1,5 @@
-"""The benchmark still finds every library name it traces, calls or reads."""
+"""The benchmark still finds every library name it traces, calls or reads,
+and every name the package exports has a caller outside the tests."""
 
 import ast
 import os
@@ -70,3 +71,53 @@ def test_bench_names_resolve_on_the_library():
     assert not missing
     # bench/workloads.py _short_sweep reads the depth an estimate was asked for
     assert "requested" in rdstail.EntropyEstimate.__dataclass_fields__
+
+
+def _referenced_names(path):
+    """Every name a file reads, as an ``ast.Name``, the attribute of an
+    ``ast.Attribute`` or an imported name."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rpartition(".")[2] for alias in node.names)
+    return names
+
+
+def _traced_strings():
+    """The module and function names listed in ``bench/tracer.py`` TRACED."""
+    path = os.path.join(ROOT, "bench", "tracer.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    (traced,) = (
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets)
+    )
+    return {node.value for node in ast.walk(traced) if isinstance(node, ast.Constant) and type(node.value) is str}
+
+
+def test_every_export_has_a_non_test_caller():
+    package = os.path.dirname(rdstail.__file__)
+    with open(os.path.join(package, "__init__.py")) as fh:
+        init = ast.parse(fh.read())
+    exports = {
+        alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    assert "minimal_subcover" in exports and "_linalg" in exports
+    # the other library modules, bench/ and demos/ (tests/ does not count)
+    callers = [os.path.join(package, name) for name in os.listdir(package) if name != "__init__.py"]
+    for folder in ("bench", "demos"):
+        for dirpath, _, files in os.walk(os.path.join(ROOT, folder)):
+            callers += [os.path.join(dirpath, name) for name in files]
+    referenced = set(_traced_strings())
+    for path in callers:
+        if path.endswith(".py"):
+            referenced |= _referenced_names(path)
+    unused = sorted(exports - referenced)
+    assert not unused, f"exports with no caller outside the tests: {unused}"
