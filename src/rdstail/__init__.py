@@ -24,16 +24,13 @@ from .counting import (
     relative_count,
 )
 from .covers import (
-    ContainmentWitness,
     RandomCover,
     RandomPartition,
     RandomSet,
     SigmaAlgebra,
-    delta_contains,
     fiber_partition,
     fiber_sigma,
     iterate_cover,
-    iterate_covers,
     join,
     point_partition,
     pullback,
@@ -71,6 +68,7 @@ from .invariant import (
 from .measures import (
     BoundCheck,
     ContainmentBound,
+    ContainmentWitness,
     DefectEstimate,
     FiberedMeasure,
     Filtration,
@@ -78,6 +76,7 @@ from .measures import (
     conditional_entropy,
     containment_entropy_bound_check,
     defect,
+    delta_contains,
     disintegrate,
     entropy_count_bound_check,
     filtration_limit_check,

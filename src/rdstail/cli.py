@@ -437,6 +437,8 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
             delta = Fraction(args.delta)
         except (ValueError, ZeroDivisionError):
             raise ScenarioError(f"--delta {args.delta!r} is not an exact rational such as 1/2") from None
+        if delta <= 0:
+            raise ScenarioError(f"--delta {args.delta!r} must be positive")
         if args.separated:
             if args.p_cover is None or args.q_cover is None:
                 raise ScenarioError("--separated needs --p and --q")

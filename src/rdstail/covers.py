@@ -1,6 +1,5 @@
 """Random sets, covers, partitions, finite sub-sigma-algebras, and the cover
-calculus: joins, dynamical pullbacks, iterates, refinement, and approximate
-containment of one partition in another.
+calculus: joins, dynamical pullbacks, iterates and refinement.
 
 A random set assigns a subset of the fiber to every base point; a random
 cover is a finite ordered family of random sets whose sections union to the
@@ -16,24 +15,19 @@ one ``int`` per fiber and a join is a fiberwise ``&``.  One generator,
 every point's image one step per item; it is the only loop that walks the
 fiber maps for covers.  :func:`pullback` decodes one of its items, and one
 join fold over it, :func:`_mask_iterates`, builds every depth: the counts
-read its masks directly, and :func:`iterate_covers` decodes them into the
-same frozenset covers a fold of :func:`join` and :func:`pullback` gives.
+and the relative-entropy sweeps read its masks directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from operator import and_
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .budgets import Budgets, DEFAULTS
 from .errors import BudgetExceededError, DomainError, IncompatibleSystemsError
 from .model import BundleRDS, FactorMap, Point, sort_points
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .measures import FiberedMeasure
 
 
 @dataclass(frozen=True)
@@ -282,8 +276,8 @@ def _preimage(pre: dict[int, int], mask: int) -> int:
 
 def _mask_iterates(q: RandomCover, rds: BundleRDS, n_max: int, budgets: Budgets = DEFAULTS) -> Iterator[Masks]:
     """The depth-1..n_max refinements of ``q`` as lists of per-fiber mask
-    tuples, in the element order of :func:`iterate_covers`: depth i+1 joins
-    depth i with the i-step item of :func:`_mask_pullbacks`.
+    tuples, in first-seen element order: depth i+1 joins depth i with the
+    i-step item of :func:`_mask_pullbacks`.
 
     Raises :class:`DomainError` if a section of ``q`` leaves its fiber and
     :class:`BudgetExceededError` with the offending depth when the element
@@ -324,26 +318,11 @@ def _decode(q: RandomCover, rds: BundleRDS, masks: Masks, label: str | None) -> 
     return cls(elements, label=label)
 
 
-def iterate_covers(
-    q: RandomCover, rds: BundleRDS, n_max: int, budgets: Budgets = DEFAULTS
-) -> Iterator[RandomCover]:
-    """The depth-1..n_max dynamical refinements of ``q`` in one pass: depth
-    n+1 joins depth n with the n-step pullback (none for n_max < 1).
-
-    Depth 1 keeps the label of ``q``; every depth is a partition iff ``q``
-    is one.  Raises :class:`DomainError` if a section of ``q`` leaves its
-    fiber, and :class:`BudgetExceededError` with the offending depth when
-    the element count blows past ``budgets.cover_elements``.
-    """
-    for n, masks in enumerate(_mask_iterates(q, rds, n_max, budgets), 1):
-        yield _decode(q, rds, masks, q.label if n == 1 else None)
-
-
 def iterate_cover(
     q: RandomCover, rds: BundleRDS, n: int, budgets: Budgets = DEFAULTS
 ) -> RandomCover:
     """Join of the pullbacks at steps 0..n-1 (depth-n dynamical refinement):
-    the last item of :func:`iterate_covers`."""
+    the decoded masks of :func:`_mask_iterate`, a partition iff ``q`` is one."""
     return _decode(q, rds, _mask_iterate(q, rds, n, budgets), q.label if n == 1 else None)
 
 
@@ -405,54 +384,3 @@ def refines(r: RandomCover, q: RandomCover, fiberwise: bool = False) -> bool:
 def sigma_refines(fine: SigmaAlgebra, coarse: SigmaAlgebra) -> bool:
     """Sigma-algebra inclusion: every coarse atom is a union of fine atoms."""
     return refines(fine.atoms, coarse.atoms, fiberwise=True)
-
-
-@dataclass(frozen=True)
-class ContainmentWitness:
-    contained: bool
-    # exact optimum of the total symmetric-difference mass over all
-    # coarsenings of p matched (with empty-set padding) against q
-    best_sum: Fraction
-    # witness: groups[j] lists the p-element indices merged and matched with
-    # q-element j; every p-element appears in exactly one group
-    groups: tuple[tuple[int, ...], ...]
-
-
-def delta_contains(
-    p: RandomPartition,
-    q: RandomPartition,
-    mu: "FiberedMeasure",
-    delta: Fraction,
-) -> ContainmentWitness:
-    """Can some coarsening of ``p``, suitably ordered against ``q``, bring the
-    total symmetric-difference mass strictly below ``delta``?
-
-    The optimum is exact.  Because the mass of a merged cell is additive, the
-    total over any matching equals ``mass(p) + mass(q) - 2 * (sum of matched
-    intersection masses)``, so the best coarsening simply sends each p-element
-    to the q-element with which it shares the most mass; no combinatorial
-    search is required.
-    """
-    from .measures import mass_of_sections  # local import to avoid a cycle
-
-    inter = [
-        [
-            mass_of_sections(mu, tuple(ps & qs for ps, qs in zip(pe.sections, qe.sections)))
-            for qe in q.elements
-        ]
-        for pe in p.elements
-    ]
-    total_p = sum((mass_of_sections(mu, pe.sections) for pe in p.elements), Fraction(0))
-    total_q = sum((mass_of_sections(mu, qe.sections) for qe in q.elements), Fraction(0))
-    groups: list[list[int]] = [[] for _ in q.elements]
-    gained = Fraction(0)
-    for i, row in enumerate(inter):
-        best_j = max(range(len(row)), key=lambda j: (row[j], -j))
-        gained += row[best_j]
-        groups[best_j].append(i)
-    best_sum = total_p + total_q - 2 * gained
-    return ContainmentWitness(
-        contained=best_sum < delta,
-        best_sum=best_sum,
-        groups=tuple(tuple(g) for g in groups),
-    )

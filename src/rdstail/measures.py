@@ -12,6 +12,11 @@ throughout.
 Every measure built from others (mixtures, pushforwards, and the Cesaro
 limits, lifts and polytope vertices of :mod:`rdstail.invariant`) sums its
 ``(omega, point, mass)`` contributions in one accumulator, :func:`_gather`.
+
+Every element and intersection mass comes from :func:`_joint_masses`, over
+``(element index, (omega, point))`` memberships: of frozenset sections for
+:func:`conditional_entropy` and :func:`delta_contains`, and of the set bits
+of :func:`rdstail.covers._mask_iterates` for the relative-entropy sweeps.
 """
 
 from __future__ import annotations
@@ -23,13 +28,11 @@ from typing import Iterable, Mapping, Sequence
 
 from .budgets import Budgets, DEFAULTS
 from .covers import (
-    ContainmentWitness,
     RandomCover,
     RandomPartition,
     SigmaAlgebra,
-    delta_contains,
+    _mask_iterates,
     fiber_partition,
-    iterate_covers,
     join,
     pullback,
     refines,
@@ -37,7 +40,7 @@ from .covers import (
     state_partition,
 )
 from .errors import PreconditionError
-from .model import BundleRDS, FactorMap, Point
+from .model import BundleRDS, FactorMap, Point, sort_points
 from .tail_entropy import EntropyEstimate, TOL, integrated_log_count
 
 
@@ -83,7 +86,7 @@ class FiberedMeasure:
     def uniform(cls, rds: BundleRDS) -> "FiberedMeasure":
         return cls(
             tuple(
-                {x: rds.base.prob[w] / len(rds.fibers[w]) for x in rds.fibers[w]}
+                {x: rds.base.prob[w] / len(rds.fibers[w]) for x in sort_points(rds.fibers[w])}
                 for w in range(rds.size)
             )
         )
@@ -127,13 +130,6 @@ def mix(parts: Sequence[tuple[Fraction, FiberedMeasure]]) -> FiberedMeasure:
     )
 
 
-def mass_of_sections(mu: FiberedMeasure, sections: Sequence[frozenset]) -> Fraction:
-    return sum(
-        (mu.weights[w].get(x, Fraction(0)) for w in range(len(sections)) for x in sections[w]),
-        Fraction(0),
-    )
-
-
 def disintegrate(mu: FiberedMeasure, rds: BundleRDS) -> tuple[dict[Point, Fraction] | None, ...]:
     """Fiber conditionals: weights divided by the base mass, summing to one
     on every fiber of positive base mass.  Fibers with zero base mass get
@@ -173,21 +169,48 @@ def _plogq(mass: Fraction, given: Fraction) -> float:
     return float(mass) * (math.log(float(given)) - math.log(float(mass)))
 
 
+Membership = tuple[int, tuple[int, Point]]  # (element index, (omega, point))
+
+
+def _memberships(cover: RandomCover) -> list[Membership]:
+    return [(i, (w, x)) for i, e in enumerate(cover.elements) for w, sec in enumerate(e.sections) for x in sec]
+
+
+def _joint_masses(
+    mu: FiberedMeasure, atoms: Iterable[Membership], cells: Iterable[Membership]
+) -> tuple[dict[int, Fraction], dict[tuple[int, int], Fraction]]:
+    """The mass of every atom, and of every nonempty (atom, cell)
+    intersection keyed ``(atom index, cell index)``.  A state lying in
+    several atoms or several cells counts once in each of them."""
+    cells_at: dict[tuple[int, Point], list[int]] = {}
+    for j, state in cells:
+        cells_at.setdefault(state, []).append(j)
+    atom_mass: dict[int, Fraction] = {}
+    joint: dict[tuple[int, int], Fraction] = {}
+    for i, (w, x) in atoms:
+        v = mu.get(w, x)
+        atom_mass[i] = atom_mass.get(i, Fraction(0)) + v
+        for j in cells_at.get((w, x), ()):
+            joint[i, j] = joint.get((i, j), Fraction(0)) + v
+    return atom_mass, joint
+
+
+def _entropy(mu: FiberedMeasure, atoms: Sequence[Membership], cells: Sequence[Membership]) -> float:
+    # left to right in (atom, cell) order, null atoms skipped: the atom x cell formula
+    atom_mass, joint = _joint_masses(mu, atoms, cells)
+    total = 0.0
+    for (i, _), v in sorted(joint.items()):
+        if atom_mass[i]:
+            total += _plogq(v, atom_mass[i])
+    return total
+
+
 def conditional_entropy(mu: FiberedMeasure, r: RandomCover, s: SigmaAlgebra) -> float:
     """Entropy of the partition ``r`` conditioned on the atoms of ``s``:
     the exact finite formula over joint atom masses, zero-mass cells
-    contributing nothing.  Lies in ``[0, log len(r)]``."""
-    total = 0.0
-    for atom in s.atoms.elements:
-        atom_mass = mass_of_sections(mu, atom.sections)
-        if atom_mass == 0:
-            continue
-        for cell in r.elements:
-            joint = mass_of_sections(
-                mu, tuple(a & c for a, c in zip(atom.sections, cell.sections))
-            )
-            total += _plogq(joint, atom_mass)
-    return total
+    contributing nothing.  Lies in ``[0, log len(r)]``.  Overlaps are not
+    rejected: a state in two cells or two atoms counts once in each."""
+    return _entropy(mu, _memberships(s.atoms), _memberships(r))
 
 
 @dataclass(frozen=True)
@@ -219,7 +242,7 @@ def relative_entropy_sequences(
 ) -> list[EntropyEstimate]:
     """Conditional entropies of the depth-n iterates of ``r`` given ``s``,
     with the running-infimum bracket, for every measure of a family: one
-    pass over the iterates evaluates all measures at each depth.
+    pass over the mask iterates evaluates all measures at each depth.
 
     Preconditions are verified, not assumed: each measure must be exactly
     invariant under the skew map and the algebra must contain its own
@@ -229,10 +252,15 @@ def relative_entropy_sequences(
         raise PreconditionError("invariant_measure", "measure is not skew-invariant")
     if not sigma_backward_compatible(s, rds):
         raise PreconditionError("backward_compatible_algebra", "pullback of the algebra escapes it")
+    atoms = _memberships(s.atoms)
+    points = [sort_points(f) for f in rds.fibers]
     values: list[list[float]] = [[] for _ in measures]
-    for rn in iterate_covers(r, rds, n_max, budgets):
+    for masks in _mask_iterates(r, rds, n_max, budgets):
+        # bit k of a mask over base point w is points[w][k]
+        sections = [(j, w, m) for j, e in enumerate(masks) for w, m in enumerate(e)]
+        cells = [(j, (w, points[w][k])) for j, w, m in sections for k in range(m.bit_length()) if m >> k & 1]
         for mu, seq in zip(measures, values):
-            seq.append(conditional_entropy(mu, rn, s))
+            seq.append(_entropy(mu, atoms, cells))
     return [EntropyEstimate(values=tuple(seq), requested=n_max) for seq in values]
 
 
@@ -354,6 +382,51 @@ def two_partition_count_bound_check(
     left = conditional_entropy(mu, r, s)
     right = conditional_entropy(mu, q, s) + integrated_log_count(rds, r, q, 1)
     return BoundCheck(ok=left <= right + TOL, left=left, right=right)
+
+
+@dataclass(frozen=True)
+class ContainmentWitness:
+    contained: bool
+    # exact optimum of the total symmetric-difference mass over all
+    # coarsenings of p matched (with empty-set padding) against q
+    best_sum: Fraction
+    # witness: groups[j] lists the p-element indices merged and matched with
+    # q-element j; every p-element appears in exactly one group
+    groups: tuple[tuple[int, ...], ...]
+
+
+def delta_contains(
+    p: RandomPartition,
+    q: RandomPartition,
+    mu: FiberedMeasure,
+    delta: Fraction,
+) -> ContainmentWitness:
+    """Can some coarsening of ``p``, suitably ordered against ``q``, bring the
+    total symmetric-difference mass strictly below ``delta``?
+
+    The optimum is exact.  Because the mass of a merged cell is additive, the
+    total over any matching equals ``mass(p) + mass(q) - 2 * (sum of matched
+    intersection masses)``, so the best coarsening simply sends each p-element
+    to the q-element with which it shares the most mass; no combinatorial
+    search is required.
+    """
+    p_cells, q_cells = _memberships(p), _memberships(q)
+    p_mass, inter = _joint_masses(mu, p_cells, q_cells)
+    q_mass, _ = _joint_masses(mu, q_cells, ())
+    total = sum(p_mass.values(), Fraction(0)) + sum(q_mass.values(), Fraction(0))
+    groups: list[list[int]] = [[] for _ in q.elements]
+    gained = Fraction(0)
+    for i in range(len(p.elements)):
+        row = [inter.get((i, j), Fraction(0)) for j in range(len(q.elements))]
+        best_j = max(range(len(row)), key=lambda j: (row[j], -j))
+        gained += row[best_j]
+        groups[best_j].append(i)
+    best_sum = total - 2 * gained
+    return ContainmentWitness(
+        contained=best_sum < delta,
+        best_sum=best_sum,
+        groups=tuple(tuple(g) for g in groups),
+    )
 
 
 @dataclass(frozen=True)

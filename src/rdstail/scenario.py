@@ -20,7 +20,7 @@ from typing import Any, Callable
 from .covers import RandomCover, RandomPartition, RandomSet, validate_cover
 from .errors import RdstailError
 from .measures import FiberedMeasure
-from .model import BundleRDS, DrivingSystem, FactorMap, MetricSpace, point_key, sort_points
+from .model import BundleRDS, DrivingSystem, FactorMap, MetricSpace, point_key, sort_points, validate_system
 from .symbolic import RandomSFT, SFTComponent
 
 SCHEMA_VERSION = 1
@@ -139,8 +139,6 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
             rds = BundleRDS(base=base, fibers=fibers, maps=maps, space=space)
         except ValueError as exc:
             raise ScenarioError(f"{where}: {exc}") from exc
-        from .model import validate_system
-
         bad = validate_system(rds)
         if bad:
             raise ScenarioError(f"{where}: " + "; ".join(bad))

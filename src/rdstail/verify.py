@@ -19,6 +19,7 @@ skeleton behind them is checked term by term.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from dataclasses import dataclass, replace
@@ -135,8 +136,6 @@ class SuiteReport:
         )
 
     def to_json(self) -> str:
-        import json
-
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def summary(self) -> str:

@@ -173,8 +173,6 @@ def _brute_force_containment(p, q, mu):
     """Oracle: exhaustive over coarsenings of p and matchings against q."""
     from itertools import permutations
 
-    from rdstail.measures import mass_of_sections
-
     k, a = len(q.elements), len(p.elements)
 
     def set_partitions(items):
@@ -188,7 +186,7 @@ def _brute_force_containment(p, q, mu):
             yield [[first]] + smaller
 
     def mass(secs):
-        return mass_of_sections(mu, secs)
+        return sum((mu.get(w, x) for w, sec in enumerate(secs) for x in sec), Fraction(0))
 
     best = None
     q_secs = [e.sections for e in q.elements]

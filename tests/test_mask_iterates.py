@@ -4,7 +4,8 @@ replaced.
 ``pullback_by_walk`` is the per-point orbit walk that pulled covers back
 before the mask pullbacks, and ``iterate_covers_by_joins`` is the fold over
 it: depth n+1 joins depth n with the n-step walk pullback of the cover, so
-the oracle never calls the mask engine.  Over random systems (non-bijective
+the oracle never calls the mask engine.  ``decoded_iterates`` decodes every
+depth of the mask loop, which the library sweeps read without decoding.  Over random systems (non-bijective
 fiber maps, empty sections, covers and partitions, labels) the mask loop
 must give equal pullbacks, equal covers, equal counts, the same budget stops
 and the same domain errors.
@@ -28,13 +29,12 @@ from rdstail import (
     count_profile,
     count_profiles,
     iterate_cover,
-    iterate_covers,
     join,
     pullback,
     relative_count,
 )
 from rdstail.budgets import DEFAULTS
-from rdstail.covers import _assemble
+from rdstail.covers import _assemble, _decode, _mask_iterates
 from rdstail.verify import _rng, coarsen, random_cover, random_partition, random_system
 
 seeds = st.integers(min_value=0, max_value=10**6)
@@ -83,6 +83,12 @@ def iterate_covers_by_joins(q, rds, n_max, budgets=DEFAULTS):
         yield out
 
 
+def decoded_iterates(q, rds, n_max, budgets=DEFAULTS):
+    """The depth-1..n_max items of the mask loop, decoded into covers."""
+    for n, masks in enumerate(_mask_iterates(q, rds, n_max, budgets), 1):
+        yield _decode(q, rds, masks, q.label if n == 1 else None)
+
+
 def counts_by_joins(rds, r, q, n_max, budgets=DEFAULTS):
     """Oracle: per-depth ``relative_count`` of the frozenset iterates."""
     q_iter = iterate_covers_by_joins(q, rds, n_max, budgets)
@@ -123,10 +129,10 @@ def test_mask_loop_matches_frozenset_fold(seed):
     n_max = rng.randint(1, 6)
     for c in (r, q):
         want = list(iterate_covers_by_joins(c, rds, n_max))
-        got = list(iterate_covers(c, rds, n_max))
+        got = list(decoded_iterates(c, rds, n_max))
         assert got == want
         assert [type(x) for x in got] == [type(x) for x in want]
-        assert iterate_cover(c, rds, n_max) == want[-1]
+        assert [iterate_cover(c, rds, n) for n in range(1, n_max + 1)] == want
     want = list(counts_by_joins(rds, r, q, n_max))
     assert [p.per_omega for p in count_profiles(rds, r, q, n_max)] == want
     assert count_profile(rds, r, q, n_max).per_omega == want[-1]
@@ -161,7 +167,7 @@ def test_budget_stops_match_frozenset_fold(seed):
         tight = Budgets(cover_elements=limit)
         for c in (r, q):
             want = _outcome(lambda: iterate_covers_by_joins(c, rds, 6, tight))
-            assert _outcome(lambda: iterate_covers(c, rds, 6, tight)) == want
+            assert _outcome(lambda: decoded_iterates(c, rds, 6, tight)) == want
         want_counts, want_stop = _outcome(lambda: counts_by_joins(rds, r, q, 6, tight))
         got = _outcome(lambda: (p.per_omega for p in count_profiles(rds, r, q, 6, tight)))
         assert got == (want_counts, want_stop)
@@ -191,11 +197,11 @@ def test_section_leaving_its_fiber_raises_domain_error(seed):
         with pytest.raises(DomainError, match=re.escape(message)):
             count_profile(rds, r, stray, n)
         with pytest.raises(DomainError, match=re.escape(message)):
-            list(iterate_covers(stray, rds, n))
+            list(decoded_iterates(stray, rds, n))
 
 
 def test_deep_sweep_on_a_larger_system():
     rng = random.Random(7)
     rds = random_system(rng, max_fiber=9, pool=12)
     q = random_partition(rng, rds, max_cells=3)
-    assert list(iterate_covers(q, rds, 8)) == list(iterate_covers_by_joins(q, rds, 8))
+    assert list(decoded_iterates(q, rds, 8)) == list(iterate_covers_by_joins(q, rds, 8))

@@ -22,13 +22,14 @@ from rdstail import (
     containment_entropy_bound_check,
     cycle_system,
     defect,
+    delta_contains,
     disintegrate,
     entropy_count_bound_check,
     extend_with_tags,
     fiber_sigma,
     filtration_limit_check,
     identity_factor,
-    iterate_covers,
+    iterate_cover,
     join,
     measures_equal,
     mix,
@@ -50,8 +51,16 @@ from rdstail import (
     vertex_enumeration,
 )
 from rdstail.covers import pullback_cover
-from rdstail.measures import defect_from_sequences, sigma_backward_compatible
-from rdstail.verify import _rng, random_driving, random_measure, random_partition, random_system
+from rdstail.measures import ContainmentWitness, _plogq, defect_from_sequences, sigma_backward_compatible
+from rdstail.verify import (
+    _rng,
+    coarsen,
+    random_cover,
+    random_driving,
+    random_measure,
+    random_partition,
+    random_system,
+)
 
 SWAP = swap_system()
 TOL = 1e-9
@@ -95,6 +104,90 @@ def test_disintegrate_flags_zero_mass_fiber():
     rds = BundleRDS(base=base, fibers=(frozenset({"x"}), frozenset({"y"})), maps=({"x": "x"}, {"y": "y"}))
     mu = FiberedMeasure(({"x": Fraction(1)}, {}))
     assert disintegrate(mu, rds)[1] is None
+
+
+def mass_of_sections(mu, sections):
+    """Oracle: the mass of a random set, each point of a section once."""
+    return sum(
+        (mu.weights[w].get(x, Fraction(0)) for w in range(len(sections)) for x in sections[w]),
+        Fraction(0),
+    )
+
+
+def conditional_entropy_by_cells(mu, r, s):
+    """Oracle: the atom x cell formula over frozenset intersections that
+    the joint masses replaced."""
+    total = 0.0
+    for atom in s.atoms.elements:
+        atom_mass = mass_of_sections(mu, atom.sections)
+        if atom_mass == 0:
+            continue
+        for cell in r.elements:
+            joint = mass_of_sections(mu, tuple(a & c for a, c in zip(atom.sections, cell.sections)))
+            total += _plogq(joint, atom_mass)
+    return total
+
+
+def delta_contains_by_cells(p, q, mu, delta):
+    """Oracle: the containment optimum from frozenset intersections."""
+    inter = [
+        [mass_of_sections(mu, tuple(ps & qs for ps, qs in zip(pe.sections, qe.sections))) for qe in q.elements]
+        for pe in p.elements
+    ]
+    total_p = sum((mass_of_sections(mu, pe.sections) for pe in p.elements), Fraction(0))
+    total_q = sum((mass_of_sections(mu, qe.sections) for qe in q.elements), Fraction(0))
+    groups = [[] for _ in q.elements]
+    gained = Fraction(0)
+    for i, row in enumerate(inter):
+        best_j = max(range(len(row)), key=lambda j: (row[j], -j))
+        gained += row[best_j]
+        groups[best_j].append(i)
+    best_sum = total_p + total_q - 2 * gained
+    return ContainmentWitness(
+        contained=best_sum < delta, best_sum=best_sum, groups=tuple(tuple(g) for g in groups)
+    )
+
+
+def test_joint_masses_match_atom_cell_formula():
+    # partitions, overlapping covers and their coarsenings, each as the
+    # cells and as the atoms: a state in two atoms or cells counts in each
+    overlapping = 0
+    for trial in range(60):
+        rng = _rng(95, trial)
+        rds = random_system(rng, max_fiber=4)
+        mu = random_measure(rng, rds)
+        delta = Fraction(rng.randint(1, 8), 8)
+        covers = [random_partition(rng, rds), random_cover(rng, rds), coarsen(rng, random_cover(rng, rds))]
+        overlapping += sum(len(sec) for e in covers[1].elements for sec in e.sections) > sum(map(len, rds.fibers))
+        for r in covers:
+            for atoms in covers:
+                s = SigmaAlgebra(atoms)
+                assert conditional_entropy(mu, r, s) == conditional_entropy_by_cells(mu, r, s), trial
+                assert delta_contains(atoms, r, mu, delta) == delta_contains_by_cells(atoms, r, mu, delta), trial
+    assert overlapping
+
+
+def test_family_sweep_matches_atom_cell_formula():
+    for trial in range(20):
+        rng = _rng(97, trial)
+        base = random_driving(rng, 3)
+        left = random_system(rng, base=base, max_fiber=3, pool=4)
+        prod = product_system(left, random_system(rng, base=base, max_fiber=3, pool=4))
+        h = prod.system
+        family = [cesaro_limit(random_measure(rng, h), h) for _ in range(rng.randint(1, 3))]
+        algebras = [SigmaAlgebra(pullback_cover(prod.to_left, state_partition(left))), fiber_sigma(h), state_sigma(h)]
+        # the whole fiber as an extra atom overlaps every other atom and
+        # keeps the algebra backward compatible
+        whole = trivial_cover(h).elements
+        algebras += [SigmaAlgebra(RandomPartition(s.atoms.elements + whole)) for s in algebras]
+        for r in (random_partition(rng, h, max_cells=3), random_cover(rng, h)):
+            for s in algebras:
+                got = [seq.values for seq in relative_entropy_sequences(family, r, s, h, 3)]
+                want = [
+                    tuple(conditional_entropy_by_cells(mu, iterate_cover(r, h, n), s) for n in (1, 2, 3))
+                    for mu in family
+                ]
+                assert got == want, trial
 
 
 def test_conditional_entropy_basics():
@@ -195,13 +288,14 @@ def test_relative_entropy_depth_one_is_conditional_entropy():
 
 
 def relative_entropy_sequence_per_measure(mu, r, s, rds, n_max, budgets=Budgets()):
-    """Reference: the checks and a sweep of the iterates for one measure
-    alone, as the library ran it before one sweep served a whole family."""
+    """Reference: the checks and the atom x cell formula at every depth for
+    one measure alone, as the library ran it before one sweep served a whole
+    family."""
     if not measures_equal(skew_pushforward(mu, rds), mu):
         raise PreconditionError("invariant_measure", "measure is not skew-invariant")
     if not sigma_backward_compatible(s, rds):
         raise PreconditionError("backward_compatible_algebra", "pullback of the algebra escapes it")
-    values = [conditional_entropy(mu, rn, s) for rn in iterate_covers(r, rds, n_max, budgets)]
+    values = [conditional_entropy_by_cells(mu, iterate_cover(r, rds, n, budgets), s) for n in range(1, n_max + 1)]
     return EntropyEstimate(values=tuple(values), requested=n_max)
 
 

@@ -18,7 +18,6 @@ from rdstail import (
     count_profiles,
     integrated_log_count,
     iterate_cover,
-    iterate_covers,
     join,
     power_rule_check,
     pullback,
@@ -85,8 +84,9 @@ def test_count_monotonicity_and_subadditivity(seed):
         assert profiles[3][w] <= profiles[1][w] * profiles[2][shifted]
     # the one-pass sweeps against the single-depth builds they replace
     assert list(count_profiles(rds, r, q, 4)) == [count_profile(rds, r, q, n) for n in range(1, 5)]
-    for n, rn in enumerate(iterate_covers(r, rds, 4), 1):
-        assert sections_set(rn) == sections_set(iterate_cover(r, rds, n))
+    for n in range(2, 5):
+        deeper = join(iterate_cover(r, rds, n - 1), pullback(r, rds, n - 1))
+        assert sections_set(iterate_cover(r, rds, n)) == sections_set(deeper)
     tight = Budgets(cover_elements=3)
     swept = _budget_stop(lambda: list(count_profiles(rds, r, q, 6, tight)))
     assert swept == _budget_stop(lambda: [count_profile(rds, r, q, n, tight) for n in range(1, 7)])

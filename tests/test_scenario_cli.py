@@ -456,6 +456,10 @@ def test_cli_unknown_name_exits_2(tmp_path):
                        "--q", "points", "--n", "2", "--delta", "abc"],
         "delta-zero-denominator": ["construct", "--scenario", scenario_path("cycle4"), "--diagonal", "--p",
                                    "points", "--q", "points", "--n", "2", "--delta", "1/0"],
+        "delta-zero": ["construct", "--scenario", scenario_path("cycle4"), "--diagonal", "--p", "points",
+                       "--q", "points", "--n", "2", "--delta", "0"],
+        "delta-negative": ["construct", "--scenario", scenario_path("swap"), "--separated", "--p", "points",
+                           "--q", "whole", "--n", "2", "--delta", "-1"],
         "separated-no-covers": ["construct", "--scenario", scenario_path("cycle4"), "--separated",
                                 "--n", "2", "--delta", "1"],
         "budget-unknown": ["--budget", "bogus=1", "sft-tail", "--scenario", scenario_path("shifts"),
@@ -478,6 +482,7 @@ def test_cli_unknown_name_exits_2(tmp_path):
     assert "missing field 'prob'" in errors["scenario-missing-prob"]
     assert "field 'theta'" in errors["scenario-theta-text"]
     assert "metric space 'ring': dist must be a 4x4 matrix" in errors["scenario-short-dist"]
+    assert "must be positive" in errors["delta-zero"] and "must be positive" in errors["delta-negative"]
     assert errors["nmax-text"] == "--nmax must be an integer, got 'abc'"
     assert errors["trials-zero"] == "--trials must be >= 1, got 0"
     assert errors["trials-negative"] == "--trials must be >= 1, got -3"

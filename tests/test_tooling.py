@@ -1,5 +1,6 @@
 """The benchmark still finds every library name it traces, calls or reads,
-and every name the package exports has a caller outside the tests."""
+every name the package exports has a caller outside the tests, and the
+library imports only at module level."""
 
 import ast
 import os
@@ -121,3 +122,22 @@ def test_every_export_has_a_non_test_caller():
             referenced |= _referenced_names(path)
     unused = sorted(exports - referenced)
     assert not unused, f"exports with no caller outside the tests: {unused}"
+
+
+def test_library_imports_are_module_level():
+    package = os.path.dirname(rdstail.__file__)
+    nested = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(package, name)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested |= {
+                    f"{name}:{inner.lineno}"
+                    for inner in ast.walk(node)
+                    if isinstance(inner, (ast.Import, ast.ImportFrom))
+                }
+    assert not nested, f"imports inside functions: {sorted(nested)}"

@@ -120,13 +120,13 @@ def test_suites_sweep_each_family_once(monkeypatch):
     import rdstail.measures
 
     sweeps = []
-    original = rdstail.measures.iterate_covers
+    original = rdstail.measures._mask_iterates
 
     def counted(*args, **kwargs):
         sweeps.append(args[0])
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(rdstail.measures, "iterate_covers", counted)
+    monkeypatch.setattr(rdstail.measures, "_mask_iterates", counted)
     run_theorem_suite()
     # per scenario: the vertex family (whose sequences also give the defect
     # diagnostics), the finite-depth chain's conditioning partition, the pair
