@@ -25,7 +25,6 @@ from . import __version__
 from .budgets import Budgets, from_env, parse_overrides
 from .counting import count_profiles
 from .covers import (
-    RandomCover,
     RandomPartition,
     SigmaAlgebra,
     fiber_partition,
@@ -108,67 +107,55 @@ class _Run:
             fh.write((json.dumps(manifest, sort_keys=True, indent=2) + "\n").encode())
 
 
-def _resolve_cover(sc: Scenario, name: str, system: str | None) -> tuple[RandomCover, str]:
-    if name.startswith("@"):
-        if name not in _BUILTINS:
-            raise ScenarioError(f"unknown builtin cover {name!r} (have {sorted(_BUILTINS)})")
-        if system is None:
-            raise ScenarioError(f"builtin cover {name!r} needs --system")
-        return _BUILTINS[name](sc.systems[system]), system
-    if name not in sc.covers:
-        raise ScenarioError(f"unknown cover {name!r}")
-    return sc.covers[name], sc.cover_system[name]
-
-
-def _resolve_covers(
-    sc: Scenario, names: list[str], system: str | None
-) -> tuple[list[RandomCover], BundleRDS, str]:
-    """Covers named in order on one system: ``system`` when given, else the
-    system of the first name.  Builtins are built on it, and every scenario
-    cover must live on it."""
+def _resolve(sc: Scenario, names: list[tuple[str, str]], system: str | None) -> tuple[list, BundleRDS, str]:
+    """The ``(kind, name)`` objects named, in order, on one system:
+    ``system`` when given, else the system of the first name (a factor map
+    lives on its target).  Builtin covers are built on it, and every
+    scenario object must live on it."""
     if system is not None and system not in sc.systems:
         raise ScenarioError(f"unknown system {system!r}")
-    covers = []
-    for name in names:
-        cover, c_sys = _resolve_cover(sc, name, system)
+    tables = {"cover": sc.covers, "measure": sc.measures, "factor map": sc.factor_maps}
+    objects = []
+    for kind, name in names:
+        if kind == "cover" and name.startswith("@"):
+            if name not in _BUILTINS:
+                raise ScenarioError(f"unknown builtin cover {name!r} (have {sorted(_BUILTINS)})")
+            if system is None:
+                raise ScenarioError(f"builtin cover {name!r} needs --system")
+            objects.append(_BUILTINS[name](sc.systems[system]))
+            continue
+        if name not in tables[kind]:
+            raise ScenarioError(f"unknown {kind} {name!r}")
+        home = sc.homes[kind, name]
         if system is None:
-            system = c_sys
-        elif c_sys != system:
+            system = home
+        elif home != system:
             raise ScenarioError("covers live on different systems")
-        covers.append(cover)
-    return covers, sc.systems[system], system
+        objects.append(tables[kind][name])
+    return objects, sc.systems[system], system
 
 
-def _resolve_sigma(sc: Scenario, name: str, system_name: str) -> SigmaAlgebra:
-    cover, sysname = _resolve_cover(sc, name, system_name)
-    if sysname != system_name:
-        raise ScenarioError(f"sigma algebra {name!r} lives on {sysname!r}, expected {system_name!r}")
-    if not isinstance(cover, RandomPartition):
-        raise ScenarioError(f"sigma algebra {name!r} must come from a partition")
-    return SigmaAlgebra(cover)
-
-
-def _estimate_rows(names: dict[str, str], est: EntropyEstimate) -> tuple[list[str], list[list]]:
-    header = [*names.keys(), "n", "integrated_log_count", "ratio", "running_inf"]
+def _add_estimate(run: _Run, stem: str, names: dict[str, str], est: EntropyEstimate, requested: int) -> None:
+    """``<stem>.csv`` with one row per depth and ``<stem>.json`` with the
+    estimate and the depth asked for on the command line, which exceeds
+    ``n_max`` when a budget stopped the sweep."""
     rows = [
         [*names.values(), n, value, ratio, inf]
         for n, (value, ratio, inf) in enumerate(zip(est.values, est.ratios, est.running_inf), 1)
     ]
-    return header, rows
-
-
-def _estimate_payload(est: EntropyEstimate, requested: int) -> dict:
-    """The estimate with the depth asked for on the command line, which
-    exceeds ``n_max`` when a budget stopped the sweep."""
-    return {
-        "values": list(est.values),
-        "ratios": list(est.ratios),
-        "running_inf": list(est.running_inf),
-        "n_max": est.n_max,
-        "requested": requested,
-        "subadditive_ok": est.subadditive_ok,
-        "value": est.value,
-    }
+    run.add_csv(f"{stem}.csv", [*names.keys(), "n", "integrated_log_count", "ratio", "running_inf"], rows)
+    run.add_json(
+        f"{stem}.json",
+        {
+            "values": list(est.values),
+            "ratios": list(est.ratios),
+            "running_inf": list(est.running_inf),
+            "n_max": est.n_max,
+            "requested": requested,
+            "subadditive_ok": est.subadditive_ok,
+            "value": est.value,
+        },
+    )
 
 
 def _depths(run: _Run, sweep: Callable[[int], T], n: int) -> T:
@@ -242,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, scenario_required=True):
         p.add_argument("--scenario", required=scenario_required, help="scenario JSON file")
         p.add_argument("--out", default="out", help="artifact directory (default: ./out)")
-        p.add_argument("--system", default=None, help="system name for builtin covers (@points etc.)")
+        p.add_argument("--system", default=None, help="system the named objects live on (default: the first one's)")
 
     common(sub.add_parser("validate", help="load and validate a scenario"))
 
@@ -328,7 +315,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
         return EXIT_OK
 
     if name == "count":
-        (r, q), rds, sysname = _resolve_covers(sc, [args.r, args.q], args.system)
+        (r, q), rds, sysname = _resolve(sc, [("cover", args.r), ("cover", args.q)], args.system)
         profiles = _depths(run, lambda n: list(count_profiles(rds, r, q, n, budgets)), args.n)
         rows = [
             [sysname, args.r, args.q, w, prof.depth, c] for prof in profiles for w, c in enumerate(prof.per_omega)
@@ -338,11 +325,9 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
         return EXIT_OK
 
     if name == "tail":
-        (r, q), rds, sysname = _resolve_covers(sc, [args.r, args.q], args.system)
+        (r, q), rds, sysname = _resolve(sc, [("cover", args.r), ("cover", args.q)], args.system)
         est = _depths(run, lambda n: tail_entropy_estimate(rds, r, q, n, budgets), args.nmax)
-        header, rows = _estimate_rows({"system": sysname, "r": args.r, "q": args.q}, est)
-        run.add_csv("tail.csv", header, rows)
-        run.add_json("tail.json", _estimate_payload(est, args.nmax))
+        _add_estimate(run, "tail", {"system": sysname, "r": args.r, "q": args.q}, est, args.nmax)
         return EXIT_OK
 
     if name == "tail-total":
@@ -350,7 +335,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
         r_names = [s for s in args.rfamily.split(",") if s]
         if not q_names or not r_names:
             raise ScenarioError("families must be nonempty")
-        covers, rds, sysname = _resolve_covers(sc, q_names + r_names, args.system)
+        covers, rds, sysname = _resolve(sc, [("cover", s) for s in q_names + r_names], args.system)
         q_fam, r_fam = covers[: len(q_names)], covers[len(q_names) :]
 
         def grid(n: int) -> tuple[int, list[list[float]]]:
@@ -369,20 +354,18 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
             raise ScenarioError(f"unknown sft {args.sft!r}")
         sft = sc.sfts[args.sft]
         est = sft_tail_sequence(sft, _parse_cylinder_spec(args.rspec, sft), _parse_cylinder_spec(args.qspec, sft), args.nmax)
-        header, rows = _estimate_rows({"sft": args.sft, "rspec": args.rspec, "qspec": args.qspec}, est)
-        run.add_csv("sft_tail.csv", header, rows)
-        run.add_json("sft_tail.json", _estimate_payload(est, args.nmax))
+        _add_estimate(run, "sft_tail", {"sft": args.sft, "rspec": args.rspec, "qspec": args.qspec}, est, args.nmax)
         return EXIT_OK
 
     if name == "entropy":
-        if args.mu not in sc.measures:
-            raise ScenarioError(f"unknown measure {args.mu!r}")
-        mu = sc.measures[args.mu]
-        sysname = sc.measure_system[args.mu]
-        (r,), rds, _ = _resolve_covers(sc, [args.r], sysname)
+        (mu, r, atoms), rds, sysname = _resolve(
+            sc, [("measure", args.mu), ("cover", args.r), ("cover", args.sigma)], args.system
+        )
         if not isinstance(r, RandomPartition):
             raise ScenarioError(f"--r {args.r!r} must be a partition")
-        sigma = _resolve_sigma(sc, args.sigma, sysname)
+        if not isinstance(atoms, RandomPartition):
+            raise ScenarioError(f"sigma algebra {args.sigma!r} must come from a partition")
+        sigma = SigmaAlgebra(atoms)
         if args.nmax is None:
             value = conditional_entropy(mu, r, sigma)
             run.add_csv(
@@ -393,40 +376,34 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
             run.add_json("entropy.json", {"conditional_entropy": value})
             return EXIT_OK
         est = _depths(run, lambda n: relative_entropy_sequence(mu, r, sigma, rds, n, budgets), args.nmax)
-        header, rows = _estimate_rows({"system": sysname, "mu": args.mu, "r": args.r, "sigma": args.sigma}, est)
-        run.add_csv("entropy.csv", header, rows)
-        run.add_json("entropy.json", _estimate_payload(est, args.nmax))
+        names = {"system": sysname, "mu": args.mu, "r": args.r, "sigma": args.sigma}
+        _add_estimate(run, "entropy", names, est, args.nmax)
         return EXIT_OK
 
     if name == "invariant":
         if args.vertices:
-            if args.system is None or args.system not in sc.systems:
+            if args.system is None:
                 raise ScenarioError("--vertices needs --system NAME")
-            rds = sc.systems[args.system]
+            _, rds, sysname = _resolve(sc, [], args.system)
             poly = vertex_enumeration(rds, budgets)
             rows, payloads = [], []
             for i, v in enumerate(poly.vertices):
                 payloads.append(measure_payload(v))
-                h, r = _measure_rows(args.system, f"vertex{i}", v)
+                h, r = _measure_rows(sysname, f"vertex{i}", v)
                 rows.extend(r)
             run.add_csv("vertices.csv", ["scenario", "measure", "omega", "point", "mass"], rows)
             run.add_json("vertices.json", {"count": len(poly.vertices), "vertices": payloads})
             return EXIT_OK
         if args.cesaro is not None:
-            if args.cesaro not in sc.measures:
-                raise ScenarioError(f"unknown measure {args.cesaro!r}")
-            sysname = sc.measure_system[args.cesaro]
-            out = cesaro_limit(sc.measures[args.cesaro], sc.systems[sysname])
+            (mu,), rds, sysname = _resolve(sc, [("measure", args.cesaro)], args.system)
+            out = cesaro_limit(mu, rds)
             header, rows = _measure_rows(sysname, "cesaro", out)
             run.add_csv("cesaro.csv", header, rows)
             run.add_json("cesaro.json", measure_payload(out))
             return EXIT_OK
         pi_name, mu_name = args.lift
-        if pi_name not in sc.factor_maps:
-            raise ScenarioError(f"unknown factor map {pi_name!r}")
-        if mu_name not in sc.measures:
-            raise ScenarioError(f"unknown measure {mu_name!r}")
-        lifted = lift_invariant(sc.factor_maps[pi_name], sc.measures[mu_name])
+        (pi, mu), _, _ = _resolve(sc, [("factor map", pi_name), ("measure", mu_name)], args.system)
+        lifted = lift_invariant(pi, mu)
         header, rows = _measure_rows(pi_name, "lift", lifted)
         run.add_csv("lift.csv", header, rows)
         run.add_json("lift.json", measure_payload(lifted))
@@ -442,7 +419,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
         if args.separated:
             if args.p_cover is None or args.q_cover is None:
                 raise ScenarioError("--separated needs --p and --q")
-            (p, q), rds, sysname = _resolve_covers(sc, [args.p_cover, args.q_cover], args.system)
+            (p, q), rds, sysname = _resolve(sc, [("cover", args.p_cover), ("cover", args.q_cover)], args.system)
             se = separated_empirical(rds, p, q, args.n, delta, budgets)
             run.add_json(
                 "separated.json",
@@ -464,7 +441,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
         p_names = [s for s in (args.p_cover or "").split(",") if s]
         if not chain_names or len(chain_names) != len(p_names):
             raise ScenarioError("--diagonal needs matching comma-separated --p and --q chains")
-        covers, rds, sysname = _resolve_covers(sc, chain_names + p_names, args.system)
+        covers, rds, sysname = _resolve(sc, [("cover", s) for s in chain_names + p_names], args.system)
         chain, p_chain = covers[: len(chain_names)], covers[len(chain_names) :]
         diag = diagonal_measure(rds, chain, p_chain, args.n, delta, budgets=budgets)
         run.add_json(

@@ -408,8 +408,11 @@ def delta_contains(
     total over any matching equals ``mass(p) + mass(q) - 2 * (sum of matched
     intersection masses)``, so the best coarsening simply sends each p-element
     to the q-element with which it shares the most mass; no combinatorial
-    search is required.
+    search is required.  That additivity needs disjoint elements: either
+    argument that is not a partition raises :class:`PreconditionError`.
     """
+    if not all(isinstance(c, RandomPartition) and c.validate_disjoint() for c in (p, q)):
+        raise PreconditionError("partitions", "the containment optimum is exact only for disjoint elements")
     p_cells, q_cells = _memberships(p), _memberships(q)
     p_mass, inter = _joint_masses(mu, p_cells, q_cells)
     q_mass, _ = _joint_masses(mu, q_cells, ())

@@ -43,11 +43,11 @@ class Scenario:
     spaces: dict[str, MetricSpace] = field(default_factory=dict)
     systems: dict[str, BundleRDS] = field(default_factory=dict)
     covers: dict[str, RandomCover] = field(default_factory=dict)
-    cover_system: dict[str, str] = field(default_factory=dict)
     measures: dict[str, FiberedMeasure] = field(default_factory=dict)
-    measure_system: dict[str, str] = field(default_factory=dict)
     sfts: dict[str, RandomSFT] = field(default_factory=dict)
     factor_maps: dict[str, FactorMap] = field(default_factory=dict)
+    # the system each (kind, name) lives on: a factor map lives on its target
+    homes: dict[tuple[str, str], str] = field(default_factory=dict)
     raw: dict = field(default_factory=dict)
 
     def digest(self) -> str:
@@ -161,7 +161,7 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
         if bad:
             raise ScenarioError(f"{where}: " + "; ".join(bad))
         sc.covers[name] = cover
-        sc.cover_system[name] = system_name
+        sc.homes["cover", name] = system_name
 
     for name, spec in _section(doc, "measures", source).items():
         where = f"measure {name!r}"
@@ -175,7 +175,7 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
         if bad:
             raise ScenarioError(f"{where}: " + "; ".join(bad))
         sc.measures[name] = mu
-        sc.measure_system[name] = system_name
+        sc.homes["measure", name] = system_name
 
     for name, spec in _section(doc, "sfts", source).items():
         where = f"sft {name!r}"
@@ -202,13 +202,15 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
     for name, spec in _section(doc, "factor_maps", source).items():
         where = f"factor map {name!r}"
         source = _lookup(sc.systems, _read(spec, "source", where), "system", where)
-        target = _lookup(sc.systems, _read(spec, "target", where), "system", where)
+        target_name = _read(spec, "target", where)
+        target = _lookup(sc.systems, target_name, "system", where)
         maps = _read(spec, "maps", where, lambda ms: tuple(_id_map(m) for m in ms))
         pi = FactorMap(source=source, target=target, maps=maps)
         bad = pi.validate()
         if bad:
             raise ScenarioError(f"{where}: " + "; ".join(bad))
         sc.factor_maps[name] = pi
+        sc.homes["factor map", name] = target_name
 
     return sc
 

@@ -375,12 +375,6 @@ def run_cover_suite(seed: int, trials: int, budgets: Budgets = DEFAULTS) -> Suit
         payload = _trial_payload(rds, r=r, q=q, u=u, v=v)
         digests.append(canonical_digest({"system": system_payload(rds)}))
 
-        ok = all(
-            relative_count(r, q, w, rds) <= relative_count(u, v, w, rds)
-            for w in range(rds.size)
-        )
-        props["refinement_monotonicity"].record(ok, payload)
-
         # the orientation the orbit-subadditivity derivation needs: counts of
         # pulled-back covers at a base point are bounded by the original
         # counts one base step ahead
@@ -392,23 +386,25 @@ def run_cover_suite(seed: int, trials: int, budgets: Budgets = DEFAULTS) -> Suit
         props["pullback_contraction"].record(ok, payload)
 
         w_cover = random_cover(rng, rds)
+        rq, rw, wv = join(r, q), join(r, w_cover), join(w_cover, v)
         ok = all(
-            relative_count(join(r, q), w_cover, w, rds)
-            <= relative_count(r, w_cover, w, rds) * relative_count(q, join(r, w_cover), w, rds)
+            relative_count(rq, w_cover, w, rds)
+            <= relative_count(r, w_cover, w, rds) * relative_count(q, rw, w, rds)
             for w in range(rds.size)
         )
         props["join_chain_bound"].record(ok, payload)
 
         ok = all(
-            relative_count(join(r, q), join(w_cover, v), w, rds)
+            relative_count(rq, wv, w, rds)
             <= relative_count(r, w_cover, w, rds) * relative_count(q, v, w, rds)
             for w in range(rds.size)
         )
         props["join_product_bound"].record(ok, payload)
 
         # depths 1..4 of (r, q) and 1..3 of the others, interleaved depth by
-        # depth so that a budget stop names the shallowest offending depth
-        depth_ok = True
+        # depth so that a budget stop names the shallowest offending depth;
+        # depth 1 compares (r, q) with (u, v) themselves
+        monotone = {}
         dominate_ok = True
         profiles = {}
         for lo, hi, free in zip_longest(
@@ -419,11 +415,11 @@ def run_cover_suite(seed: int, trials: int, budgets: Budgets = DEFAULTS) -> Suit
             profiles[lo.depth] = lo.per_omega
             if hi is None:
                 continue
-            if any(a > b for a, b in zip(lo.per_omega, hi.per_omega)):
-                depth_ok = False
+            monotone[lo.depth] = all(a <= b for a, b in zip(lo.per_omega, hi.per_omega))
             if any(f < c for f, c in zip(free.per_omega, lo.per_omega)):
                 dominate_ok = False
-        props["depth_monotonicity"].record(depth_ok, payload)
+        props["refinement_monotonicity"].record(monotone[1], payload)
+        props["depth_monotonicity"].record(all(monotone.values()), payload)
         props["trivial_conditioning_dominates"].record(dominate_ok, payload)
 
         sub_ok = True
@@ -497,10 +493,10 @@ def run_entropy_suite(seed: int, trials: int, budgets: Budgets = DEFAULTS) -> Su
         )
 
         joined = join(r, q)
+        assert isinstance(joined, RandomPartition)
         lhs = conditional_entropy(mu, joined, d_h)
-        rhs = conditional_entropy(mu, r, d_h) + conditional_entropy(
-            mu, q, sigma_join(SigmaAlgebra(r), d_h)
-        )
+        h_r = conditional_entropy(mu, r, d_h)
+        rhs = h_r + conditional_entropy(mu, q, sigma_join(SigmaAlgebra(r), d_h))
         props["chain_rule"].record(
             abs(lhs - rhs) <= TOL, lambda: {**payload(), "lhs": lhs, "rhs": rhs}
         )
@@ -521,10 +517,7 @@ def run_entropy_suite(seed: int, trials: int, budgets: Budgets = DEFAULTS) -> Su
         )
 
         finer = sigma_join(d_h, SigmaAlgebra(q))
-        mono_ok = (
-            conditional_entropy(mu, r, finer) <= conditional_entropy(mu, r, d_h) + TOL
-            and conditional_entropy(mu, joined, d_h) + TOL >= conditional_entropy(mu, r, d_h)
-        )
+        mono_ok = conditional_entropy(mu, r, finer) <= h_r + TOL and lhs + TOL >= h_r
         props["conditioning_monotonicity"].record(mono_ok, payload)
 
         s1 = SigmaAlgebra(trivial_cover(h))
@@ -535,13 +528,11 @@ def run_entropy_suite(seed: int, trials: int, budgets: Budgets = DEFAULTS) -> Su
             chk3.ok, lambda: {**payload(), "entropies": list(chk3.entropies)}
         )
 
-        p_fine = join(r, q)
-        assert isinstance(p_fine, RandomPartition)
         target = r if rng.random() < 0.5 else coarsen(rng, r)
         assert isinstance(target, RandomPartition)
         delta = Fraction(1, rng.choice([4, 8, 16]))
         try:
-            bound = containment_entropy_bound_check(mu, p_fine, target, delta)
+            bound = containment_entropy_bound_check(mu, joined, target, delta)
             props["containment_entropy_bound"].record(
                 bound.ok and bound.delta_in_range,
                 lambda: {**payload(), "entropy": bound.entropy, "bound": bound.bound},

@@ -631,6 +631,33 @@ def test_cli_rejects_covers_of_two_systems(tmp_path):
     assert main([*argv, "--scenario", str(path), "--system", "loop", "--n", "2", "--out", str(out)]) == 0
     assert {row.split(",")[0] for row in read(out, "diagonal.csv").splitlines()[1:]} == {"loop"}
 
+    # measures and factor maps follow the same rule; a factor map lives on
+    # its target.  "up" lives on the map's source, "dot" on a one-point base
+    with open(scenario_path("extension")) as fh:
+        data = json.load(fh)
+    data["measures"]["up"] = {"system": "doubled", "weights": [{"a0": "1/2"}, {"c0": "1/2"}]}
+    data["driving_systems"]["one"] = {"prob": ["1"], "theta": [0]}
+    data["systems"]["dot"] = {"base": "one", "fibers": [["a"]], "maps": [{"a": "a"}]}
+    data["measures"]["at-dot"] = {"system": "dot", "weights": [{"a": "1"}]}
+    ext = tmp_path / "ext.json"
+    ext.write_text(json.dumps(data))
+    unknown = "unknown system 'nosuch'"
+    bad = {
+        "entropy": (path, ["entropy", "--mu", "corner", "--r", "points", "--sigma", "@fibers", "--system", "back"]),
+        "cesaro": (path, ["invariant", "--cesaro", "corner", "--system", "back"]),
+        "cesaro-unknown": (path, ["invariant", "--cesaro", "corner", "--system", "nosuch"], unknown),
+        "vertices-unknown": (path, ["invariant", "--vertices", "--system", "nosuch"], unknown),
+        "lift-source": (ext, ["invariant", "--lift", "unwrap", "up"]),
+        "lift-system": (ext, ["invariant", "--lift", "unwrap", "orbit", "--system", "doubled"]),
+        "lift-one-point": (ext, ["invariant", "--lift", "unwrap", "at-dot"]),
+    }
+    for label, (scenario, argv, *error) in bad.items():
+        out = tmp_path / label
+        assert main([*argv, "--scenario", str(scenario), "--out", str(out)]) == 2, label
+        manifest = json.loads(read(out, "manifest.json"))
+        assert manifest["error"] == (error[0] if error else "covers live on different systems"), label
+        assert manifest["outputs"] == {}, label
+
 
 def test_cli_reruns_are_byte_identical(tmp_path):
     args = [

@@ -1,6 +1,7 @@
 """The benchmark still finds every library name it traces, calls or reads,
-every name the package exports has a caller outside the tests, and the
-library imports only at module level."""
+every name the package exports has a caller outside the tests, the library
+imports only at module level, and the CLI looks scenario objects up in one
+function."""
 
 import ast
 import os
@@ -141,3 +142,23 @@ def test_library_imports_are_module_level():
                     if isinstance(inner, (ast.Import, ast.ImportFrom))
                 }
     assert not nested, f"imports inside functions: {sorted(nested)}"
+
+
+def test_cli_reads_scenario_objects_only_in_resolve():
+    # which system a named cover, measure or factor map lives on is decided
+    # in one place: no other code in cli.py looks the objects up itself
+    path = os.path.join(os.path.dirname(rdstail.__file__), "cli.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    tables = {"covers", "measures", "factor_maps", "homes"}
+    reads = [
+        f"{getattr(top, 'name', '<module>')}:{node.lineno}"
+        for top in tree.body
+        if getattr(top, "name", None) != "_resolve"
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute)
+        and node.attr in tables
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "sc"
+    ]
+    assert not reads, f"scenario objects read outside _resolve: {reads}"
