@@ -172,12 +172,14 @@ def _depths(run: _Run, sweep: Callable[[int], T], n: int) -> T:
             n = exc.depth - 1
 
 
-def _measure_rows(scenario: str, name: str, mu: FiberedMeasure) -> tuple[list[str], list[list]]:
+def _measure_rows(system: str, measures: list[tuple[str, FiberedMeasure]]) -> tuple[list[str], list[list]]:
+    """Header and rows of named measures; column ``scenario`` names their system."""
     header = ["scenario", "measure", "omega", "point", "mass"]
     rows = []
-    for w in range(mu.size):
-        for x in sorted(mu.weights[w], key=repr):
-            rows.append([scenario, name, w, repr(x), str(mu.weights[w][x])])
+    for name, mu in measures:
+        for w in range(mu.size):
+            for x in sorted(mu.weights[w], key=repr):
+                rows.append([system, name, w, repr(x), str(mu.weights[w][x])])
     return header, rows
 
 
@@ -386,25 +388,24 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
                 raise ScenarioError("--vertices needs --system NAME")
             _, rds, sysname = _resolve(sc, [], args.system)
             poly = vertex_enumeration(rds, budgets)
-            rows, payloads = [], []
-            for i, v in enumerate(poly.vertices):
-                payloads.append(measure_payload(v))
-                h, r = _measure_rows(sysname, f"vertex{i}", v)
-                rows.extend(r)
-            run.add_csv("vertices.csv", ["scenario", "measure", "omega", "point", "mass"], rows)
+            header, rows = _measure_rows(sysname, [(f"vertex{i}", v) for i, v in enumerate(poly.vertices)])
+            run.add_csv("vertices.csv", header, rows)
+            payloads = [measure_payload(v) for v in poly.vertices]
             run.add_json("vertices.json", {"count": len(poly.vertices), "vertices": payloads})
             return EXIT_OK
         if args.cesaro is not None:
             (mu,), rds, sysname = _resolve(sc, [("measure", args.cesaro)], args.system)
             out = cesaro_limit(mu, rds)
-            header, rows = _measure_rows(sysname, "cesaro", out)
+            header, rows = _measure_rows(sysname, [("cesaro", out)])
             run.add_csv("cesaro.csv", header, rows)
             run.add_json("cesaro.json", measure_payload(out))
             return EXIT_OK
         pi_name, mu_name = args.lift
         (pi, mu), _, _ = _resolve(sc, [("factor map", pi_name), ("measure", mu_name)], args.system)
         lifted = lift_invariant(pi, mu)
-        header, rows = _measure_rows(pi_name, "lift", lifted)
+        # the lifted measure lives on the map's source system
+        source = next(s for s, rds in sc.systems.items() if rds is pi.source)
+        header, rows = _measure_rows(source, [("lift", lifted)])
         run.add_csv("lift.csv", header, rows)
         run.add_json("lift.json", measure_payload(lifted))
         return EXIT_OK
@@ -434,7 +435,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
                     "measure_limit": measure_payload(se.mu_limit),
                 },
             )
-            header, rows = _measure_rows(sysname, "mu_n", se.mu_n)
+            header, rows = _measure_rows(sysname, [("mu_n", se.mu_n)])
             run.add_csv("separated_mu_n.csv", header, rows)
             return EXIT_OK
         chain_names = [s for s in (args.q_cover or "").split(",") if s]
@@ -454,7 +455,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
                 "measure": measure_payload(diag.measure),
             },
         )
-        header, rows = _measure_rows(sysname, "diagonal", diag.measure)
+        header, rows = _measure_rows(sysname, [("diagonal", diag.measure)])
         run.add_csv("diagonal.csv", header, rows)
         return EXIT_OK
 

@@ -2,14 +2,15 @@
 entropy sequences.
 
 Fiber sections are integer bitmasks (Python integers, so any fiber size works
-without a word-size fallback), with the bit order of the iterated covers:
-bit k over base point w is the k-th point of ``sort_points(rds.fibers[w])``.
-The depth sweeps read the masks of ``covers._mask_iterates`` directly; the
+without a word-size fallback): bit k over base point w is the k-th point of
+``sort_points(rds.fibers[w])``.  The depth sweeps cut each fiber's distinct
+sections out of the packed masks of ``covers._mask_iterates``; the
 single-fiber queries encode their frozenset arguments with the same index.
-On each fiber the minimum subcover of every distinct target section is found
-by branch and bound with a greedy initial bound and dominated-element
-elimination.  Results are always exact; the search never returns an
-approximation.
+A fiber's count is the largest minimum subcover of a target section.  It is
+monotone in the target, so only maximal sections are solved, and not one
+whose greedy bound cannot raise the running maximum.  Each solve is a branch
+and bound with a greedy initial bound and dominated-element elimination.
+Results are always exact; the search never returns an approximation.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .budgets import Budgets, DEFAULTS
-from .covers import Masks, RandomCover, RandomSet, _fiber_index, _mask_iterate, _mask_iterates, _section_masks
+from .covers import (
+    Masks, RandomCover, RandomSet, _fiber_index, _layout, _mask_iterate, _mask_iterates, _section_masks, _sections
+)
 from .errors import DomainError
 from .model import BundleRDS
 
@@ -31,6 +34,15 @@ def _maximal(masks: Iterable[int]) -> list[int]:
         if not any(m | k == k for k in kept):
             kept.append(m)
     return kept
+
+
+def _greedy(target: int, masks: list[int]) -> int:
+    """Greedy cover size of a coverable ``target``: an upper bound on its minimum."""
+    size = 0
+    while target:
+        target &= ~max(masks, key=lambda m: (m & target).bit_count())
+        size += 1
+    return size
 
 
 def min_cover_size(target: int, masks: Iterable[int]) -> int:
@@ -48,14 +60,7 @@ def min_cover_size(target: int, masks: Iterable[int]) -> int:
     if covered_all != target:
         raise DomainError("target is not coverable by the given family")
 
-    # greedy upper bound
-    best = 0
-    uncovered = target
-    while uncovered:
-        pick = max(kept, key=lambda m: (m & uncovered).bit_count())
-        uncovered &= ~pick
-        best += 1
-
+    best = _greedy(target, kept)
     max_size = kept[0].bit_count()
 
     def search(uncovered: int, used: int, bound: int) -> int:
@@ -85,10 +90,21 @@ def min_cover_size(target: int, masks: Iterable[int]) -> int:
 
 def _fiber_count(r_masks: Iterable[int], q_masks: Iterable[int]) -> int:
     """Largest minimal-subcover count of a ``q`` section by the ``r``
-    sections on one fiber: distinct elements often share their section
-    there, so one solve per distinct section."""
+    sections on one fiber.  The count is monotone in the target, so only the
+    maximal sections are solved, largest first, and a section whose greedy
+    bound cannot raise the running maximum is not solved at all."""
     masks = _maximal(r_masks)
-    return max(min_cover_size(t, masks) for t in set(q_masks))
+    union = 0
+    for m in masks:
+        union |= m
+    best = 1
+    for t in _maximal(q_masks):
+        # coverability first: the greedy loop never ends on an uncoverable target
+        if t & ~union:
+            raise DomainError("target is not coverable by the given family")
+        if _greedy(t, masks) > best:
+            best = max(best, min_cover_size(t, masks))
+    return best
 
 
 def minimal_subcover(s: RandomSet, r: RandomCover, omega: int, rds: BundleRDS) -> int:
@@ -119,15 +135,16 @@ class CountProfile:
             raise ValueError("counts are always >= 1")
 
 
-def _profile(n: int, rn: Masks, qn: Masks) -> CountProfile:
-    return CountProfile(tuple(_fiber_count(r_col, q_col) for r_col, q_col in zip(zip(*rn), zip(*qn))), n)
+def _profile(n: int, rds: BundleRDS, rn: Masks, qn: Masks) -> CountProfile:
+    layout = _layout(rds)
+    return CountProfile(tuple(map(_fiber_count, _sections(rn, layout), _sections(qn, layout))), n)
 
 
 def count_profile(
     rds: BundleRDS, r: RandomCover, q: RandomCover, n: int, budgets: Budgets = DEFAULTS
 ) -> CountProfile:
     """Relative counts of the depth-n iterates, one entry per base point."""
-    return _profile(n, _mask_iterate(r, rds, n, budgets), _mask_iterate(q, rds, n, budgets))
+    return _profile(n, rds, _mask_iterate(r, rds, n, budgets), _mask_iterate(q, rds, n, budgets))
 
 
 def count_profiles(
@@ -137,4 +154,4 @@ def count_profiles(
     depth as in :func:`count_profile`; no older depth is kept referenced."""
     q_iter = _mask_iterates(q, rds, n_max, budgets)
     for n, rn in enumerate(_mask_iterates(r, rds, n_max, budgets), 1):
-        yield _profile(n, rn, next(q_iter))
+        yield _profile(n, rds, rn, next(q_iter))

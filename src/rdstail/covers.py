@@ -8,21 +8,21 @@ cover can be reused across systems sharing a base, e.g. a system and its
 m-step power.  In the finite discrete topology every random set is both open
 and closed, so no open/closed distinction is tracked.
 
-Iterated covers are built on integer bitmasks: bit k of a section over base
-point w is the k-th point of ``sort_points(rds.fibers[w])``, so an element is
-one ``int`` per fiber and a join is a fiberwise ``&``.  One generator,
-:func:`_mask_pullbacks`, pulls a cover back 0, 1, 2, ... steps by advancing
-every point's image one step per item; it is the only loop that walks the
-fiber maps for covers.  :func:`pullback` decodes one of its items, and one
-join fold over it, :func:`_mask_iterates`, builds every depth: the counts
-and the relative-entropy sweeps read its masks directly.
+Iterated covers are built on packed bitmasks, one ``int`` per element over
+the whole bundle: bit ``offset + k`` is the k-th point of ``sort_points`` of
+the fiber at that offset (:func:`_layout`), so bit i is ``rds.states()[i]``
+and a join is one ``&``.  One generator, :func:`_mask_pullbacks`, pulls a
+cover back 0, 1, 2, ... steps, each the one-step preimage of the last through
+one table of state preimages; it is the only loop that reads the fiber maps
+for covers.  :func:`pullback` decodes one of its items, and one join fold
+over it, :func:`_mask_iterates`, builds every depth: the counts and the
+relative-entropy sweeps read its masks directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from operator import and_
+from itertools import accumulate, islice
 from typing import Iterable, Iterator
 
 from .budgets import Budgets, DEFAULTS
@@ -205,7 +205,20 @@ def sigma_join(s: SigmaAlgebra, t: SigmaAlgebra) -> SigmaAlgebra:
     return SigmaAlgebra(joined)
 
 
-Masks = list[tuple[int, ...]]
+Masks = list[int]
+
+
+def _layout(rds: BundleRDS) -> list[tuple[int, int]]:
+    """The ``(offset, full mask)`` of every fiber in the packed layout: bit
+    ``offset + k`` is the k-th point of ``sort_points`` of the fiber, so bit
+    i of a packed mask is ``rds.states()[i]``."""
+    offsets = accumulate((len(f) for f in rds.fibers), initial=0)
+    return [(offset, ((1 << len(f)) - 1) << offset) for offset, f in zip(offsets, rds.fibers)]
+
+
+def _sections(masks: Masks, layout: list[tuple[int, int]]) -> list[list[int]]:
+    """Every fiber's distinct sections of the packed masks, in first-seen order."""
+    return [list(dict.fromkeys((e & full) >> offset for e in masks)) for offset, full in layout]
 
 
 def _fiber_index(fiber: Iterable[Point]) -> dict[Point, int]:
@@ -220,64 +233,60 @@ def _section_masks(sections: Iterable[frozenset], index: dict[Point, int], omega
         raise DomainError(f"cover leaves the fiber at omega={omega}") from None
 
 
-def _distinct(elements: Iterable[tuple[int, ...]], empty: tuple[int, ...]) -> Masks:
-    # the mask form of _assemble: dedup in first-seen order, then drop the
-    # element empty on every fiber
+def _distinct(elements: Iterable[int]) -> Masks:
+    # the mask form of _assemble: dedup in first-seen order, then drop 0,
+    # the element empty on every fiber
     out = dict.fromkeys(elements)
-    out.pop(empty, None)
+    out.pop(0, None)
     return list(out)
 
 
 def _mask_pullbacks(q: RandomCover, rds: BundleRDS, n: int) -> Iterator[Masks]:
-    """The 0..n-1-step pullbacks of ``q`` as lists of distinct per-fiber mask
-    tuples, in the element order of ``q``.
+    """The 0..n-1-step pullbacks of ``q`` as lists of distinct packed masks,
+    in the element order of ``q``.
 
-    The i-step pullback reads the bit of every point's i-step image; the
-    images advance one step per item.  Raises :class:`DomainError` if a
-    section of ``q`` leaves its fiber.
-    """
+    Step i is the one-step preimage of every element of step i-1, read from
+    one table (state bit -> packed mask of the states mapped onto it) that
+    the first step builds with one ``rds.apply`` per fiber point.  A point
+    mapped outside the image fiber is filed under bit 0, which no mask has,
+    so it pulls back nothing from that step on.  Raises :class:`DomainError`
+    if a section of ``q`` leaves its fiber or a fiber point has no image."""
     if n < 1:
         return
     if q.size != rds.size:
         raise IncompatibleSystemsError("cover does not span the system base")
+    layout = _layout(rds)
     indices = [_fiber_index(f) for f in rds.fibers]
-    empty = (0,) * rds.size
-    base = _distinct(zip(*(_section_masks(q.sections(w), index, w) for w, index in enumerate(indices))), empty)
-    yield base
-    images, targets = [sort_points(f) for f in rds.fibers], list(range(rds.size))
-    for i in range(1, n):
-        images = [[rds.apply(v, y) for y in ys] for v, ys in zip(targets, images)]
-        targets = [rds.base.theta[v] for v in targets]
-        # per fiber: image bit -> mask of the points whose i-step image it is
-        # (bit 0 collects images that left their fiber: they pull back nothing)
-        preimages = []
-        for ys, t in zip(images, targets):
-            pre: dict[int, int] = {}
-            for k, y in enumerate(ys):
-                bit = indices[t].get(y, 0)
-                pre[bit] = pre.get(bit, 0) | 1 << k
-            preimages.append(pre)
-        yield _distinct(
-            (tuple(_preimage(pre, e[t]) for pre, t in zip(preimages, targets)) for e in base),
-            empty,
-        )
+    columns = [_section_masks(q.sections(w), index, w) for w, index in enumerate(indices)]
+    out = _distinct(sum(m << offset for m, (offset, _) in zip(e, layout)) for e in zip(*columns))
+    yield out
+    if n < 2:
+        return
+    table: dict[int, int] = {}
+    for w, ((offset, _), index, v) in enumerate(zip(layout, indices, rds.base.theta)):
+        for x, b in index.items():
+            bit = indices[v].get(rds.apply(w, x), 0) << layout[v][0]
+            table[bit] = table.get(bit, 0) | b << offset
+    for _ in range(1, n):
+        out = _distinct(_preimage(table, e) for e in out)
+        yield out
 
 
-def _preimage(pre: dict[int, int], mask: int) -> int:
+def _preimage(table: dict[int, int], mask: int) -> int:
     """The union of the preimage masks of the set bits of ``mask``: one
-    lookup per point of the section."""
+    lookup per state of the element."""
     out = 0
     while mask:
         bit = mask & -mask
-        out |= pre.get(bit, 0)
+        out |= table.get(bit, 0)
         mask ^= bit
     return out
 
 
 def _mask_iterates(q: RandomCover, rds: BundleRDS, n_max: int, budgets: Budgets = DEFAULTS) -> Iterator[Masks]:
-    """The depth-1..n_max refinements of ``q`` as lists of per-fiber mask
-    tuples, in first-seen element order: depth i+1 joins depth i with the
-    i-step item of :func:`_mask_pullbacks`.
+    """The depth-1..n_max refinements of ``q`` as lists of packed masks, in
+    first-seen element order: depth i+1 joins depth i with the i-step item
+    of :func:`_mask_pullbacks`.
 
     Raises :class:`DomainError` if a section of ``q`` leaves its fiber and
     :class:`BudgetExceededError` with the offending depth when the element
@@ -288,9 +297,8 @@ def _mask_iterates(q: RandomCover, rds: BundleRDS, n_max: int, budgets: Budgets 
     if out is None:
         return
     yield out
-    empty = (0,) * rds.size
     for depth, pulled in enumerate(pulls, 2):
-        out = _distinct((tuple(map(and_, a, b)) for a in out for b in pulled), empty)
+        out = _distinct(a & b for a in out for b in pulled)
         if len(out) > budgets.cover_elements:
             raise BudgetExceededError("cover_elements", budgets.cover_elements, len(out), depth=depth)
         yield out
@@ -308,13 +316,16 @@ def _mask_iterate(q: RandomCover, rds: BundleRDS, n: int, budgets: Budgets = DEF
 def _decode(q: RandomCover, rds: BundleRDS, masks: Masks, label: str | None) -> RandomCover:
     """The cover of the masks, a partition iff ``q`` is one; a section that
     several elements share is decoded once."""
+    layout = _layout(rds)
     points = [sort_points(f) for f in rds.fibers]
     sections = [
-        {m: frozenset(x for k, x in enumerate(pts) if m >> k & 1) for m in set(col)}
-        for pts, col in zip(points, zip(*masks))
+        {m: frozenset(x for k, x in enumerate(pts) if m >> k & 1) for m in col}
+        for pts, col in zip(points, _sections(masks, layout))
     ]
     cls = RandomPartition if isinstance(q, RandomPartition) else RandomCover
-    elements = tuple(RandomSet(tuple(s[m] for s, m in zip(sections, e))) for e in masks)
+    elements = tuple(
+        RandomSet(tuple(s[(e & full) >> offset] for s, (offset, full) in zip(sections, layout))) for e in masks
+    )
     return cls(elements, label=label)
 
 
@@ -330,8 +341,8 @@ def pullback(q: RandomCover, rds: BundleRDS, i: int) -> RandomCover:
     """Pull every element back i dynamical steps: the section at a base point
     is the i-step fiber-map preimage of the element's section at the i-step
     image base point.  It is the i-step item of :func:`_mask_pullbacks`, the
-    one loop that advances fiber-map images for covers.  Keeps the class
-    and the label of ``q``."""
+    one loop that reads the fiber maps for covers.  Keeps the class and the
+    label of ``q``."""
     if i < 0:
         raise ValueError("pullback steps must be nonnegative")
     if q.size != rds.size:

@@ -32,7 +32,9 @@ from .covers import (
     RandomCover,
     RandomPartition,
     SigmaAlgebra,
+    _layout,
     _mask_iterate,
+    _sections,
     pullback_cover,
     refines,
     state_partition,
@@ -380,11 +382,12 @@ def separated_empirical(
     sep_masks: list[int] = []
     counts: list[int] = []
     sigma_weights: list[dict[Point, Fraction]] = [{} for _ in range(rds.size)]
-    for w, (p_col, q_col) in enumerate(zip(zip(*pn), zip(*qn))):
+    layout = _layout(rds)
+    p_sections = _sections(pn, layout)
+    for w, (p_masks, q_masks) in enumerate(zip(p_sections, _sections(qn, layout))):
         # the first q-section with the largest count by the p-sections
-        p_masks = set(p_col)
         best, best_count = 0, 0
-        for t in dict.fromkeys(q_col):
+        for t in q_masks:
             if t:
                 c = min_cover_size(t, p_masks)
                 if c > best_count:
@@ -425,7 +428,7 @@ def separated_empirical(
     card_ok = all(len(separated[w]) >= counts[w] for w in range(rds.size))
     isolate: bool | None = None
     if isinstance(p, RandomPartition):
-        isolate = all((m & sep_masks[w]).bit_count() <= 1 for e in pn for w, m in enumerate(e))
+        isolate = all((m & sep).bit_count() <= 1 for sep, col in zip(sep_masks, p_sections) for m in col)
     return SeparatedEmpirical(
         n=n,
         deltas=tuple(deltas),

@@ -16,7 +16,8 @@ limits, lifts and polytope vertices of :mod:`rdstail.invariant`) sums its
 Every element and intersection mass comes from :func:`_joint_masses`, over
 ``(element index, (omega, point))`` memberships: of frozenset sections for
 :func:`conditional_entropy` and :func:`delta_contains`, and of the set bits
-of :func:`rdstail.covers._mask_iterates` for the relative-entropy sweeps.
+of the packed masks of :func:`rdstail.covers._mask_iterates` (bit i is state
+``rds.states()[i]``) for the relative-entropy sweeps.
 """
 
 from __future__ import annotations
@@ -253,12 +254,15 @@ def relative_entropy_sequences(
     if not sigma_backward_compatible(s, rds):
         raise PreconditionError("backward_compatible_algebra", "pullback of the algebra escapes it")
     atoms = _memberships(s.atoms)
-    points = [sort_points(f) for f in rds.fibers]
+    states = rds.states()
     values: list[list[float]] = [[] for _ in measures]
     for masks in _mask_iterates(r, rds, n_max, budgets):
-        # bit k of a mask over base point w is points[w][k]
-        sections = [(j, w, m) for j, e in enumerate(masks) for w, m in enumerate(e)]
-        cells = [(j, (w, points[w][k])) for j, w, m in sections for k in range(m.bit_length()) if m >> k & 1]
+        # bit i of a packed mask is states[i]: walk the set bits only
+        cells = []
+        for j, e in enumerate(masks):
+            while e:
+                cells.append((j, states[(e & -e).bit_length() - 1]))
+                e &= e - 1
         for mu, seq in zip(measures, values):
             seq.append(_entropy(mu, atoms, cells))
     return [EntropyEstimate(values=tuple(seq), requested=n_max) for seq in values]

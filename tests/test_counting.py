@@ -22,6 +22,8 @@ from rdstail import (
     swap_system,
     trivial_cover,
 )
+from rdstail import counting
+from rdstail.counting import _maximal
 
 SWAP = swap_system()
 
@@ -134,3 +136,63 @@ def test_cover_with_allempty_element_still_counts():
     )
     cov = RandomCover(elems)
     assert relative_count(cov, cov, 0, SWAP) == 1
+
+
+def fiber_count_every_target(r_masks, q_masks):
+    """Oracle: the per-fiber count with one exact solve per distinct target
+    and no greedy skip."""
+    masks = _maximal(r_masks)
+    return max(min_cover_size(t, masks) for t in set(q_masks))
+
+
+def _column_pair(rng):
+    """Random r and q sections of one fiber: repeated r masks; q targets
+    nested in and equal to others, and the empty section; an r family that
+    leaves some point uncovered one time in five."""
+    universe = (1 << rng.randint(1, 9)) - 1
+    r = [rng.randint(0, universe) for _ in range(rng.randint(1, 7))]
+    r += rng.choices(r, k=rng.randint(0, 3))
+    q = [rng.randint(0, universe) for _ in range(rng.randint(1, 4))]
+    q += [t & rng.randint(0, universe) for t in q] + rng.choices(q, k=2) + [0] * rng.randint(0, 1)
+    rng.shuffle(q)
+    covered = 0
+    for m in r:
+        covered |= m
+    if rng.random() < 0.8:
+        r.append(universe & ~covered)
+    return r, q
+
+
+def _count_or_error(count, r, q):
+    try:
+        return count(r, q)
+    except DomainError as exc:
+        return str(exc)
+
+
+def test_fiber_count_matches_every_target_oracle(monkeypatch):
+    solves = []
+
+    def recorded(target, masks):
+        solves.append((target, min_cover_size(target, masks)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(counting, "min_cover_size", recorded)
+    rng = random.Random(14)
+    errors = 0
+    for _ in range(1500):
+        r, q = _column_pair(rng)
+        want = _count_or_error(fiber_count_every_target, r, q)
+        solves.clear()
+        assert _count_or_error(counting._fiber_count, r, q) == want, (r, q)
+        errors += isinstance(want, str)
+        # every exact solve is of a maximal target whose greedy bound could
+        # still raise the running maximum
+        best = 1
+        for target, count in solves:
+            assert target in _maximal(q)
+            assert counting._greedy(target, _maximal(r)) > best, (r, q)
+            best = max(best, count)
+    assert 50 < errors < 1000
+    # the empty section alone counts one
+    assert counting._fiber_count([0b11], [0, 0]) == fiber_count_every_target([0b11], [0, 0]) == 1

@@ -9,10 +9,17 @@ depth of the mask loop, which the library sweeps read without decoding.  Over ra
 fiber maps, empty sections, covers and partitions, labels) the mask loop
 must give equal pullbacks, equal covers, equal counts, the same budget stops
 and the same domain errors.
+
+``tuple_iterates`` is the per-fiber engine the packed masks replaced: an
+element is one ``int`` per fiber, the i-step pullback reads the bit of every
+point's i-step image, and a join is a fiberwise ``&``.  The packed engine
+must give the same elements in the same order once each packed mask is
+unpacked by the layout, the same budget stops and the same domain errors.
 """
 
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -30,11 +37,22 @@ from rdstail import (
     count_profiles,
     iterate_cover,
     join,
+    point_partition,
     pullback,
     relative_count,
+    state_partition,
 )
 from rdstail.budgets import DEFAULTS
-from rdstail.covers import _assemble, _decode, _mask_iterates
+from rdstail.covers import (
+    _assemble,
+    _decode,
+    _fiber_index,
+    _layout,
+    _mask_iterate,
+    _mask_iterates,
+    _section_masks,
+)
+from rdstail.model import BundleRDS, DrivingSystem, sort_points
 from rdstail.verify import _rng, coarsen, random_cover, random_partition, random_system
 
 seeds = st.integers(min_value=0, max_value=10**6)
@@ -205,3 +223,126 @@ def test_deep_sweep_on_a_larger_system():
     rds = random_system(rng, max_fiber=9, pool=12)
     q = random_partition(rng, rds, max_cells=3)
     assert list(decoded_iterates(q, rds, 8)) == list(iterate_covers_by_joins(q, rds, 8))
+
+
+def tuple_pullbacks(q, rds, n):
+    """Oracle: the 0..n-1-step pullbacks of ``q`` as per-fiber mask tuples,
+    advancing every point's image one step per item."""
+    if n < 1:
+        return
+    indices = [_fiber_index(f) for f in rds.fibers]
+    empty = (0,) * rds.size
+
+    def distinct(elements):
+        out = dict.fromkeys(elements)
+        out.pop(empty, None)
+        return list(out)
+
+    base = distinct(zip(*(_section_masks(q.sections(w), index, w) for w, index in enumerate(indices))))
+    yield base
+    images, targets = [sort_points(f) for f in rds.fibers], list(range(rds.size))
+    for _ in range(1, n):
+        images = [[rds.apply(v, y) for y in ys] for v, ys in zip(targets, images)]
+        targets = [rds.base.theta[v] for v in targets]
+        pulled = []
+        for e in base:
+            pulled.append(tuple(
+                sum(1 << k for k, y in enumerate(ys) if e[t] & indices[t].get(y, 0))
+                for ys, t in zip(images, targets)
+            ))
+        yield distinct(pulled)
+
+
+def tuple_iterates(q, rds, n_max, budgets=DEFAULTS):
+    """Oracle: the depth-1..n_max joins of :func:`tuple_pullbacks`."""
+    pulls = tuple_pullbacks(q, rds, n_max)
+    out = next(pulls, None)
+    if out is None:
+        return
+    yield out
+    empty = (0,) * rds.size
+    for depth, pulled in enumerate(pulls, 2):
+        out = dict.fromkeys(tuple(x & y for x, y in zip(a, b)) for a in out for b in pulled)
+        out.pop(empty, None)
+        out = list(out)
+        if len(out) > budgets.cover_elements:
+            raise BudgetExceededError("cover_elements", budgets.cover_elements, len(out), depth=depth)
+        yield out
+
+
+def unpacked_iterates(q, rds, n_max, budgets=DEFAULTS):
+    """The packed iterates with every mask split into per-fiber masks."""
+    layout = _layout(rds)
+    for masks in _mask_iterates(q, rds, n_max, budgets):
+        yield [tuple((e & full) >> offset for offset, full in layout) for e in masks]
+
+
+def _stop(run):
+    """(results, message of the budget stop or domain error, its depth)."""
+    got = []
+    try:
+        for item in run():
+            got.append(item)
+    except (BudgetExceededError, DomainError) as exc:
+        return got, (type(exc), str(exc), getattr(exc, "depth", None))
+    return got, None
+
+
+@given(seeds)
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_packed_masks_match_tuple_engine(seed):
+    rng, rds, r, q = _random_pair(seed)
+    for limit in (1, 3, 8, DEFAULTS.cover_elements):
+        tight = Budgets(cover_elements=limit)
+        for c in (r, q):
+            want = _stop(lambda: tuple_iterates(c, rds, 6, tight))
+            assert _stop(lambda: unpacked_iterates(c, rds, 6, tight)) == want
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_packed_domain_errors_match_tuple_engine(seed):
+    rng, rds, r, q = _random_pair(seed)
+    # a section leaving its fiber fails on encoding
+    omega = rng.randrange(rds.size)
+    sections = list(q.elements[0].sections)
+    sections[omega] = sections[omega] | {"stray"}
+    stray = RandomCover((RandomSet(tuple(sections)), *q.elements[1:]))
+    # a fiber point without an image fails on the first pullback step
+    maps = [dict(m) for m in rds.maps]
+    del maps[omega][rng.choice(sort_points(rds.fibers[omega]))]
+    partial = BundleRDS(rds.base, rds.fibers, tuple(maps))
+    for c, system in ((stray, rds), (r, partial)):
+        for n in (1, 2, 4):
+            want = _stop(lambda: tuple_iterates(c, system, n))
+            assert _stop(lambda: unpacked_iterates(c, system, n)) == want
+    assert _stop(lambda: unpacked_iterates(r, partial, 2))[1][0] is DomainError
+
+
+@given(seeds)
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_packed_bit_i_is_state_i(seed):
+    _, rds, r, _ = _random_pair(seed)
+    states = rds.states()
+    # the state partition lists the states in order, one bit each
+    assert _mask_iterate(state_partition(rds), rds, 1) == [1 << i for i in range(len(states))]
+    masks = _mask_iterate(r, rds, 1)
+    elements = [e for e in r.elements if not e.is_empty()]
+    assert len(masks) == len({e.sections for e in elements})
+    for e, m in zip(dict.fromkeys(e.sections for e in elements), masks):
+        assert m == sum(1 << i for i, (w, x) in enumerate(states) if x in e[w])
+
+
+def test_point_mapped_outside_its_image_fiber_pulls_back_nothing():
+    # b is sent to z, which is not in the fiber over the image base point;
+    # whether or not the map there has an entry for z (leading back to a),
+    # b pulls back nothing from step 1 on, and nothing applies a map to z
+    base = DrivingSystem(prob=(Fraction(1, 2), Fraction(1, 2)), theta=(1, 0))
+    fibers = (frozenset({"a", "b"}), frozenset({"c", "d"}))
+    for extra in ({"z": "a"}, {}):
+        rds = BundleRDS(base, fibers, ({"a": "c", "b": "z"}, {"c": "a", "d": "b", **extra}))
+        q = point_partition(rds)
+        for i in range(1, 5):
+            assert all("b" not in e.sections[0] for e in pullback(q, rds, i).elements)
+    # up to the first step the tuple engine agrees
+    assert list(unpacked_iterates(q, rds, 2)) == list(tuple_iterates(q, rds, 2))

@@ -307,6 +307,22 @@ def test_cli_invariant_cesaro_and_lift(tmp_path):
     assert doc2["weights"][0]["a0"] == "1/4"
 
 
+def test_cli_measure_rows_name_the_system_of_the_measure(tmp_path):
+    # a lifted measure lives on the factor map's source, not on the map
+    with open(scenario_path("extension")) as fh:
+        source = json.load(fh)["factor_maps"]["unwrap"]["source"]
+    runs = {
+        "lift.csv": (["--scenario", scenario_path("extension"), "--lift", "unwrap", "orbit"], source),
+        "vertices.csv": (["--scenario", scenario_path("cycle4"), "--vertices", "--system", "loop"], "loop"),
+    }
+    for artifact, (argv, system) in runs.items():
+        out = tmp_path / artifact
+        assert main(["invariant", *argv, "--out", str(out)]) == 0
+        header, *rows = read(out, artifact).splitlines()
+        assert header == "scenario,measure,omega,point,mass"
+        assert rows and {row.split(",")[0] for row in rows} == {system}, artifact
+
+
 def test_cli_construct_separated_and_diagonal(tmp_path):
     out = tmp_path / "cs"
     code = main(
