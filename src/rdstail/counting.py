@@ -4,13 +4,17 @@ entropy sequences.
 Fiber sections are integer bitmasks (Python integers, so any fiber size works
 without a word-size fallback): bit k over base point w is the k-th point of
 ``sort_points(rds.fibers[w])``.  The depth sweeps cut each fiber's distinct
-sections out of the packed masks of ``covers._mask_iterates``; the
-single-fiber queries encode their frozenset arguments with the same index.
+sections, as one set, out of the packed masks of ``covers._mask_iterates``;
+the single-fiber queries encode their frozenset arguments with the same
+index.
 A fiber's count is the largest minimum subcover of a target section.  It is
-monotone in the target, so only maximal sections are solved, and not one
-whose greedy bound cannot raise the running maximum.  Each solve is a branch
-and bound with a greedy initial bound and dominated-element elimination.
-Results are always exact; the search never returns an approximation.
+monotone in the target, so only maximal sections are solved, largest first.
+A target never needs more masks than it has points, so the walk stops at the
+first one no larger than the running maximum, and a larger one whose greedy
+bound (over the masks restricted to it) cannot raise the maximum is not
+solved.  Each solve is a branch and bound with a greedy initial bound and
+dominated-element elimination.  Results are always exact; the search never
+returns an approximation.
 """
 
 from __future__ import annotations
@@ -20,27 +24,37 @@ from typing import Iterable, Iterator
 
 from .budgets import Budgets, DEFAULTS
 from .covers import (
-    Masks, RandomCover, RandomSet, _fiber_index, _layout, _mask_iterate, _mask_iterates, _section_masks, _sections
+    Masks, RandomCover, RandomSet, _fiber_index, _layout, _mask_iterate, _mask_iterates, _section_masks
 )
 from .errors import DomainError
 from .model import BundleRDS
 
 
 def _maximal(masks: Iterable[int]) -> list[int]:
-    """The distinct masks contained in no other, largest first: a mask inside
-    another never helps a minimum cover (dominated-element elimination)."""
+    """The distinct masks contained in no other, largest first, equally large
+    ones in the order of ``masks``: a mask inside another never helps a
+    minimum cover (dominated-element elimination).  A repeat is dropped as
+    contained in its first copy."""
     kept: list[int] = []
-    for m in sorted(set(masks), key=lambda m: -m.bit_count()):
-        if not any(m | k == k for k in kept):
+    for m in sorted(masks, key=int.bit_count, reverse=True):
+        for k in kept:
+            if m | k == k:
+                break
+        else:
             kept.append(m)
     return kept
 
 
 def _greedy(target: int, masks: list[int]) -> int:
-    """Greedy cover size of a coverable ``target``: an upper bound on its minimum."""
+    """Greedy cover size of a coverable ``target``: an upper bound on its
+    minimum.  Each step takes the first mask covering the most uncovered
+    points; the masks are restricted to what is left uncovered, and those
+    emptied are dropped."""
+    live = [r for m in masks if (r := m & target)]
     size = 0
     while target:
-        target &= ~max(masks, key=lambda m: (m & target).bit_count())
+        target &= ~max(live, key=int.bit_count)
+        live = [r for m in live if (r := m & target)]
         size += 1
     return size
 
@@ -53,7 +67,7 @@ def min_cover_size(target: int, masks: Iterable[int]) -> int:
     """
     if target == 0:
         return 1
-    kept = _maximal(m & target for m in masks if m & target)
+    kept = _maximal({r for m in masks if (r := m & target)})
     covered_all = 0
     for m in kept:
         covered_all |= m
@@ -91,17 +105,24 @@ def min_cover_size(target: int, masks: Iterable[int]) -> int:
 def _fiber_count(r_masks: Iterable[int], q_masks: Iterable[int]) -> int:
     """Largest minimal-subcover count of a ``q`` section by the ``r``
     sections on one fiber.  The count is monotone in the target, so only the
-    maximal sections are solved, largest first, and a section whose greedy
-    bound cannot raise the running maximum is not solved at all."""
+    maximal sections are solved, largest first.  A target needs at most as
+    many masks as it has points, so the walk stops at the first target no
+    larger than the running maximum; a larger one whose greedy bound cannot
+    raise the maximum is not solved either.  Coverability is checked once,
+    for the union of the targets, before any bound."""
     masks = _maximal(r_masks)
-    union = 0
+    targets = _maximal(q_masks)
+    union = covered = 0
     for m in masks:
         union |= m
+    for t in targets:
+        covered |= t
+    if covered & ~union:
+        raise DomainError("target is not coverable by the given family")
     best = 1
-    for t in _maximal(q_masks):
-        # coverability first: the greedy loop never ends on an uncoverable target
-        if t & ~union:
-            raise DomainError("target is not coverable by the given family")
+    for t in targets:
+        if t.bit_count() <= best:
+            break
         if _greedy(t, masks) > best:
             best = max(best, min_cover_size(t, masks))
     return best
@@ -118,9 +139,8 @@ def minimal_subcover(s: RandomSet, r: RandomCover, omega: int, rds: BundleRDS) -
 def relative_count(r: RandomCover, q: RandomCover, omega: int, rds: BundleRDS) -> int:
     """Largest minimal-subcover count of a ``q``-element by ``r`` at ``omega``."""
     index = _fiber_index(rds.fibers[omega])
-    return _fiber_count(
-        _section_masks(r.sections(omega), index, omega), _section_masks(q.sections(omega), index, omega)
-    )
+    r_masks, q_masks = (set(_section_masks(c.sections(omega), index, omega)) for c in (r, q))
+    return _fiber_count(r_masks, q_masks)
 
 
 @dataclass(frozen=True)
@@ -137,7 +157,14 @@ class CountProfile:
 
 def _profile(n: int, rds: BundleRDS, rn: Masks, qn: Masks) -> CountProfile:
     layout = _layout(rds)
-    return CountProfile(tuple(map(_fiber_count, _sections(rn, layout), _sections(qn, layout))), n)
+
+    def cut(masks: Masks) -> list[set[int]]:
+        # one set of sections per fiber, shifted down to bit 0 as in
+        # ``_sections``: equally large targets are tried in the set's order,
+        # which follows the values, and so does what the greedy test skips
+        return [{(e & full) >> offset for e in masks} for offset, full in layout]
+
+    return CountProfile(tuple(map(_fiber_count, cut(rn), cut(qn))), n)
 
 
 def count_profile(

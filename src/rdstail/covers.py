@@ -217,7 +217,11 @@ def _layout(rds: BundleRDS) -> list[tuple[int, int]]:
 
 
 def _sections(masks: Masks, layout: list[tuple[int, int]]) -> list[list[int]]:
-    """Every fiber's distinct sections of the packed masks, in first-seen order."""
+    """Every fiber's distinct sections of the packed masks, in first-seen
+    order.  The order is kept for the element order of :func:`_decode` and
+    for the q-section that ``invariant.separated_empirical`` picks (the first
+    with the largest count); the counts cut their fibers without it, as one
+    set each."""
     return [list(dict.fromkeys((e & full) >> offset for e in masks)) for offset, full in layout]
 
 
@@ -258,7 +262,7 @@ def _mask_pullbacks(q: RandomCover, rds: BundleRDS, n: int) -> Iterator[Masks]:
     layout = _layout(rds)
     indices = [_fiber_index(f) for f in rds.fibers]
     columns = [_section_masks(q.sections(w), index, w) for w, index in enumerate(indices)]
-    out = _distinct(sum(m << offset for m, (offset, _) in zip(e, layout)) for e in zip(*columns))
+    out = _distinct([sum(m << offset for m, (offset, _) in zip(e, layout)) for e in zip(*columns)])
     yield out
     if n < 2:
         return
@@ -268,7 +272,7 @@ def _mask_pullbacks(q: RandomCover, rds: BundleRDS, n: int) -> Iterator[Masks]:
             bit = indices[v].get(rds.apply(w, x), 0) << layout[v][0]
             table[bit] = table.get(bit, 0) | b << offset
     for _ in range(1, n):
-        out = _distinct(_preimage(table, e) for e in out)
+        out = _distinct([_preimage(table, e) for e in out])
         yield out
 
 
@@ -298,7 +302,7 @@ def _mask_iterates(q: RandomCover, rds: BundleRDS, n_max: int, budgets: Budgets 
         return
     yield out
     for depth, pulled in enumerate(pulls, 2):
-        out = _distinct(a & b for a in out for b in pulled)
+        out = _distinct([a & b for a in out for b in pulled])
         if len(out) > budgets.cover_elements:
             raise BudgetExceededError("cover_elements", budgets.cover_elements, len(out), depth=depth)
         yield out

@@ -1,6 +1,7 @@
 """Exact minimal-subcover counting against the exhaustive oracle."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -14,6 +15,7 @@ from rdstail import (
     RandomCover,
     RandomSet,
     count_profile,
+    count_profiles,
     iterate_cover,
     min_cover_size,
     minimal_subcover,
@@ -24,6 +26,9 @@ from rdstail import (
 )
 from rdstail import counting
 from rdstail.counting import _maximal
+from rdstail.covers import _layout, _mask_iterates, _sections
+from rdstail.model import BundleRDS, DrivingSystem
+from rdstail.verify import _rng, coarsen, random_cover, random_partition, random_system
 
 SWAP = swap_system()
 
@@ -196,3 +201,137 @@ def test_fiber_count_matches_every_target_oracle(monkeypatch):
     assert 50 < errors < 1000
     # the empty section alone counts one
     assert counting._fiber_count([0b11], [0, 0]) == fiber_count_every_target([0b11], [0, 0]) == 1
+
+
+def test_uncoverable_target_below_the_popcount_stop_raises():
+    # 0b1000 sorts after the stop at best == 1; the union check still sees it
+    with pytest.raises(DomainError, match="target is not coverable by the given family"):
+        counting._fiber_count([0b0111], [0b0111, 0b1000])
+
+
+# The reference count kernel, with a Python callback per mask: ``_maximal``
+# with a lambda key and ``any``, ``_greedy`` over every mask, and
+# ``_fiber_count`` checking coverability per target with no popcount stop,
+# over the fibers cut by ``covers._sections``.  The exact solver is the
+# library's ``min_cover_size``, itself checked against brute force above,
+# looked up on ``counting`` so that a test can record the solves.
+
+
+def maximal_by_any(masks):
+    kept = []
+    for m in sorted(set(masks), key=lambda m: -m.bit_count()):
+        if not any(m | k == k for k in kept):
+            kept.append(m)
+    return kept
+
+
+def greedy_over_all(target, masks):
+    size = 0
+    while target:
+        target &= ~max(masks, key=lambda m: (m & target).bit_count())
+        size += 1
+    return size
+
+
+def fiber_count_per_target(r_masks, q_masks):
+    masks = maximal_by_any(r_masks)
+    union = 0
+    for m in masks:
+        union |= m
+    best = 1
+    for t in maximal_by_any(q_masks):
+        if t & ~union:
+            raise DomainError("target is not coverable by the given family")
+        if greedy_over_all(t, masks) > best:
+            best = max(best, counting.min_cover_size(t, masks))
+    return best
+
+
+def profiles_by_sections(rds, r, q, n_max):
+    layout = _layout(rds)
+    q_iter = _mask_iterates(q, rds, n_max)
+    for rn in _mask_iterates(r, rds, n_max):
+        yield tuple(map(fiber_count_per_target, _sections(rn, layout), _sections(next(q_iter), layout)))
+
+
+def _until_budget(profiles):
+    got = []
+    try:
+        for item in profiles:
+            got.append(item)
+    except BudgetExceededError as exc:
+        return got, exc.depth
+    return got, None
+
+
+def test_maximal_and_greedy_match_the_callback_kernel():
+    rng = random.Random(15)
+    for _ in range(1500):
+        r, q = _column_pair(rng)
+        for masks in (r, q):
+            # the same set, so the same order among equally large masks
+            assert _maximal(set(masks)) == maximal_by_any(masks), masks
+            assert sorted(_maximal(masks)) == sorted(maximal_by_any(masks)), masks
+        union = 0
+        for m in r:
+            union |= m
+        for family in (r, _maximal(r)):
+            for t in q:
+                if not t & ~union:
+                    assert counting._greedy(t, family) == greedy_over_all(t, family), (t, family)
+        want = _count_or_error(fiber_count_per_target, r, q)
+        assert _count_or_error(counting._fiber_count, r, q) == want, (r, q)
+        assert _count_or_error(counting._fiber_count, set(r), set(q)) == want, (r, q)
+
+
+def _explicit_system(rng, size=6, points=40):
+    """A permutation base with uniform mass, ``points`` points per fiber and
+    random fiber maps, with a 3-element ``r`` and a 2-element ``q`` in which
+    every point lies in one element and in each other with probability 0.3."""
+    theta = list(range(size))
+    rng.shuffle(theta)
+    base = DrivingSystem(prob=(Fraction(1, size),) * size, theta=tuple(theta))
+    fibers = tuple(frozenset(f"x{i}" for i in range(points)) for _ in range(size))
+    maps = tuple({f"x{i}": f"x{rng.randrange(points)}" for i in range(points)} for _ in range(size))
+    rds = BundleRDS(base=base, fibers=fibers, maps=maps)
+
+    def cover(k):
+        secs = [[set() for _ in range(size)] for _ in range(k)]
+        for w in range(size):
+            for i in range(points):
+                home = rng.randrange(k)
+                for j in range(k):
+                    if j == home or rng.random() < 0.3:
+                        secs[j][w].add(f"x{i}")
+        return RandomCover(tuple(RandomSet(tuple(map(frozenset, row))) for row in secs))
+
+    return rds, cover(3), cover(2)
+
+
+def test_count_profiles_match_the_callback_kernel(monkeypatch):
+    solves = []
+
+    def recorded(target, masks):
+        solves.append(target)
+        return min_cover_size(target, masks)
+
+    def profiles_and_solves(profiles):
+        solves.clear()
+        return _until_budget(profiles), solves[:]
+
+    monkeypatch.setattr(counting, "min_cover_size", recorded)
+    make = [random_cover, random_partition, lambda g, s: coarsen(g, random_cover(g, s))]
+    cases = []
+    for trial in range(40):
+        rng = _rng(15, trial)
+        rds = random_system(rng, max_fiber=rng.choice([3, 5, 7]), pool=9)
+        cases.append((rds, rng.choice(make)(rng, rds), rng.choice(make)(rng, rds)))
+    cases.append(_explicit_system(random.Random(15)))
+    for rds, r, q in cases:
+        (got, stop), got_solves = profiles_and_solves(count_profiles(rds, r, q, 8))
+        want, want_solves = profiles_and_solves(profiles_by_sections(rds, r, q, 8))
+        assert ([p.per_omega for p in got], stop) == want
+        assert [p.depth for p in got] == list(range(1, len(got) + 1))
+        # the popcount stop skips only targets the greedy test skips too
+        assert got_solves == want_solves
+    assert stop is None and max(map(max, want[0])) > 2
