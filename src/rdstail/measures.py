@@ -13,11 +13,15 @@ Every measure built from others (mixtures, pushforwards, and the Cesaro
 limits, lifts and polytope vertices of :mod:`rdstail.invariant`) sums its
 ``(omega, point, mass)`` contributions in one accumulator, :func:`_gather`.
 
-Every element and intersection mass comes from :func:`_joint_masses`, over
+The entropies and the containment optimum sum masses as integer
+numerators over one common denominator per measure (:func:`_numerators`),
+the same exact rationals as ``Fraction`` sums.  Every element and
+intersection mass comes from :func:`_joint_masses`, over
 ``(element index, (omega, point))`` memberships: of frozenset sections for
 :func:`conditional_entropy` and :func:`delta_contains`, and of the set bits
 of the packed masks of :func:`rdstail.covers._mask_iterates` (bit i is state
-``rds.states()[i]``) for the relative-entropy sweeps.
+``rds.states()[i]``) for the relative-entropy sweeps, which convert each
+measure once per sweep.
 """
 
 from __future__ import annotations
@@ -163,13 +167,6 @@ def pushforward_measure(pi: FactorMap, mu: FiberedMeasure) -> FiberedMeasure:
     )
 
 
-def _plogq(mass: Fraction, given: Fraction) -> float:
-    # one conditional-entropy term: mass * log(given / mass), 0 at mass 0
-    if mass == 0:
-        return 0.0
-    return float(mass) * (math.log(float(given)) - math.log(float(mass)))
-
-
 Membership = tuple[int, tuple[int, Point]]  # (element index, (omega, point))
 
 
@@ -177,32 +174,53 @@ def _memberships(cover: RandomCover) -> list[Membership]:
     return [(i, (w, x)) for i, e in enumerate(cover.elements) for w, sec in enumerate(e.sections) for x in sec]
 
 
+def _numerators(mu: FiberedMeasure, *covers: RandomCover) -> tuple[int, dict[tuple[int, Point], int]]:
+    """The lcm ``D`` of the weights' denominators, and every stored weight,
+    zeros included, as its numerator over ``D`` keyed ``(omega, point)``:
+    the only place a ``Fraction`` mass becomes an integer.  A cover of
+    ``covers`` over another number of base points than ``mu`` raises
+    :class:`PreconditionError`."""
+    if any(c.size != mu.size for c in covers):
+        raise PreconditionError("measure_size", f"measure spans {mu.size} base points, a cover another number")
+    d = math.lcm(*(v.denominator for w in mu.weights for v in w.values()))
+    return d, {(w, x): v.numerator * (d // v.denominator) for w, ws in enumerate(mu.weights) for x, v in ws.items()}
+
+
 def _joint_masses(
-    mu: FiberedMeasure, atoms: Iterable[Membership], cells: Iterable[Membership]
-) -> tuple[dict[int, Fraction], dict[tuple[int, int], Fraction]]:
-    """The mass of every atom, and of every nonempty (atom, cell)
-    intersection keyed ``(atom index, cell index)``.  A state lying in
-    several atoms or several cells counts once in each of them."""
+    num: Mapping[tuple[int, Point], int], atoms: Iterable[Membership], cells: Iterable[Membership]
+) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
+    """The numerator, over the denominator of ``num`` (:func:`_numerators`),
+    of the mass of every atom, and of every (atom, cell) intersection keyed
+    ``(atom index, cell index)``, those of zero mass left out.  A state
+    lying in several atoms or several cells counts once in each of them."""
     cells_at: dict[tuple[int, Point], list[int]] = {}
     for j, state in cells:
         cells_at.setdefault(state, []).append(j)
-    atom_mass: dict[int, Fraction] = {}
-    joint: dict[tuple[int, int], Fraction] = {}
-    for i, (w, x) in atoms:
-        v = mu.get(w, x)
-        atom_mass[i] = atom_mass.get(i, Fraction(0)) + v
-        for j in cells_at.get((w, x), ()):
-            joint[i, j] = joint.get((i, j), Fraction(0)) + v
+    atom_mass: dict[int, int] = {}
+    joint: dict[tuple[int, int], int] = {}
+    for i, state in atoms:
+        v = num.get(state, 0)
+        if v:
+            atom_mass[i] = atom_mass.get(i, 0) + v
+            for j in cells_at.get(state, ()):
+                joint[i, j] = joint.get((i, j), 0) + v
     return atom_mass, joint
 
 
-def _entropy(mu: FiberedMeasure, atoms: Sequence[Membership], cells: Sequence[Membership]) -> float:
-    # left to right in (atom, cell) order, null atoms skipped: the atom x cell formula
-    atom_mass, joint = _joint_masses(mu, atoms, cells)
+def _entropy(
+    d: int, num: Mapping[tuple[int, Point], int], atoms: Sequence[Membership], cells: Sequence[Membership]
+) -> float:
+    """The atom x cell formula: ``(v/d) * (log(a/d) - log(v/d))`` summed
+    left to right in (atom, cell) order, ``v`` a joint and ``a`` its atom's
+    numerator over ``d``.  ``int / int`` is correctly rounded, so each float
+    is that of the reduced ``Fraction``.  A term whose ``v/d`` rounds to 0.0
+    (null, or below 2e-321, far inside ``TOL``) is 0.0."""
+    atom_mass, joint = _joint_masses(num, atoms, cells)
     total = 0.0
     for (i, _), v in sorted(joint.items()):
-        if atom_mass[i]:
-            total += _plogq(v, atom_mass[i])
+        m = v / d
+        if m:
+            total += m * (math.log(atom_mass[i] / d) - math.log(m))
     return total
 
 
@@ -211,7 +229,7 @@ def conditional_entropy(mu: FiberedMeasure, r: RandomCover, s: SigmaAlgebra) -> 
     the exact finite formula over joint atom masses, zero-mass cells
     contributing nothing.  Lies in ``[0, log len(r)]``.  Overlaps are not
     rejected: a state in two cells or two atoms counts once in each."""
-    return _entropy(mu, _memberships(s.atoms), _memberships(r))
+    return _entropy(*_numerators(mu, r, s.atoms), _memberships(s.atoms), _memberships(r))
 
 
 @dataclass(frozen=True)
@@ -248,12 +266,16 @@ def relative_entropy_sequences(
     Preconditions are verified, not assumed: each measure must be exactly
     invariant under the skew map and the algebra must contain its own
     dynamical pullback; both are needed for subadditivity.
+
+    Each measure becomes its integer numerators (:func:`_numerators`) once
+    per sweep, not once per depth.
     """
     if not all(measures_equal(skew_pushforward(mu, rds), mu) for mu in measures):
         raise PreconditionError("invariant_measure", "measure is not skew-invariant")
     if not sigma_backward_compatible(s, rds):
         raise PreconditionError("backward_compatible_algebra", "pullback of the algebra escapes it")
     atoms = _memberships(s.atoms)
+    numerators = [_numerators(mu, s.atoms) for mu in measures]
     states = rds.states()
     values: list[list[float]] = [[] for _ in measures]
     for masks in _mask_iterates(r, rds, n_max, budgets):
@@ -263,8 +285,8 @@ def relative_entropy_sequences(
             while e:
                 cells.append((j, states[(e & -e).bit_length() - 1]))
                 e &= e - 1
-        for mu, seq in zip(measures, values):
-            seq.append(_entropy(mu, atoms, cells))
+        for (d, num), seq in zip(numerators, values):
+            seq.append(_entropy(d, num, atoms, cells))
     return [EntropyEstimate(values=tuple(seq), requested=n_max) for seq in values]
 
 
@@ -418,17 +440,18 @@ def delta_contains(
     if not all(isinstance(c, RandomPartition) and c.validate_disjoint() for c in (p, q)):
         raise PreconditionError("partitions", "the containment optimum is exact only for disjoint elements")
     p_cells, q_cells = _memberships(p), _memberships(q)
-    p_mass, inter = _joint_masses(mu, p_cells, q_cells)
-    q_mass, _ = _joint_masses(mu, q_cells, ())
-    total = sum(p_mass.values(), Fraction(0)) + sum(q_mass.values(), Fraction(0))
+    d, num = _numerators(mu, p, q)
+    p_mass, inter = _joint_masses(num, p_cells, q_cells)
+    q_mass, _ = _joint_masses(num, q_cells, ())
+    total = sum(p_mass.values()) + sum(q_mass.values())
     groups: list[list[int]] = [[] for _ in q.elements]
-    gained = Fraction(0)
+    gained = 0
     for i in range(len(p.elements)):
-        row = [inter.get((i, j), Fraction(0)) for j in range(len(q.elements))]
+        row = [inter.get((i, j), 0) for j in range(len(q.elements))]
         best_j = max(range(len(row)), key=lambda j: (row[j], -j))
         gained += row[best_j]
         groups[best_j].append(i)
-    best_sum = total - 2 * gained
+    best_sum = Fraction(total - 2 * gained, d)
     return ContainmentWitness(
         contained=best_sum < delta,
         best_sum=best_sum,

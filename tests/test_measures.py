@@ -9,6 +9,9 @@ import pytest
 from rdstail import (
     BudgetExceededError,
     Budgets,
+    BundleRDS,
+    DomainError,
+    DrivingSystem,
     DefectEstimate,
     EntropyEstimate,
     FiberedMeasure,
@@ -51,7 +54,7 @@ from rdstail import (
     vertex_enumeration,
 )
 from rdstail.covers import pullback_cover
-from rdstail.measures import ContainmentWitness, _plogq, defect_from_sequences, sigma_backward_compatible
+from rdstail.measures import ContainmentWitness, _numerators, defect_from_sequences, sigma_backward_compatible
 from rdstail.verify import (
     _rng,
     coarsen,
@@ -104,6 +107,13 @@ def test_disintegrate_flags_zero_mass_fiber():
     rds = BundleRDS(base=base, fibers=(frozenset({"x"}), frozenset({"y"})), maps=({"x": "x"}, {"y": "y"}))
     mu = FiberedMeasure(({"x": Fraction(1)}, {}))
     assert disintegrate(mu, rds)[1] is None
+
+
+def _plogq(mass, given):
+    """Oracle term on Fractions: mass * log(given / mass), 0 at mass 0."""
+    if mass == 0:
+        return 0.0
+    return float(mass) * (math.log(float(given)) - math.log(float(mass)))
 
 
 def mass_of_sections(mu, sections):
@@ -645,3 +655,170 @@ def test_accumulator_matches_per_function_loops():
     assert zeros_kept  # the mixtures did store zeros
     # the oracle saw equal and unequal measures of one size
     assert same_size_verdicts == {True, False}
+
+
+# Oracles for the integer mass sums: the Fraction formulas above, and the
+# sweep's checks made on a pushed-forward measure.
+
+
+def _prime_powers():
+    """Pairwise coprime denominators past 2**80: the least power of each
+    odd prime in turn that exceeds it."""
+    q = 2
+    while True:
+        q += 1
+        if all(q % k for k in range(2, math.isqrt(q) + 1)):
+            p = q
+            while p <= 2**80:
+                p *= q
+            yield p
+
+
+def coprime_measure(rng, rds, denominators):
+    """A weight ``k/p`` on every state, each with its own denominator ``p``
+    from ``denominators``; about one in five is stored as an explicit zero."""
+    weights = []
+    for w in range(rds.size):
+        ws = {}
+        for x in sorted(rds.fibers[w]):
+            p = next(denominators)
+            ws[x] = Fraction(0) if rng.random() < 0.2 else Fraction(rng.randint(1, p - 1), p)
+        weights.append(ws)
+    return FiberedMeasure(tuple(weights))
+
+
+def sweep_by_oracle(measures, r, s, rds, n_max):
+    """The family sweep from the Fraction oracles: each measure pushed one
+    step and compared, then the algebra checked, then the atom x cell
+    formula at every depth."""
+    for mu in measures:
+        if not measures_equal_by_loop(skew_pushforward_by_loop(mu, rds), mu):
+            raise PreconditionError("invariant_measure", "measure is not skew-invariant")
+    if not sigma_backward_compatible(s, rds):
+        raise PreconditionError("backward_compatible_algebra", "pullback of the algebra escapes it")
+    return [
+        EntropyEstimate(
+            values=tuple(conditional_entropy_by_cells(mu, iterate_cover(r, rds, n), s) for n in range(1, n_max + 1)),
+            requested=n_max,
+        )
+        for mu in measures
+    ]
+
+
+def _raised(fn):
+    try:
+        return ("values", fn())
+    except (DomainError, PreconditionError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def with_weights(mu, w, extra):
+    return FiberedMeasure(tuple({**ws, **extra} if v == w else ws for v, ws in enumerate(mu.weights)))
+
+
+def test_integer_masses_match_fraction_oracles():
+    # three coprime denominators past 2**80 put the common denominator past
+    # 2**200; explicit zeros, overlapping covers and overlapping atoms
+    denominators = _prime_powers()
+    huge = positive = 0
+    for trial in range(25):
+        rng = _rng(103, trial)
+        rds = random_system(rng, max_fiber=4)
+        mu = coprime_measure(rng, rds, denominators)
+        if sum(v > 0 for ws in mu.weights for v in ws.values()) >= 3:
+            assert _numerators(mu)[0] > 2**200, trial
+            huge += 1
+        delta = Fraction(rng.randint(1, 8), 8)
+        part = random_partition(rng, rds)
+        covers = [part, coarsen(rng, part), random_partition(rng, rds), random_cover(rng, rds)]
+        covers.append(coarsen(rng, covers[-1]))
+        for r in covers:
+            for atoms in covers:
+                s = SigmaAlgebra(atoms)
+                assert conditional_entropy(mu, r, s) == conditional_entropy_by_cells(mu, r, s), trial
+                if isinstance(atoms, RandomPartition) and isinstance(r, RandomPartition):
+                    want = delta_contains_by_cells(atoms, r, mu, delta)
+                    assert delta_contains(atoms, r, mu, delta) == want, trial
+                    positive += want.best_sum > 0
+    assert huge >= 15 and positive
+
+
+def test_integer_sweep_matches_fraction_oracles():
+    denominators = _prime_powers()
+    seen, huge = set(), 0
+    for trial in range(20):
+        rng = _rng(107, trial)
+        base = random_driving(rng, 3)
+        left = random_system(rng, base=base, max_fiber=3, pool=4)
+        prod = product_system(left, random_system(rng, base=base, max_fiber=3, pool=4))
+        h = prod.system
+        sources = [coprime_measure(rng, h, denominators) for _ in range(rng.randint(1, 3))]
+        family = [cesaro_limit(nu, h) for nu in sources]
+        mu = family[0]
+        w = rng.choice([v for v in range(h.size) if mu.weights[v]])
+        x, y = rng.choice(sorted(mu.weights[w])), rng.choice(sorted(h.fibers[w]))
+        p = next(denominators)
+        moved = dict(mu.weights[w])
+        moved[x] -= Fraction(1, p) * moved[x]
+        moved[y] = moved.get(y, Fraction(0)) + Fraction(1, p) * mu.weights[w][x]
+        perturbed = FiberedMeasure(tuple(moved if v == w else ws for v, ws in enumerate(mu.weights)))
+        zeros = FiberedMeasure(tuple({**{z: Fraction(0) for z in h.fibers[v]}, **ws} for v, ws in enumerate(mu.weights)))
+        off_zero = with_weights(zeros, w, {"stray": Fraction(0)})
+        off_pos = with_weights(mu, w, {"stray": Fraction(1, p), "stray2": Fraction(1, p)})
+        if sum(v > 0 for ws in sources[0].weights for v in ws.values()) >= 3:
+            assert _numerators(mu)[0] > 2**200, trial
+            huge += 1
+        families = [
+            family,
+            [zeros, off_zero, *family[1:]],
+            [*family, perturbed],
+            [perturbed, off_pos],
+            [off_pos, perturbed],
+            [mu, off_zero, off_pos],
+        ]
+        r = random_partition(rng, h, max_cells=3)
+        algebras = [SigmaAlgebra(pullback_cover(prod.to_left, state_partition(left))), fiber_sigma(h), state_sigma(h)]
+        whole = trivial_cover(h).elements
+        algebras += [SigmaAlgebra(RandomPartition(s.atoms.elements + whole)) for s in algebras]
+        algebras.append(SigmaAlgebra(random_partition(rng, h)))
+        for measures in families:
+            for cells in (r, random_cover(rng, h)):
+                for s in algebras:
+                    got = _raised(lambda: relative_entropy_sequences(measures, cells, s, h, 3))
+                    want = _raised(lambda: sweep_by_oracle(measures, cells, s, h, 3))
+                    assert got == want, (trial, got, want)
+                    seen.add(want[0] if want[0] != "PreconditionError" else want[1])
+    assert huge >= 10
+    assert seen == {
+        "values",
+        "DomainError",
+        "precondition 'invariant_measure' failed: measure is not skew-invariant",
+        "precondition 'backward_compatible_algebra' failed: pullback of the algebra escapes it",
+    }
+
+
+TINY = Fraction(1, 2**1101)  # a positive mass that rounds to 0.0
+
+
+def test_mass_below_the_smallest_float_adds_nothing():
+    assert TINY > 0 and float(TINY) == 0.0
+    mu = FiberedMeasure(({"a": Fraction(1, 4), "b": Fraction(1, 4)}, {"c": Fraction(1, 2) - TINY, "d": TINY}))
+    # exactly log(2)/2 plus the tiny cell's terms, below 1e-320
+    assert abs(conditional_entropy(mu, point_partition(SWAP), fiber_sigma(SWAP)) - math.log(2) / 2) <= TOL
+    fixed = BundleRDS(
+        base=DrivingSystem((Fraction(1),), (0,)), fibers=(frozenset({"x", "y"}),), maps=({"x": "x", "y": "y"},)
+    )
+    nearly_point = FiberedMeasure(({"x": 1 - TINY, "y": TINY},))
+    est = relative_entropy_sequence(nearly_point, point_partition(fixed), SigmaAlgebra(trivial_cover(fixed)), fixed, 3)
+    assert all(abs(v) <= TOL for v in est.values)
+
+
+def test_measure_over_another_number_of_base_points_is_refused():
+    # a measure shorter than the covers was read as zero mass past its end
+    mu = FiberedMeasure.uniform(SWAP)
+    points, fibers = point_partition(SWAP), fiber_sigma(SWAP)
+    for fn in (lambda m: conditional_entropy(m, points, fibers), lambda m: delta_contains(points, points, m, TOL)):
+        fn(mu)
+        for other in (FiberedMeasure(mu.weights[:1]), FiberedMeasure(mu.weights + mu.weights[:1])):
+            with pytest.raises(PreconditionError, match="measure_size"):
+                fn(other)

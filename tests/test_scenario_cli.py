@@ -1,10 +1,12 @@
 """Scenario loading and the command-line surface."""
 
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -223,6 +225,26 @@ def test_cli_entropy_value(tmp_path):
     assert code == 0
     doc = json.loads(read(out, "entropy.json"))
     assert abs(doc["conditional_entropy"] - math.log(2)) <= 1e-9
+
+
+def test_cli_entropy_of_a_mass_below_the_smallest_float(tmp_path):
+    # a positive weight that rounds to 0.0 contributes nothing, where
+    # math.log(0.0) used to end the command with a traceback
+    with open(scenario_path("swap")) as fh:
+        doc = json.load(fh)
+    tiny = Fraction(1, 2**1101)
+    doc["measures"]["tiny"] = {
+        "system": "swap",
+        "weights": [{"a": "1/4", "b": "1/4"}, {"c": str(Fraction(1, 2) - tiny), "d": str(tiny)}],
+    }
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "et"
+    code = main(["entropy", "--scenario", str(path), "--mu", "tiny", "--r", "points", "--sigma", "@fibers",
+                 "--out", str(out)])
+    assert code == 0
+    # exactly log(2)/2 plus the terms of the tiny cell, below 1e-320
+    assert abs(json.loads(read(out, "entropy.json"))["conditional_entropy"] - math.log(2) / 2) <= 1e-9
 
 
 def test_cli_entropy_sequence(tmp_path):
@@ -693,3 +715,53 @@ def test_cli_reruns_are_byte_identical(tmp_path):
     for name in sorted(os.listdir(out1)):
         with open(os.path.join(out1, name), "rb") as f1, open(os.path.join(out2, name), "rb") as f2:
             assert f1.read() == f2.read(), name
+
+
+# sha256 of the artifacts (the manifest, which names the scenario path, left
+# out) of the README and benchmark `entropy` commands and two `construct
+# --diagonal` runs, recorded before the measures summed masses as integer
+# numerators; the entropy floats must not move by one bit
+ARTIFACT_DIGESTS = {
+    "entropy --scenario swap --mu uniform --r points --sigma @fibers": {
+        "entropy.csv": "3fa7b4118c2073f8031f0ee017758c4af8f97e2fc4b98ebc1831ababab98efe3",
+        "entropy.json": "8042fce38e8f2e48d9f641ba3a114cff61abe51a6fcde939e61f83c1efb0352d",
+    },
+    "entropy --scenario swap --mu orbit --r points --sigma @fibers": {
+        "entropy.csv": "f1849e8b5c7b3c2eb6f52b28237e5a2d15400f7d2bed11082467d3def609921d",
+        "entropy.json": "0c3010b5feb2a984b643113fb9613e4c9084cf38a0dc3eb5a9d2dc1e747bd31d",
+    },
+    "entropy --scenario cycle4 --mu spread --r points --sigma @fibers": {
+        "entropy.csv": "f56b399458600e422803591a53facc51f3278960d6bb8f6edfac326939abf65c",
+        "entropy.json": "3874ede81e448d9059d3a852bca7a0c40388d92e065d7f9c347d07949ecef9ec",
+    },
+    "entropy --scenario cycle4 --mu corner --r points --sigma halves": {
+        "entropy.csv": "3e2cf2a24d2088fe1d2955038e31e0462ed665768683fbe8884af1acb6729423",
+        "entropy.json": "0c3010b5feb2a984b643113fb9613e4c9084cf38a0dc3eb5a9d2dc1e747bd31d",
+    },
+    "entropy --scenario cycle4 --mu spread --r points --sigma @states --nmax 6": {
+        "entropy.csv": "33fd0d350cc6217070d59b0720c48da538e761f3cbc9c320511d9725f923bcbb",
+        "entropy.json": "924e8a09564e2252a1701727720af05fc3aa1fcd444a45c82484b9ba1bea2800",
+    },
+    "construct --scenario cycle4 --diagonal --p points --q points --n 8 --delta 1": {
+        "diagonal.csv": "dfd4efa23e6cb5d29f62d662f7ae97f4dd70a7e7f8feb99a1ba5127cfe3979c3",
+        "diagonal.json": "e1668592bbefbb97a41e9bf57acc52ca6bedbf17d053949861169a34b20b28b7",
+    },
+    "construct --scenario extension --diagonal --p @points --q @points --system doubled --n 4 --delta 1": {
+        "diagonal.csv": "25005f400afc7fc88bf90a89e79f7ba45cde2fd93afafcc7621c0839dc7a09f0",
+        "diagonal.json": "ea05a7586acfe676240894257013aa8f6bbf40f8980a80948268eddd7c5e724a",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(ARTIFACT_DIGESTS))
+def test_entropy_artifacts_are_pinned(tmp_path, command):
+    argv = command.split()
+    at = argv.index("--scenario") + 1
+    argv[at] = scenario_path(argv[at])
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    got = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in sorted(os.listdir(tmp_path))
+        if name != "manifest.json"
+    }
+    assert got == ARTIFACT_DIGESTS[command]
