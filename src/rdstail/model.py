@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Hashable, Iterable, Mapping
 
 from .errors import DomainError, IncompatibleSystemsError
@@ -115,10 +116,14 @@ class MetricSpace:
                     out.append(f"d({p!r},{q!r})={v} violates identity of indiscernibles")
                 if self.dist.get((q, p)) != v:
                     out.append(f"asymmetric distance at ({p!r},{q!r})")
-        for p in self.points:
-            for q in self.points:
-                for r in self.points:
-                    if self.dist[(p, r)] > self.dist[(p, q)] + self.dist[(q, r)]:
+        # the triangles compare integer numerators over one common denominator
+        rows = [[self.dist[(p, q)] for q in self.points] for p in self.points]
+        scale = lcm(*(v.denominator for row in rows for v in row))
+        rows = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
+        for p, from_p in zip(self.points, rows):
+            for q, d_pq, from_q in zip(self.points, from_p, rows):
+                for r, d_pr, d_qr in zip(self.points, from_p, from_q):
+                    if d_pr > d_pq + d_qr:
                         out.append(f"triangle inequality fails at ({p!r},{q!r},{r!r})")
         return out
 

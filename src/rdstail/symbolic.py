@@ -12,8 +12,14 @@ walked forward along the base orbit; a shared component counts the
 extensions of a conditioning word with a column vector walked backwards over
 a fixed window.  The transition matrices are 0/1, so each step is O(a^2)
 big-integer additions for an alphabet of size a.  A count is exact at any
-depth, linear in the depth, with no recursion and no cache.  A depth sweep
-walks each base point's orbit once for all depths.
+depth, with no recursion.  Every base orbit ends in a theta-cycle, so a
+point query walks the preperiod, takes the whole laps of the cycle as one
+power of the cycle's product matrix, by squaring, and walks the rest: at
+depth n it costs O(|base| a^3 + a^3 log n) big-integer operations.  A depth
+sweep stays linear in the depth: it walks each base point's orbit once for
+all depths, and counts a shared component's window once per base point the
+window starts at.  State lives for one call only; nothing is cached between
+calls.
 
 The count of a depth-n iterate spans coordinates ``0 .. n+d-2`` for a
 depth-d cylinder family; a cylinder family refines another whenever it
@@ -26,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress, islice, repeat
 from math import log, prod
+from operator import mul
 from typing import Iterator
 
 from .errors import PreconditionError
@@ -33,6 +40,7 @@ from .model import DrivingSystem
 from .tail_entropy import EntropyEstimate
 
 Matrix = tuple[tuple[int, ...], ...]
+Orbit = tuple[tuple[int, ...], tuple[int, ...]]  # preperiod path, theta-cycle
 
 
 @dataclass(frozen=True)
@@ -92,14 +100,79 @@ class CylinderCoverSpec:
         return n + self.depth - 1
 
 
-def _word_counts(sft: RandomSFT, component: int, omega: int) -> Iterator[int]:
-    """Numbers of admissible words of lengths 1, 2, ... of one component
-    starting over ``omega``.  A row vector walks forward along the base
-    orbit, ``u <- u^T M_omega`` from all ones: entry j counts the words that
-    end in symbol j, and the count is ``sum(u)``."""
+def _orbit(base: DrivingSystem, omega: int) -> Orbit:
+    """The orbit of ``omega`` as its preperiod path and the theta-cycle it
+    falls into: ``omega, theta(omega), ...`` is the path followed by the
+    cycle repeated forever."""
+    seen: dict[int, int] = {}
+    points = []
+    while omega not in seen:
+        seen[omega] = len(points)
+        points.append(omega)
+        omega = base.theta[omega]
+    entry = seen[omega]
+    return tuple(points[:entry]), tuple(points[entry:])
+
+
+def _orbit_point(orbit: Orbit, n: int) -> int:
+    """The n-th theta iterate of the orbit's first point."""
+    path, cycle = orbit
+    return path[n] if n < len(path) else cycle[(n - len(path)) % len(cycle)]
+
+
+def _cycle_product(comp: SFTComponent, cycle: tuple[int, ...]) -> list[list[int]]:
+    """``M_c0 M_c1 ... M_c(L-1)`` over one lap of the cycle, exact: a row
+    vector times it is the vector walked once around the cycle.  The factors
+    are 0/1, so each costs a^3 additions."""
+    product = [list(row) for row in comp.matrices[cycle[0]]]
+    for w in cycle[1:]:
+        columns = tuple(zip(*comp.matrices[w]))
+        product = [[sum(compress(row, col)) for col in columns] for row in product]
+    return product
+
+
+def _times_power(u: list[int], matrix: list[list[int]], k: int) -> list[int]:
+    """The row vector ``u M^k`` for ``k >= 1``, squaring M ``log2(k)``
+    times."""
+    while True:
+        if k & 1:
+            u = [sum(map(mul, u, col)) for col in zip(*matrix)]
+        k >>= 1
+        if not k:
+            return u
+        columns = tuple(zip(*matrix))
+        matrix = [[sum(map(mul, row, col)) for col in columns] for row in matrix]
+
+
+def _word_counts(sft: RandomSFT, component: int, orbit: Orbit, length: int) -> Iterator[int]:
+    """Numbers of admissible words of lengths ``length, length+1, ...`` of
+    one component starting over the first point of ``orbit``.  A row vector
+    walks forward along the base orbit, ``u <- u^T M_omega`` from all ones:
+    entry j counts the words that end in symbol j, and the count is
+    ``sum(u)``.
+
+    The first ``length - 1`` steps are jumped: the preperiod is walked, the
+    whole laps of the cycle are one power of the cycle's product matrix,
+    taken by squaring, and the rest of a lap is walked.  The power is taken
+    only when it costs fewer big-integer operations than walking the laps:
+    building the product and squaring it cost a^3 each, one walked step
+    a^2."""
     comp = sft.components[component]
     columns = [tuple(zip(*m)) for m in comp.matrices]
+    path, cycle = orbit
     u = [1] * comp.alphabet
+    steps = length - 1
+    for omega in path[:steps]:
+        u = [sum(compress(u, col)) for col in columns[omega]]
+    laps, rest = divmod(max(0, steps - len(path)), len(cycle))
+    if (len(cycle) - 1 + laps.bit_length()) * comp.alphabet < laps * len(cycle):
+        u = _times_power(u, _cycle_product(comp, cycle), laps)
+    else:
+        rest += laps * len(cycle)
+    omega = _orbit_point(orbit, min(steps, len(path)))
+    for _ in range(rest):
+        u = [sum(compress(u, col)) for col in columns[omega]]
+        omega = sft.base.theta[omega]
     while True:
         yield sum(u)
         u = [sum(compress(u, col)) for col in columns[omega]]
@@ -129,7 +202,7 @@ def admissible_word_count(sft: RandomSFT, component: int, omega: int, n: int) ->
     ``omega``.  Exact big integers."""
     if n < 1:
         raise ValueError("word length must be >= 1")
-    return next(islice(_word_counts(sft, component, omega), n - 1, None))
+    return next(_word_counts(sft, component, _orbit(sft.base, omega), n))
 
 
 def _check_refinement(r_spec: CylinderCoverSpec, q_spec: CylinderCoverSpec) -> None:
@@ -154,9 +227,13 @@ def relative_word_count(
 def _shared_factors(sft: RandomSFT, component: int, start: int, steps: int) -> Iterator[int]:
     """Factors of a shared component at successive depths: the window of
     ``steps`` matrices after the conditioning span moves one base step per
-    depth."""
+    depth.  A factor depends only on the window's start, so each base point
+    the window starts at is counted once and reused on later laps."""
+    factors: dict[int, int] = {}
     while True:
-        yield _extension_count(sft, component, start, steps)
+        if start not in factors:
+            factors[start] = _extension_count(sft, component, start, steps)
+        yield factors[start]
         start = sft.base.theta[start]
 
 
@@ -171,17 +248,20 @@ def _depth_counts(
     Components factor independently: a component unresolved by ``q_spec``
     contributes its span word count; a shared component contributes the
     largest number of admissible span extensions of a conditioning word (1
-    when the conditioning span is at least as long).  The walks start at the
-    spans of depth ``first``, so the first item costs what one count at that
-    depth costs.  An empty counted family yields 1 at every depth.
+    when the conditioning span is at least as long).  The streams start at
+    depth ``first`` from one orbit decomposition of ``omega``: the word
+    counts jump to their spans at that depth by cycle-product powers, so the
+    first item costs one point query, and each later item one walked step.
+    An empty counted family yields 1 at every depth.
     """
+    orbit = _orbit(sft.base, omega)
     streams = [repeat(1)]  # an empty counted family counts 1 at every depth
     for c in sorted(r_spec.components):
         if c in q_spec.components:
-            start = sft.base.theta_iterate(omega, q_spec.span(first) - 1)
+            start = _orbit_point(orbit, q_spec.span(first) - 1)
             streams.append(_shared_factors(sft, c, start, max(0, r_spec.depth - q_spec.depth)))
         else:
-            streams.append(islice(_word_counts(sft, c, omega), r_spec.span(first) - 1, None))
+            streams.append(_word_counts(sft, c, orbit, r_spec.span(first)))
     return map(prod, zip(*streams))
 
 

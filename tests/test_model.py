@@ -1,5 +1,6 @@
 """Driving systems, bundle systems, derived systems, factor maps."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -166,6 +167,38 @@ def test_metric_space_validation():
     )
     assert any("triangle" in v for v in skinny.validate())
 
+
+
+def triangle_failures_by_fractions(space):
+    """Oracle: the triangle messages from ``Fraction`` sums, as the check
+    was written before it compared integer numerators."""
+    return [
+        f"triangle inequality fails at ({p!r},{q!r},{r!r})"
+        for p in space.points
+        for q in space.points
+        for r in space.points
+        if space.dist[(p, r)] > space.dist[(p, q)] + space.dist[(q, r)]
+    ]
+
+
+def test_triangle_check_matches_fraction_sums():
+    rng = random.Random(41)
+    seen_failures = 0
+    for trial in range(60):
+        points = tuple(f"p{i}" for i in range(rng.randint(1, 6)))
+        # denominators from distinct primes, with ties at the boundary
+        dens = (1, 2, 3, 7, 2**61 - 1, 3**40)
+        dist = {}
+        for i, p in enumerate(points):
+            dist[(p, p)] = Fraction(0)
+            for q in points[i + 1 :]:
+                v = Fraction(rng.randint(1, 12), rng.choice(dens)) if trial % 3 else Fraction(rng.choice((1, 2)))
+                dist[(p, q)] = dist[(q, p)] = v
+        space = MetricSpace(points, dist)
+        want = triangle_failures_by_fractions(space)
+        seen_failures += bool(want)
+        assert space.validate() == want
+    assert 10 < seen_failures < 60
 
 def pair_system_by_hand(t):
     """Oracle: the squared system as it was built before it became

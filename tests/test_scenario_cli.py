@@ -765,3 +765,67 @@ def test_entropy_artifacts_are_pinned(tmp_path, command):
         if name != "manifest.json"
     }
     assert got == ARTIFACT_DIGESTS[command]
+
+
+# a base whose transient points 0 -> 1 fall into the 2-cycle {2, 3}, which
+# carries the mass; component 0 is shared with the conditioning family and
+# resolved one coordinate deeper by the counted one
+PREPERIODIC_SFT = {
+    "schema_version": 1,
+    "driving_systems": {"tail": {"prob": ["0", "0", "1/2", "1/2"], "theta": [1, 2, 3, 2]}},
+    "sfts": {
+        "driven": {
+            "base": "tail",
+            "components": [
+                {"alphabet": 2, "matrices": [[[1, 1], [1, 0]], [[0, 1], [1, 1]], [[1, 1], [1, 0]], [[1, 0], [1, 1]]]},
+                {
+                    "alphabet": 3,
+                    "matrices": [
+                        [[1, 1, 0], [0, 1, 1], [1, 0, 1]],
+                        [[1, 1, 1], [1, 0, 0], [0, 0, 1]],
+                        [[0, 1, 1], [1, 1, 0], [1, 0, 0]],
+                        [[1, 0, 1], [0, 1, 1], [1, 1, 0]],
+                    ],
+                },
+            ],
+        }
+    },
+}
+
+# sha256 of sft_tail.csv and sft_tail.json of the two README-form `sft-tail`
+# commands on scenarios/shifts.json and of one sweep of PREPERIODIC_SFT,
+# recorded before the word counts took powers of the cycle products
+SFT_TAIL_DIGESTS = {
+    "sft-tail --scenario shifts --sft pairshift --rspec 0,1:1 --qspec 0:1 --nmax 12": {
+        "sft_tail.csv": "c9f2042f94acab5a4932ea89310959a050110ccb84a24a92a46a858a35c37bf7",
+        "sft_tail.json": "747d05fec3f7ee4709b0b57fc7592eecb4df472e563a511be222600e97ab9cf0",
+    },
+    "sft-tail --scenario shifts --sft golden --rspec 0:1 --qspec=-:1 --nmax 12": {
+        "sft_tail.csv": "ddd675dbb6be1cb85cbab0d2a1afd5871b7482c1079757613d3717e26695aba9",
+        "sft_tail.json": "df31e76c75e23fe269e0612db72bfa6eb846c7805249e1b4026e4f3cd534c5e8",
+    },
+    "sft-tail --scenario preperiodic --sft driven --rspec 0,1:2 --qspec 0:1 --nmax 60": {
+        "sft_tail.csv": "3ae06d138652087867a0a693e31628ee707c7ffebeb3625b72b6dcf1645c2621",
+        "sft_tail.json": "4106da8ef810f5c38e6fbfddf858b5476d2bad20a90d829e6e19103d57b30e55",
+    },
+}
+
+
+@pytest.mark.parametrize("command", sorted(SFT_TAIL_DIGESTS))
+def test_sft_tail_artifacts_are_pinned(tmp_path, command):
+    argv = command.split()
+    at = argv.index("--scenario") + 1
+    if argv[at] == "preperiodic":
+        argv[at] = str(tmp_path / "preperiodic.json")
+        with open(argv[at], "w") as fh:
+            json.dump(PREPERIODIC_SFT, fh)
+    else:
+        argv[at] = scenario_path(argv[at])
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    got = {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in sorted(os.listdir(out))
+        if name != "manifest.json"
+    }
+    assert got == SFT_TAIL_DIGESTS[command]

@@ -4,7 +4,8 @@ oracles, cylinder-cover sequences against the set-cover cross-check."""
 import math
 import random
 from fractions import Fraction
-from itertools import islice, product as iter_product
+from collections import Counter
+from itertools import compress, count, islice, product as iter_product, repeat
 
 import pytest
 
@@ -19,7 +20,8 @@ from rdstail import (
     sft_tail_sequence,
 )
 from rdstail.counting import min_cover_size
-from rdstail.symbolic import _depth_counts
+from rdstail import symbolic
+from rdstail.symbolic import _depth_counts, _extension_count, _shared_factors
 
 POINT_BASE = DrivingSystem((Fraction(1),), (0,))
 FULL2 = SFTComponent(2, (((1, 1), (1, 1)),))
@@ -361,3 +363,156 @@ def test_vector_walks_match_matrix_products():
                     weighted_logs.append([float(sft.base.prob[omega]) * math.log(c) for c in want])
             est = sft_tail_sequence(sft, r, q, n_max)
             assert est.values == tuple(sum(column) for column in zip(*weighted_logs))
+
+
+def walked_word_counts(sft: RandomSFT, component: int, omega: int):
+    """Oracle for the jumps: the plain row walk, ``u <- u^T M_omega`` from
+    all ones along the base orbit, one step per symbol.  It yields the
+    numbers of admissible words of lengths 1, 2, ..."""
+    comp = sft.components[component]
+    columns = [tuple(zip(*m)) for m in comp.matrices]
+    u = [1] * comp.alphabet
+    while True:
+        yield sum(u)
+        u = [sum(compress(u, col)) for col in columns[omega]]
+        omega = sft.base.theta[omega]
+
+
+def walked_depth_counts(sft: RandomSFT, r_spec, q_spec, omega: int, first: int = 1):
+    """Oracle for ``_depth_counts``: a free component by the plain walk from
+    length 1, a shared one by ``_extension_count`` over the window of each
+    depth, reached by stepping the base map."""
+    steps = max(0, r_spec.depth - q_spec.depth)
+
+    def shared(c):
+        for n in count(first):
+            yield _extension_count(sft, c, sft.base.theta_iterate(omega, q_spec.span(n) - 1), steps)
+
+    streams = [repeat(1)]
+    for c in sorted(r_spec.components):
+        if c in q_spec.components:
+            streams.append(shared(c))
+        else:
+            streams.append(islice(walked_word_counts(sft, c, omega), r_spec.span(first) - 1, None))
+    return map(math.prod, zip(*streams))
+
+
+def _random_jump_sft(rng, permutation: bool):
+    """A permutation base, or a base map that is not one-to-one, so that
+    some points have a preperiod; mass spread evenly over one cycle, and
+    one or two components on alphabets 1-4."""
+    if permutation:
+        size = rng.randint(1, 5)
+        theta = rng.sample(range(size), size)
+    else:
+        size = rng.randint(2, 6)
+        theta = list(range(size))
+        while len(set(theta)) == size:  # not one-to-one
+            theta = [rng.randrange(size) for _ in range(size)]
+    path = [0]
+    while theta[path[-1]] not in path:
+        path.append(theta[path[-1]])
+    cycle = path[path.index(theta[path[-1]]):]
+    prob = tuple(Fraction(1, len(cycle)) if w in cycle else Fraction(0) for w in range(size))
+    comps = tuple(
+        SFTComponent(a, tuple(_random_valid_matrix(rng, a) for _ in range(size)))
+        for a in (rng.randint(1, 4) for _ in range(rng.randint(1, 2)))
+    )
+    return RandomSFT(DrivingSystem(prob, tuple(theta)), comps)
+
+
+def test_jumps_match_the_plain_walk(monkeypatch):
+    # which queries with a whole lap to jump took the cycle power: both
+    # sides of the power-or-walk rule must occur
+    built = []
+    cycle_product = symbolic._cycle_product
+    monkeypatch.setattr(symbolic, "_cycle_product", lambda *args: built.append(1) or cycle_product(*args))
+    branches = Counter()
+    rng = random.Random(1717)
+    for trial in range(40):
+        sft = _random_jump_sft(rng, permutation=trial % 2 == 0)
+        assert sft.validate() == []
+        comps = range(len(sft.components))
+        for omega in range(sft.base.size):
+            path, cycle = symbolic._orbit(sft.base, omega)
+            assert sft.base.theta_iterate(omega, len(path) + len(cycle)) == cycle[0]
+            walks = [list(islice(walked_word_counts(sft, c, omega), 300)) for c in comps]
+            for n in {1, 2, 300, *rng.sample(range(1, 301), 6)}:
+                for c in comps:
+                    built.clear()
+                    assert admissible_word_count(sft, c, omega, n) == walks[c][n - 1]
+                    if n - 1 - len(path) >= len(cycle):
+                        branches["power" if built else "walk"] += 1
+            for _ in range(3):
+                r_members = frozenset(c for c in comps if rng.random() < 0.8)
+                r = CylinderCoverSpec(r_members, rng.randint(1, 4))
+                q = CylinderCoverSpec(frozenset(c for c in r_members if rng.random() < 0.5), rng.randint(1, 4))
+                first = rng.randint(1, 300)
+                want = list(islice(walked_depth_counts(sft, r, q, omega, first), 5))
+                assert list(islice(_depth_counts(sft, r, q, omega, first), 5)) == want
+                assert relative_word_count(sft, r, q, first, omega) == want[0]
+    assert branches["power"] > 50 and branches["walk"] > 50, branches
+
+
+def test_shared_factors_are_extension_counts_at_every_depth(monkeypatch):
+    counted = []
+    extension_count = symbolic._extension_count
+    monkeypatch.setattr(
+        symbolic, "_extension_count", lambda sft, c, start, steps: counted.append(start) or extension_count(sft, c, start, steps)
+    )
+    rng = random.Random(99)
+    for trial in range(20):
+        sft = _random_jump_sft(rng, permutation=trial % 2 == 0)
+        for c in range(len(sft.components)):
+            for start in range(sft.base.size):
+                steps = rng.randint(0, 5)
+                counted.clear()
+                got = list(islice(_shared_factors(sft, c, start, steps), 40))
+                assert got == [extension_count(sft, c, sft.base.theta_iterate(start, k), steps) for k in range(40)]
+                # one count per base point the window starts at
+                assert sorted(counted) == sorted(set(sft.base.theta_iterate(start, k) for k in range(40)))
+
+
+def fibonacci(n: int) -> int:
+    """F(n) with F(1) = F(2) = 1, by fast doubling."""
+
+    def pair(k):  # (F(k), F(k+1))
+        if k == 0:
+            return 0, 1
+        a, b = pair(k // 2)
+        c, d = a * (2 * b - a), a * a + b * b
+        return (d, c + d) if k % 2 else (c, d)
+
+    return pair(n)[0]
+
+
+def test_deep_golden_mean_count_is_a_fibonacci_number():
+    assert fibonacci(20) == golden_counts(18)[-1] == 6765
+    sft = RandomSFT(POINT_BASE, (GOLDEN,))
+    assert admissible_word_count(sft, 0, 0, 10**5) == fibonacci(10**5 + 2)
+
+
+def test_deep_pairshift_count_is_a_power_of_two():
+    sft = RandomSFT(POINT_BASE, (FULL2, FULL2))
+    r_spec, q_spec = CylinderCoverSpec(frozenset({0, 1})), CylinderCoverSpec(frozenset({0}))
+    assert relative_word_count(sft, r_spec, q_spec, 10**5, 0) == 2**100000
+
+
+def test_deep_point_query_on_a_preperiodic_base():
+    # 0 -> 1 -> 2 -> 3 -> 1: point 0 has a preperiod of one, and the 99,998
+    # steps after it are 33,332 laps of the 3-cycle and two steps more.  The
+    # cycle's product [[1, 1], [0, 1]] keeps the counts small, so that the
+    # walk below stays fast.
+    one, ident = ((1, 1), (0, 1)), ((1, 0), (0, 1))
+    matrices = (((1, 1), (1, 0)), one, ident, ident)
+    base = DrivingSystem((Fraction(0),) + (Fraction(1, 3),) * 3, (1, 2, 3, 1))
+    sft = RandomSFT(base, (SFTComponent(2, matrices),))
+    n = 10**5
+    # the plain walk with the two-symbol step written out: the generic
+    # walk takes too long at this depth
+    u0, u1, omega = 1, 1, 0
+    for _ in range(n - 1):
+        (a, b), (c, d) = matrices[omega]
+        u0, u1, omega = a * u0 + c * u1, b * u0 + d * u1, base.theta[omega]
+    assert admissible_word_count(sft, 0, 0, n) == u0 + u1
+    assert [admissible_word_count(sft, 0, 0, k) for k in range(1, 40)] == list(islice(walked_word_counts(sft, 0, 0), 39))

@@ -1,7 +1,7 @@
 """The benchmark still finds every library name it traces, calls or reads,
 every name the package exports has a caller outside the tests, the library
-imports only at module level, and the CLI looks scenario objects up in one
-function."""
+imports only at module level and keeps no memo cache, and the CLI looks
+scenario objects up in one function."""
 
 import ast
 import os
@@ -162,3 +162,29 @@ def test_cli_reads_scenario_objects_only_in_resolve():
         and node.value.id == "sc"
     ]
     assert not reads, f"scenario objects read outside _resolve: {reads}"
+
+
+def test_library_keeps_no_memo_cache():
+    # the library keeps state for one call only: a module-level memo would
+    # let one benchmark pass time cache hits on objects an earlier operation
+    # built, and keep them alive for the process's lifetime
+    memos = {"cache", "lru_cache"}
+    package = os.path.dirname(rdstail.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        path = os.path.join(package, name)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        aliases = {"functools"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                aliases |= {alias.asname or alias.name for alias in node.names if alias.name == "functools"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{name}:{node.lineno}" for alias in node.names if alias.name in memos]
+            elif isinstance(node, ast.Attribute) and node.attr in memos:
+                if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                    found.append(f"{name}:{node.lineno}")
+    assert not found, f"functools memo caches in the library: {found}"
