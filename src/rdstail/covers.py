@@ -53,7 +53,6 @@ class RandomCover:
     """Finite ordered family of random sets covering every fiber."""
 
     elements: tuple[RandomSet, ...]
-    label: str | None = None
 
     def __post_init__(self):
         if not self.elements:
@@ -121,7 +120,7 @@ def _same_base(a: RandomCover, b: RandomCover) -> None:
         raise IncompatibleSystemsError("covers span different bases")
 
 
-def _assemble(elements: Iterable[tuple[frozenset, ...]], partition: bool, label: str | None = None) -> RandomCover:
+def _assemble(elements: Iterable[tuple[frozenset, ...]], partition: bool) -> RandomCover:
     # drop elements empty on every fiber, dedup identical section tuples,
     # keep first-seen order for determinism
     seen: dict[tuple[frozenset, ...], None] = {}
@@ -129,12 +128,12 @@ def _assemble(elements: Iterable[tuple[frozenset, ...]], partition: bool, label:
         if any(secs) and secs not in seen:
             seen[secs] = None
     cls = RandomPartition if partition else RandomCover
-    return cls(tuple(RandomSet(secs) for secs in seen), label=label)
+    return cls(tuple(RandomSet(secs) for secs in seen))
 
 
 def trivial_cover(rds: BundleRDS) -> RandomPartition:
     """The one-element cover whose single section is the whole fiber."""
-    return RandomPartition((RandomSet(tuple(rds.fibers)),), label="trivial")
+    return RandomPartition((RandomSet(tuple(rds.fibers)),))
 
 
 def point_partition(rds: BundleRDS) -> RandomPartition:
@@ -144,7 +143,7 @@ def point_partition(rds: BundleRDS) -> RandomPartition:
         RandomSet(tuple(frozenset([x]) if x in rds.fibers[w] else frozenset() for w in range(rds.size)))
         for x in ids
     )
-    return RandomPartition(elems, label="points")
+    return RandomPartition(elems)
 
 
 def fiber_partition(rds: BundleRDS) -> RandomPartition:
@@ -154,7 +153,7 @@ def fiber_partition(rds: BundleRDS) -> RandomPartition:
         RandomSet(tuple(rds.fibers[w] if v == w else frozenset() for v in range(rds.size)))
         for w in range(rds.size)
     )
-    return RandomPartition(elems, label="fibers")
+    return RandomPartition(elems)
 
 
 def state_partition(rds: BundleRDS) -> RandomPartition:
@@ -170,7 +169,7 @@ def state_partition(rds: BundleRDS) -> RandomPartition:
         for w in range(rds.size)
         for x in sort_points(rds.fibers[w])
     )
-    return RandomPartition(elems, label="states")
+    return RandomPartition(elems)
 
 
 def fiber_sigma(rds: BundleRDS) -> SigmaAlgebra:
@@ -317,7 +316,7 @@ def _mask_iterate(q: RandomCover, rds: BundleRDS, n: int, budgets: Budgets = DEF
     return out
 
 
-def _decode(q: RandomCover, rds: BundleRDS, masks: Masks, label: str | None) -> RandomCover:
+def _decode(q: RandomCover, rds: BundleRDS, masks: Masks) -> RandomCover:
     """The cover of the masks, a partition iff ``q`` is one; a section that
     several elements share is decoded once."""
     layout = _layout(rds)
@@ -330,7 +329,7 @@ def _decode(q: RandomCover, rds: BundleRDS, masks: Masks, label: str | None) -> 
     elements = tuple(
         RandomSet(tuple(s[(e & full) >> offset] for s, (offset, full) in zip(sections, layout))) for e in masks
     )
-    return cls(elements, label=label)
+    return cls(elements)
 
 
 def iterate_cover(
@@ -338,22 +337,22 @@ def iterate_cover(
 ) -> RandomCover:
     """Join of the pullbacks at steps 0..n-1 (depth-n dynamical refinement):
     the decoded masks of :func:`_mask_iterate`, a partition iff ``q`` is one."""
-    return _decode(q, rds, _mask_iterate(q, rds, n, budgets), q.label if n == 1 else None)
+    return _decode(q, rds, _mask_iterate(q, rds, n, budgets))
 
 
 def pullback(q: RandomCover, rds: BundleRDS, i: int) -> RandomCover:
     """Pull every element back i dynamical steps: the section at a base point
     is the i-step fiber-map preimage of the element's section at the i-step
     image base point.  It is the i-step item of :func:`_mask_pullbacks`, the
-    one loop that reads the fiber maps for covers.  Keeps the class and the
-    label of ``q``."""
+    one loop that reads the fiber maps for covers.  Keeps the class of
+    ``q``."""
     if i < 0:
         raise ValueError("pullback steps must be nonnegative")
     if q.size != rds.size:
         raise IncompatibleSystemsError("cover does not span the system base")
     if i == 0:
         return q
-    return _decode(q, rds, next(islice(_mask_pullbacks(q, rds, i + 1), i, None)), q.label)
+    return _decode(q, rds, next(islice(_mask_pullbacks(q, rds, i + 1), i, None)))
 
 
 def pullback_cover(pi: FactorMap, cover: RandomCover) -> RandomCover:
@@ -367,35 +366,23 @@ def pullback_cover(pi: FactorMap, cover: RandomCover) -> RandomCover:
         )
         for e in cover.elements
     )
-    return _assemble(elems, partition=isinstance(cover, RandomPartition), label=cover.label)
+    return _assemble(elems, partition=isinstance(cover, RandomPartition))
 
 
-def refines(r: RandomCover, q: RandomCover, fiberwise: bool = False) -> bool:
-    """Is every element of ``r`` contained in a single element of ``q``?
-
-    Default reading treats elements as random sets: one witness element of
-    ``q`` must contain the ``r``-element on every fiber where the latter is
-    nonempty.  ``fiberwise=True`` allows the witness to vary with the base
-    point; that weaker reading is the right one for sigma-algebra inclusion
-    and is implied by the default.
-    """
+def refines(r: RandomCover, q: RandomCover) -> bool:
+    """Does ``r`` refine ``q`` fiberwise: is every nonempty section of ``r``
+    contained in some section of ``q`` on the same fiber?  The witness
+    element of ``q`` may vary with the base point, which is the reading
+    sigma-algebra inclusion needs."""
     _same_base(r, q)
-    if fiberwise:
-        for w in range(r.size):
-            q_secs = q.sections(w)
-            for sec in r.sections(w):
-                if sec and not any(sec <= qs for qs in q_secs):
-                    return False
-        return True
-    for e in r.elements:
-        if not any(
-            all(not sec or sec <= qe.sections[w] for w, sec in enumerate(e.sections))
-            for qe in q.elements
-        ):
-            return False
+    for w in range(r.size):
+        q_secs = q.sections(w)
+        for sec in r.sections(w):
+            if sec and not any(sec <= qs for qs in q_secs):
+                return False
     return True
 
 
 def sigma_refines(fine: SigmaAlgebra, coarse: SigmaAlgebra) -> bool:
     """Sigma-algebra inclusion: every coarse atom is a union of fine atoms."""
-    return refines(fine.atoms, coarse.atoms, fiberwise=True)
+    return refines(fine.atoms, coarse.atoms)

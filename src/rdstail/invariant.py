@@ -317,9 +317,10 @@ class SeparatedEmpirical:
 
     Per base point: the iterated conditioning cover element with the largest
     relative count, a deterministic anchor inside it, and a greedy maximal
-    separated subset.  ``sigma`` pairs the anchor with every separated point;
-    ``mu_n`` is its n-step running average, and ``mu_limit`` the exact Cesaro
-    projection standing in for a subsequence accumulation point.
+    separated subset.  ``mu_n`` is the n-step running average of the pair
+    measure that puts the anchor beside every separated point, and
+    ``mu_limit`` the exact Cesaro projection standing in for a subsequence
+    accumulation point.
     """
 
     n: int
@@ -329,7 +330,6 @@ class SeparatedEmpirical:
     separated: tuple[tuple[Point, ...], ...]
     counts: tuple[int, ...]
     pair: ProductSystem
-    sigma: FiberedMeasure
     mu_n: FiberedMeasure
     mu_n_defect: Fraction
     mu_limit: FiberedMeasure
@@ -437,7 +437,6 @@ def separated_empirical(
         separated=tuple(separated),
         counts=tuple(counts),
         pair=pair,
-        sigma=sigma,
         mu_n=mu_n,
         mu_n_defect=invariance_defect(mu_n, pair.system),
         mu_limit=mu_limit,
@@ -455,13 +454,12 @@ class DiagonalMeasureResult:
 
     ``support_diagonal`` is None when the final chain stage does not have
     vanishing (zero) section diameters, in which case the diagonal claim is
-    not asserted.  ``entropy_values`` is the conditioned sequence against the
+    not asserted.  ``entropy`` is the conditioned sequence against the
     first-coordinate algebra; on diagonal support every term is exactly zero
     because the second coordinate is determined by the first.
     """
 
     measure: FiberedMeasure
-    stages: tuple[SeparatedEmpirical, ...]
     invariance: Fraction
     support_diagonal: bool | None
     entropy: EntropyEstimate
@@ -477,18 +475,16 @@ def diagonal_measure(
     entropy_depth: int | None = None,
     budgets: Budgets = DEFAULTS,
 ) -> DiagonalMeasureResult:
-    """Run the separated-set construction along a refining conditioning
-    chain and take the exact finite-model limit of the final stage."""
+    """Check that the conditioning chain refines in order, then run the
+    separated-set construction on its final stage only and take the exact
+    finite-model limit.  Earlier stages are never built: the final stage is
+    the only one whose measure is used."""
     if len(cover_chain) != len(p_chain) or not cover_chain:
         raise ValueError("need matching nonempty chains")
     for earlier, later in zip(cover_chain, cover_chain[1:]):
-        if not refines(later, earlier, fiberwise=True):
+        if not refines(later, earlier):
             raise PreconditionError("refining_chain", "conditioning chain must refine in order")
-    stages = tuple(
-        separated_empirical(rds, pc, qc, n, delta, budgets)
-        for pc, qc in zip(p_chain, cover_chain)
-    )
-    last = stages[-1]
+    last = separated_empirical(rds, p_chain[-1], cover_chain[-1], n, delta, budgets)
     m = last.mu_limit
     final_cover = cover_chain[-1]
     vanishing = all(
@@ -505,7 +501,6 @@ def diagonal_measure(
     )
     return DiagonalMeasureResult(
         measure=m,
-        stages=stages,
         invariance=invariance_defect(m, last.pair.system),
         support_diagonal=support_diagonal,
         entropy=est,

@@ -248,7 +248,7 @@ def sigma_backward_compatible(s: SigmaAlgebra, rds: BundleRDS) -> bool:
     """Does the one-step dynamical pullback of the algebra sit inside it?
     Needed for the subadditivity of the conditioned sequence."""
     pulled = pullback(s.atoms, rds, 1)
-    return refines(s.atoms, pulled, fiberwise=True)
+    return refines(s.atoms, pulled)
 
 
 def relative_entropy_sequences(
@@ -412,13 +412,12 @@ def two_partition_count_bound_check(
 
 @dataclass(frozen=True)
 class ContainmentWitness:
+    """The exact containment optimum and whether it lies below ``delta``."""
+
     contained: bool
     # exact optimum of the total symmetric-difference mass over all
     # coarsenings of p matched (with empty-set padding) against q
     best_sum: Fraction
-    # witness: groups[j] lists the p-element indices merged and matched with
-    # q-element j; every p-element appears in exactly one group
-    groups: tuple[tuple[int, ...], ...]
 
 
 def delta_contains(
@@ -433,9 +432,10 @@ def delta_contains(
     The optimum is exact.  Because the mass of a merged cell is additive, the
     total over any matching equals ``mass(p) + mass(q) - 2 * (sum of matched
     intersection masses)``, so the best coarsening simply sends each p-element
-    to the q-element with which it shares the most mass; no combinatorial
-    search is required.  That additivity needs disjoint elements: either
-    argument that is not a partition raises :class:`PreconditionError`.
+    to a q-element with which it shares the most mass; no combinatorial
+    search is required, and only the optimum is returned.  That additivity
+    needs disjoint elements: either argument that is not a partition raises
+    :class:`PreconditionError`.
     """
     if not all(isinstance(c, RandomPartition) and c.validate_disjoint() for c in (p, q)):
         raise PreconditionError("partitions", "the containment optimum is exact only for disjoint elements")
@@ -444,19 +444,9 @@ def delta_contains(
     p_mass, inter = _joint_masses(num, p_cells, q_cells)
     q_mass, _ = _joint_masses(num, q_cells, ())
     total = sum(p_mass.values()) + sum(q_mass.values())
-    groups: list[list[int]] = [[] for _ in q.elements]
-    gained = 0
-    for i in range(len(p.elements)):
-        row = [inter.get((i, j), 0) for j in range(len(q.elements))]
-        best_j = max(range(len(row)), key=lambda j: (row[j], -j))
-        gained += row[best_j]
-        groups[best_j].append(i)
+    gained = sum(max(inter.get((i, j), 0) for j in range(len(q.elements))) for i in range(len(p.elements)))
     best_sum = Fraction(total - 2 * gained, d)
-    return ContainmentWitness(
-        contained=best_sum < delta,
-        best_sum=best_sum,
-        groups=tuple(tuple(g) for g in groups),
-    )
+    return ContainmentWitness(contained=best_sum < delta, best_sum=best_sum)
 
 
 @dataclass(frozen=True)

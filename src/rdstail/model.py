@@ -102,7 +102,8 @@ class MetricSpace:
         return self.dist[(p, q)]
 
     def validate(self) -> list[str]:
-        """Metric axioms by exhaustive enumeration (pairs and triples)."""
+        """Metric axioms by exhaustive enumeration (pairs and triples).  The
+        triangles need every pair, so an undefined distance skips them."""
         out = []
         for p in self.points:
             for q in self.points:
@@ -117,7 +118,9 @@ class MetricSpace:
                 if self.dist.get((q, p)) != v:
                     out.append(f"asymmetric distance at ({p!r},{q!r})")
         # the triangles compare integer numerators over one common denominator
-        rows = [[self.dist[(p, q)] for q in self.points] for p in self.points]
+        rows = [[self.dist.get((p, q)) for q in self.points] for p in self.points]
+        if any(None in row for row in rows):
+            return out
         scale = lcm(*(v.denominator for row in rows for v in row))
         rows = [[v.numerator * (scale // v.denominator) for v in row] for row in rows]
         for p, from_p in zip(self.points, rows):
@@ -171,8 +174,10 @@ def validate_system(rds: BundleRDS) -> list[str]:
     """Collect every invariant violation; an empty report means valid.
 
     Diagnostic only: nothing raises.  Checks base-mass invariance, fiber
-    nonemptiness, totality of the fiber maps, and closure of images in the
-    target fibers.
+    nonemptiness, totality of the fiber maps, closure of images in the
+    target fibers, and that the fibers lie in the metric space if there is
+    one.  The metric axioms are :meth:`MetricSpace.validate`'s, checked once
+    per space when a scenario loads.
     """
     out = []
     base = rds.base
@@ -197,8 +202,6 @@ def validate_system(rds: BundleRDS) -> list[str]:
             missing = rds.fibers[w] - set(rds.space.points)
             if missing:
                 out.append(f"fiber at omega={w} has points outside the metric space: {sorted(map(repr, missing))}")
-    if rds.space is not None:
-        out.extend(rds.space.validate())
     return out
 
 

@@ -96,6 +96,20 @@ def _lookup(table: dict, name: str, kind: str, owner: str) -> Any:
     return table[name]
 
 
+def _checked(where: str, build: Callable[[], Any], violations: Callable[[Any], list[str]] = lambda _: []) -> Any:
+    """The object ``build`` makes, once ``violations`` reports none for it:
+    a constructor's ``ValueError`` or a non-empty report fails the load
+    naming the object."""
+    try:
+        obj = build()
+    except ValueError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+    bad = violations(obj)
+    if bad:
+        raise ScenarioError(f"{where}: " + "; ".join(bad))
+    return obj
+
+
 def loads_scenario(text: str, source: str = "<string>") -> Scenario:
     try:
         doc = json.loads(text)
@@ -112,10 +126,7 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
         where = f"driving system {name!r}"
         prob = _read(spec, "prob", where, lambda vs: tuple(_frac(v, where) for v in vs))
         theta = _read(spec, "theta", where, lambda vs: tuple(int(v) for v in vs))
-        try:
-            sc.driving[name] = DrivingSystem(prob=prob, theta=theta)
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
+        sc.driving[name] = _checked(where, lambda: DrivingSystem(prob=prob, theta=theta))
 
     for name, spec in _section(doc, "metric_spaces", source).items():
         where = f"metric space {name!r}"
@@ -123,11 +134,7 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
         matrix = _read(spec, "dist", where, lambda rows: [[_frac(v, where) for v in row] for row in rows])
         if len(matrix) != len(points) or any(len(row) != len(points) for row in matrix):
             raise ScenarioError(f"{where}: dist must be a {len(points)}x{len(points)} matrix in points order")
-        space = MetricSpace.from_matrix(points, matrix)
-        bad = space.validate()
-        if bad:
-            raise ScenarioError(f"{where}: " + "; ".join(bad))
-        sc.spaces[name] = space
+        sc.spaces[name] = _checked(where, lambda: MetricSpace.from_matrix(points, matrix), MetricSpace.validate)
 
     for name, spec in _section(doc, "systems", source).items():
         where = f"system {name!r}"
@@ -135,14 +142,9 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
         space = _lookup(sc.spaces, _read(spec, "space", where), "metric space", where) if "space" in spec else None
         fibers = _read(spec, "fibers", where, lambda fs: tuple(frozenset(_ids(f)) for f in fs))
         maps = _read(spec, "maps", where, lambda ms: tuple(_id_map(m) for m in ms))
-        try:
-            rds = BundleRDS(base=base, fibers=fibers, maps=maps, space=space)
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
-        bad = validate_system(rds)
-        if bad:
-            raise ScenarioError(f"{where}: " + "; ".join(bad))
-        sc.systems[name] = rds
+        sc.systems[name] = _checked(
+            where, lambda: BundleRDS(base=base, fibers=fibers, maps=maps, space=space), validate_system
+        )
 
     for name, spec in _section(doc, "covers", source).items():
         where = f"cover {name!r}"
@@ -153,14 +155,7 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
             lambda es: tuple(RandomSet(tuple(frozenset(_ids(sec)) for sec in elem)) for elem in es),
         )
         cls = RandomPartition if spec.get("partition") else RandomCover
-        try:
-            cover = cls(elements, label=name)
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
-        bad = validate_cover(cover, rds)
-        if bad:
-            raise ScenarioError(f"{where}: " + "; ".join(bad))
-        sc.covers[name] = cover
+        sc.covers[name] = _checked(where, lambda: cls(elements), lambda cover: validate_cover(cover, rds))
         sc.homes["cover", name] = system_name
 
     for name, spec in _section(doc, "measures", source).items():
@@ -170,17 +165,15 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
         weights = _read(
             spec, "weights", where, lambda ws: tuple({x: _frac(v, where) for x, v in w.items()} for w in ws)
         )
-        mu = FiberedMeasure(weights)
-        bad = mu.validate(rds)
-        if bad:
-            raise ScenarioError(f"{where}: " + "; ".join(bad))
-        sc.measures[name] = mu
+        sc.measures[name] = _checked(where, lambda: FiberedMeasure(weights), lambda mu: mu.validate(rds))
         sc.homes["measure", name] = system_name
 
     for name, spec in _section(doc, "sfts", source).items():
         where = f"sft {name!r}"
         base = _lookup(sc.driving, _read(spec, "base", where), "driving system", where)
-        try:
+        components = _read(spec, "components", where, list)
+
+        def build() -> RandomSFT:
             comps = tuple(
                 SFTComponent(
                     alphabet=_read(c, "alphabet", f"{where} component {i}", int),
@@ -189,15 +182,11 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
                         lambda ms: tuple(tuple(tuple(int(v) for v in row) for row in m) for m in ms),
                     ),
                 )
-                for i, c in enumerate(_read(spec, "components", where, list))
+                for i, c in enumerate(components)
             )
-            sft = RandomSFT(base=base, components=comps)
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
-        bad = sft.validate()
-        if bad:
-            raise ScenarioError(f"{where}: " + "; ".join(bad))
-        sc.sfts[name] = sft
+            return RandomSFT(base=base, components=comps)
+
+        sc.sfts[name] = _checked(where, build, RandomSFT.validate)
 
     for name, spec in _section(doc, "factor_maps", source).items():
         where = f"factor map {name!r}"
@@ -205,11 +194,9 @@ def loads_scenario(text: str, source: str = "<string>") -> Scenario:
         target_name = _read(spec, "target", where)
         target = _lookup(sc.systems, target_name, "system", where)
         maps = _read(spec, "maps", where, lambda ms: tuple(_id_map(m) for m in ms))
-        pi = FactorMap(source=source, target=target, maps=maps)
-        bad = pi.validate()
-        if bad:
-            raise ScenarioError(f"{where}: " + "; ".join(bad))
-        sc.factor_maps[name] = pi
+        sc.factor_maps[name] = _checked(
+            where, lambda: FactorMap(source=source, target=target, maps=maps), FactorMap.validate
+        )
         sc.homes["factor map", name] = target_name
 
     return sc

@@ -608,8 +608,13 @@ def certified_zero_limit(est: EntropyEstimate, bound: float) -> bool:
     return est.subadditive_ok and all(v <= bound + TOL for v in est.values)
 
 
-def run_theorem_suite(n_max: int = 6, budgets: Budgets = DEFAULTS) -> SuiteReport:
-    """Theorem instances on explicit systems.
+# the depths of the two named suites
+_THEOREM_DEPTH = 6
+_PRINCIPAL_DEPTH = 4
+
+
+def run_theorem_suite(budgets: Budgets = DEFAULTS) -> SuiteReport:
+    """Theorem instances on explicit systems, to depth 6.
 
     (a) degenerate exact forms: the tail entropy over a family containing the
     singleton partition is exactly zero, conditioned entropy sequences are
@@ -648,10 +653,10 @@ def run_theorem_suite(n_max: int = 6, budgets: Budgets = DEFAULTS) -> SuiteRepor
         payload = _trial_payload(h)
 
         families = [point_partition(target), trivial_cover(target)]
-        h_star = tail_entropy_total(target, families, families, n_max, budgets)
+        h_star = tail_entropy_total(target, families, families, _THEOREM_DEPTH, budgets)
         props["tail_entropy_exact_zero"].record(h_star == 0.0, payload)
 
-        vertices, d_h, seqs = _vertex_sequences(prod.to_left, n_max, budgets)
+        vertices, d_h, seqs = _vertex_sequences(prod.to_left, _THEOREM_DEPTH, budgets)
         bound = fiber_entropy_bound(h)
         certified = all(certified_zero_limit(s, bound) for s in seqs)
         props["conditioned_sequences_certified_zero"].record(
@@ -676,8 +681,8 @@ def run_theorem_suite(n_max: int = 6, budgets: Budgets = DEFAULTS) -> SuiteRepor
         # conditioning partition plus the integrated log count, at every depth
         q_e = coarsen(_rng(0, 0), point_partition(target))
         q_pulled = pullback_cover(prod.to_right, q_e)
-        a = tail_entropy_estimate(h, state_partition(h), q_pulled, n_max, budgets).values
-        q_seqs = relative_entropy_sequences(vertices, q_pulled, d_h, h, n_max, budgets)
+        a = tail_entropy_estimate(h, state_partition(h), q_pulled, _THEOREM_DEPTH, budgets).values
+        q_seqs = relative_entropy_sequences(vertices, q_pulled, d_h, h, _THEOREM_DEPTH, budgets)
         chain_ok = all(
             lhs <= rhs + a_n + TOL
             for r_seq, q_seq in zip(seqs, q_seqs)
@@ -686,12 +691,12 @@ def run_theorem_suite(n_max: int = 6, budgets: Budgets = DEFAULTS) -> SuiteRepor
         props["finite_depth_chain"].record(chain_ok, payload)
 
         # counts of pulled-back covers match the downstairs counts exactly
-        ident_ok = _count_mismatch(prod.to_right, point_partition(target), q_e, n_max, budgets) is None
+        ident_ok = _count_mismatch(prod.to_right, point_partition(target), q_e, _THEOREM_DEPTH, budgets) is None
         props["pullback_count_identity"].record(ident_ok, payload)
 
         # pair variational principle in its exact degenerate form
         pair = pair_system(target)
-        _, _, pair_seqs = _vertex_sequences(pair.to_left, n_max, budgets)
+        _, _, pair_seqs = _vertex_sequences(pair.to_left, _THEOREM_DEPTH, budgets)
         pair_bound = fiber_entropy_bound(pair.system)
         pair_certified = all(certified_zero_limit(s, pair_bound) for s in pair_seqs)
         props["pair_variational_exact"].record(
@@ -704,7 +709,7 @@ def run_theorem_suite(n_max: int = 6, budgets: Budgets = DEFAULTS) -> SuiteRepor
             [point_partition(target)],
             n=2,
             delta=Fraction(1),
-            entropy_depth=n_max,
+            entropy_depth=_THEOREM_DEPTH,
             budgets=budgets,
         )
         attained = (
@@ -731,12 +736,11 @@ def run_theorem_suite(n_max: int = 6, budgets: Budgets = DEFAULTS) -> SuiteRepor
 
 def principal_extension_check(
     pi: FactorMap,
-    n_max: int = 4,
     budgets: Budgets = DEFAULTS,
     label: str = "extension",
 ) -> SuiteReport:
     """Certify an extension is principal and conserves the tail entropy at
-    desk scale.
+    desk scale, to depth 4.
 
     Per polytope vertex of the extension, the conditioned entropy sequence
     against the pulled-back full algebra is computed; a structural bound (log
@@ -761,7 +765,7 @@ def principal_extension_check(
         len(pi.preimage(w, x)) for w in range(pi.target.size) for x in pi.target.fibers[w]
     )
     bound = math.log(max_preimage) if max_preimage > 1 else 0.0
-    _, _, seqs = _vertex_sequences(pi, n_max, budgets)
+    _, _, seqs = _vertex_sequences(pi, _PRINCIPAL_DEPTH, budgets)
     per_vertex = [
         {
             "values": list(seq.values),
@@ -775,13 +779,13 @@ def principal_extension_check(
         _verdict("principality_certified", principal_ok, len(seqs), {"bound": bound, "vertices": per_vertex})
     )
 
-    mismatch = _count_mismatch(pi, point_partition(pi.target), trivial_cover(pi.target), n_max, budgets)
-    checks.append(_verdict("matched_depth_counts_agree", mismatch is None, n_max, mismatch))
+    mismatch = _count_mismatch(pi, point_partition(pi.target), trivial_cover(pi.target), _PRINCIPAL_DEPTH, budgets)
+    checks.append(_verdict("matched_depth_counts_agree", mismatch is None, _PRINCIPAL_DEPTH, mismatch))
 
     fam_down = [point_partition(pi.target), trivial_cover(pi.target)]
     fam_up = [pullback_cover(pi, c) for c in fam_down]
-    up_star = tail_entropy_total(pi.source, fam_up, fam_up, n_max, budgets)
-    down_star = tail_entropy_total(pi.target, fam_down, fam_down, n_max, budgets)
+    up_star = tail_entropy_total(pi.source, fam_up, fam_up, _PRINCIPAL_DEPTH, budgets)
+    down_star = tail_entropy_total(pi.target, fam_down, fam_down, _PRINCIPAL_DEPTH, budgets)
     checks.append(
         _verdict(
             "tail_entropy_conserved",
@@ -799,9 +803,9 @@ def principal_extension_check(
     )
 
 
-def run_principal_suite(n_max: int = 4, budgets: Budgets = DEFAULTS) -> SuiteReport:
+def run_principal_suite(budgets: Budgets = DEFAULTS) -> SuiteReport:
     """The three packaged extension examples: the identity, a frozen-tag
-    doubling, and a rotating-tag cycle extension."""
+    doubling, and a rotating-tag cycle extension, each checked to depth 4."""
     swap = swap_system()
     cases = [
         ("identity", identity_factor(swap)),
@@ -811,7 +815,7 @@ def run_principal_suite(n_max: int = 4, budgets: Budgets = DEFAULTS) -> SuiteRep
     checks: list[CheckResult] = []
     digests: list[str] = []
     for name, pi in cases:
-        report = principal_extension_check(pi, n_max=n_max, budgets=budgets, label=name)
+        report = principal_extension_check(pi, budgets=budgets, label=name)
         digests.extend(report.scenario_digests)
         checks.extend(replace(c, name=f"{name}:{c.name}") for c in report.checks)
     return SuiteReport(

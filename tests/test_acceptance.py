@@ -237,8 +237,8 @@ def test_criterion_7_constructions():
 
 
 def test_criterion_8_theorem_instances():
-    theorem = run_theorem_suite(n_max=6)
-    principal = run_principal_suite(n_max=4)
+    theorem = run_theorem_suite()
+    principal = run_principal_suite()
     names = {c.name for c in theorem.checks}
     required = {
         "finite_depth_chain",

@@ -4,6 +4,8 @@ search."""
 from fractions import Fraction
 
 from rdstail import (
+    BundleRDS,
+    DrivingSystem,
     FiberedMeasure,
     RandomCover,
     RandomPartition,
@@ -126,30 +128,21 @@ def test_refines_basics():
 
 
 def test_singletons_refine_everything_fiberwise():
-    rng = _rng(11, 0)
     for trial in range(10):
         rds = random_system(_rng(11, trial))
         c = random_cover(_rng(12, trial), rds)
-        assert refines(point_partition(rds), c, fiberwise=True)
-        assert refines(state_partition(rds), c, fiberwise=True)
-
-
-def test_uniform_witness_can_fail_where_fiberwise_holds():
+        assert refines(point_partition(rds), c)
+        assert refines(state_partition(rds), c)
     # each element hosts a different point of a shared id on different fibers,
-    # so no single element contains the singleton on both fibers
-    base_fibers = (frozenset({"x", "y"}), frozenset({"x", "y"}))
-    from rdstail import BundleRDS, DrivingSystem
-
+    # so the witness of a singleton changes with the base point
     rds = BundleRDS(
         base=DrivingSystem((Fraction(1, 2), Fraction(1, 2)), (1, 0)),
-        fibers=base_fibers,
+        fibers=(frozenset({"x", "y"}), frozenset({"x", "y"})),
         maps=({"x": "x", "y": "y"}, {"x": "x", "y": "y"}),
     )
     crossing = cover([{"x"}, {"y"}], [{"y"}, {"x"}])
     assert validate_cover(crossing, rds) == []
-    singles = point_partition(rds)
-    assert refines(singles, crossing, fiberwise=True)
-    assert not refines(singles, crossing)
+    assert refines(point_partition(rds), crossing)
 
 
 def test_pullback_commutes_with_join():
@@ -166,7 +159,7 @@ def test_iterates_refine_shallower_iterates():
     q = cover([{"a"}, {"c", "d"}], [{"b"}, {"c"}])
     deep = iterate_cover(q, SWAP, 3)
     for m in (1, 2):
-        assert refines(deep, iterate_cover(q, SWAP, m), fiberwise=True)
+        assert refines(deep, iterate_cover(q, SWAP, m))
 
 
 def _brute_force_containment(p, q, mu):

@@ -32,3 +32,14 @@ def test_measure_demo_output_does_not_depend_on_the_hash_seed():
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_readme_quickstart_runs():
+    with open(os.path.join(HERE, "..", "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    quickstart = readme.split("## Library quickstart", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    src = os.path.dirname(os.path.dirname(rdstail.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-B", "-c", quickstart], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()

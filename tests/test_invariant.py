@@ -488,6 +488,21 @@ def test_diagonal_measure_on_swap():
     assert res.entropy_zero
 
 
+def test_diagonal_measure_reads_only_the_final_stage():
+    final = diagonal_measure(SWAP, [point_partition(SWAP)], [point_partition(SWAP)], n=2, delta=Fraction(1, 2))
+    chain = diagonal_measure(
+        SWAP,
+        [trivial_cover(SWAP), point_partition(SWAP)],
+        [trivial_cover(SWAP), point_partition(SWAP)],
+        n=2,
+        delta=Fraction(1, 2),
+    )
+    assert chain.measure.weights == final.measure.weights
+    assert chain.entropy.values == final.entropy.values
+    assert chain.invariance == final.invariance == 0
+    assert chain.support_diagonal is final.support_diagonal is True
+
+
 def test_vertex_enumeration_budget():
     import pytest as _pytest
 

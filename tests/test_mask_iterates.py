@@ -6,7 +6,7 @@ before the mask pullbacks, and ``iterate_covers_by_joins`` is the fold over
 it: depth n+1 joins depth n with the n-step walk pullback of the cover, so
 the oracle never calls the mask engine.  ``decoded_iterates`` decodes every
 depth of the mask loop, which the library sweeps read without decoding.  Over random systems (non-bijective
-fiber maps, empty sections, covers and partitions, labels) the mask loop
+fiber maps, empty sections, covers and partitions) the mask loop
 must give equal pullbacks, equal covers, equal counts, the same budget stops
 and the same domain errors.
 
@@ -85,14 +85,14 @@ def pullback_by_walk(q, rds, i):
         )
         for e in q.elements
     )
-    return _assemble(elems, partition=isinstance(q, RandomPartition), label=q.label)
+    return _assemble(elems, partition=isinstance(q, RandomPartition))
 
 
 def iterate_covers_by_joins(q, rds, n_max, budgets=DEFAULTS):
     """Oracle: the depth-1..n_max refinements of ``q`` by frozenset joins."""
     if n_max < 1:
         return
-    out = _assemble((e.sections for e in q.elements), partition=isinstance(q, RandomPartition), label=q.label)
+    out = _assemble((e.sections for e in q.elements), partition=isinstance(q, RandomPartition))
     yield out
     for i in range(1, n_max):
         out = join(out, pullback_by_walk(q, rds, i))
@@ -103,8 +103,8 @@ def iterate_covers_by_joins(q, rds, n_max, budgets=DEFAULTS):
 
 def decoded_iterates(q, rds, n_max, budgets=DEFAULTS):
     """The depth-1..n_max items of the mask loop, decoded into covers."""
-    for n, masks in enumerate(_mask_iterates(q, rds, n_max, budgets), 1):
-        yield _decode(q, rds, masks, q.label if n == 1 else None)
+    for masks in _mask_iterates(q, rds, n_max, budgets):
+        yield _decode(q, rds, masks)
 
 
 def counts_by_joins(rds, r, q, n_max, budgets=DEFAULTS):
@@ -126,17 +126,12 @@ def _outcome(run):
     return got, None
 
 
-def _labelled(rng, cover):
-    cls = RandomPartition if isinstance(cover, RandomPartition) else RandomCover
-    return cls(cover.elements, label=rng.choice([None, "q", "cells"]))
-
-
 def _random_pair(seed):
     rng = _rng(seed, 11)
     rds = random_system(rng, max_fiber=rng.choice([3, 5, 7]), pool=9)
     make = [random_cover, random_partition, lambda g, s: coarsen(g, random_cover(g, s))]
-    r = _labelled(rng, rng.choice(make)(rng, rds))
-    q = _labelled(rng, rng.choice(make)(rng, rds))
+    r = rng.choice(make)(rng, rds)
+    q = rng.choice(make)(rng, rds)
     return rng, rds, r, q
 
 
@@ -165,7 +160,6 @@ def test_pullback_matches_orbit_walk(seed):
             got, want = pullback(c, rds, i), pullback_by_walk(c, rds, i)
             assert got == want
             assert type(got) is type(want)
-            assert got.label == want.label == c.label
 
 
 def test_pullback_errors_match_orbit_walk():
@@ -203,7 +197,7 @@ def test_section_leaving_its_fiber_raises_domain_error(seed):
     first = q.elements[0]
     sections = list(first.sections)
     sections[omega] = sections[omega] | {"stray"}
-    stray = RandomCover((RandomSet(tuple(sections)), *q.elements[1:]), label=q.label)
+    stray = RandomCover((RandomSet(tuple(sections)), *q.elements[1:]))
     message = f"omega={omega}"
     # the frozenset path fails in the depth-1 count
     with pytest.raises(DomainError, match=re.escape(message)):

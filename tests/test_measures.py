@@ -146,16 +146,8 @@ def delta_contains_by_cells(p, q, mu, delta):
     ]
     total_p = sum((mass_of_sections(mu, pe.sections) for pe in p.elements), Fraction(0))
     total_q = sum((mass_of_sections(mu, qe.sections) for qe in q.elements), Fraction(0))
-    groups = [[] for _ in q.elements]
-    gained = Fraction(0)
-    for i, row in enumerate(inter):
-        best_j = max(range(len(row)), key=lambda j: (row[j], -j))
-        gained += row[best_j]
-        groups[best_j].append(i)
-    best_sum = total_p + total_q - 2 * gained
-    return ContainmentWitness(
-        contained=best_sum < delta, best_sum=best_sum, groups=tuple(tuple(g) for g in groups)
-    )
+    best_sum = total_p + total_q - 2 * sum((max(row) for row in inter), Fraction(0))
+    return ContainmentWitness(contained=best_sum < delta, best_sum=best_sum)
 
 
 def test_joint_masses_match_atom_cell_formula():

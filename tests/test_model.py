@@ -168,6 +168,12 @@ def test_metric_space_validation():
     assert any("triangle" in v for v in skinny.validate())
 
 
+def test_metric_space_validation_reports_a_missing_distance():
+    # the triangles need every pair: a missing one is reported, not raised
+    partial = MetricSpace(("x", "y"), {("x", "x"): 0, ("y", "y"): 0, ("x", "y"): 1})
+    assert "distance undefined for ('y','x')" in partial.validate()
+
+
 
 def triangle_failures_by_fractions(space):
     """Oracle: the triangle messages from ``Fraction`` sums, as the check

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 import rdstail
+from rdstail import MetricSpace
 from rdstail.cli import main
 from rdstail.scenario import ScenarioError, load_scenario, loads_scenario
 
@@ -31,6 +32,17 @@ def test_load_packaged_scenarios():
     for name in ("swap", "cycle4", "shifts", "extension"):
         sc = load_scenario(scenario_path(name))
         assert sc.digest()
+
+
+def test_load_validates_each_metric_space_once(monkeypatch, tmp_path):
+    calls = []
+    validate = MetricSpace.validate
+    monkeypatch.setattr(MetricSpace, "validate", lambda space: calls.append(space) or validate(space))
+    sc = load_scenario(scenario_path("extension"))
+    assert len(sc.spaces) == len(calls) == 2
+    calls.clear()
+    assert main(["validate", "--scenario", scenario_path("extension"), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 2
 
 
 def test_loader_reports_invariance_violation():
