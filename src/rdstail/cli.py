@@ -39,7 +39,7 @@ from .model import BundleRDS, validate_system
 from .scenario import Scenario, ScenarioError, load_scenario, measure_payload
 from .symbolic import CylinderCoverSpec, RandomSFT, sft_tail_sequence
 from .tail_entropy import EntropyEstimate, tail_entropy_estimate
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 T = TypeVar("T")
 
@@ -287,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     common(p, scenario_required=False)
     p.add_argument("--suite", required=True, choices=["cover", "entropy", "invariant", "theorem", "principal"])
-    p.add_argument("--seed", default=1)
-    p.add_argument("--trials", default=100)
+    p.add_argument("--seed", help="seeded suites only (default: 1)")
+    p.add_argument("--trials", help="seeded suites only (default: 100)")
     return parser
 
 
@@ -460,6 +460,9 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
         return EXIT_OK
 
     if name == "verify":
+        for flag in ("seed", "trials"):
+            if args.suite not in SUITES and getattr(args, flag) is not None:
+                raise ScenarioError(f"--suite {args.suite} takes no --{flag}")
         report = run_suite(args.suite, args.seed, args.trials, budgets)
         run.add_json("report.json", report.to_dict())
         run.add_text("report.txt", report.summary() + "\n")
@@ -485,6 +488,9 @@ def main(argv: list[str] | None = None) -> int:
     sc: Scenario | None = None
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "suite", None) in SUITES:
+            args.seed = 1 if args.seed is None else args.seed
+            args.trials = 100 if args.trials is None else args.trials
         # the output directory is not semantic: reruns into different
         # directories must stay byte-identical, so it is excluded from the
         # manifest

@@ -3,10 +3,10 @@ entropy sequences.
 
 Fiber sections are integer bitmasks (Python integers, so any fiber size works
 without a word-size fallback): bit k over base point w is the k-th point of
-``sort_points(rds.fibers[w])``.  The depth sweeps cut each fiber's distinct
-sections, as one set, out of the packed masks of ``covers._mask_iterates``;
-the single-fiber queries encode their frozenset arguments with the same
-index.
+``sort_points(rds.fibers[w])``.  A depth sweep carries each fiber's maximal
+sections from depth to depth, intersected with the pullback each depth joins
+in; a single depth cuts them once out of its packed masks, and the
+single-fiber queries encode their frozenset arguments with the same index.
 A fiber's count is the largest minimum subcover of a target section.  It is
 monotone in the target, so only maximal sections are solved, largest first.
 A target never needs more masks than it has points, so the walk stops at the
@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 
 from .budgets import Budgets, DEFAULTS
 from .covers import (
-    Masks, RandomCover, RandomSet, _fiber_index, _layout, _mask_iterate, _mask_iterates, _section_masks
+    Masks, RandomCover, RandomSet, _fiber_index, _layout, _mask_iterate, _mask_steps, _section_masks
 )
 from .errors import DomainError
 from .model import BundleRDS
@@ -32,11 +32,13 @@ from .model import BundleRDS
 
 def _maximal(masks: Iterable[int]) -> list[int]:
     """The distinct masks contained in no other, largest first, equally large
-    ones in the order of ``masks``: a mask inside another never helps a
-    minimum cover (dominated-element elimination).  A repeat is dropped as
-    contained in its first copy."""
+    ones by descending value: a mask inside another never helps a minimum
+    cover (dominated-element elimination).  A repeat is dropped as contained
+    in its first copy."""
     kept: list[int] = []
-    for m in sorted(masks, key=int.bit_count, reverse=True):
+    ordered = sorted(masks, reverse=True)
+    ordered.sort(key=int.bit_count, reverse=True)
+    for m in ordered:
         for k in kept:
             if m | k == k:
                 break
@@ -103,15 +105,14 @@ def min_cover_size(target: int, masks: Iterable[int]) -> int:
 
 
 def _fiber_count(r_masks: Iterable[int], q_masks: Iterable[int]) -> int:
-    """Largest minimal-subcover count of a ``q`` section by the ``r``
-    sections on one fiber.  The count is monotone in the target, so only the
-    maximal sections are solved, largest first.  A target needs at most as
-    many masks as it has points, so the walk stops at the first target no
-    larger than the running maximum; a larger one whose greedy bound cannot
-    raise the maximum is not solved either.  Coverability is checked once,
-    for the union of the targets, before any bound."""
-    masks = _maximal(r_masks)
-    targets = _maximal(q_masks)
+    """:func:`_count` of the maximal ``r`` and ``q`` sections of one fiber."""
+    return _count(_maximal(r_masks), _maximal(q_masks))
+
+
+def _count(masks: list[int], targets: list[int]) -> int:
+    """Largest minimal-subcover count of a target by the masks, both lists
+    as :func:`_maximal` gives them, by the walk the module docstring
+    describes; coverability is checked once, for the union of the targets."""
     union = covered = 0
     for m in masks:
         union |= m
@@ -155,30 +156,36 @@ class CountProfile:
             raise ValueError("counts are always >= 1")
 
 
-def _profile(n: int, rds: BundleRDS, rn: Masks, qn: Masks) -> CountProfile:
-    layout = _layout(rds)
-
-    def cut(masks: Masks) -> list[set[int]]:
-        # one set of sections per fiber, shifted down to bit 0 as in
-        # ``_sections``: equally large targets are tried in the set's order,
-        # which follows the values, and so does what the greedy test skips
-        return [{(e & full) >> offset for e in masks} for offset, full in layout]
-
-    return CountProfile(tuple(map(_fiber_count, cut(rn), cut(qn))), n)
-
-
 def count_profile(
     rds: BundleRDS, r: RandomCover, q: RandomCover, n: int, budgets: Budgets = DEFAULTS
 ) -> CountProfile:
-    """Relative counts of the depth-n iterates, one entry per base point."""
-    return _profile(n, rds, _mask_iterate(r, rds, n, budgets), _mask_iterate(q, rds, n, budgets))
+    """Relative counts of the depth-n iterates, one entry per base point:
+    each side's masks are cut once, one set per fiber as in ``_sections``."""
+    layout = _layout(rds)
+    sides = _mask_iterate(r, rds, n, budgets), _mask_iterate(q, rds, n, budgets)
+    cuts = [[{(e & full) >> offset for e in masks} for offset, full in layout] for masks in sides]
+    return CountProfile(tuple(map(_fiber_count, *cuts)), n)
 
 
 def count_profiles(
     rds: BundleRDS, r: RandomCover, q: RandomCover, n_max: int, budgets: Budgets = DEFAULTS
 ) -> Iterator[CountProfile]:
     """The profiles of depths 1..n_max in one pass, ``r`` before ``q`` at each
-    depth as in :func:`count_profile`; no older depth is kept referenced."""
-    q_iter = _mask_iterates(q, rds, n_max, budgets)
-    for n, rn in enumerate(_mask_iterates(r, rds, n_max, budgets), 1):
-        yield _profile(n, rds, rn, next(q_iter))
+    depth; the whole-bundle iterates only keep the budget.  Each side steps
+    every fiber's maximal sections from the whole fiber: depth n keeps the
+    maximal ``a & p`` over those ``a`` of depth n-1 and the sections ``p`` of
+    the pullback it joins in (``a & p`` lies in ``a' & p`` if ``a`` in ``a'``)."""
+    layout = _layout(rds)
+
+    def step(sections: list[list[int]], pulled: Masks) -> list[list[int]]:
+        # p is the section of the pulled element e on the fiber, at bit 0
+        return [
+            _maximal({a & p for e in pulled for p in [(e & full) >> offset] for a in s})
+            for s, (offset, full) in zip(sections, layout)
+        ]
+
+    r_secs = q_secs = [[full >> offset] for offset, full in layout]
+    pulls = [(pulled for _, pulled in _mask_steps(c, rds, n_max, budgets)) for c in (r, q)]
+    for n, (r_pulled, q_pulled) in enumerate(zip(*pulls), 1):
+        r_secs, q_secs = step(r_secs, r_pulled), step(q_secs, q_pulled)
+        yield CountProfile(tuple(map(_count, r_secs, q_secs)), n)

@@ -1,6 +1,9 @@
 """Exact minimal-subcover counting against the exhaustive oracle."""
 
+import importlib.util
+import os
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,6 +28,7 @@ from rdstail import (
     trivial_cover,
 )
 from rdstail import counting
+from rdstail.budgets import DEFAULTS
 from rdstail.counting import _maximal
 from rdstail.covers import _layout, _mask_iterates, _sections
 from rdstail.model import BundleRDS, DrivingSystem
@@ -219,7 +223,7 @@ def test_uncoverable_target_below_the_popcount_stop_raises():
 
 def maximal_by_any(masks):
     kept = []
-    for m in sorted(set(masks), key=lambda m: -m.bit_count()):
+    for m in sorted(set(masks), key=lambda m: (-m.bit_count(), -m)):
         if not any(m | k == k for k in kept):
             kept.append(m)
     return kept
@@ -335,3 +339,97 @@ def test_count_profiles_match_the_callback_kernel(monkeypatch):
         # the popcount stop skips only targets the greedy test skips too
         assert got_solves == want_solves
     assert stop is None and max(map(max, want[0])) > 2
+
+
+# The depth sweep steps each fiber's maximal sections from depth to depth;
+# the path it replaced cut every depth's whole-bundle iterate into fibers and
+# counted each with ``_fiber_count``.  The two must agree on every profile,
+# on the exact solves and their order, on budget stops and on domain errors.
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def profiles_by_cuts(rds, r, q, n_max, budgets=DEFAULTS):
+    layout = _layout(rds)
+    q_iter = _mask_iterates(q, rds, n_max, budgets)
+    for rn in _mask_iterates(r, rds, n_max, budgets):
+        yield tuple(map(counting._fiber_count, _sections(rn, layout), _sections(next(q_iter), layout)))
+
+
+def _sweep(profiles, solves):
+    """(per-depth counts, the stop or error with its depth, the solves)."""
+    solves.clear()
+    got = []
+    try:
+        for item in profiles:
+            got.append(getattr(item, "per_omega", item))
+    except (BudgetExceededError, DomainError) as exc:
+        return got, (type(exc), str(exc), getattr(exc, "depth", None)), solves[:]
+    return got, None, solves[:]
+
+
+def _tail_explicit_shapes(monkeypatch):
+    """The two 6 x 40 systems of the ``tail-explicit`` benchmark workload,
+    without its seeded relabelling, from the benchmark's own generators."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_shapes", os.path.join(ROOT, "bench", "shapes.py"))
+    shapes = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(shapes)
+    for shape in (1, 5):
+        srng = random.Random(f"tail-explicit-shape:{shape}")
+        plain = shapes.explicit_system(srng, 6, 40)
+        covers = [shapes.overlapping_cover(srng, plain, k) for k in (3, 2)]
+        base = DrivingSystem(prob=tuple(plain["prob"]), theta=tuple(plain["theta"]))
+        rds = BundleRDS(base=base, fibers=tuple(map(frozenset, plain["fibers"])), maps=tuple(plain["maps"]))
+        yield (rds, *(RandomCover(tuple(RandomSet(tuple(map(frozenset, e))) for e in c)) for c in covers))
+
+
+def _drop_first(rng, rds):
+    # a family that may leave points of some fibers uncovered
+    cover = random_cover(rng, rds)
+    return RandomCover(cover.elements[1:])
+
+
+def _stray(cover, omega):
+    sections = list(cover.elements[0].sections)
+    sections[omega] = sections[omega] | {"stray"}
+    return RandomCover((RandomSet(tuple(sections)), *cover.elements[1:]))
+
+
+def test_sweep_by_fiber_sections_matches_the_whole_bundle_cut(monkeypatch):
+    solves = []
+
+    def recorded(target, masks):
+        solves.append(target)
+        return min_cover_size(target, masks)
+
+    monkeypatch.setattr(counting, "min_cover_size", recorded)
+    make = [random_cover, random_partition, lambda g, s: coarsen(g, random_cover(g, s)), _drop_first]
+    cases = []
+    for trial in range(60):
+        rng = _rng(19, trial)
+        rds = random_system(rng, max_fiber=rng.choice([3, 5, 7]), pool=9)
+        cases.append((rds, rng.choice(make)(rng, rds), rng.choice(make[:3])(rng, rds), 6))
+    cases += [(*case, 12) for case in _tail_explicit_shapes(monkeypatch)]
+    stops = errors = 0
+    for rds, r, q, n_max in cases:
+        want = _sweep(profiles_by_cuts(rds, r, q, n_max), solves)
+        assert _sweep(count_profiles(rds, r, q, n_max), solves) == want
+        errors += want[1] is not None
+        for limit in range(1, 9):
+            tight = Budgets(cover_elements=limit)
+            want = _sweep(profiles_by_cuts(rds, r, q, n_max, tight), solves)
+            assert _sweep(count_profiles(rds, r, q, n_max, tight), solves) == want
+            stops += want[1] is not None and want[1][0] is BudgetExceededError
+        # a section leaving its fiber fails on encoding, r before q
+        omega = rds.size - 1
+        for n in (1, 3):
+            for pair in ((_stray(r, omega), q), (r, _stray(q, omega)), (_stray(r, 0), _stray(q, omega))):
+                want = _sweep(profiles_by_cuts(rds, *pair, n), solves)
+                assert want[1][0] is DomainError and "stray" not in want[1][1]
+                assert _sweep(count_profiles(rds, *pair, n), solves) == want
+    # the cases reach budget stops and uncoverable targets, and the two
+    # benchmark systems reach depth 12 with counts above 2 and exact solves
+    assert stops > 100 and 0 < errors < len(cases)
+    big = [_sweep(count_profiles(rds, r, q, 12), solves) for rds, r, q, _ in cases[-2:]]
+    assert all(stop is None and len(got) == 12 and max(map(max, got)) > 2 and found for got, stop, found in big)

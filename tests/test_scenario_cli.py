@@ -416,6 +416,25 @@ def test_cli_verify_suite_and_exit_codes(tmp_path):
     assert doc["passed"] is True
 
 
+def test_cli_verify_refuses_seed_and_trials_for_unseeded_suites(tmp_path):
+    for suite in ("theorem", "principal"):
+        for flag in ("--seed", "--trials"):
+            out = tmp_path / f"{suite}{flag}"
+            assert main(["verify", "--suite", suite, flag, "3", "--out", str(out)]) == 2
+            assert json.loads(read(out, "manifest.json"))["error"] == f"--suite {suite} takes no {flag}"
+            assert not (out / "report.json").exists()
+        # without them the suite runs, and its manifest records neither
+        out = tmp_path / suite
+        assert main(["verify", "--suite", suite, "--out", str(out)]) == 0
+        assert json.loads(read(out, "manifest.json"))["args"] == {"budget": "[]", "suite": suite}
+    # a seeded suite still records its default seed
+    out = tmp_path / "cover"
+    assert main(["verify", "--suite", "cover", "--trials", "2", "--out", str(out)]) == 0
+    assert json.loads(read(out, "manifest.json"))["args"] == {
+        "budget": "[]", "seed": "1", "suite": "cover", "trials": "2"
+    }
+
+
 def test_cli_verify_failure_exits_1(tmp_path, monkeypatch):
     import rdstail.cli as cli_mod
     from rdstail.verify import CheckResult, SuiteReport
