@@ -43,11 +43,12 @@ from .errors import BudgetExceededError, PreconditionError
 from .measures import (
     FiberedMeasure,
     _gather,
+    _numerators,
+    _skew_gap,
     measures_equal,
     mix,
     pushforward_measure,
     skew_pushforward,
-    total_variation,
     transformation_relative_entropy_sequence,
 )
 from .model import BundleRDS, FactorMap, Point, ProductSystem, State, pair_system, sort_points
@@ -55,9 +56,13 @@ from .tail_entropy import EntropyEstimate
 
 
 def invariance_defect(mu: FiberedMeasure, rds: BundleRDS) -> Fraction:
-    """Exact L1 distance between the measure and its one-step image; zero
-    exactly on invariant measures."""
-    return total_variation(skew_pushforward(mu, rds), mu)
+    """Exact unnormalized L1 distance between the measure and its one-step
+    skew image (the :func:`~rdstail.measures.total_variation` convention),
+    summed as integer numerators without building the image; zero exactly
+    on invariant measures.  A measure over another number of base points
+    than the system raises :class:`PreconditionError`."""
+    d, num = _numerators(mu, rds)
+    return Fraction(_skew_gap(num, rds), d)
 
 
 def terminal_cycles(
@@ -98,16 +103,16 @@ def cesaro_limit(nu: FiberedMeasure, rds: BundleRDS) -> FiberedMeasure:
     """Exact limit of the running averages of the iterated images: each
     state's mass distributes uniformly over its terminal cycle.  The output
     always has invariance defect zero and the same base marginal."""
+    d, num = _numerators(nu, rds)
     cycles, terminal = _cycle_structure(rds)
 
     def spread():
-        for w in range(rds.size):
-            for x, v in nu.weights[w].items():
-                if v:
-                    cycle = cycles[terminal[(w, x)]]
-                    share = v / len(cycle)
-                    for cw, cx in cycle:
-                        yield cw, cx, share
+        for state, n in num.items():
+            if n:
+                cycle = cycles[terminal[state]]
+                q = d * len(cycle)
+                for cw, cx in cycle:
+                    yield cw, cx, n, q
 
     return _gather(rds.size, spread())
 
@@ -129,9 +134,9 @@ def lift_invariant(pi: FactorMap, mu: FiberedMeasure) -> FiberedMeasure:
             for x, v in mu.weights[w].items():
                 if v:
                     pre = sort_points(pi.preimage(w, x))
-                    share = v / len(pre)
+                    q = v.denominator * len(pre)
                     for y in pre:
-                        yield w, y, share
+                        yield w, y, v.numerator, q
 
     lifted = cesaro_limit(_gather(pi.source.size, uniform_lift()), pi.source)
     if invariance_defect(lifted, pi.source) != 0:
@@ -184,10 +189,11 @@ def vertex_enumeration(rds: BundleRDS, budgets: Budgets = DEFAULTS) -> Invariant
     mass = [sum(rds.base.prob[w] for w in {w for w, _ in cycle}) for cycle in cycles]
     simplices = [group for group in _cycles_by_base(cycles) if mass[group[0]]]
     picks = sorted(tuple(sorted(pick)) for pick in product(*simplices)) if rds.base.is_invariant() else []
+    share = [(m.numerator, m.denominator * len(cycle)) for m, cycle in zip(mass, cycles)]
     found: list[tuple[tuple[Fraction, ...], FiberedMeasure]] = []
     for pick in picks:
         lam = tuple(mass[c] if c in pick else Fraction(0) for c in range(len(cycles)))
-        mu = _gather(rds.size, ((w, x, mass[c] / len(cycles[c])) for c in pick for w, x in cycles[c]))
+        mu = _gather(rds.size, ((w, x, *share[c]) for c in pick for w, x in cycles[c]))
         if invariance_defect(mu, rds) != 0 or mu.validate(rds):
             raise AssertionError("enumerated vertex fails its own certificates")
         found.append((lam, mu))
@@ -345,13 +351,9 @@ class SeparatedEmpirical:
 
 
 def _pair_support_mass(mu: FiberedMeasure, q: RandomCover) -> Fraction:
-    out = Fraction(0)
-    for w in range(mu.size):
-        secs = q.sections(w)
-        for (x, y), v in mu.weights[w].items():
-            if any(x in sec and y in sec for sec in secs):
-                out += v
-    return out
+    d, num = _numerators(mu, q)
+    secs = [q.sections(w) for w in range(q.size)]
+    return Fraction(sum(n for (w, (x, y)), n in num.items() if any(x in sec and y in sec for sec in secs[w])), d)
 
 
 def separated_empirical(

@@ -9,15 +9,25 @@ computations.  Only logarithms are floating point; every inequality check
 carries the module tolerance.  The convention ``0 * log 0 = 0`` applies
 throughout.
 
-Every measure built from others (mixtures, pushforwards, and the Cesaro
-limits, lifts and polytope vertices of :mod:`rdstail.invariant`) sums its
-``(omega, point, mass)`` contributions in one accumulator, :func:`_gather`.
+All measure arithmetic runs in one numerator kernel: a measure enters as
+its stored masses written as integer numerators over the lcm of their
+denominators (:func:`_numerators`), every sum, difference and skew step is
+integer arithmetic over one common denominator, and a measure leaves as
+one reduced ``Fraction(n, d)`` per stored mass (:func:`_measure`), so
+``Fraction`` appears only where a measure enters or leaves, and every
+result is the exact rational the ``Fraction`` sums give.  Every measure
+built from others (mixtures, pushforwards, and the Cesaro limits, lifts and
+polytope vertices of :mod:`rdstail.invariant`) sums its ``(omega, point,
+numerator, denominator)`` contributions in one accumulator,
+:func:`_gather`.  Total variation, :meth:`FiberedMeasure.validate` and
+:meth:`FiberedMeasure.total` sum numerators, and the invariance defect and
+the sweeps' invariance precondition are the integer L1 gap of one skew step
+(:func:`_skew_gap`).  A measure over another number of base points than the
+system, cover or measure it meets raises :class:`PreconditionError`.
 
-The entropies and the containment optimum sum masses as integer
-numerators over one common denominator per measure (:func:`_numerators`),
-the same exact rationals as ``Fraction`` sums.  Every element and
-intersection mass comes from :func:`_joint_masses`, over
-``(element index, (omega, point))`` memberships: of frozenset sections for
+The entropies and the containment optimum read every element and
+intersection mass from :func:`_joint_masses`, over ``(element index,
+(omega, point))`` memberships: of frozenset sections for
 :func:`conditional_entropy` and :func:`delta_contains`, and of the set bits
 of the packed masks of :func:`rdstail.covers._mask_iterates` (bit i is state
 ``rds.states()[i]``) for the relative-entropy sweeps, which convert each
@@ -68,23 +78,28 @@ class FiberedMeasure:
         return self.weights[omega].get(x, Fraction(0))
 
     def total(self) -> Fraction:
-        return sum((v for w in self.weights for v in w.values()), Fraction(0))
+        d, num = _numerators(self)
+        return Fraction(sum(num.values()), d)
 
     def validate(self, rds: BundleRDS) -> list[str]:
-        out = []
         if self.size != rds.size:
             return [f"measure spans {self.size} base points, system has {rds.size}"]
-        for w in range(rds.size):
-            stray = set(self.weights[w]) - set(rds.fibers[w])
+        d, num = _numerators(self)
+        fiber_num = [0] * self.size
+        negative = set()
+        for (w, _), n in num.items():
+            fiber_num[w] += n
+            if n < 0:
+                negative.add(w)
+        out = []
+        for w, (ws, n, p) in enumerate(zip(self.weights, fiber_num, rds.base.prob)):
+            stray = ws.keys() - rds.fibers[w]
             if stray:
                 out.append(f"mass outside the fiber at omega={w}: {sorted(map(repr, stray))}")
-            if any(v < 0 for v in self.weights[w].values()):
+            if w in negative:
                 out.append(f"negative mass at omega={w}")
-            fiber_mass = sum(self.weights[w].values(), Fraction(0))
-            if fiber_mass != rds.base.prob[w]:
-                out.append(
-                    f"marginal violated at omega={w}: {fiber_mass} != {rds.base.prob[w]}"
-                )
+            if n * p.denominator != p.numerator * d:
+                out.append(f"marginal violated at omega={w}: {Fraction(n, d)} != {p}")
         return out
 
     @classmethod
@@ -109,29 +124,98 @@ def measures_equal(a: FiberedMeasure, b: FiberedMeasure) -> bool:
     )
 
 
-def total_variation(a: FiberedMeasure, b: FiberedMeasure) -> Fraction:
-    """Unnormalized L1 distance (a single moved unit of mass costs 2)."""
-    out = Fraction(0)
-    for wa, wb in zip(a.weights, b.weights):
-        for x in set(wa) | set(wb):
-            out += abs(wa.get(x, Fraction(0)) - wb.get(x, Fraction(0)))
+def _same_size(mu: FiberedMeasure, *spans) -> None:
+    """Refuse a measure, system or cover of ``spans`` over another number of
+    base points than ``mu``."""
+    for o in spans:
+        if o.size != mu.size:
+            raise PreconditionError("measure_size", f"measure spans {mu.size} base points, another argument {o.size}")
+
+
+Numerators = dict[tuple[int, Point], int]  # (omega, point) -> numerator over a common denominator
+
+
+def _scaled(mu: FiberedMeasure, d: int) -> Numerators:
+    """Every stored weight, zeros included and in storage order, as its
+    numerator over ``d``, a multiple of every weight's denominator."""
+    return {(w, x): v.numerator * (d // v.denominator) for w, ws in enumerate(mu.weights) for x, v in ws.items()}
+
+
+def _denominator(*measures: FiberedMeasure) -> int:
+    """The lcm of the denominators of every stored weight."""
+    return math.lcm(*(v.denominator for mu in measures for ws in mu.weights for v in ws.values()))
+
+
+def _numerators(mu: FiberedMeasure, *spans) -> tuple[int, Numerators]:
+    """Where a measure enters the kernel: its :func:`_denominator` ``D`` and
+    :func:`_scaled` over ``D``, after :func:`_same_size`."""
+    _same_size(mu, *spans)
+    d = _denominator(mu)
+    return d, _scaled(mu, d)
+
+
+def _measure(size: int, d: int, num: Numerators) -> FiberedMeasure:
+    """Where a measure leaves the kernel: one ``Fraction(n, d)`` per key,
+    each fiber's keys in the order of ``num``."""
+    weights: list[dict[Point, Fraction]] = [{} for _ in range(size)]
+    for (w, x), n in num.items():
+        weights[w][x] = Fraction(n, d)
+    return FiberedMeasure(tuple(weights))
+
+
+def _l1(a: Numerators, b: Numerators) -> int:
+    return sum(abs(a.get(k, 0) - b.get(k, 0)) for k in a.keys() | b.keys())
+
+
+def _push(num: Numerators, rds: BundleRDS) -> Numerators:
+    """Numerators moved one step of the skew map, keys in first-seen order.
+    Zero masses are skipped, so a stray point of zero mass is never
+    applied."""
+    out: Numerators = {}
+    for (w, x), n in num.items():
+        if n:
+            key = (rds.base.theta[w], rds.apply(w, x))
+            out[key] = out.get(key, 0) + n
     return out
 
 
-def _gather(size: int, masses: Iterable[tuple[int, Point, Fraction]]) -> FiberedMeasure:
-    """Sum ``(omega, point, mass)`` contributions into fiber weights.  Every
-    point met gets a key, in first-seen order, zero masses included."""
-    acc: list[dict[Point, Fraction]] = [{} for _ in range(size)]
-    for w, x, v in masses:
-        acc[w][x] = acc[w].get(x, Fraction(0)) + v
-    return FiberedMeasure(tuple(acc))
+def _skew_gap(num: Numerators, rds: BundleRDS) -> int:
+    """Numerator of the L1 distance between a measure and its one-step skew
+    image: zero exactly when the measure is invariant."""
+    return _l1(_push(num, rds), num)
+
+
+def total_variation(a: FiberedMeasure, b: FiberedMeasure) -> Fraction:
+    """Unnormalized L1 distance (a single moved unit of mass costs 2)."""
+    _same_size(a, b)
+    d = _denominator(a, b)
+    return Fraction(_l1(_scaled(a, d), _scaled(b, d)), d)
+
+
+def _gather(size: int, masses: Iterable[tuple[int, Point, int, int]]) -> FiberedMeasure:
+    """Sum ``(omega, point, numerator, denominator)`` contributions as
+    integers over the lcm of their denominators.  Every point met gets a
+    key, in first-seen order, zero masses included."""
+    masses = list(masses)
+    d = math.lcm(*(q for *_, q in masses))
+    num: Numerators = {}
+    for w, x, n, q in masses:
+        num[w, x] = num.get((w, x), 0) + n * (d // q)
+    return _measure(size, d, num)
 
 
 def mix(parts: Sequence[tuple[Fraction, FiberedMeasure]]) -> FiberedMeasure:
     """Exact affine combination of measures over one bundle."""
-    size = parts[0][1].size
+    _same_size(parts[0][1], *(mu for _, mu in parts))
+    terms = [(Fraction(c), mu) for c, mu in parts]
     return _gather(
-        size, ((w, x, Fraction(c) * v) for c, mu in parts for w in range(size) for x, v in mu.weights[w].items())
+        parts[0][1].size,
+        (
+            (w, x, c.numerator * v.numerator, c.denominator * v.denominator)
+            for c, mu in terms
+            for w, ws in enumerate(mu.weights)
+            for x, v in ws.items()
+        ),
     )
 
 
@@ -140,6 +224,7 @@ def disintegrate(mu: FiberedMeasure, rds: BundleRDS) -> tuple[dict[Point, Fracti
     on every fiber of positive base mass.  Fibers with zero base mass get
     ``None`` (flagged, not an error); the measure is reproduced exactly as
     the base-mass-weighted combination of the conditionals."""
+    _same_size(mu, rds)
     out: list[dict[Point, Fraction] | None] = []
     for w in range(rds.size):
         p = rds.base.prob[w]
@@ -152,18 +237,22 @@ def disintegrate(mu: FiberedMeasure, rds: BundleRDS) -> tuple[dict[Point, Fracti
 
 def skew_pushforward(mu: FiberedMeasure, rds: BundleRDS) -> FiberedMeasure:
     """Image of the measure under one step of the skew map."""
-    return _gather(
-        rds.size,
-        ((rds.base.theta[w], rds.apply(w, x), v) for w in range(rds.size) for x, v in mu.weights[w].items() if v),
-    )
+    d, num = _numerators(mu, rds)
+    return _measure(rds.size, d, _push(num, rds))
 
 
 def pushforward_measure(pi: FactorMap, mu: FiberedMeasure) -> FiberedMeasure:
     """Transport a measure through a factor map (exact, affine, marginal
     preserving; sends invariant measures to invariant measures)."""
+    _same_size(mu, pi.source)
     return _gather(
         pi.source.size,
-        ((w, pi.apply(w, y), v) for w in range(pi.source.size) for y, v in mu.weights[w].items() if v),
+        (
+            (w, pi.apply(w, y), v.numerator, v.denominator)
+            for w, ws in enumerate(mu.weights)
+            for y, v in ws.items()
+            if v
+        ),
     )
 
 
@@ -172,18 +261,6 @@ Membership = tuple[int, tuple[int, Point]]  # (element index, (omega, point))
 
 def _memberships(cover: RandomCover) -> list[Membership]:
     return [(i, (w, x)) for i, e in enumerate(cover.elements) for w, sec in enumerate(e.sections) for x in sec]
-
-
-def _numerators(mu: FiberedMeasure, *covers: RandomCover) -> tuple[int, dict[tuple[int, Point], int]]:
-    """The lcm ``D`` of the weights' denominators, and every stored weight,
-    zeros included, as its numerator over ``D`` keyed ``(omega, point)``:
-    the only place a ``Fraction`` mass becomes an integer.  A cover of
-    ``covers`` over another number of base points than ``mu`` raises
-    :class:`PreconditionError`."""
-    if any(c.size != mu.size for c in covers):
-        raise PreconditionError("measure_size", f"measure spans {mu.size} base points, a cover another number")
-    d = math.lcm(*(v.denominator for w in mu.weights for v in w.values()))
-    return d, {(w, x): v.numerator * (d // v.denominator) for w, ws in enumerate(mu.weights) for x, v in ws.items()}
 
 
 def _joint_masses(
@@ -268,14 +345,16 @@ def relative_entropy_sequences(
     dynamical pullback; both are needed for subadditivity.
 
     Each measure becomes its integer numerators (:func:`_numerators`) once
-    per sweep, not once per depth.
+    per sweep, not once per depth; the invariance check reads the same
+    numerators through :func:`_skew_gap`, the kernel of
+    :func:`rdstail.invariant.invariance_defect`.
     """
-    if not all(measures_equal(skew_pushforward(mu, rds), mu) for mu in measures):
+    numerators = [_numerators(mu, s.atoms, rds) for mu in measures]
+    if any(_skew_gap(num, rds) for _, num in numerators):
         raise PreconditionError("invariant_measure", "measure is not skew-invariant")
     if not sigma_backward_compatible(s, rds):
         raise PreconditionError("backward_compatible_algebra", "pullback of the algebra escapes it")
     atoms = _memberships(s.atoms)
-    numerators = [_numerators(mu, s.atoms) for mu in measures]
     states = rds.states()
     values: list[list[float]] = [[] for _ in measures]
     for masks in _mask_iterates(r, rds, n_max, budgets):

@@ -32,6 +32,7 @@ from rdstail import (
     fiber_sigma,
     filtration_limit_check,
     identity_factor,
+    invariance_defect,
     iterate_cover,
     join,
     measures_equal,
@@ -54,7 +55,8 @@ from rdstail import (
     vertex_enumeration,
 )
 from rdstail.covers import pullback_cover
-from rdstail.measures import ContainmentWitness, _numerators, defect_from_sequences, sigma_backward_compatible
+from rdstail.invariant import _cycle_structure
+from rdstail.measures import ContainmentWitness, _gather, _numerators, defect_from_sequences, sigma_backward_compatible
 from rdstail.verify import (
     _rng,
     coarsen,
@@ -806,11 +808,167 @@ def test_mass_below_the_smallest_float_adds_nothing():
 
 
 def test_measure_over_another_number_of_base_points_is_refused():
-    # a measure shorter than the covers was read as zero mass past its end
-    mu = FiberedMeasure.uniform(SWAP)
+    # a measure shorter than the covers was read as zero mass past its end,
+    # and a longer one lost its extra fibers
+    mu = swap_invariant()
     points, fibers = point_partition(SWAP), fiber_sigma(SWAP)
-    for fn in (lambda m: conditional_entropy(m, points, fibers), lambda m: delta_contains(points, points, m, TOL)):
+    pi = extend_with_tags(SWAP, tags=2, rotate=False)
+    up = FiberedMeasure.uniform(pi.source)
+    calls = (
+        lambda m: conditional_entropy(m, points, fibers),
+        lambda m: delta_contains(points, points, m, TOL),
+        lambda m: total_variation(mu, m),
+        lambda m: total_variation(m, mu),
+        lambda m: invariance_defect(m, SWAP),
+        lambda m: mix([(Fraction(1, 2), mu), (Fraction(1, 2), m)]),
+        lambda m: mix([(Fraction(1, 2), m), (Fraction(1, 2), mu)]),
+        lambda m: skew_pushforward(m, SWAP),
+        lambda m: cesaro_limit(m, SWAP),
+        lambda m: disintegrate(m, SWAP),
+        lambda m: pushforward_measure(pi, FiberedMeasure((up.weights * 2)[: m.size])),
+        lambda m: relative_entropy_sequence(m, points, fibers, SWAP, 1),
+    )
+    for fn in calls:
         fn(mu)
         for other in (FiberedMeasure(mu.weights[:1]), FiberedMeasure(mu.weights + mu.weights[:1])):
+            assert not measures_equal(mu, other)
             with pytest.raises(PreconditionError, match="measure_size"):
                 fn(other)
+    # the two-point measure against one point was at distance 0, and
+    # invariant on a one-point fixed system
+    half = Fraction(1, 2)
+    two, one = FiberedMeasure(({"x": half}, {"y": half})), FiberedMeasure(({"x": half},))
+    fixed = BundleRDS(base=DrivingSystem((Fraction(1),), (0,)), fibers=(frozenset({"x"}),), maps=({"x": "x"},))
+    for fn in (lambda: total_variation(two, one), lambda: invariance_defect(two, fixed)):
+        with pytest.raises(PreconditionError, match="measure_size"):
+            fn()
+
+
+# Oracles: the Fraction bodies that the numerator kernel replaced.
+
+
+def gather_by_loop(size, masses):
+    acc = [{} for _ in range(size)]
+    for w, x, v in masses:
+        acc[w][x] = acc[w].get(x, Fraction(0)) + v
+    return FiberedMeasure(tuple(acc))
+
+
+def total_variation_by_loop(a, b):
+    out = Fraction(0)
+    for wa, wb in zip(a.weights, b.weights):
+        for x in set(wa) | set(wb):
+            out += abs(wa.get(x, Fraction(0)) - wb.get(x, Fraction(0)))
+    return out
+
+
+def validate_by_loop(mu, rds):
+    out = []
+    if mu.size != rds.size:
+        return [f"measure spans {mu.size} base points, system has {rds.size}"]
+    for w in range(rds.size):
+        stray = set(mu.weights[w]) - set(rds.fibers[w])
+        if stray:
+            out.append(f"mass outside the fiber at omega={w}: {sorted(map(repr, stray))}")
+        if any(v < 0 for v in mu.weights[w].values()):
+            out.append(f"negative mass at omega={w}")
+        fiber_mass = sum(mu.weights[w].values(), Fraction(0))
+        if fiber_mass != rds.base.prob[w]:
+            out.append(f"marginal violated at omega={w}: {fiber_mass} != {rds.base.prob[w]}")
+    return out
+
+
+def total_by_loop(mu):
+    return sum((v for w in mu.weights for v in w.values()), Fraction(0))
+
+
+def invariance_defect_by_loop(mu, rds):
+    return total_variation_by_loop(skew_pushforward_by_loop(mu, rds), mu)
+
+
+def cesaro_limit_by_loop(nu, rds):
+    # the loop divided the stored weight itself, so an int weight gave a
+    # float share; the oracle divides its Fraction
+    cycles, terminal = _cycle_structure(rds)
+    return gather_by_loop(
+        rds.size,
+        (
+            (cw, cx, Fraction(v) / len(cycles[terminal[w, x]]))
+            for w in range(rds.size)
+            for x, v in nu.weights[w].items()
+            if v
+            for cw, cx in cycles[terminal[w, x]]
+        ),
+    )
+
+
+def all_fractions(mu):
+    return all(type(v) is Fraction for w in mu.weights for v in w.values())
+
+
+def int_measure(rng, rds):
+    """Small int weights, some zero and some negative: a signed measure
+    that the kernel reads with denominator 1."""
+    return FiberedMeasure(tuple({x: rng.randint(-1, 3) for x in sorted(f)} for f in rds.fibers))
+
+
+def test_numerator_kernel_matches_fraction_loops():
+    denominators = _prime_powers()
+    seen = set()
+    for trial in range(60):
+        rng = _rng(109, trial)
+        rds = random_system(rng, max_fiber=4)
+        kinds = [
+            coprime_measure(rng, rds, denominators),
+            random_measure(rng, rds, denom=2),
+            cesaro_limit(random_measure(rng, rds), rds),
+            int_measure(rng, rds),
+        ]
+        mus = [*kinds, mix([(Fraction(1, 3), kinds[0]), (2, kinds[2])])]
+        # the accumulator on raw contributions: repeated keys, zeros, ints
+        masses = [
+            (w, rng.choice(sorted(rds.fibers[w])), rng.choice([0, 1, 2, Fraction(1, next(denominators)), v]))
+            for mu in mus
+            for w, ws in enumerate(mu.weights)
+            for v in ws.values()
+        ]
+        rng.shuffle(masses)
+        got = _gather(rds.size, [(w, x, Fraction(v).numerator, Fraction(v).denominator) for w, x, v in masses])
+        want = gather_by_loop(rds.size, masses)
+        assert stored(got) == stored(want) and all_fractions(got), trial
+        for mu in mus:
+            assert mu.validate(rds) == validate_by_loop(mu, rds), trial
+            assert mu.total() == total_by_loop(mu) and type(mu.total()) is Fraction, trial
+            defect = invariance_defect(mu, rds)
+            assert defect == invariance_defect_by_loop(mu, rds) and type(defect) is Fraction, trial
+            seen.add(defect == 0)
+            pushed = skew_pushforward(mu, rds)
+            assert stored(pushed) == stored(skew_pushforward_by_loop(mu, rds)) and all_fractions(pushed), trial
+            limit = cesaro_limit(mu, rds)
+            assert stored(limit) == stored(cesaro_limit_by_loop(mu, rds)) and all_fractions(limit), trial
+            for other in mus:
+                tv = total_variation(mu, other)
+                assert tv == total_variation_by_loop(mu, other) and type(tv) is Fraction, trial
+        seen |= {bool(m) for mu in mus for m in mu.validate(rds)}
+    assert seen == {True, False}  # invariant and not; valid and not
+
+
+def test_kernel_keeps_the_domain_error_of_a_stray_positive_mass():
+    for trial in range(20):
+        rng = _rng(113, trial)
+        rds = random_system(rng, max_fiber=4)
+        mu = cesaro_limit(random_measure(rng, rds), rds)
+        w = rng.randrange(rds.size)
+        zero, positive = with_weights(mu, w, {"stray": Fraction(0)}), with_weights(mu, w, {"stray": Fraction(1, 7)})
+        for fn, oracle in (
+            (invariance_defect, invariance_defect_by_loop),
+            (skew_pushforward, skew_pushforward_by_loop),
+        ):
+            got, want = _raised(lambda: fn(zero, rds)), _raised(lambda: oracle(zero, rds))
+            assert got[0] == want[0] == "values", trial
+            with pytest.raises(DomainError) as exc:
+                fn(positive, rds)
+            assert _raised(lambda: oracle(positive, rds)) == ("DomainError", str(exc.value)), trial
+        assert invariance_defect(zero, rds) == 0
+        assert zero.validate(rds) == validate_by_loop(zero, rds) != []
+        assert positive.validate(rds) == validate_by_loop(positive, rds)
