@@ -18,7 +18,9 @@ ENV_VAR = "RDSTAIL_BUDGETS"
 
 @dataclass(frozen=True)
 class Budgets:
-    # max elements in an iterated cover, after pruning and dedup
+    # max elements in an iterated cover, after pruning and dedup: on the
+    # count paths the maximal sections of the largest fiber, on the
+    # whole-bundle paths the elements over the whole bundle
     cover_elements: int = 4096
     # max total points of a system handed to polytope vertex enumeration
     polytope_points: int = 24

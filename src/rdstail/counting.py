@@ -3,10 +3,12 @@ entropy sequences.
 
 Fiber sections are integer bitmasks (Python integers, so any fiber size works
 without a word-size fallback): bit k over base point w is the k-th point of
-``sort_points(rds.fibers[w])``.  A depth sweep carries each fiber's maximal
-sections from depth to depth, intersected with the pullback each depth joins
-in; a single depth cuts them once out of its packed masks, and the
-single-fiber queries encode their frozenset arguments with the same index.
+``sort_points(rds.fibers[w])``.  Every count of an iterated cover reads only
+each fiber's maximal sections, and one stepper, :func:`_section_steps`, gives
+them: it carries them from depth to depth, intersected with the pullback each
+depth joins in, and never builds a whole-bundle iterate.  A sweep counts
+every depth it yields, a single depth only the last; the single-fiber queries
+encode their frozenset arguments with the same index.
 A fiber's count is the largest minimum subcover of a target section.  It is
 monotone in the target, so only maximal sections are solved, largest first.
 A target never needs more masks than it has points, so the walk stops at the
@@ -23,10 +25,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .budgets import Budgets, DEFAULTS
-from .covers import (
-    Masks, RandomCover, RandomSet, _fiber_index, _layout, _mask_iterate, _mask_steps, _section_masks
-)
-from .errors import DomainError
+from .covers import RandomCover, RandomSet, _fiber_index, _layout, _mask_pullbacks, _section_masks
+from .errors import BudgetExceededError, DomainError
 from .model import BundleRDS
 
 
@@ -129,17 +129,25 @@ def _count(masks: list[int], targets: list[int]) -> int:
     return best
 
 
+def _index_at(rds: BundleRDS, omega: int) -> dict:
+    """The :func:`_fiber_index` of the fiber at ``omega``; a base point out
+    of range, negative ones too, raises :class:`DomainError`."""
+    if not 0 <= omega < rds.size:
+        raise DomainError(f"omega={omega} is outside the base of {rds.size} points")
+    return _fiber_index(rds.fibers[omega])
+
+
 def minimal_subcover(s: RandomSet, r: RandomCover, omega: int, rds: BundleRDS) -> int:
     """Exact minimum number of elements of ``r`` whose sections at ``omega``
     cover the section of ``s`` there; 1 when that section is empty."""
-    index = _fiber_index(rds.fibers[omega])
+    index = _index_at(rds, omega)
     (target,) = _section_masks([s.sections[omega]], index, omega)
     return min_cover_size(target, _section_masks(r.sections(omega), index, omega))
 
 
 def relative_count(r: RandomCover, q: RandomCover, omega: int, rds: BundleRDS) -> int:
     """Largest minimal-subcover count of a ``q``-element by ``r`` at ``omega``."""
-    index = _fiber_index(rds.fibers[omega])
+    index = _index_at(rds, omega)
     r_masks, q_masks = (set(_section_masks(c.sections(omega), index, omega)) for c in (r, q))
     return _fiber_count(r_masks, q_masks)
 
@@ -156,36 +164,44 @@ class CountProfile:
             raise ValueError("counts are always >= 1")
 
 
+def _section_steps(c: RandomCover, rds: BundleRDS, n: int, budgets: Budgets) -> Iterator[list[list[int]]]:
+    """Every fiber's maximal sections of the depth-1..n iterates of ``c``,
+    stepped from the whole fiber: depth i keeps the maximal ``a & p`` over
+    those ``a`` of depth i-1 and the sections ``p`` of the (i-1)-step
+    pullback (``a & p`` lies in ``a' & p`` if ``a`` in ``a'``).
+
+    Raises :class:`BudgetExceededError` with the depth when, past depth 1, a
+    fiber holds more than ``budgets.cover_elements`` maximal sections."""
+    if n < 1:
+        raise ValueError("depth must be >= 1")
+    layout = _layout(rds)
+    sections = [[full >> offset] for offset, full in layout]
+    for depth, pulled in enumerate(_mask_pullbacks(c, rds, n), 1):
+        # p is the section of the pulled element e on the fiber, at bit 0
+        sections = [
+            _maximal({a & p for e in pulled for p in [(e & full) >> offset] for a in s})
+            for s, (offset, full) in zip(sections, layout)
+        ]
+        if depth > 1 and (observed := max(map(len, sections))) > budgets.cover_elements:
+            raise BudgetExceededError("cover_elements", budgets.cover_elements, observed, depth=depth)
+        yield sections
+
+
 def count_profile(
     rds: BundleRDS, r: RandomCover, q: RandomCover, n: int, budgets: Budgets = DEFAULTS
 ) -> CountProfile:
-    """Relative counts of the depth-n iterates, one entry per base point:
-    each side's masks are cut once, one set per fiber as in ``_sections``."""
-    layout = _layout(rds)
-    sides = _mask_iterate(r, rds, n, budgets), _mask_iterate(q, rds, n, budgets)
-    cuts = [[{(e & full) >> offset for e in masks} for offset, full in layout] for masks in sides]
-    return CountProfile(tuple(map(_fiber_count, *cuts)), n)
+    """Relative counts of the depth-n iterates, one entry per base point: the
+    sections of :func:`count_profiles`, counted at depth n only."""
+    for r_secs, q_secs in zip(_section_steps(r, rds, n, budgets), _section_steps(q, rds, n, budgets)):
+        pass
+    return CountProfile(tuple(map(_count, r_secs, q_secs)), n)
 
 
 def count_profiles(
     rds: BundleRDS, r: RandomCover, q: RandomCover, n_max: int, budgets: Budgets = DEFAULTS
 ) -> Iterator[CountProfile]:
     """The profiles of depths 1..n_max in one pass, ``r`` before ``q`` at each
-    depth; the whole-bundle iterates only keep the budget.  Each side steps
-    every fiber's maximal sections from the whole fiber: depth n keeps the
-    maximal ``a & p`` over those ``a`` of depth n-1 and the sections ``p`` of
-    the pullback it joins in (``a & p`` lies in ``a' & p`` if ``a`` in ``a'``)."""
-    layout = _layout(rds)
-
-    def step(sections: list[list[int]], pulled: Masks) -> list[list[int]]:
-        # p is the section of the pulled element e on the fiber, at bit 0
-        return [
-            _maximal({a & p for e in pulled for p in [(e & full) >> offset] for a in s})
-            for s, (offset, full) in zip(sections, layout)
-        ]
-
-    r_secs = q_secs = [[full >> offset] for offset, full in layout]
-    pulls = [(pulled for _, pulled in _mask_steps(c, rds, n_max, budgets)) for c in (r, q)]
-    for n, (r_pulled, q_pulled) in enumerate(zip(*pulls), 1):
-        r_secs, q_secs = step(r_secs, r_pulled), step(q_secs, q_pulled)
+    depth, by the sections of :func:`_section_steps`."""
+    steps = zip(_section_steps(r, rds, n_max, budgets), _section_steps(q, rds, n_max, budgets))
+    for n, (r_secs, q_secs) in enumerate(steps, 1):
         yield CountProfile(tuple(map(_count, r_secs, q_secs)), n)

@@ -15,9 +15,10 @@ and a join is one ``&``.  One generator, :func:`_mask_pullbacks`, pulls a
 cover back 0, 1, 2, ... steps, each the one-step preimage of the last through
 one table of state preimages; it is the only loop that reads the fiber maps
 for covers.  :func:`pullback` decodes one of its items, and one join fold
-over it, :func:`_mask_steps`, builds every depth: the measures, the
-single-depth counts and the ``cover_elements`` budget read its masks, and the
-count sweeps step each fiber's sections by its pullbacks.
+over it, :func:`_mask_iterates`, builds every whole-bundle depth for
+:func:`iterate_cover`, the measures and ``invariant.separated_empirical``.
+The counts read no whole-bundle iterate: ``counting`` steps each fiber's
+maximal sections by the pullbacks alone.
 """
 
 from __future__ import annotations
@@ -220,8 +221,7 @@ def _sections(masks: Masks, layout: list[tuple[int, int]]) -> list[list[int]]:
     """Every fiber's distinct sections of the packed masks, in first-seen
     order.  The order is kept for the element order of :func:`_decode` and
     for the q-section that ``invariant.separated_empirical`` picks (the first
-    with the largest count); a single-depth count cuts its fibers without
-    it, as one set each."""
+    with the largest count)."""
     return [list(dict.fromkeys((e & full) >> offset for e in masks)) for offset, full in layout]
 
 
@@ -287,12 +287,10 @@ def _preimage(table: dict[int, int], mask: int) -> int:
     return out
 
 
-def _mask_steps(
-    q: RandomCover, rds: BundleRDS, n_max: int, budgets: Budgets = DEFAULTS
-) -> Iterator[tuple[Masks, Masks]]:
+def _mask_iterates(q: RandomCover, rds: BundleRDS, n_max: int, budgets: Budgets = DEFAULTS) -> Iterator[Masks]:
     """The depth-1..n_max refinements of ``q`` as lists of packed masks, in
-    first-seen element order, each beside the item of :func:`_mask_pullbacks`
-    it joins in: depth i+1 joins depth i with the i-step pullback.
+    first-seen element order: depth i+1 joins depth i with the i-step item
+    of :func:`_mask_pullbacks`.
 
     Raises :class:`DomainError` if a section of ``q`` leaves its fiber and
     :class:`BudgetExceededError` with the offending depth when the element
@@ -302,12 +300,7 @@ def _mask_steps(
         out = pulled if depth == 1 else _distinct([a & b for a in out for b in pulled])
         if depth > 1 and len(out) > budgets.cover_elements:
             raise BudgetExceededError("cover_elements", budgets.cover_elements, len(out), depth=depth)
-        yield out, pulled
-
-
-def _mask_iterates(q: RandomCover, rds: BundleRDS, n_max: int, budgets: Budgets = DEFAULTS) -> Iterator[Masks]:
-    """The refinements of :func:`_mask_steps` without their pullbacks."""
-    return (out for out, _ in _mask_steps(q, rds, n_max, budgets))
+        yield out
 
 
 def _mask_iterate(q: RandomCover, rds: BundleRDS, n: int, budgets: Budgets = DEFAULTS) -> Masks:

@@ -177,10 +177,12 @@ def tail_entropy_estimate(
 ) -> EntropyEstimate:
     """Terms a_1..a_{n_max} with the running-infimum bracket.
 
-    Raises :class:`BudgetExceededError` with the offending depth when an
-    iterated cover blows past ``budgets.cover_elements``; no truncated
+    Raises :class:`BudgetExceededError` with the offending depth when a
+    fiber's maximal sections blow past ``budgets.cover_elements``; no truncated
     estimate is ever returned.
     """
+    if n_max < 1:
+        raise ValueError("an estimate needs at least one depth")
     values = tuple(_integrate(rds, profile) for profile in count_profiles(rds, r, q, n_max, budgets))
     return EntropyEstimate(values=values, requested=n_max)
 

@@ -30,7 +30,7 @@ from rdstail import (
 from rdstail import counting
 from rdstail.budgets import DEFAULTS
 from rdstail.counting import _maximal
-from rdstail.covers import _layout, _mask_iterates, _sections
+from rdstail.covers import _layout, _mask_iterate, _mask_iterates, _sections
 from rdstail.model import BundleRDS, DrivingSystem
 from rdstail.verify import _rng, coarsen, random_cover, random_partition, random_system
 
@@ -341,19 +341,57 @@ def test_count_profiles_match_the_callback_kernel(monkeypatch):
     assert stop is None and max(map(max, want[0])) > 2
 
 
-# The depth sweep steps each fiber's maximal sections from depth to depth;
-# the path it replaced cut every depth's whole-bundle iterate into fibers and
-# counted each with ``_fiber_count``.  The two must agree on every profile,
-# on the exact solves and their order, on budget stops and on domain errors.
+# Every count steps each fiber's maximal sections from depth to depth; the
+# paths it replaced built each depth's whole-bundle iterate and cut it into
+# fibers, one set each, counted with ``_fiber_count``: a sweep at every depth,
+# a point query once at depth n.  The two must agree on every profile, on the
+# exact solves and their order, on domain errors and, with the section budget
+# checked on the cuts, on budget stops.
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def profiles_by_cuts(rds, r, q, n_max, budgets=DEFAULTS):
+def set_cut(masks, layout):
+    return [{(e & full) >> offset for e in masks} for offset, full in layout]
+
+
+def section_budget(n, cuts, limit):
+    """Oracle of the section budget: the stop at depth ``n`` past 1 when a
+    fiber of the cut of ``r``, then of ``q``, has more than ``limit`` maximal
+    sections."""
+    for cut in cuts:
+        observed = max(len(_maximal(s)) for s in cut)
+        if n > 1 and observed > limit:
+            raise BudgetExceededError("cover_elements", limit, observed, depth=n)
+
+
+def cuts_by_depth(rds, r, q, n_max, limit):
+    """The set cuts of the whole-bundle iterates of ``r`` and ``q`` at each
+    depth, ``r`` before ``q``, checked against the section budget."""
     layout = _layout(rds)
-    q_iter = _mask_iterates(q, rds, n_max, budgets)
-    for rn in _mask_iterates(r, rds, n_max, budgets):
-        yield tuple(map(counting._fiber_count, _sections(rn, layout), _sections(next(q_iter), layout)))
+    for n, sides in enumerate(zip(_mask_iterates(r, rds, n_max), _mask_iterates(q, rds, n_max)), 1):
+        cuts = [set_cut(masks, layout) for masks in sides]
+        section_budget(n, cuts, limit)
+        yield cuts
+
+
+def profiles_by_cuts(rds, r, q, n_max, limit=DEFAULTS.cover_elements):
+    for cuts in cuts_by_depth(rds, r, q, n_max, limit):
+        yield tuple(map(counting._fiber_count, *cuts))
+
+
+def profile_by_cut(rds, r, q, n, limit=DEFAULTS.cover_elements):
+    """The point query the stepper replaced: ``_fiber_count`` over the set
+    cut of each side's depth-n masks, once the section budget holds at
+    every depth up to n."""
+    for _ in cuts_by_depth(rds, r, q, n, limit):
+        pass
+    layout = _layout(rds)
+    return tuple(map(counting._fiber_count, *(set_cut(_mask_iterate(c, rds, n), layout) for c in (r, q))))
+
+
+def _once(query):
+    yield query()
 
 
 def _sweep(profiles, solves):
@@ -406,7 +444,7 @@ def test_sweep_by_fiber_sections_matches_the_whole_bundle_cut(monkeypatch):
     monkeypatch.setattr(counting, "min_cover_size", recorded)
     make = [random_cover, random_partition, lambda g, s: coarsen(g, random_cover(g, s)), _drop_first]
     cases = []
-    for trial in range(60):
+    for trial in range(90):
         rng = _rng(19, trial)
         rds = random_system(rng, max_fiber=rng.choice([3, 5, 7]), pool=9)
         cases.append((rds, rng.choice(make)(rng, rds), rng.choice(make[:3])(rng, rds), 6))
@@ -416,9 +454,10 @@ def test_sweep_by_fiber_sections_matches_the_whole_bundle_cut(monkeypatch):
         want = _sweep(profiles_by_cuts(rds, r, q, n_max), solves)
         assert _sweep(count_profiles(rds, r, q, n_max), solves) == want
         errors += want[1] is not None
+        # the sweep stops where a fiber's maximal sections exceed the limit
         for limit in range(1, 9):
             tight = Budgets(cover_elements=limit)
-            want = _sweep(profiles_by_cuts(rds, r, q, n_max, tight), solves)
+            want = _sweep(profiles_by_cuts(rds, r, q, n_max, limit), solves)
             assert _sweep(count_profiles(rds, r, q, n_max, tight), solves) == want
             stops += want[1] is not None and want[1][0] is BudgetExceededError
         # a section leaving its fiber fails on encoding, r before q
@@ -433,3 +472,63 @@ def test_sweep_by_fiber_sections_matches_the_whole_bundle_cut(monkeypatch):
     assert stops > 100 and 0 < errors < len(cases)
     big = [_sweep(count_profiles(rds, r, q, 12), solves) for rds, r, q, _ in cases[-2:]]
     assert all(stop is None and len(got) == 12 and max(map(max, got)) > 2 and found for got, stop, found in big)
+
+
+def test_point_query_matches_the_set_cut(monkeypatch):
+    solves = []
+
+    def recorded(target, masks):
+        solves.append((target, tuple(masks)))
+        return min_cover_size(target, masks)
+
+    monkeypatch.setattr(counting, "min_cover_size", recorded)
+    make = [random_cover, random_partition, lambda g, s: coarsen(g, random_cover(g, s)), _drop_first]
+    cases = []
+    for trial in range(30):
+        rng = _rng(21, trial)
+        rds = random_system(rng, max_fiber=rng.choice([3, 5, 7]), pool=9)
+        cases.append((rds, rng.choice(make)(rng, rds), rng.choice(make[:3])(rng, rds), range(1, 9)))
+    cases += [(*case, [12]) for case in _tail_explicit_shapes(monkeypatch)]
+    stops = errors = solved = 0
+    for rds, r, q, depths in cases:
+        for n in depths:
+            want = _sweep(_once(lambda: profile_by_cut(rds, r, q, n)), solves)
+            assert _sweep(_once(lambda: count_profile(rds, r, q, n)), solves) == want
+            errors += want[1] is not None
+            solved += bool(want[2])
+        # the budget stop is the first depth past 1 at which a fiber's
+        # maximal sections exceed the limit, r before q, as in the sweep
+        n = depths[-1]
+        for limit in range(1, 9):
+            tight = Budgets(cover_elements=limit)
+            want = _sweep(_once(lambda: profile_by_cut(rds, r, q, n, limit)), solves)
+            assert _sweep(_once(lambda: count_profile(rds, r, q, n, tight)), solves) == want
+            stops += want[1] is not None and want[1][0] is BudgetExceededError
+    # the cases reach budget stops, uncoverable targets and exact solves
+    assert stops > 50 and 0 < errors and solved > 50
+    # both benchmark systems count above 2 at depth 12
+    big = [_sweep(_once(lambda: count_profile(rds, r, q, 12)), solves) for rds, r, q, _ in cases[-2:]]
+    assert all(stop is None and max(got[0]) > 2 and found for got, stop, found in big)
+
+
+def test_depth_below_one_raises_on_both_count_paths():
+    pts, triv = point_partition(SWAP), trivial_cover(SWAP)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            count_profile(SWAP, pts, triv, n)
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            list(count_profiles(SWAP, pts, triv, n))
+
+
+def test_base_point_out_of_range_raises_domain_error():
+    pts, whole = point_partition(SWAP), trivial_cover(SWAP)
+    for omega in (-1, -2, 2, 7):
+        queries = (
+            lambda: relative_count(pts, whole, omega, SWAP),
+            lambda: minimal_subcover(whole.elements[0], pts, omega, SWAP),
+        )
+        for query in queries:
+            with pytest.raises(DomainError, match=rf"omega={omega} is outside the base of 2 points"):
+                query()
+    # the last base point is still a base point
+    assert relative_count(pts, whole, 1, SWAP) == minimal_subcover(whole.elements[0], pts, 1, SWAP) == 2

@@ -115,6 +115,24 @@ def counts_by_joins(rds, r, q, n_max, budgets=DEFAULTS):
         yield tuple(relative_count(rn, qn, w, rds) for w in range(rds.size))
 
 
+def counts_by_section_budget(rds, r, q, n_max, limit):
+    """Oracle: :func:`counts_by_joins` with no whole-bundle budget, stopped
+    at the first depth past 1 at which a fiber of the frozenset iterate of
+    ``r``, then of ``q``, has more than ``limit`` maximal sections: the
+    distinct sections inside no other."""
+    q_iter = iterate_covers_by_joins(q, rds, n_max)
+    for n, rn in enumerate(iterate_covers_by_joins(r, rds, n_max), 1):
+        qn = next(q_iter)
+        for cn in (rn, qn):
+            observed = 0
+            for w in range(rds.size):
+                secs = set(cn.sections(w))
+                observed = max(observed, sum(not any(s < t for t in secs) for s in secs))
+            if n > 1 and observed > limit:
+                raise BudgetExceededError("cover_elements", limit, observed, depth=n)
+        yield tuple(relative_count(rn, qn, w, rds) for w in range(rds.size))
+
+
 def _outcome(run):
     """(results, (depth, observed, limit) of the budget stop or None)."""
     got = []
@@ -180,13 +198,14 @@ def test_budget_stops_match_frozenset_fold(seed):
         for c in (r, q):
             want = _outcome(lambda: iterate_covers_by_joins(c, rds, 6, tight))
             assert _outcome(lambda: decoded_iterates(c, rds, 6, tight)) == want
-        want_counts, want_stop = _outcome(lambda: counts_by_joins(rds, r, q, 6, tight))
+        # the counts bound each fiber's maximal sections, not whole iterates
+        want_counts, want_stop = _outcome(lambda: counts_by_section_budget(rds, r, q, 6, limit))
         got = _outcome(lambda: (p.per_omega for p in count_profiles(rds, r, q, 6, tight)))
         assert got == (want_counts, want_stop)
-        # a single depth builds all of r's iterates before q's
-        single = _outcome(lambda: iterate_covers_by_joins(r, rds, 6, tight))[1]
-        single = single or _outcome(lambda: iterate_covers_by_joins(q, rds, 6, tight))[1]
-        assert _outcome(lambda: [count_profile(rds, r, q, 6, tight).per_omega])[1] == single
+        # a single depth steps r and q depth by depth, so it stops where the
+        # sweep does
+        single = want_counts[-1:] if want_stop is None else []
+        assert _outcome(lambda: [count_profile(rds, r, q, 6, tight).per_omega]) == (single, want_stop)
 
 
 @given(seeds)

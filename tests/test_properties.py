@@ -90,17 +90,33 @@ def test_count_monotonicity_and_subadditivity(seed):
     tight = Budgets(cover_elements=3)
     swept = _budget_stop(lambda: list(count_profiles(rds, r, q, 6, tight)))
     assert swept == _budget_stop(lambda: [count_profile(rds, r, q, n, tight) for n in range(1, 7)])
-    # the stop names the first depth past 1 at which either iterate is too big
-    over = [n for n in range(2, 7) if max(len(iterate_cover(c, rds, n)) for c in (r, q)) > 3]
-    assert (swept[0] if swept else None) == (over[0] if over else None)
+    # the stop names the first depth past 1 at which a fiber of either
+    # iterate, r before q, has more than 3 maximal sections
+    over = [
+        (n, observed, 3)
+        for n in range(2, 7)
+        for observed in [max_sections(iterate_cover(c, rds, n)) for c in (r, q)]
+        if observed > 3
+    ]
+    assert swept == (over[0] if over else None)
+
+
+def max_sections(cover):
+    """The most maximal sections of ``cover`` on one fiber: the distinct
+    sections inside no other."""
+    sizes = []
+    for w in range(cover.size):
+        secs = set(cover.sections(w))
+        sizes.append(sum(not any(s < t for t in secs) for s in secs))
+    return max(sizes)
 
 
 def _budget_stop(run):
-    """(depth, message) of the budget stop a run raises, or None."""
+    """(depth, observed, limit) of the budget stop a run raises, or None."""
     try:
         run()
     except BudgetExceededError as exc:
-        return exc.depth, str(exc)
+        return exc.depth, exc.observed, exc.limit
     return None
 
 

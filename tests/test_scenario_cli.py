@@ -575,12 +575,33 @@ def test_malformed_budgets_variable_is_a_cli_error(tmp_path):
     assert "malformed budget override 'zzz'" in json.loads(read(out, "manifest.json"))["error"]
 
 
+def _section_stop(path, r, q, limit, n_max):
+    """Oracle: the message of the first budget stop of a count of ``r``
+    against ``q``, the first depth past 1 at which a fiber of the decoded
+    iterate of ``r``, then of ``q``, has more than ``limit`` maximal
+    sections."""
+    sc = load_scenario(path)
+    rds = sc.systems[sc.homes[("cover", r)]]
+    for n in range(2, n_max + 1):
+        for name in (r, q):
+            cover = rdstail.iterate_cover(sc.covers[name], rds, n)
+            observed = 0
+            for w in range(rds.size):
+                secs = set(cover.sections(w))
+                observed = max(observed, sum(not any(s < t for t in secs) for s in secs))
+            if observed > limit:
+                return f"budget 'cover_elements' exceeded at depth n={n}: observed {observed} > limit {limit}"
+    return None
+
+
 def test_cli_budget_exits_3_with_partial_artifacts(tmp_path):
+    # the count paths bound each fiber's maximal sections: at most the two
+    # points of a swap fiber, so a limit of 1 stops at depth 2
     out = tmp_path / "bg"
     code = main(
         [
             "--budget",
-            "cover_elements=3",
+            "cover_elements=1",
             "count",
             "--scenario",
             scenario_path("swap"),
@@ -596,13 +617,15 @@ def test_cli_budget_exits_3_with_partial_artifacts(tmp_path):
     )
     assert code == 3
     manifest = json.loads(read(out, "manifest.json"))
-    assert "cover_elements" in manifest["error"]
-    assert manifest["budgets"]["cover_elements"] == 3
+    assert manifest["error"] == _section_stop(scenario_path("swap"), "points", "whole", 1, 3)
+    assert "observed 2 > limit 1" in manifest["error"]
+    assert manifest["budgets"]["cover_elements"] == 1
     # a stopped count keeps the rows of the depths it finished
     out = tmp_path / "count"
     argv = ["count", "--scenario", scenario_path("cycle4"), "--r", "points", "--q", "halves", "--n", "6"]
     assert main(["--budget", "cover_elements=2", *argv, "--out", str(out)]) == 3
     manifest = json.loads(read(out, "manifest.json"))
+    assert manifest["error"] == _section_stop(scenario_path("cycle4"), "points", "halves", 2, 6)
     assert "depth n=2" in manifest["error"]
     assert {"count.csv", "count.json"} <= set(manifest["outputs"])
     rows = read(out, "count.csv").splitlines()[1:]
@@ -627,8 +650,11 @@ def test_cli_budget_exits_3_with_partial_artifacts(tmp_path):
     family = "points,twocell,whole,@points,@trivial"
     argv = ["tail-total", "--scenario", scenario_path("swap"), "--system", "swap", "--qfamily", family,
             "--rfamily", family]
-    assert main(["--budget", "cover_elements=3", *argv, "--nmax", "6", "--out", str(tmp_path / "total")]) == 3
-    assert "depth n=2" in json.loads(read(tmp_path / "total", "manifest.json"))["error"]
+    assert main(["--budget", "cover_elements=1", *argv, "--nmax", "6", "--out", str(tmp_path / "total")]) == 3
+    # the first row of the grid counts points against points
+    stop = _section_stop(scenario_path("swap"), "points", "points", 1, 6)
+    assert json.loads(read(tmp_path / "total", "manifest.json"))["error"] == stop
+    assert "depth n=2" in stop
     assert json.loads(read(tmp_path / "total", "tail_total.json"))["n_max"] == 1
     assert main([*argv, "--nmax", "1", "--out", str(tmp_path / "total1")]) == 0
     for artifact in ("tail_total.csv", "tail_total.json"):

@@ -188,3 +188,12 @@ def test_library_keeps_no_memo_cache():
                 if isinstance(node.value, ast.Name) and node.value.id in aliases:
                     found.append(f"{name}:{node.lineno}")
     assert not found, f"functools memo caches in the library: {found}"
+
+
+def test_counts_build_no_whole_bundle_iterate():
+    # every count steps fiber sections: the counting module neither binds
+    # nor names the whole-bundle iterates, so no count path can build one
+    whole_bundle = {"_mask_iterate", "_mask_iterates", "_mask_steps"}
+    counting = sys.modules["rdstail.counting"]
+    assert not whole_bundle & set(vars(counting))
+    assert not whole_bundle & _referenced_names(counting.__file__)
