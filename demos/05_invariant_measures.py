@@ -56,7 +56,7 @@ print("  separated points per fiber:", [len(s) for s in se.separated])
 print("  counts they must dominate :", list(se.counts))
 print("  radius gate passed:", se.lebesgue_ok, " support mass:", se.support_mass_mu_n)
 
-diag = diagonal_measure(loop, [point_partition(loop)], [point_partition(loop)], n=2, delta=Fraction(1), entropy_depth=4)
+diag = diagonal_measure(loop, point_partition(loop), point_partition(loop), n=2, delta=Fraction(1), entropy_depth=4)
 print("\ndiagonal measure on the four-cycle:")
 print("  weights:", dict(diag.measure.weights[0]))
 print("  supported on the diagonal:", diag.support_diagonal,

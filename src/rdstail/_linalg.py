@@ -1,12 +1,12 @@
-"""Small exact linear algebra over Fractions (dense, desk-scale); the
-invariant-polytope oracle in ``tests/test_invariant.py`` is its only user."""
+"""Small exact linear algebra over Fractions (dense, desk-scale).  The
+invariant-polytope oracle in ``tests/test_invariant.py`` is its only user;
+the package keeps it because ``bench/tracer.py`` traces :func:`rank`."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 Matrix = list[list[Fraction]]
-Vector = list[Fraction]
 
 
 def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
@@ -37,22 +37,4 @@ def rref(rows: Matrix) -> tuple[Matrix, list[int]]:
 
 def rank(rows: Matrix) -> int:
     return len(rref(rows)[1])
-
-
-def solve(a: Matrix, b: Vector) -> Vector | None:
-    """One exact solution of ``a x = b``, or None if inconsistent.
-
-    Free variables are set to zero.
-    """
-    if not a:
-        return [] if all(v == 0 for v in b) else None
-    aug = [row + [bv] for row, bv in zip(a, b)]
-    red, pivots = rref(aug)
-    ncols = len(a[0])
-    if ncols in pivots:  # pivot in the augmented column: inconsistent
-        return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = red[i][ncols]
-    return x
 

@@ -279,8 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--separated", action="store_true")
     g.add_argument("--diagonal", action="store_true")
-    p.add_argument("--p", dest="p_cover", help="refining cover (or comma chain for --diagonal)")
-    p.add_argument("--q", dest="q_cover", help="conditioning cover (or comma chain for --diagonal)")
+    p.add_argument("--p", dest="p_cover", help="refining cover")
+    p.add_argument("--q", dest="q_cover", help="conditioning cover")
     p.add_argument("--n", required=True)
     p.add_argument("--delta", required=True, help="exact rational radius, e.g. 1/2")
 
@@ -417,10 +417,13 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
             raise ScenarioError(f"--delta {args.delta!r} is not an exact rational such as 1/2") from None
         if delta <= 0:
             raise ScenarioError(f"--delta {args.delta!r} must be positive")
+        if args.p_cover is None or args.q_cover is None:
+            raise ScenarioError(f"--{'separated' if args.separated else 'diagonal'} needs --p and --q")
+        # the first cover resolved fixes the system: p for --separated, q for --diagonal
+        step = 1 if args.separated else -1
+        covers, rds, sysname = _resolve(sc, [("cover", args.p_cover), ("cover", args.q_cover)][::step], args.system)
+        p, q = covers[::step]
         if args.separated:
-            if args.p_cover is None or args.q_cover is None:
-                raise ScenarioError("--separated needs --p and --q")
-            (p, q), rds, sysname = _resolve(sc, [("cover", args.p_cover), ("cover", args.q_cover)], args.system)
             se = separated_empirical(rds, p, q, args.n, delta, budgets)
             run.add_json(
                 "separated.json",
@@ -438,13 +441,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
             header, rows = _measure_rows(sysname, [("mu_n", se.mu_n)])
             run.add_csv("separated_mu_n.csv", header, rows)
             return EXIT_OK
-        chain_names = [s for s in (args.q_cover or "").split(",") if s]
-        p_names = [s for s in (args.p_cover or "").split(",") if s]
-        if not chain_names or len(chain_names) != len(p_names):
-            raise ScenarioError("--diagonal needs matching comma-separated --p and --q chains")
-        covers, rds, sysname = _resolve(sc, [("cover", s) for s in chain_names + p_names], args.system)
-        chain, p_chain = covers[: len(chain_names)], covers[len(chain_names) :]
-        diag = diagonal_measure(rds, chain, p_chain, args.n, delta, budgets=budgets)
+        diag = diagonal_measure(rds, q, p, args.n, delta, budgets=budgets)
         run.add_json(
             "diagonal.json",
             {

@@ -129,25 +129,17 @@ def _count(masks: list[int], targets: list[int]) -> int:
     return best
 
 
-def _index_at(rds: BundleRDS, omega: int) -> dict:
-    """The :func:`_fiber_index` of the fiber at ``omega``; a base point out
-    of range, negative ones too, raises :class:`DomainError`."""
-    if not 0 <= omega < rds.size:
-        raise DomainError(f"omega={omega} is outside the base of {rds.size} points")
-    return _fiber_index(rds.fibers[omega])
-
-
 def minimal_subcover(s: RandomSet, r: RandomCover, omega: int, rds: BundleRDS) -> int:
     """Exact minimum number of elements of ``r`` whose sections at ``omega``
     cover the section of ``s`` there; 1 when that section is empty."""
-    index = _index_at(rds, omega)
+    index = _fiber_index(rds.fibers[rds.base.check_point(omega)])
     (target,) = _section_masks([s.sections[omega]], index, omega)
     return min_cover_size(target, _section_masks(r.sections(omega), index, omega))
 
 
 def relative_count(r: RandomCover, q: RandomCover, omega: int, rds: BundleRDS) -> int:
     """Largest minimal-subcover count of a ``q``-element by ``r`` at ``omega``."""
-    index = _index_at(rds, omega)
+    index = _fiber_index(rds.fibers[rds.base.check_point(omega)])
     r_masks, q_masks = (set(_section_masks(c.sections(omega), index, omega)) for c in (r, q))
     return _fiber_count(r_masks, q_masks)
 

@@ -1,7 +1,8 @@
 """Invariant measures of the skew map: invariance defect, exact Cesaro
 limits via cycle structure, invariant lifts along factor maps, polytope
 vertex enumeration, Bowen balls, separated-set empirical measures, and the
-diagonal pair-measure construction.
+diagonal pair measure: the exact limit of the separated-set construction
+for one conditioning cover.
 
 The skew map is a function on the finite set of bundle states, so every
 forward orbit falls into a cycle; Cesaro averages therefore have exact
@@ -36,7 +37,6 @@ from .covers import (
     _mask_iterate,
     _sections,
     pullback_cover,
-    refines,
     state_partition,
 )
 from .errors import BudgetExceededError, PreconditionError
@@ -280,10 +280,11 @@ def bowen_ball(
     ``y`` for ``n`` steps (the intersection of pulled-back open balls)."""
     space = rds.requires_metric()
     deltas = _per_base(rds, delta)
-    if y not in rds.fibers[omega]:
+    fiber = rds.fibers[rds.base.check_point(omega)]
+    if y not in fiber:
         raise PreconditionError("center_in_fiber", f"{y!r} not in fiber {omega}")
     ball = []
-    for x in rds.fibers[omega]:
+    for x in fiber:
         xi, yi, w = x, y, omega
         ok = True
         for _ in range(n):
@@ -301,11 +302,12 @@ def lebesgue_number(rds: BundleRDS, cover: RandomCover, omega: int) -> Fraction 
     lies inside some cover element (exact finite minimax).  ``None`` means
     unconstrained (some element contains the whole fiber)."""
     space = rds.requires_metric()
+    fiber = rds.fibers[rds.base.check_point(omega)]
     best_over_fiber: Fraction | None = None
-    for z in rds.fibers[omega]:
+    for z in fiber:
         best_here: Fraction | None = Fraction(0)
         for sec in cover.sections(omega):
-            outside = rds.fibers[omega] - sec
+            outside = fiber - sec
             if not outside:
                 best_here = None
                 break
@@ -454,7 +456,7 @@ def separated_empirical(
 class DiagonalMeasureResult:
     """Invariant pair measure concentrating on the diagonal.
 
-    ``support_diagonal`` is None when the final chain stage does not have
+    ``support_diagonal`` is None when the conditioning cover does not have
     vanishing (zero) section diameters, in which case the diagonal claim is
     not asserted.  ``entropy`` is the conditioned sequence against the
     first-coordinate algebra; on diagonal support every term is exactly zero
@@ -470,40 +472,30 @@ class DiagonalMeasureResult:
 
 def diagonal_measure(
     rds: BundleRDS,
-    cover_chain: Sequence[RandomCover],
-    p_chain: Sequence[RandomCover],
+    q: RandomCover,
+    p: RandomCover,
     n: int,
     delta,
     entropy_depth: int | None = None,
     budgets: Budgets = DEFAULTS,
 ) -> DiagonalMeasureResult:
-    """Check that the conditioning chain refines in order, then run the
-    separated-set construction on its final stage only and take the exact
-    finite-model limit.  Earlier stages are never built: the final stage is
-    the only one whose measure is used."""
-    if len(cover_chain) != len(p_chain) or not cover_chain:
-        raise ValueError("need matching nonempty chains")
-    for earlier, later in zip(cover_chain, cover_chain[1:]):
-        if not refines(later, earlier):
-            raise PreconditionError("refining_chain", "conditioning chain must refine in order")
-    last = separated_empirical(rds, p_chain[-1], cover_chain[-1], n, delta, budgets)
-    m = last.mu_limit
-    final_cover = cover_chain[-1]
-    vanishing = all(
-        len(sec) <= 1 for e in final_cover.elements for sec in e.sections
-    )
+    """Run the separated-set construction with refining cover ``p`` and
+    conditioning cover ``q``, and take the exact finite-model limit of its
+    pair measure."""
+    se = separated_empirical(rds, p, q, n, delta, budgets)
+    m = se.mu_limit
     support_diagonal: bool | None = None
-    if vanishing:
+    if all(len(sec) <= 1 for e in q.elements for sec in e.sections):
         support_diagonal = all(
             x == y for w in range(m.size) for (x, y), v in m.weights[w].items() if v != 0
         )
-    first_algebra = SigmaAlgebra(pullback_cover(last.pair.to_left, state_partition(rds)))
+    first_algebra = SigmaAlgebra(pullback_cover(se.pair.to_left, state_partition(rds)))
     est = transformation_relative_entropy_sequence(
-        m, first_algebra, last.pair.system, entropy_depth or n, budgets
+        m, first_algebra, se.pair.system, entropy_depth or n, budgets
     )
     return DiagonalMeasureResult(
         measure=m,
-        invariance=invariance_defect(m, last.pair.system),
+        invariance=invariance_defect(m, se.pair.system),
         support_diagonal=support_diagonal,
         entropy=est,
         entropy_zero=all(v == 0.0 for v in est.values),

@@ -23,7 +23,8 @@ numerator, denominator)`` contributions in one accumulator,
 :meth:`FiberedMeasure.total` sum numerators, and the invariance defect and
 the sweeps' invariance precondition are the integer L1 gap of one skew step
 (:func:`_skew_gap`).  A measure over another number of base points than the
-system, cover or measure it meets raises :class:`PreconditionError`.
+system, cover or measure it meets, or with a weight that is not an ``int``
+or a ``Fraction``, raises :class:`PreconditionError`.
 
 The entropies and the containment optimum read every element and
 intersection mass from :func:`_joint_masses`, over ``(element index,
@@ -142,8 +143,18 @@ def _scaled(mu: FiberedMeasure, d: int) -> Numerators:
 
 
 def _denominator(*measures: FiberedMeasure) -> int:
-    """The lcm of the denominators of every stored weight."""
-    return math.lcm(*(v.denominator for mu in measures for ws in mu.weights for v in ws.values()))
+    """The lcm of the denominators of every stored weight.  A weight that is
+    not an ``int`` or a ``Fraction`` raises :class:`PreconditionError`."""
+    try:
+        return math.lcm(*(v.denominator for mu in measures for ws in mu.weights for v in ws.values()))
+    except AttributeError:
+        for mu in measures:
+            for w, ws in enumerate(mu.weights):
+                for x, v in ws.items():
+                    if not isinstance(v, (int, Fraction)):
+                        detail = f"weight {v!r} of {x!r} at omega={w} is not an int or a Fraction"
+                        raise PreconditionError("exact_weights", detail)
+        raise
 
 
 def _numerators(mu: FiberedMeasure, *spans) -> tuple[int, Numerators]:
@@ -207,15 +218,10 @@ def _gather(size: int, masses: Iterable[tuple[int, Point, int, int]]) -> Fibered
 def mix(parts: Sequence[tuple[Fraction, FiberedMeasure]]) -> FiberedMeasure:
     """Exact affine combination of measures over one bundle."""
     _same_size(parts[0][1], *(mu for _, mu in parts))
-    terms = [(Fraction(c), mu) for c, mu in parts]
+    terms = [(Fraction(c), *_numerators(mu)) for c, mu in parts]
     return _gather(
         parts[0][1].size,
-        (
-            (w, x, c.numerator * v.numerator, c.denominator * v.denominator)
-            for c, mu in terms
-            for w, ws in enumerate(mu.weights)
-            for x, v in ws.items()
-        ),
+        ((w, x, c.numerator * n, c.denominator * d) for c, d, num in terms for (w, x), n in num.items()),
     )
 
 
@@ -224,14 +230,11 @@ def disintegrate(mu: FiberedMeasure, rds: BundleRDS) -> tuple[dict[Point, Fracti
     on every fiber of positive base mass.  Fibers with zero base mass get
     ``None`` (flagged, not an error); the measure is reproduced exactly as
     the base-mass-weighted combination of the conditionals."""
-    _same_size(mu, rds)
-    out: list[dict[Point, Fraction] | None] = []
-    for w in range(rds.size):
-        p = rds.base.prob[w]
-        if p == 0:
-            out.append(None)
-        else:
-            out.append({x: v / p for x, v in mu.weights[w].items()})
+    d, num = _numerators(mu, rds)
+    out: list[dict[Point, Fraction] | None] = [{} if p else None for p in rds.base.prob]
+    for (w, x), n in num.items():
+        if out[w] is not None:
+            out[w][x] = Fraction(n, d) / rds.base.prob[w]
     return tuple(out)
 
 
@@ -244,16 +247,8 @@ def skew_pushforward(mu: FiberedMeasure, rds: BundleRDS) -> FiberedMeasure:
 def pushforward_measure(pi: FactorMap, mu: FiberedMeasure) -> FiberedMeasure:
     """Transport a measure through a factor map (exact, affine, marginal
     preserving; sends invariant measures to invariant measures)."""
-    _same_size(mu, pi.source)
-    return _gather(
-        pi.source.size,
-        (
-            (w, pi.apply(w, y), v.numerator, v.denominator)
-            for w, ws in enumerate(mu.weights)
-            for y, v in ws.items()
-            if v
-        ),
-    )
+    d, num = _numerators(mu, pi.source)
+    return _gather(pi.source.size, ((w, pi.apply(w, y), n, d) for (w, y), n in num.items() if n))
 
 
 Membership = tuple[int, tuple[int, Point]]  # (element index, (omega, point))

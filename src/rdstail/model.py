@@ -41,9 +41,9 @@ class DrivingSystem:
     """Finite base probability space with an exactly measure-preserving map.
 
     ``prob[i]`` is the mass of base point ``i``; ``theta[i]`` its image.
-    Structural requirements (nonnegative masses summing to one, total map)
-    are enforced at construction.  Invariance of the mass under the map is a
-    semantic invariant reported by :func:`validate_system`.
+    Structural requirements (exact nonnegative masses summing to one, total
+    map) are enforced at construction.  Invariance of the mass under the map
+    is a semantic invariant reported by :func:`validate_system`.
     """
 
     prob: tuple[Fraction, ...]
@@ -52,6 +52,8 @@ class DrivingSystem:
     def __post_init__(self):
         if len(self.prob) != len(self.theta) or not self.prob:
             raise ValueError("prob and theta must be nonempty and equally long")
+        if not all(isinstance(p, (int, Fraction)) for p in self.prob):
+            raise ValueError("base masses must be int or Fraction")
         if any(p < 0 for p in self.prob):
             raise ValueError("negative base mass")
         if sum(self.prob) != 1:
@@ -62,6 +64,13 @@ class DrivingSystem:
     @property
     def size(self) -> int:
         return len(self.prob)
+
+    def check_point(self, omega: int) -> int:
+        """``omega`` itself when it is a base point; one out of range,
+        negative ones too, raises :class:`DomainError`."""
+        if not 0 <= omega < self.size:
+            raise DomainError(f"omega={omega} is outside the base of {self.size} points")
+        return omega
 
     def theta_iterate(self, omega: int, n: int) -> int:
         for _ in range(n):

@@ -35,7 +35,7 @@ from math import log, prod
 from operator import mul
 from typing import Iterator
 
-from .errors import PreconditionError
+from .errors import DomainError, PreconditionError
 from .model import DrivingSystem
 from .tail_entropy import EntropyEstimate
 
@@ -103,7 +103,9 @@ class CylinderCoverSpec:
 def _orbit(base: DrivingSystem, omega: int) -> Orbit:
     """The orbit of ``omega`` as its preperiod path and the theta-cycle it
     falls into: ``omega, theta(omega), ...`` is the path followed by the
-    cycle repeated forever."""
+    cycle repeated forever.  A base point out of range raises
+    :class:`DomainError`."""
+    base.check_point(omega)
     seen: dict[int, int] = {}
     points = []
     while omega not in seen:
@@ -199,9 +201,12 @@ def _extension_count(sft: RandomSFT, component: int, start: int, steps: int) -> 
 
 def admissible_word_count(sft: RandomSFT, component: int, omega: int, n: int) -> int:
     """Number of admissible length-n words of one component starting over
-    ``omega``.  Exact big integers."""
+    ``omega``.  Exact big integers.  A component or base point out of
+    range raises :class:`DomainError`."""
     if n < 1:
         raise ValueError("word length must be >= 1")
+    if not 0 <= component < len(sft.components):
+        raise DomainError(f"component={component} is outside 0..{len(sft.components) - 1}")
     return next(_word_counts(sft, component, _orbit(sft.base, omega), n))
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Callable
@@ -114,26 +114,7 @@ class SuiteReport:
         return all(c.status != STATUS_FAIL for c in self.checks)
 
     def to_dict(self) -> dict:
-        return _jsonable(
-            {
-                "suite": self.suite,
-                "seed": self.seed,
-                "trials": self.trials,
-                "passed": self.passed,
-                "checks": [
-                    {
-                        "name": c.name,
-                        "status": c.status,
-                        "trials": c.trials,
-                        "failures": c.failures,
-                        "skipped": c.skipped,
-                        "detail": c.detail,
-                    }
-                    for c in self.checks
-                ],
-                "scenario_digests": list(self.scenario_digests),
-            }
-        )
+        return _jsonable({**asdict(self), "passed": self.passed})
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
@@ -173,11 +154,11 @@ class _Prop:
         self.first_failure: dict | None = None
         self.skip_reason: str | None = None
 
-    def record(self, ok: bool, payload: Callable[[], dict] | None = None):
+    def record(self, ok: bool, payload: Callable[[], dict]):
         self.trials += 1
         if not ok:
             self.failures += 1
-            if self.first_failure is None and payload is not None:
+            if self.first_failure is None:
                 self.first_failure = payload()
 
     def skip(self, reason: str):
@@ -292,21 +273,15 @@ def coarsen(rng: random.Random, cover: RandomCover) -> RandomCover:
     """Merge the elements into fewer fiberwise unions; the input refines the
     output with the merged group as uniform witness."""
     k = len(cover.elements)
-    groups = max(1, rng.randint(1, k))
+    groups = rng.randint(1, k)
     assignment = [rng.randrange(groups) for _ in range(k)]
-    secs = []
-    for g in range(groups):
-        members = [cover.elements[i] for i in range(k) if assignment[i] == g]
-        if not members:
-            continue
-        secs.append(
-            tuple(
-                frozenset().union(*(m.sections[w] for m in members))
-                for w in range(cover.size)
-            )
-        )
-    if not secs:
-        secs = [tuple(e for e in cover.elements[0].sections)]
+    # an empty group merges nothing; every element joins some group
+    merged = [[e for e, a in zip(cover.elements, assignment) if a == g] for g in range(groups)]
+    secs = [
+        tuple(frozenset().union(*(m.sections[w] for m in members)) for w in range(cover.size))
+        for members in merged
+        if members
+    ]
     cls = RandomPartition if isinstance(cover, RandomPartition) else RandomCover
     return cls(tuple(RandomSet(s) for s in secs))
 
@@ -705,8 +680,8 @@ def run_theorem_suite(budgets: Budgets = DEFAULTS) -> SuiteReport:
 
         diag = diagonal_measure(
             target,
-            [point_partition(target)],
-            [point_partition(target)],
+            point_partition(target),
+            point_partition(target),
             n=2,
             delta=Fraction(1),
             entropy_depth=_THEOREM_DEPTH,

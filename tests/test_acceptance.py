@@ -205,7 +205,7 @@ def test_criterion_6_invariant_machinery():
 def test_criterion_7_constructions():
     cyc = cycle_system()
     diag = diagonal_measure(
-        cyc, [point_partition(cyc)], [point_partition(cyc)], n=2, delta=Fraction(1), entropy_depth=4
+        cyc, point_partition(cyc), point_partition(cyc), n=2, delta=Fraction(1), entropy_depth=4
     )
     diag_ok = (
         diag.invariance == 0

@@ -844,6 +844,29 @@ def test_measure_over_another_number_of_base_points_is_refused():
             fn()
 
 
+def test_inexact_weight_is_refused():
+    # a float weight ended in AttributeError inside the numerator kernel,
+    # and disintegrate divided it into float conditionals
+    mu = swap_invariant()
+    points, fibers = point_partition(SWAP), fiber_sigma(SWAP)
+    pi = identity_factor(SWAP)
+    calls = (
+        lambda m: total_variation(mu, m),
+        lambda m: total_variation(m, mu),
+        lambda m: invariance_defect(m, SWAP),
+        lambda m: conditional_entropy(m, points, fibers),
+        lambda m: mix([(Fraction(1, 2), mu), (Fraction(1, 2), m)]),
+        lambda m: pushforward_measure(pi, m),
+        lambda m: disintegrate(m, SWAP),
+    )
+    inexact = FiberedMeasure(({"a": 0.5, "b": Fraction(0)}, dict(mu.weights[1])))
+    for fn in calls:
+        fn(mu)
+        with pytest.raises(PreconditionError, match="exact_weights") as err:
+            fn(inexact)
+        assert "weight 0.5 of 'a' at omega=0 is not an int or a Fraction" in str(err.value)
+
+
 # Oracles: the Fraction bodies that the numerator kernel replaced.
 
 

@@ -30,6 +30,9 @@ def test_driving_system_rejects_bad_mass():
         DrivingSystem(prob=(Fraction(1, 2), Fraction(1, 3)), theta=(1, 0))
     with pytest.raises(ValueError):
         DrivingSystem(prob=(Fraction(1),), theta=(3,))
+    # float masses summing to 1 exactly were accepted and failed later
+    with pytest.raises(ValueError, match="base masses must be int or Fraction"):
+        DrivingSystem(prob=(0.5, 0.5), theta=(1, 0))
 
 
 def test_swap_system_valid():

@@ -531,6 +531,8 @@ def test_cli_unknown_name_exits_2(tmp_path):
                            "--q", "whole", "--n", "2", "--delta", "-1"],
         "separated-no-covers": ["construct", "--scenario", scenario_path("cycle4"), "--separated",
                                 "--n", "2", "--delta", "1"],
+        "diagonal-comma-cover": ["construct", "--scenario", scenario_path("cycle4"), "--diagonal", "--p",
+                                 "points,points", "--q", "points", "--n", "2", "--delta", "1"],
         "budget-unknown": ["--budget", "bogus=1", "sft-tail", "--scenario", scenario_path("shifts"),
                            "--sft", "golden", "--rspec", "0:1", "--qspec", ":1", "--nmax", "3"],
         "budget-value": ["--budget", "cover_elements=x", "tail", "--scenario", scenario_path("swap"),
@@ -553,6 +555,7 @@ def test_cli_unknown_name_exits_2(tmp_path):
     assert "metric space 'ring': dist must be a 4x4 matrix" in errors["scenario-short-dist"]
     assert "must be positive" in errors["delta-zero"] and "must be positive" in errors["delta-negative"]
     assert errors["nmax-text"] == "--nmax must be an integer, got 'abc'"
+    assert errors["diagonal-comma-cover"] == "unknown cover 'points,points'"
     assert errors["trials-zero"] == "--trials must be >= 1, got 0"
     assert errors["trials-negative"] == "--trials must be >= 1, got -3"
     assert errors["scenario-absent"].endswith("cannot read scenario file: No such file or directory")
@@ -703,7 +706,6 @@ def test_cli_rejects_covers_of_two_systems(tmp_path):
     common = ["--scenario", str(path), "--system", "back", "--n", "2"]
     bad = {
         "diagonal": ["construct", "--diagonal", "--p", "points", "--q", "@points", "--delta", "1"],
-        "q-chain": ["construct", "--diagonal", "--p", "@points,@points", "--q", "@points,points", "--delta", "1"],
         "separated": ["construct", "--separated", "--p", "@points", "--q", "points", "--delta", "1"],
         "count": ["count", "--r", "@points", "--q", "points"],
         # a scenario cover named first does not override --system
@@ -720,9 +722,9 @@ def test_cli_rejects_covers_of_two_systems(tmp_path):
     argv = ["tail-total", "--scenario", str(path), "--system", "back", "--qfamily", "@points,points"]
     assert main([*argv, "--rfamily", "@points", "--nmax", "2", "--out", str(out)]) == 2
     assert json.loads(read(out, "manifest.json"))["error"] == "covers live on different systems"
-    # the same chains run when every name lives on the system the first fixes
+    # the same construction runs when every name lives on the system the first fixes
     out = tmp_path / "one-system"
-    argv = ["construct", "--diagonal", "--p", "@points,points", "--q", "@points,points", "--delta", "1"]
+    argv = ["construct", "--diagonal", "--p", "points", "--q", "@points", "--delta", "1"]
     assert main([*argv, "--scenario", str(path), "--system", "loop", "--n", "2", "--out", str(out)]) == 0
     assert {row.split(",")[0] for row in read(out, "diagonal.csv").splitlines()[1:]} == {"loop"}
 

@@ -11,6 +11,7 @@ import pytest
 
 from rdstail import (
     CylinderCoverSpec,
+    DomainError,
     DrivingSystem,
     PreconditionError,
     RandomSFT,
@@ -222,6 +223,15 @@ def test_sweeps_reject_depth_zero():
         for n in (0, -1):
             with pytest.raises(ValueError):
                 relative_word_count(sft, r, empty, n, 0)
+
+
+def test_word_count_refuses_a_component_out_of_range():
+    # component -1 counted the last component's words
+    sft = RandomSFT(POINT_BASE, (GOLDEN, FULL2))
+    assert admissible_word_count(sft, 1, 0, 3) == 8
+    for component in (-1, 2):
+        with pytest.raises(DomainError, match=f"component={component} is outside 0..1"):
+            admissible_word_count(sft, component, 0, 3)
 
 
 def test_golden_mean_against_trivial_conditioning():

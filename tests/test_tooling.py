@@ -1,12 +1,17 @@
 """The benchmark still finds every library name it traces, calls or reads,
-every name the package exports has a caller outside the tests, the library
-imports only at module level and keeps no memo cache, and the CLI looks
-scenario objects up in one function."""
+every name the package exports has a caller outside the tests, every export
+that takes a base point checks it, the library imports only at module level
+and keeps no memo cache, and the CLI looks scenario objects up in one
+function."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
+from fractions import Fraction
+
+import pytest
 
 import rdstail
 import rdstail.cli  # noqa: F401  (the benchmark calls rd.cli.main)
@@ -197,3 +202,39 @@ def test_counts_build_no_whole_bundle_iterate():
     counting = sys.modules["rdstail.counting"]
     assert not whole_bundle & set(vars(counting))
     assert not whole_bundle & _referenced_names(counting.__file__)
+
+
+def _omega_calls():
+    """Per export that takes an ``omega``: the base it indexes and a call of
+    it at a given base point, with well-formed other arguments."""
+    swap = rdstail.swap_system()
+    points, whole = rdstail.point_partition(swap), rdstail.trivial_cover(swap)
+    sft = rdstail.load_scenario(os.path.join(ROOT, "scenarios", "shifts.json")).sfts["golden"]
+    spec = rdstail.CylinderCoverSpec(frozenset({0}))
+    return {
+        "minimal_subcover": (swap.base, lambda w: rdstail.minimal_subcover(whole.elements[0], points, w, swap)),
+        "relative_count": (swap.base, lambda w: rdstail.relative_count(points, whole, w, swap)),
+        "bowen_ball": (swap.base, lambda w: rdstail.bowen_ball(swap, w, "c", 1, Fraction(1))),
+        "lebesgue_number": (swap.base, lambda w: rdstail.lebesgue_number(swap, points, w)),
+        "admissible_word_count": (sft.base, lambda w: rdstail.admissible_word_count(sft, 0, w, 3)),
+        "relative_word_count": (sft.base, lambda w: rdstail.relative_word_count(sft, spec, spec, 3, w)),
+    }
+
+
+def test_every_omega_export_checks_its_base_point():
+    # a negative base point wrapped around and one past the end raised
+    # IndexError; an export that takes an ``omega`` and is missing from the
+    # table fails here until it is covered
+    takes_omega = set()
+    for name in dir(rdstail):
+        obj = getattr(rdstail, name)
+        if inspect.isfunction(obj) and "omega" in inspect.signature(obj).parameters:
+            takes_omega.add(name)
+    calls = _omega_calls()
+    assert set(calls) == takes_omega
+    for name, (base, call) in calls.items():
+        call(base.size - 1)
+        for omega in (-1, base.size):
+            with pytest.raises(rdstail.DomainError) as err:
+                call(omega)
+            assert str(err.value) == f"omega={omega} is outside the base of {base.size} points", name
