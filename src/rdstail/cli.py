@@ -39,7 +39,7 @@ from .model import BundleRDS, validate_system
 from .scenario import Scenario, ScenarioError, load_scenario, measure_payload
 from .symbolic import CylinderCoverSpec, RandomSFT, sft_tail_sequence
 from .tail_entropy import EntropyEstimate, tail_entropy_estimate
-from .verify import SUITES, run_suite
+from .verify import NAMED_SUITES, SUITES, run_suite
 
 T = TypeVar("T")
 
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     common(p, scenario_required=False)
-    p.add_argument("--suite", required=True, choices=["cover", "entropy", "invariant", "theorem", "principal"])
+    p.add_argument("--suite", required=True, choices=[*SUITES, *NAMED_SUITES])
     p.add_argument("--seed", help="seeded suites only (default: 1)")
     p.add_argument("--trials", help="seeded suites only (default: 100)")
     return parser

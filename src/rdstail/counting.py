@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .budgets import Budgets, DEFAULTS
-from .covers import RandomCover, RandomSet, _fiber_index, _layout, _mask_pullbacks, _section_masks
+from .covers import RandomCover, RandomSet, _check_span, _fiber_index, _layout, _mask_pullbacks, _section_masks
 from .errors import BudgetExceededError, DomainError
 from .model import BundleRDS
 
@@ -132,6 +132,7 @@ def _count(masks: list[int], targets: list[int]) -> int:
 def minimal_subcover(s: RandomSet, r: RandomCover, omega: int, rds: BundleRDS) -> int:
     """Exact minimum number of elements of ``r`` whose sections at ``omega``
     cover the section of ``s`` there; 1 when that section is empty."""
+    _check_span(rds, s, r)
     index = _fiber_index(rds.fibers[rds.base.check_point(omega)])
     (target,) = _section_masks([s.sections[omega]], index, omega)
     return min_cover_size(target, _section_masks(r.sections(omega), index, omega))
@@ -139,6 +140,7 @@ def minimal_subcover(s: RandomSet, r: RandomCover, omega: int, rds: BundleRDS) -
 
 def relative_count(r: RandomCover, q: RandomCover, omega: int, rds: BundleRDS) -> int:
     """Largest minimal-subcover count of a ``q``-element by ``r`` at ``omega``."""
+    _check_span(rds, r, q)
     index = _fiber_index(rds.fibers[rds.base.check_point(omega)])
     r_masks, q_masks = (set(_section_masks(c.sections(omega), index, omega)) for c in (r, q))
     return _fiber_count(r_masks, q_masks)

@@ -122,6 +122,13 @@ def _same_base(a: RandomCover, b: RandomCover) -> None:
         raise IncompatibleSystemsError("covers span different bases")
 
 
+def _check_span(rds: BundleRDS, *covers: RandomCover | RandomSet) -> None:
+    """Raise :class:`IncompatibleSystemsError` unless every cover or random
+    set has one section per base point of ``rds``."""
+    if any(c.size != rds.size for c in covers):
+        raise IncompatibleSystemsError("cover does not span the system base")
+
+
 def _assemble(elements: Iterable[tuple[frozenset, ...]], partition: bool) -> RandomCover:
     # drop elements empty on every fiber, dedup identical section tuples,
     # keep first-seen order for determinism
@@ -257,8 +264,7 @@ def _mask_pullbacks(q: RandomCover, rds: BundleRDS, n: int) -> Iterator[Masks]:
     if a section of ``q`` leaves its fiber or a fiber point has no image."""
     if n < 1:
         return
-    if q.size != rds.size:
-        raise IncompatibleSystemsError("cover does not span the system base")
+    _check_span(rds, q)
     layout = _layout(rds)
     indices = [_fiber_index(f) for f in rds.fibers]
     columns = [_section_masks(q.sections(w), index, w) for w, index in enumerate(indices)]
@@ -344,8 +350,7 @@ def pullback(q: RandomCover, rds: BundleRDS, i: int) -> RandomCover:
     ``q``."""
     if i < 0:
         raise ValueError("pullback steps must be nonnegative")
-    if q.size != rds.size:
-        raise IncompatibleSystemsError("cover does not span the system base")
+    _check_span(rds, q)
     if i == 0:
         return q
     return _decode(q, rds, next(islice(_mask_pullbacks(q, rds, i + 1), i, None)))

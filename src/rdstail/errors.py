@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A malformed call raises ``ValueError`` for a malformed argument of the call
+itself (a depth below 1, an empty family), :class:`DomainError` for a base
+point, point, component or set outside its structure,
+:class:`IncompatibleSystemsError` for objects over different bases, and
+:class:`PreconditionError` for a named hypothesis (invariance, exact
+weights, measure size).
+"""
 
 
 class RdstailError(Exception):

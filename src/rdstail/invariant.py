@@ -33,6 +33,7 @@ from .covers import (
     RandomCover,
     RandomPartition,
     SigmaAlgebra,
+    _check_span,
     _layout,
     _mask_iterate,
     _sections,
@@ -302,6 +303,7 @@ def lebesgue_number(rds: BundleRDS, cover: RandomCover, omega: int) -> Fraction 
     lies inside some cover element (exact finite minimax).  ``None`` means
     unconstrained (some element contains the whole fiber)."""
     space = rds.requires_metric()
+    _check_span(rds, cover)
     fiber = rds.fibers[rds.base.check_point(omega)]
     best_over_fiber: Fraction | None = None
     for z in fiber:

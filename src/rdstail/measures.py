@@ -217,6 +217,8 @@ def _gather(size: int, masses: Iterable[tuple[int, Point, int, int]]) -> Fibered
 
 def mix(parts: Sequence[tuple[Fraction, FiberedMeasure]]) -> FiberedMeasure:
     """Exact affine combination of measures over one bundle."""
+    if not parts:
+        raise ValueError("a mixture needs at least one measure")
     _same_size(parts[0][1], *(mu for _, mu in parts))
     terms = [(Fraction(c), *_numerators(mu)) for c, mu in parts]
     return _gather(

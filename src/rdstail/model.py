@@ -73,6 +73,7 @@ class DrivingSystem:
         return omega
 
     def theta_iterate(self, omega: int, n: int) -> int:
+        self.check_point(omega)
         for _ in range(n):
             omega = self.theta[omega]
         return omega
@@ -164,6 +165,8 @@ class BundleRDS:
         return self.base.size
 
     def apply(self, omega: int, x: Point) -> Point:
+        if not 0 <= omega < len(self.maps):
+            self.base.check_point(omega)
         try:
             return self.maps[omega][x]
         except KeyError:
@@ -216,6 +219,8 @@ def validate_system(rds: BundleRDS) -> list[str]:
 
 def skew_iterate(rds: BundleRDS, state: State, n: int) -> State:
     """n-fold skew map: move the base point n steps, compose fiber maps."""
+    if n < 0:
+        raise ValueError("skew steps must be nonnegative")
     omega, x = state
     if not 0 <= omega < rds.size or x not in rds.fibers[omega]:
         raise DomainError(f"state {state!r} is not in the bundle")
@@ -256,13 +261,15 @@ class FactorMap:
     maps: tuple[Mapping[Point, Point], ...]
 
     def apply(self, omega: int, y: Point) -> Point:
+        if not 0 <= omega < len(self.maps):
+            self.source.base.check_point(omega)
         try:
             return self.maps[omega][y]
         except KeyError:
             raise DomainError(f"point {y!r} not in the factor map domain at omega={omega}")
 
     def preimage(self, omega: int, x: Point) -> frozenset:
-        return frozenset(y for y, v in self.maps[omega].items() if v == x)
+        return frozenset(y for y, v in self.maps[self.source.base.check_point(omega)].items() if v == x)
 
     def validate(self) -> list[str]:
         out = []

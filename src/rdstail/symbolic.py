@@ -31,13 +31,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, islice, repeat
-from math import log, prod
+from math import prod
 from operator import mul
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import DomainError, PreconditionError
 from .model import DrivingSystem
-from .tail_entropy import EntropyEstimate
+from .tail_entropy import EntropyEstimate, _integrate
 
 Matrix = tuple[tuple[int, ...], ...]
 Orbit = tuple[tuple[int, ...], tuple[int, ...]]  # preperiod path, theta-cycle
@@ -205,16 +205,25 @@ def admissible_word_count(sft: RandomSFT, component: int, omega: int, n: int) ->
     range raises :class:`DomainError`."""
     if n < 1:
         raise ValueError("word length must be >= 1")
-    if not 0 <= component < len(sft.components):
-        raise DomainError(f"component={component} is outside 0..{len(sft.components) - 1}")
+    _check_components(sft, (component,))
     return next(_word_counts(sft, component, _orbit(sft.base, omega), n))
 
 
-def _check_refinement(r_spec: CylinderCoverSpec, q_spec: CylinderCoverSpec) -> None:
+def _check_components(sft: RandomSFT, components: Iterable[int]) -> None:
+    """Raise :class:`DomainError` for a component the subshift lacks."""
+    for c in sorted(components):
+        if not 0 <= c < len(sft.components):
+            raise DomainError(f"component={c} is outside 0..{len(sft.components) - 1}")
+
+
+def _check_specs(sft: RandomSFT, r_spec: CylinderCoverSpec, q_spec: CylinderCoverSpec) -> None:
+    """The counted family resolves every conditioned component, and every
+    component it resolves is one of the subshift's."""
     if not q_spec.components <= r_spec.components:
         raise PreconditionError(
             "cylinder_refinement", "the counted family must resolve every conditioned component"
         )
+    _check_components(sft, r_spec.components)
 
 
 def relative_word_count(
@@ -223,7 +232,7 @@ def relative_word_count(
     """Count of the depth-n iterated cylinder cover of ``r_spec`` relative to
     that of ``q_spec`` at one base point: the first item of
     :func:`_depth_counts` started at depth n."""
-    _check_refinement(r_spec, q_spec)
+    _check_specs(sft, r_spec, q_spec)
     if n < 1:
         raise ValueError("depth must be >= 1")
     return next(_depth_counts(sft, r_spec, q_spec, omega, n))
@@ -274,10 +283,12 @@ def sft_tail_sequence(
     sft: RandomSFT, r_spec: CylinderCoverSpec, q_spec: CylinderCoverSpec, n_max: int
 ) -> EntropyEstimate:
     """Integrated log-count sequence for cylinder covers, with the same
-    contracts as the explicit-system estimates."""
-    _check_refinement(r_spec, q_spec)
-    points = [w for w in range(sft.base.size) if sft.base.prob[w] != 0]
-    weights = [float(sft.base.prob[w]) for w in points]
-    logs = [[log(count) for count in islice(_depth_counts(sft, r_spec, q_spec, w), n_max)] for w in points]
-    values = [sum(p * term for p, term in zip(weights, column)) for column in zip(*logs)]
-    return EntropyEstimate(values=tuple(values), requested=n_max)
+    contracts as the explicit-system estimates.  A zero-mass base point
+    counts 1 at every depth, unevaluated."""
+    _check_specs(sft, r_spec, q_spec)
+    if n_max < 1:
+        raise ValueError("an estimate needs at least one depth")
+    weights = [float(p) for p in sft.base.prob]
+    streams = [_depth_counts(sft, r_spec, q_spec, w) if p else repeat(1) for w, p in enumerate(weights)]
+    values = tuple(_integrate(weights, counts) for counts in islice(zip(*streams), n_max))
+    return EntropyEstimate(values=values, requested=n_max)

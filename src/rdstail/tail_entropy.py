@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from operator import add, gt
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .budgets import Budgets, DEFAULTS
 from .counting import CountProfile, count_profile, count_profiles
@@ -160,16 +160,13 @@ def integrated_log_count(
     rds: BundleRDS, r: RandomCover, q: RandomCover, n: int, budgets: Budgets = DEFAULTS
 ) -> float:
     """One term: base-mass-weighted natural log of the depth-n counts."""
-    profile = count_profile(rds, r, q, n, budgets)
-    return _integrate(rds, profile)
+    return _integrate([float(p) for p in rds.base.prob], count_profile(rds, r, q, n, budgets).per_omega)
 
 
-def _integrate(rds: BundleRDS, profile: CountProfile) -> float:
-    return sum(
-        float(rds.base.prob[w]) * math.log(c)
-        for w, c in enumerate(profile.per_omega)
-        if rds.base.prob[w] != 0
-    )
+def _integrate(weights: Sequence[float], counts: Iterable[int]) -> float:
+    """a_n from one depth's counts per base point: the mass-weighted
+    natural log, with the zero-mass base points left out."""
+    return sum(p * math.log(c) for p, c in zip(weights, counts) if p)
 
 
 def tail_entropy_estimate(
@@ -183,7 +180,8 @@ def tail_entropy_estimate(
     """
     if n_max < 1:
         raise ValueError("an estimate needs at least one depth")
-    values = tuple(_integrate(rds, profile) for profile in count_profiles(rds, r, q, n_max, budgets))
+    weights = [float(p) for p in rds.base.prob]
+    values = tuple(_integrate(weights, profile.per_omega) for profile in count_profiles(rds, r, q, n_max, budgets))
     return EntropyEstimate(values=values, requested=n_max)
 
 

@@ -25,7 +25,7 @@ import random
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Callable
+from typing import Callable, Iterable
 
 from .budgets import Budgets, DEFAULTS
 from .counting import count_profiles, relative_count
@@ -175,14 +175,19 @@ class _Prop:
             detail = {"counterexample": self.first_failure}
         elif self.skip_reason is not None:
             detail = {"skip_reason": self.skip_reason}
-        return CheckResult(
-            name=self.name,
-            status=status,
-            trials=self.trials,
-            failures=self.failures,
-            skipped=self.skipped,
-            detail=detail,
-        )
+        return CheckResult(self.name, status, self.trials, self.failures, self.skipped, detail)
+
+
+def _props(*names: str) -> dict[str, _Prop]:
+    """One accumulator per check, in report order."""
+    return {name: _Prop(name) for name in names}
+
+
+def _report(
+    suite: str, seed: int, trials: int, checks: Iterable[CheckResult], digests: Iterable[str]
+) -> SuiteReport:
+    """The report of a suite's checks and scenario digests, in order."""
+    return SuiteReport(suite, seed, trials, tuple(checks), tuple(digests))
 
 
 # ---------------------------------------------------------------------------
@@ -245,26 +250,25 @@ def random_system(
     return BundleRDS(base=base, fibers=fibers, maps=maps, space=space)
 
 
-def random_cover(rng: random.Random, rds: BundleRDS) -> RandomCover:
-    k = rng.randint(2, 4)
+def _random_sets(rds: BundleRDS, k: int, members: Callable[[], Iterable[int]]) -> list[RandomSet]:
+    """k random sets: each fiber point, base point by base point and in
+    sorted order, joins the sets whose indices ``members()`` draws."""
     secs: list[list[set]] = [[set() for _ in range(rds.size)] for _ in range(k)]
     for w in range(rds.size):
         for x in sort_points(rds.fibers[w]):
-            members = rng.sample(range(k), rng.randint(1, k))
-            for j in members:
+            for j in members():
                 secs[j][w].add(x)
-    return RandomCover(
-        tuple(RandomSet(tuple(frozenset(s) for s in row)) for row in secs)
-    )
+    return [RandomSet(tuple(frozenset(s) for s in row)) for row in secs]
+
+
+def random_cover(rng: random.Random, rds: BundleRDS) -> RandomCover:
+    k = rng.randint(2, 4)
+    return RandomCover(tuple(_random_sets(rds, k, lambda: rng.sample(range(k), rng.randint(1, k)))))
 
 
 def random_partition(rng: random.Random, rds: BundleRDS, max_cells: int = 4) -> RandomPartition:
     k = rng.randint(2, max_cells)
-    secs: list[list[set]] = [[set() for _ in range(rds.size)] for _ in range(k)]
-    for w in range(rds.size):
-        for x in sort_points(rds.fibers[w]):
-            secs[rng.randrange(k)][w].add(x)
-    elems = [RandomSet(tuple(frozenset(s) for s in row)) for row in secs]
+    elems = _random_sets(rds, k, lambda: (rng.randrange(k),))
     kept = [e for e in elems if not e.is_empty()]
     return RandomPartition(tuple(kept if kept else elems[:1]))
 
@@ -325,19 +329,16 @@ def run_cover_suite(seed: int, trials: int, budgets: Budgets = DEFAULTS) -> Suit
     pullback contraction, join submultiplicativity, matched-depth
     monotonicity, per-base-point orbit subadditivity, and the exact power
     rule identity.  All integer comparisons are exact."""
-    props = {
-        name: _Prop(name)
-        for name in (
-            "refinement_monotonicity",
-            "pullback_contraction",
-            "join_chain_bound",
-            "join_product_bound",
-            "depth_monotonicity",
-            "trivial_conditioning_dominates",
-            "orbit_subadditivity",
-            "power_rule_identity",
-        )
-    }
+    props = _props(
+        "refinement_monotonicity",
+        "pullback_contraction",
+        "join_chain_bound",
+        "join_product_bound",
+        "depth_monotonicity",
+        "trivial_conditioning_dominates",
+        "orbit_subadditivity",
+        "power_rule_identity",
+    )
     digests: list[str] = []
     for t in range(trials):
         rng = _rng(seed, t)
@@ -411,13 +412,7 @@ def run_cover_suite(seed: int, trials: int, budgets: Budgets = DEFAULTS) -> Suit
             lambda: {**payload(), "mismatches": _jsonable(pr_check.mismatches)},
         )
 
-    return SuiteReport(
-        suite="cover",
-        seed=seed,
-        trials=trials,
-        checks=tuple(p.result() for p in props.values()),
-        scenario_digests=tuple(digests),
-    )
+    return _report("cover", seed, trials, (p.result() for p in props.values()), digests)
 
 
 # ---------------------------------------------------------------------------
@@ -430,18 +425,15 @@ def run_entropy_suite(seed: int, trials: int, budgets: Budgets = DEFAULTS) -> Su
     chain rule, the fiber disintegration identity, monotone filtration
     limits, and the containment entropy bound where the containment search
     succeeds.  Slack tolerance 1e-9 throughout."""
-    props = {
-        name: _Prop(name)
-        for name in (
-            "entropy_le_log_count",
-            "two_partition_count_bound",
-            "chain_rule",
-            "fiber_disintegration_identity",
-            "conditioning_monotonicity",
-            "filtration_limit",
-            "containment_entropy_bound",
-        )
-    }
+    props = _props(
+        "entropy_le_log_count",
+        "two_partition_count_bound",
+        "chain_rule",
+        "fiber_disintegration_identity",
+        "conditioning_monotonicity",
+        "filtration_limit",
+        "containment_entropy_bound",
+    )
     digests: list[str] = []
     for t in range(trials):
         rng = _rng(seed, t)
@@ -515,13 +507,7 @@ def run_entropy_suite(seed: int, trials: int, budgets: Budgets = DEFAULTS) -> Su
         except PreconditionError:
             props["containment_entropy_bound"].skip("containment not achievable at this delta")
 
-    return SuiteReport(
-        suite="entropy",
-        seed=seed,
-        trials=trials,
-        checks=tuple(p.result() for p in props.values()),
-        scenario_digests=tuple(digests),
-    )
+    return _report("entropy", seed, trials, (p.result() for p in props.values()), digests)
 
 
 # ---------------------------------------------------------------------------
@@ -608,18 +594,15 @@ def run_theorem_suite(budgets: Budgets = DEFAULTS) -> SuiteReport:
         ("one-point-companion", swap, one_point_system(swap.base)),
         ("cycle-product", cycle_system(), cycle_system()),
     )
-    props = {
-        name: _Prop(name)
-        for name in (
-            "tail_entropy_exact_zero",
-            "conditioned_sequences_certified_zero",
-            "defect_bounded_by_tail",
-            "finite_depth_chain",
-            "pullback_count_identity",
-            "pair_variational_exact",
-            "diagonal_attains_maximum",
-        )
-    }
+    props = _props(
+        "tail_entropy_exact_zero",
+        "conditioned_sequences_certified_zero",
+        "defect_bounded_by_tail",
+        "finite_depth_chain",
+        "pullback_count_identity",
+        "pair_variational_exact",
+        "diagonal_attains_maximum",
+    )
     digests: list[str] = []
     for name, target, companion in scenarios:
         digests.append(canonical_digest({name: system_payload(target)}))
@@ -696,13 +679,7 @@ def run_theorem_suite(budgets: Budgets = DEFAULTS) -> SuiteReport:
             attained, lambda: {**payload(), "entropy_values": list(diag.entropy.values)}
         )
 
-    return SuiteReport(
-        suite="theorem",
-        seed=0,
-        trials=len(scenarios),
-        checks=tuple(p.result() for p in props.values()),
-        scenario_digests=tuple(digests),
-    )
+    return _report("theorem", 0, len(scenarios), (p.result() for p in props.values()), digests)
 
 
 # ---------------------------------------------------------------------------
@@ -732,9 +709,7 @@ def principal_extension_check(
     checks = [_verdict("factor_map_valid", not bad, 1, {"violations": bad} if bad else None)]
     digests = [canonical_digest({"source": system_payload(pi.source), "target": system_payload(pi.target)})]
     if bad:
-        return SuiteReport(
-            suite=f"principal:{label}", seed=0, trials=1, checks=tuple(checks), scenario_digests=tuple(digests)
-        )
+        return _report(f"principal:{label}", 0, 1, checks, digests)
 
     max_preimage = max(
         len(pi.preimage(w, x)) for w in range(pi.target.size) for x in pi.target.fibers[w]
@@ -769,13 +744,7 @@ def principal_extension_check(
             {"upstairs": up_star, "downstairs": down_star},
         )
     )
-    return SuiteReport(
-        suite=f"principal:{label}",
-        seed=0,
-        trials=1,
-        checks=tuple(checks),
-        scenario_digests=tuple(digests),
-    )
+    return _report(f"principal:{label}", 0, 1, checks, digests)
 
 
 def run_principal_suite(budgets: Budgets = DEFAULTS) -> SuiteReport:
@@ -793,13 +762,7 @@ def run_principal_suite(budgets: Budgets = DEFAULTS) -> SuiteReport:
         report = principal_extension_check(pi, budgets=budgets, label=name)
         digests.extend(report.scenario_digests)
         checks.extend(replace(c, name=f"{name}:{c.name}") for c in report.checks)
-    return SuiteReport(
-        suite="principal",
-        seed=0,
-        trials=len(cases),
-        checks=tuple(checks),
-        scenario_digests=tuple(digests),
-    )
+    return _report("principal", 0, len(cases), checks, digests)
 
 
 # ---------------------------------------------------------------------------
@@ -810,15 +773,12 @@ def run_invariant_suite(seed: int, trials: int, budgets: Budgets = DEFAULTS) -> 
     """Cesaro projections land exactly on invariant measures; lifts along
     factor maps return exact certificates; projections commute with
     pushforward."""
-    props = {
-        name: _Prop(name)
-        for name in (
-            "cesaro_invariant",
-            "cesaro_idempotent",
-            "lift_certificates",
-            "cesaro_commutes_with_pushforward",
-        )
-    }
+    props = _props(
+        "cesaro_invariant",
+        "cesaro_idempotent",
+        "lift_certificates",
+        "cesaro_commutes_with_pushforward",
+    )
     digests: list[str] = []
     for t in range(trials):
         rng = _rng(seed, t)
@@ -845,27 +805,26 @@ def run_invariant_suite(seed: int, trials: int, budgets: Budgets = DEFAULTS) -> 
         right = cesaro_limit(pushforward_measure(pi, nu_up), pi.target)
         props["cesaro_commutes_with_pushforward"].record(measures_equal(left, right), payload)
 
-    return SuiteReport(
-        suite="invariant",
-        seed=seed,
-        trials=trials,
-        checks=tuple(p.result() for p in props.values()),
-        scenario_digests=tuple(digests),
-    )
+    return _report("invariant", seed, trials, (p.result() for p in props.values()), digests)
 
 
+# the one place that names the suites: the seeded ones take a seed and a
+# number of trials, the named ones check fixed scenarios and take neither
 SUITES: dict[str, Callable[..., SuiteReport]] = {
     "cover": run_cover_suite,
     "entropy": run_entropy_suite,
     "invariant": run_invariant_suite,
 }
+NAMED_SUITES: dict[str, Callable[..., SuiteReport]] = {
+    "theorem": run_theorem_suite,
+    "principal": run_principal_suite,
+}
 
 
 def run_suite(name: str, seed: int, trials: int, budgets: Budgets = DEFAULTS) -> SuiteReport:
+    """Run a suite by name; a named suite ignores ``seed`` and ``trials``."""
     if name in SUITES:
         return SUITES[name](seed, trials, budgets)
-    if name == "theorem":
-        return run_theorem_suite(budgets=budgets)
-    if name == "principal":
-        return run_principal_suite(budgets=budgets)
+    if name in NAMED_SUITES:
+        return NAMED_SUITES[name](budgets)
     raise ValueError(f"unknown suite {name!r}")

@@ -1,0 +1,134 @@
+"""Malformed calls to the library's exports: whichever argument of a
+well-formed call is swapped for a malformed one (a cover or measure over a
+three-point base, a float weight, a depth of 0 or -1, an empty family or
+mixture, a cylinder component the subshift lacks), the call raises an
+``RdstailError`` or a ``ValueError`` with one of the messages below, never
+a bare ``IndexError`` or a wrong answer.
+
+``hull_certificate`` is left out: for a measure over another base it
+returns its documented ``None``."""
+
+import os
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rdstail as rd
+
+SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+
+# the ValueErrors that name a malformed argument of the call itself
+VALUE_ERRORS = {
+    "a mixture needs at least one measure",
+    "an estimate needs at least one depth",
+    "depth must be >= 1",
+    "families must be nonempty",
+    "skew steps must be nonnegative",
+    "word length must be >= 1",
+}
+
+SWAP = rd.swap_system()
+POINTS, WHOLE = rd.point_partition(SWAP), rd.trivial_cover(SWAP)
+FIBERS = rd.fiber_sigma(SWAP)
+MU = rd.cesaro_limit(rd.FiberedMeasure.uniform(SWAP), SWAP)  # invariant
+THREE = rd.BundleRDS(
+    rd.DrivingSystem((Fraction(1, 3),) * 3, (1, 2, 0)), (frozenset({"a"}),) * 3, ({"a": "a"},) * 3
+)
+GOLDEN = rd.load_scenario(os.path.join(SCENARIOS, "shifts.json")).sfts["golden"]  # one component
+EMPTY_SPEC = rd.CylinderCoverSpec(frozenset())
+OVER_THREE = rd.FiberedMeasure.uniform(THREE)
+FLOAT_WEIGHT = rd.FiberedMeasure(({"a": 0.25, "b": 0.25}, {"c": 0.25, "d": 0.25}))
+
+# the well-formed value of every argument a call in the table reads
+GOOD = {
+    "cover": POINTS,
+    "measure": MU,
+    "depth": 2,
+    "steps": 2,
+    "family": [POINTS, WHOLE],
+    "measures": [MU, MU],
+    "spec": rd.CylinderCoverSpec(frozenset({0})),
+    "component": 0,
+}
+
+# each malformation swaps the arguments it names
+MALFORMED = {
+    "cover over three base points": {"cover": rd.point_partition(THREE)},
+    "measure over three base points": {"measure": OVER_THREE, "measures": [MU, OVER_THREE]},
+    "float weight": {"measure": FLOAT_WEIGHT, "measures": [MU, FLOAT_WEIGHT]},
+    "depth 0": {"depth": 0},
+    "depth -1": {"depth": -1, "steps": -1},
+    "empty family or mixture": {"family": [], "measures": []},
+    "missing component": {"spec": rd.CylinderCoverSpec(frozenset({1})), "component": 1},
+}
+
+
+# export -> a call of it on the arguments
+CALLS = {
+    "relative_word_count": lambda a: rd.relative_word_count(GOLDEN, a["spec"], EMPTY_SPEC, a["depth"], 0),
+    "sft_tail_sequence": lambda a: rd.sft_tail_sequence(GOLDEN, a["spec"], EMPTY_SPEC, a["depth"]),
+    "admissible_word_count": lambda a: rd.admissible_word_count(GOLDEN, a["component"], 0, a["depth"]),
+    "relative_count": lambda a: rd.relative_count(a["cover"], WHOLE, 0, SWAP),
+    "minimal_subcover": lambda a: rd.minimal_subcover(WHOLE.elements[0], a["cover"], 0, SWAP),
+    "lebesgue_number": lambda a: rd.lebesgue_number(SWAP, a["cover"], 0),
+    "mix": lambda a: rd.mix([(Fraction(1, len(a["measures"])), m) for m in a["measures"]]),
+    "skew_iterate": lambda a: rd.skew_iterate(SWAP, (0, "a"), a["steps"]),
+    "count_profile": lambda a: rd.count_profile(SWAP, a["cover"], WHOLE, a["depth"]),
+    "tail_entropy_estimate": lambda a: rd.tail_entropy_estimate(SWAP, a["cover"], WHOLE, a["depth"]),
+    "tail_entropy_total": lambda a: rd.tail_entropy_total(SWAP, [a["cover"], WHOLE], a["family"], a["depth"]),
+    "iterate_cover": lambda a: rd.iterate_cover(a["cover"], SWAP, a["depth"]),
+    "conditional_entropy": lambda a: rd.conditional_entropy(a["measure"], a["cover"], FIBERS),
+    "relative_entropy_sequence": lambda a: rd.relative_entropy_sequence(
+        a["measure"], a["cover"], FIBERS, SWAP, a["depth"]
+    ),
+    "total_variation": lambda a: rd.total_variation(a["measure"], MU),
+    "invariance_defect": lambda a: rd.invariance_defect(a["measure"], SWAP),
+    "cesaro_limit": lambda a: rd.cesaro_limit(a["measure"], SWAP),
+    "separated_empirical": lambda a: rd.separated_empirical(SWAP, a["cover"], WHOLE, a["depth"], Fraction(1, 2)),
+}
+
+
+class _Reads(dict):
+    """The arguments of a call, recording which of them it reads."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def _reads(call):
+    args = _Reads(GOOD)
+    call(args)
+    return args.read
+
+
+def test_well_formed_calls_succeed():
+    for name, call in CALLS.items():
+        assert _reads(call), name
+
+
+# (export, malformation) for every malformation that swaps an argument the
+# export's call reads
+CASES = [
+    (name, how)
+    for name, call in CALLS.items()
+    for how, swapped in MALFORMED.items()
+    if _reads(call) & set(swapped)
+]
+
+
+@given(st.sampled_from(CASES))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_malformed_calls_raise_a_library_error(case):
+    name, how = case
+    args = {**GOOD, **MALFORMED[how]}
+    with pytest.raises((rd.RdstailError, ValueError)) as err:
+        CALLS[name](args)
+    if not isinstance(err.value, rd.RdstailError):
+        assert str(err.value) in VALUE_ERRORS, (name, how, err.value)

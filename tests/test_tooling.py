@@ -1,12 +1,14 @@
 """The benchmark still finds every library name it traces, calls or reads,
 every name the package exports has a caller outside the tests, every export
-that takes a base point checks it, the library imports only at module level
-and keeps no memo cache, and the CLI looks scenario objects up in one
-function."""
+and model method that takes a base point checks it, the library imports
+only at module level and keeps no memo cache, the CLI looks scenario
+objects up in one function, and the verification suites are named in one
+pair of tables."""
 
 import ast
 import inspect
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -238,3 +240,46 @@ def test_every_omega_export_checks_its_base_point():
             with pytest.raises(rdstail.DomainError) as err:
                 call(omega)
             assert str(err.value) == f"omega={omega} is outside the base of {base.size} points", name
+
+
+def test_model_methods_check_their_base_point():
+    # apply and theta_iterate wrapped a negative base point around to the
+    # last one, and one past the end raised IndexError; a method of these
+    # classes that takes an ``omega`` is found here by its signature
+    swap = rdstail.swap_system()
+    pi = rdstail.extend_with_tags(swap, tags=2, rotate=False)
+    owners = {rdstail.DrivingSystem: swap.base, rdstail.BundleRDS: swap, rdstail.FactorMap: pi}
+    others = {"n": 1, "x": "a", "y": ("a", "t0")}  # well formed at base point 0
+    found = set()
+    for cls, obj in owners.items():
+        for name, fn in inspect.getmembers(cls, inspect.isfunction):
+            params = list(inspect.signature(fn).parameters)
+            if "omega" not in params:
+                continue
+            found.add(f"{cls.__name__}.{name}")
+            method = getattr(obj, name)
+            method(*(0 if p == "omega" else others[p] for p in params[1:]))
+            for omega in (-1, swap.size):
+                with pytest.raises(rdstail.DomainError) as err:
+                    method(*(omega if p == "omega" else others[p] for p in params[1:]))
+                assert str(err.value) == f"omega={omega} is outside the base of 2 points", name
+    assert {"DrivingSystem.theta_iterate", "BundleRDS.apply", "FactorMap.apply", "FactorMap.preimage"} <= found
+
+
+def test_suite_tables_name_every_suite_once():
+    # the two tables are the one place that names a suite: run_suite and the
+    # CLI's --suite choices read them, and only the seeded suites take a
+    # seed and a number of trials
+    from rdstail import verify
+
+    runners = {fn for name, fn in vars(verify).items() if re.fullmatch(r"run_\w+_suite", name)}
+    tabled = [*verify.SUITES.values(), *verify.NAMED_SUITES.values()]
+    assert len(tabled) == len(set(tabled)) and set(tabled) == runners
+    parser = rdstail.cli.build_parser()
+    (sub,) = (a for a in parser._actions if a.dest == "command")
+    (suite,) = (a for a in sub.choices["verify"]._actions if a.dest == "suite")
+    assert suite.choices == [*verify.SUITES, *verify.NAMED_SUITES]
+    for fn in verify.SUITES.values():
+        assert {"seed", "trials"} <= set(inspect.signature(fn).parameters), fn.__name__
+    for fn in verify.NAMED_SUITES.values():
+        assert not {"seed", "trials"} & set(inspect.signature(fn).parameters), fn.__name__
