@@ -16,9 +16,9 @@ cover back 0, 1, 2, ... steps, each the one-step preimage of the last through
 one table of state preimages; it is the only loop that reads the fiber maps
 for covers.  :func:`pullback` decodes one of its items, and one join fold
 over it, :func:`_mask_iterates`, builds every whole-bundle depth for
-:func:`iterate_cover`, the measures and ``invariant.separated_empirical``.
-The counts read no whole-bundle iterate: ``counting`` steps each fiber's
-maximal sections by the pullbacks alone.
+:func:`iterate_cover` and ``invariant.separated_empirical``.  The counts
+and the entropy sweeps read no whole-bundle iterate: ``counting`` steps
+fibers' maximal sections, ``measures`` steps states' cell memberships.
 """
 
 from __future__ import annotations

@@ -44,8 +44,10 @@ from .errors import BudgetExceededError, PreconditionError
 from .measures import (
     FiberedMeasure,
     _gather,
+    _measure,
     _numerators,
     _skew_gap,
+    _violations,
     measures_equal,
     mix,
     pushforward_measure,
@@ -115,7 +117,7 @@ def cesaro_limit(nu: FiberedMeasure, rds: BundleRDS) -> FiberedMeasure:
                 for cw, cx in cycle:
                     yield cw, cx, n, q
 
-    return _gather(rds.size, spread())
+    return _measure(rds.size, *_gather(spread()))
 
 
 def lift_invariant(pi: FactorMap, mu: FiberedMeasure) -> FiberedMeasure:
@@ -139,7 +141,7 @@ def lift_invariant(pi: FactorMap, mu: FiberedMeasure) -> FiberedMeasure:
                     for y in pre:
                         yield w, y, v.numerator, q
 
-    lifted = cesaro_limit(_gather(pi.source.size, uniform_lift()), pi.source)
+    lifted = cesaro_limit(_measure(pi.source.size, *_gather(uniform_lift())), pi.source)
     if invariance_defect(lifted, pi.source) != 0:
         raise AssertionError("cesaro projection failed to produce an invariant measure")
     if not measures_equal(pushforward_measure(pi, lifted), mu):
@@ -180,8 +182,8 @@ def vertex_enumeration(rds: BundleRDS, budgets: Budgets = DEFAULTS) -> Invariant
     cycle of positive mass and gives it the whole mass of that base cycle; a
     base measure that is not invariant leaves the polytope empty.  Vertices
     come in the lexicographic order of their sorted cycle picks, and every
-    vertex is checked to be invariant with the right marginal before it is
-    returned.
+    vertex's integer numerators are checked to be invariant with the right
+    marginal before they become its one measure.
     """
     npoints = sum(len(f) for f in rds.fibers)
     if npoints > budgets.polytope_points:
@@ -194,10 +196,10 @@ def vertex_enumeration(rds: BundleRDS, budgets: Budgets = DEFAULTS) -> Invariant
     found: list[tuple[tuple[Fraction, ...], FiberedMeasure]] = []
     for pick in picks:
         lam = tuple(mass[c] if c in pick else Fraction(0) for c in range(len(cycles)))
-        mu = _gather(rds.size, ((w, x, *share[c]) for c in pick for w, x in cycles[c]))
-        if invariance_defect(mu, rds) != 0 or mu.validate(rds):
+        d, num = _gather((w, x, *share[c]) for c in pick for w, x in cycles[c])
+        if _skew_gap(num, rds) or _violations(d, num, rds):
             raise AssertionError("enumerated vertex fails its own certificates")
-        found.append((lam, mu))
+        found.append((lam, _measure(rds.size, d, num)))
     return InvariantPolytope(
         vertices=tuple(v for _, v in found),
         cycles=tuple(tuple(c) for c in cycles),

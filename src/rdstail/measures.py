@@ -26,13 +26,11 @@ the sweeps' invariance precondition are the integer L1 gap of one skew step
 system, cover or measure it meets, or with a weight that is not an ``int``
 or a ``Fraction``, raises :class:`PreconditionError`.
 
-The entropies and the containment optimum read every element and
-intersection mass from :func:`_joint_masses`, over ``(element index,
-(omega, point))`` memberships: of frozenset sections for
-:func:`conditional_entropy` and :func:`delta_contains`, and of the set bits
-of the packed masks of :func:`rdstail.covers._mask_iterates` (bit i is state
-``rds.states()[i]``) for the relative-entropy sweeps, which convert each
-measure once per sweep.
+The entropies and the containment optimum read every mass from one kernel,
+:func:`_joint_masses`, over per-state numerators and memberships
+(:func:`_members`).  The sweeps step the cell memberships of ``rds.states()``
+through one skew table (:func:`_cell_steps`), join no whole-bundle mask and
+convert each measure once per sweep.
 """
 
 from __future__ import annotations
@@ -40,23 +38,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from itertools import product
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .budgets import Budgets, DEFAULTS
 from .covers import (
     RandomCover,
     RandomPartition,
     SigmaAlgebra,
-    _mask_iterates,
+    _check_span,
     fiber_partition,
     join,
-    pullback,
-    refines,
     sigma_refines,
     state_partition,
 )
-from .errors import PreconditionError
-from .model import BundleRDS, FactorMap, Point, sort_points
+from .errors import BudgetExceededError, DomainError, PreconditionError
+from .model import BundleRDS, FactorMap, Point, State, sort_points
 from .tail_entropy import EntropyEstimate, TOL, integrated_log_count
 
 
@@ -85,23 +82,7 @@ class FiberedMeasure:
     def validate(self, rds: BundleRDS) -> list[str]:
         if self.size != rds.size:
             return [f"measure spans {self.size} base points, system has {rds.size}"]
-        d, num = _numerators(self)
-        fiber_num = [0] * self.size
-        negative = set()
-        for (w, _), n in num.items():
-            fiber_num[w] += n
-            if n < 0:
-                negative.add(w)
-        out = []
-        for w, (ws, n, p) in enumerate(zip(self.weights, fiber_num, rds.base.prob)):
-            stray = ws.keys() - rds.fibers[w]
-            if stray:
-                out.append(f"mass outside the fiber at omega={w}: {sorted(map(repr, stray))}")
-            if w in negative:
-                out.append(f"negative mass at omega={w}")
-            if n * p.denominator != p.numerator * d:
-                out.append(f"marginal violated at omega={w}: {Fraction(n, d)} != {p}")
-        return out
+        return _violations(*_numerators(self), rds)
 
     @classmethod
     def uniform(cls, rds: BundleRDS) -> "FiberedMeasure":
@@ -134,6 +115,7 @@ def _same_size(mu: FiberedMeasure, *spans) -> None:
 
 
 Numerators = dict[tuple[int, Point], int]  # (omega, point) -> numerator over a common denominator
+Members = Sequence[Sequence[int]]  # per indexed state, the indices of the elements or cells holding it
 
 
 def _scaled(mu: FiberedMeasure, d: int) -> Numerators:
@@ -163,6 +145,23 @@ def _numerators(mu: FiberedMeasure, *spans) -> tuple[int, Numerators]:
     _same_size(mu, *spans)
     d = _denominator(mu)
     return d, _scaled(mu, d)
+
+
+def _violations(d: int, num: Numerators, rds: BundleRDS) -> list[str]:
+    """:meth:`FiberedMeasure.validate` of numerators over ``d`` on ``rds``."""
+    fibers: list[dict[Point, int]] = [{} for _ in range(rds.size)]
+    for (w, x), n in num.items():
+        fibers[w][x] = n
+    out = []
+    for w, (ws, p) in enumerate(zip(fibers, rds.base.prob)):
+        stray = ws.keys() - rds.fibers[w]
+        if stray:
+            out.append(f"mass outside the fiber at omega={w}: {sorted(map(repr, stray))}")
+        if any(n < 0 for n in ws.values()):
+            out.append(f"negative mass at omega={w}")
+        if (n := sum(ws.values())) * p.denominator != p.numerator * d:
+            out.append(f"marginal violated at omega={w}: {Fraction(n, d)} != {p}")
+    return out
 
 
 def _measure(size: int, d: int, num: Numerators) -> FiberedMeasure:
@@ -203,16 +202,16 @@ def total_variation(a: FiberedMeasure, b: FiberedMeasure) -> Fraction:
     return Fraction(_l1(_scaled(a, d), _scaled(b, d)), d)
 
 
-def _gather(size: int, masses: Iterable[tuple[int, Point, int, int]]) -> FiberedMeasure:
+def _gather(masses: Iterable[tuple[int, Point, int, int]]) -> tuple[int, Numerators]:
     """Sum ``(omega, point, numerator, denominator)`` contributions as
-    integers over the lcm of their denominators.  Every point met gets a
-    key, in first-seen order, zero masses included."""
+    integers over the lcm ``d`` of their denominators: ``d`` and the sums.
+    Every point met gets a key, in first-seen order, zero masses included."""
     masses = list(masses)
     d = math.lcm(*(q for *_, q in masses))
     num: Numerators = {}
     for w, x, n, q in masses:
         num[w, x] = num.get((w, x), 0) + n * (d // q)
-    return _measure(size, d, num)
+    return d, num
 
 
 def mix(parts: Sequence[tuple[Fraction, FiberedMeasure]]) -> FiberedMeasure:
@@ -221,9 +220,9 @@ def mix(parts: Sequence[tuple[Fraction, FiberedMeasure]]) -> FiberedMeasure:
         raise ValueError("a mixture needs at least one measure")
     _same_size(parts[0][1], *(mu for _, mu in parts))
     terms = [(Fraction(c), *_numerators(mu)) for c, mu in parts]
-    return _gather(
+    return _measure(
         parts[0][1].size,
-        ((w, x, c.numerator * n, c.denominator * d) for c, d, num in terms for (w, x), n in num.items()),
+        *_gather((w, x, c.numerator * n, c.denominator * d) for c, d, num in terms for (w, x), n in num.items()),
     )
 
 
@@ -250,46 +249,55 @@ def pushforward_measure(pi: FactorMap, mu: FiberedMeasure) -> FiberedMeasure:
     """Transport a measure through a factor map (exact, affine, marginal
     preserving; sends invariant measures to invariant measures)."""
     d, num = _numerators(mu, pi.source)
-    return _gather(pi.source.size, ((w, pi.apply(w, y), n, d) for (w, y), n in num.items() if n))
+    return _measure(pi.source.size, *_gather((w, pi.apply(w, y), n, d) for (w, y), n in num.items() if n))
 
 
-Membership = tuple[int, tuple[int, Point]]  # (element index, (omega, point))
+def _members(cover: RandomCover, index: Mapping[State, int], rest: int | None = None) -> list[list[int]]:
+    """Per state of ``index`` and one slot after them, the ascending indices of
+    the elements of ``cover`` holding it.  A state outside ``index`` goes to
+    slot ``rest`` or, with none, raises :class:`DomainError` at its first base point."""
+    out: list[list[int]] = [[] for _ in range(len(index) + 1)]
+    for i, e in enumerate(cover.elements):
+        for w, sec in enumerate(e.sections):
+            for x in sec:
+                if (k := index.get((w, x), rest)) is None:
+                    w = min(v for f in cover.elements for v, s in enumerate(f.sections) for y in s if (v, y) not in index)
+                    raise DomainError(f"cover leaves the fiber at omega={w}")
+                out[k].append(i)
+    return out
 
 
-def _memberships(cover: RandomCover) -> list[Membership]:
-    return [(i, (w, x)) for i, e in enumerate(cover.elements) for w, sec in enumerate(e.sections) for x in sec]
+def _per_state(mu: FiberedMeasure, atoms: RandomCover, cells: RandomCover) -> tuple[int, list[int], Members, Members]:
+    """The denominator of ``mu``, its numerator per stored state, and the covers'
+    :func:`_members` over those states, all others in the last, massless slot."""
+    d, num = _numerators(mu, cells, atoms)
+    index = {state: i for i, state in enumerate(num)}
+    return d, [*num.values(), 0], _members(atoms, index, len(index)), _members(cells, index, len(index))
 
 
-def _joint_masses(
-    num: Mapping[tuple[int, Point], int], atoms: Iterable[Membership], cells: Iterable[Membership]
-) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
-    """The numerator, over the denominator of ``num`` (:func:`_numerators`),
-    of the mass of every atom, and of every (atom, cell) intersection keyed
+def _joint_masses(mass: list[int], atoms: Members, cells: Members) -> tuple[dict[int, int], dict[tuple[int, int], int]]:
+    """Over per-state numerators ``mass`` and memberships: the numerator of
+    the mass of every atom, and of every (atom, cell) intersection keyed
     ``(atom index, cell index)``, those of zero mass left out.  A state
     lying in several atoms or several cells counts once in each of them."""
-    cells_at: dict[tuple[int, Point], list[int]] = {}
-    for j, state in cells:
-        cells_at.setdefault(state, []).append(j)
     atom_mass: dict[int, int] = {}
     joint: dict[tuple[int, int], int] = {}
-    for i, state in atoms:
-        v = num.get(state, 0)
+    for v, atoms_of, cells_of in zip(mass, atoms, cells):
         if v:
-            atom_mass[i] = atom_mass.get(i, 0) + v
-            for j in cells_at.get(state, ()):
-                joint[i, j] = joint.get((i, j), 0) + v
+            for i in atoms_of:
+                atom_mass[i] = atom_mass.get(i, 0) + v
+                for j in cells_of:
+                    joint[i, j] = joint.get((i, j), 0) + v
     return atom_mass, joint
 
 
-def _entropy(
-    d: int, num: Mapping[tuple[int, Point], int], atoms: Sequence[Membership], cells: Sequence[Membership]
-) -> float:
+def _entropy(d: int, mass: list[int], atoms: Members, cells: Members) -> float:
     """The atom x cell formula: ``(v/d) * (log(a/d) - log(v/d))`` summed
     left to right in (atom, cell) order, ``v`` a joint and ``a`` its atom's
     numerator over ``d``.  ``int / int`` is correctly rounded, so each float
     is that of the reduced ``Fraction``.  A term whose ``v/d`` rounds to 0.0
     (null, or below 2e-321, far inside ``TOL``) is 0.0."""
-    atom_mass, joint = _joint_masses(num, atoms, cells)
+    atom_mass, joint = _joint_masses(mass, atoms, cells)
     total = 0.0
     for (i, _), v in sorted(joint.items()):
         m = v / d
@@ -303,7 +311,7 @@ def conditional_entropy(mu: FiberedMeasure, r: RandomCover, s: SigmaAlgebra) -> 
     the exact finite formula over joint atom masses, zero-mass cells
     contributing nothing.  Lies in ``[0, log len(r)]``.  Overlaps are not
     rejected: a state in two cells or two atoms counts once in each."""
-    return _entropy(*_numerators(mu, r, s.atoms), _memberships(s.atoms), _memberships(r))
+    return _entropy(*_per_state(mu, s.atoms, r))
 
 
 @dataclass(frozen=True)
@@ -318,11 +326,32 @@ class Filtration:
         )
 
 
-def sigma_backward_compatible(s: SigmaAlgebra, rds: BundleRDS) -> bool:
-    """Does the one-step dynamical pullback of the algebra sit inside it?
-    Needed for the subadditivity of the conditioned sequence."""
-    pulled = pullback(s.atoms, rds, 1)
-    return refines(s.atoms, pulled)
+def _cell_steps(
+    r: RandomCover, rds: BundleRDS, index: Mapping[State, int], step: Sequence[int], n_max: int, budgets: Budgets
+) -> Iterator[Members]:
+    """:func:`rdstail.covers._mask_iterates` as :func:`_members` over ``index``
+    (``rds.states()``, skew table ``step``): depth n+1 numbers the distinct
+    state sets of the pairs (a, b), a a depth-n cell of the state and b an
+    element of ``r`` holding its n-step image, in sorted pair order."""
+    cells: Members = [[0]] * len(index)  # depth 0: the whole bundle is one cell
+    for depth in range(1, n_max + 1):
+        if depth == 1:
+            _check_span(rds, r)
+            elements, image = _members(r, index), list(range(len(index)))
+        else:
+            image = [step[t] for t in image]
+        holders: dict[tuple[int, int], list[int]] = {}
+        for i, (c, t) in enumerate(zip(cells, image)):
+            for k in product(c, elements[t]):
+                holders.setdefault(k, []).append(i)
+        sets = dict.fromkeys(tuple(holders[k]) for k in sorted(holders))  # numbered first seen first
+        if depth > 1 and len(sets) > budgets.cover_elements:
+            raise BudgetExceededError("cover_elements", budgets.cover_elements, len(sets), depth=depth)
+        cells = [[] for _ in image]
+        for j, held in enumerate(sets):
+            for i in held:
+                cells[i].append(j)
+        yield cells
 
 
 def relative_entropy_sequences(
@@ -335,11 +364,11 @@ def relative_entropy_sequences(
 ) -> list[EntropyEstimate]:
     """Conditional entropies of the depth-n iterates of ``r`` given ``s``,
     with the running-infimum bracket, for every measure of a family: one
-    pass over the mask iterates evaluates all measures at each depth.
+    pass of :func:`_cell_steps` evaluates all measures at each depth.
 
     Preconditions are verified, not assumed: each measure must be exactly
-    invariant under the skew map and the algebra must contain its own
-    dynamical pullback; both are needed for subadditivity.
+    invariant under the skew map and every atom's section must map into one
+    atom (the algebra holds its pullback); both are needed for subadditivity.
 
     Each measure becomes its integer numerators (:func:`_numerators`) once
     per sweep, not once per depth; the invariance check reads the same
@@ -349,20 +378,20 @@ def relative_entropy_sequences(
     numerators = [_numerators(mu, s.atoms, rds) for mu in measures]
     if any(_skew_gap(num, rds) for _, num in numerators):
         raise PreconditionError("invariant_measure", "measure is not skew-invariant")
-    if not sigma_backward_compatible(s, rds):
-        raise PreconditionError("backward_compatible_algebra", "pullback of the algebra escapes it")
-    atoms = _memberships(s.atoms)
-    states = rds.states()
+    index = {state: i for i, state in enumerate(rds.states())}
+    _check_span(rds, s.atoms)
+    atoms = _members(s.atoms, index)
+    # a point mapped outside its image fiber steps to the slot after the states, which steps to itself
+    step = [index.get((rds.base.theta[w], rds.apply(w, x)), len(index)) for w, x in index] + [len(index)]
+    for w, sec in ((w, sec) for e in s.atoms.elements for w, sec in enumerate(e.sections) if sec):
+        images = [atoms[step[index[w, x]]] for x in sec]
+        if not set(images[0]).intersection(*images):
+            raise PreconditionError("backward_compatible_algebra", "pullback of the algebra escapes it")
+    masses = [[num.get(state, 0) for state in index] for _, num in numerators]
     values: list[list[float]] = [[] for _ in measures]
-    for masks in _mask_iterates(r, rds, n_max, budgets):
-        # bit i of a packed mask is states[i]: walk the set bits only
-        cells = []
-        for j, e in enumerate(masks):
-            while e:
-                cells.append((j, states[(e & -e).bit_length() - 1]))
-                e &= e - 1
-        for (d, num), seq in zip(numerators, values):
-            seq.append(_entropy(d, num, atoms, cells))
+    for cells in _cell_steps(r, rds, index, step, n_max, budgets):
+        for (d, _), mass, seq in zip(numerators, masses, values):
+            seq.append(_entropy(d, mass, atoms, cells))
     return [EntropyEstimate(values=tuple(seq), requested=n_max) for seq in values]
 
 
@@ -515,11 +544,9 @@ def delta_contains(
     """
     if not all(isinstance(c, RandomPartition) and c.validate_disjoint() for c in (p, q)):
         raise PreconditionError("partitions", "the containment optimum is exact only for disjoint elements")
-    p_cells, q_cells = _memberships(p), _memberships(q)
-    d, num = _numerators(mu, p, q)
-    p_mass, inter = _joint_masses(num, p_cells, q_cells)
-    q_mass, _ = _joint_masses(num, q_cells, ())
-    total = sum(p_mass.values()) + sum(q_mass.values())
+    d, mass, q_at, p_at = _per_state(mu, q, p)
+    p_mass, inter = _joint_masses(mass, p_at, q_at)
+    total = sum(p_mass.values()) + sum(v * len(cells) for v, cells in zip(mass, q_at))
     gained = sum(max(inter.get((i, j), 0) for j in range(len(q.elements))) for i in range(len(p.elements)))
     best_sum = Fraction(total - 2 * gained, d)
     return ContainmentWitness(contained=best_sum < delta, best_sum=best_sum)

@@ -260,6 +260,10 @@ class FactorMap:
     target: BundleRDS
     maps: tuple[Mapping[Point, Point], ...]
 
+    def __post_init__(self):
+        if len(self.maps) != self.source.size:
+            raise ValueError(f"{len(self.maps)} fiber maps for {self.source.size} base points")
+
     def apply(self, omega: int, y: Point) -> Point:
         if not 0 <= omega < len(self.maps):
             self.source.base.check_point(omega)
@@ -275,9 +279,6 @@ class FactorMap:
         out = []
         if self.source.base != self.target.base:
             out.append("source and target have different driving systems")
-            return out
-        if len(self.maps) != self.source.size:
-            out.append(f"{len(self.maps)} fiber maps for {self.source.size} base points")
             return out
         for w in range(self.source.size):
             dom = set(self.maps[w].keys())

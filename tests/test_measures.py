@@ -54,9 +54,18 @@ from rdstail import (
     two_partition_count_bound_check,
     vertex_enumeration,
 )
-from rdstail.covers import pullback_cover
+from rdstail.covers import RandomCover, _mask_iterates, pullback, pullback_cover, refines
+from rdstail.errors import RdstailError
 from rdstail.invariant import _cycle_structure
-from rdstail.measures import ContainmentWitness, _gather, _numerators, defect_from_sequences, sigma_backward_compatible
+from rdstail.measures import (
+    ContainmentWitness,
+    _cell_steps,
+    _gather,
+    _measure,
+    _numerators,
+    _skew_gap,
+    defect_from_sequences,
+)
 from rdstail.verify import (
     _rng,
     coarsen,
@@ -150,6 +159,55 @@ def delta_contains_by_cells(p, q, mu, delta):
     total_q = sum((mass_of_sections(mu, qe.sections) for qe in q.elements), Fraction(0))
     best_sum = total_p + total_q - 2 * sum((max(row) for row in inter), Fraction(0))
     return ContainmentWitness(contained=best_sum < delta, best_sum=best_sum)
+
+
+def sigma_backward_compatible(s, rds):
+    """Oracle: the algebra contains its one-step dynamical pullback, read
+    off the decoded pullback of its atoms."""
+    return refines(s.atoms, pullback(s.atoms, rds, 1))
+
+
+def mask_memberships(cover):
+    return [(i, (w, x)) for i, e in enumerate(cover.elements) for w, sec in enumerate(e.sections) for x in sec]
+
+
+def entropy_by_memberships(d, num, atoms, cells):
+    """Oracle: the joint numerators over ``(element index, state)``
+    memberships and the atom x cell formula summed in (atom, cell) order."""
+    cells_at = {}
+    for j, state in cells:
+        cells_at.setdefault(state, []).append(j)
+    atom_mass, joint = {}, {}
+    for i, state in atoms:
+        v = num.get(state, 0)
+        if v:
+            atom_mass[i] = atom_mass.get(i, 0) + v
+            for j in cells_at.get(state, ()):
+                joint[i, j] = joint.get((i, j), 0) + v
+    total = 0.0
+    for (i, _), v in sorted(joint.items()):
+        m = v / d
+        if m:
+            total += m * (math.log(atom_mass[i] / d) - math.log(m))
+    return total
+
+
+def sweep_by_masks(measures, r, s, rds, n_max, budgets=Budgets()):
+    """Oracle: the family sweep over the packed masks of ``_mask_iterates``,
+    every set bit walked back into an ``(element, state)`` membership, with
+    the algebra checked through its decoded pullback."""
+    numerators = [_numerators(mu, s.atoms, rds) for mu in measures]
+    if any(_skew_gap(num, rds) for _, num in numerators):
+        raise PreconditionError("invariant_measure", "measure is not skew-invariant")
+    if not sigma_backward_compatible(s, rds):
+        raise PreconditionError("backward_compatible_algebra", "pullback of the algebra escapes it")
+    atoms, states = mask_memberships(s.atoms), rds.states()
+    values = [[] for _ in measures]
+    for masks in _mask_iterates(r, rds, n_max, budgets):
+        cells = [(j, states[k]) for j, e in enumerate(masks) for k in range(e.bit_length()) if e >> k & 1]
+        for (d, num), seq in zip(numerators, values):
+            seq.append(entropy_by_memberships(d, num, atoms, cells))
+    return [EntropyEstimate(values=tuple(seq), requested=n_max) for seq in values]
 
 
 def test_joint_masses_match_atom_cell_formula():
@@ -356,6 +414,106 @@ def test_family_sweep_matches_per_measure_sequences():
         ("precondition", "invariant_measure"),
         ("precondition", "backward_compatible_algebra"),
     }
+
+
+def _sweep_outcome(fn):
+    try:
+        return ("values", [seq.values for seq in fn()])
+    except (RdstailError, ValueError) as exc:
+        return (type(exc).__name__, getattr(exc, "name", None), str(exc), getattr(exc, "depth", None))
+
+
+def _items_outcome(items):
+    out = []
+    try:
+        for item in items:
+            out.append(item)
+    except RdstailError as exc:
+        return out, (type(exc).__name__, str(exc), getattr(exc, "depth", None))
+    return out, None
+
+
+def cell_step_masks(r, rds, n_max, budgets):
+    """The cells of ``_cell_steps`` at every depth as packed masks: bit k
+    of cell c is set when state k lies in c."""
+    index = {state: i for i, state in enumerate(rds.states())}
+    step = [index.get((rds.base.theta[w], rds.apply(w, x)), len(index)) for w, x in index] + [len(index)]
+    for cells in _cell_steps(r, rds, index, step, n_max, budgets):
+        masks = [0] * (1 + max((c for at in cells for c in at), default=-1))
+        for k, at in enumerate(cells):
+            for c in at:
+                masks[c] |= 1 << k
+        yield masks
+
+
+def with_escape(rng, rds):
+    """``rds`` with the extra point 'out' on one fiber, mapped outside the
+    image fiber; no measure or algebra of ``rds`` holds it."""
+    w = rng.randrange(rds.size)
+    fibers = tuple(f | {"out"} if v == w else f for v, f in enumerate(rds.fibers))
+    maps = tuple({**m, "out": "gone"} if v == w else m for v, m in enumerate(rds.maps))
+    return BundleRDS(rds.base, fibers, maps)
+
+
+def with_stray(rng, cover):
+    """``cover`` with the point 'stray', in no fiber, added to two random
+    sections."""
+    elements = list(cover.elements)
+    for _ in range(2):
+        i, w = rng.randrange(len(elements)), rng.randrange(cover.size)
+        secs = elements[i].sections
+        elements[i] = RandomSet(secs[:w] + (secs[w] | {"stray"},) + secs[w + 1 :])
+    return type(cover)(tuple(elements))
+
+
+def test_cell_steps_match_mask_sweep():
+    # partitions, overlapping covers, overlapping-atom and trivial algebras,
+    # escapes, strays, other spans, budgets 1..8 and depth 0: the same
+    # floats, or the same error at the same depth, as the mask sweep; the
+    # cells at every depth are the mask join's, item for item
+    seen, cells_seen = set(), set()
+    for trial in range(40):
+        rng = _rng(109, trial)
+        base = random_driving(rng, 3)
+        left = random_system(rng, base=base, max_fiber=3, pool=4)
+        prod = product_system(left, random_system(rng, base=base, max_fiber=3, pool=4))
+        h = prod.system
+        rds = with_escape(rng, h) if rng.random() < 0.3 else h
+        family = [cesaro_limit(random_measure(rng, h), h) for _ in range(rng.randint(1, 3))]
+        if trial % 8 == 0:
+            family.append(random_measure(rng, h))
+        algebras = [SigmaAlgebra(pullback_cover(prod.to_left, state_partition(left))), fiber_sigma(h), state_sigma(h)]
+        whole = trivial_cover(h).elements
+        algebras += [SigmaAlgebra(RandomPartition(s.atoms.elements + whole)) for s in algebras]
+        algebras += [SigmaAlgebra(trivial_cover(h)), SigmaAlgebra(random_partition(rng, rds))]
+        algebras.append(SigmaAlgebra(with_stray(rng, algebras[0].atoms)))
+        part = random_partition(rng, rds, max_cells=3)
+        covers = [part, random_cover(rng, rds), coarsen(rng, random_cover(rng, rds)), with_stray(rng, part)]
+        covers.append(RandomCover(tuple(RandomSet(e.sections + (frozenset(),)) for e in part.elements)))
+        for r in covers:
+            for s in algebras:
+                n_max = rng.randint(0, 4)
+                budgets = Budgets(cover_elements=rng.randint(1, 8)) if rng.random() < 0.5 else Budgets()
+                got = _sweep_outcome(lambda: relative_entropy_sequences(family, r, s, rds, n_max, budgets))
+                want = _sweep_outcome(lambda: sweep_by_masks(family, r, s, rds, n_max, budgets))
+                assert got == want, (trial, got, want)
+                seen.add(want[:2] if want[0] != "values" else ("values", rds is h))
+            n_max = rng.randint(1, 4)
+            budgets = Budgets(cover_elements=1 + trial % 8)
+            got = _items_outcome(cell_step_masks(r, rds, n_max, budgets))
+            assert got == _items_outcome(_mask_iterates(r, rds, n_max, budgets)), trial
+            cells_seen.add(got[1] and got[1][0])
+    assert seen == {
+        ("values", True),
+        ("values", False),
+        ("PreconditionError", "invariant_measure"),
+        ("PreconditionError", "backward_compatible_algebra"),
+        ("BudgetExceededError", None),
+        ("DomainError", None),
+        ("IncompatibleSystemsError", None),
+        ("ValueError", None),
+    }
+    assert cells_seen == {None, "BudgetExceededError", "DomainError", "IncompatibleSystemsError"}
 
 
 def test_entropy_continuous_along_tv_converging_sequences():
@@ -956,7 +1114,7 @@ def test_numerator_kernel_matches_fraction_loops():
             for v in ws.values()
         ]
         rng.shuffle(masses)
-        got = _gather(rds.size, [(w, x, Fraction(v).numerator, Fraction(v).denominator) for w, x, v in masses])
+        got = _measure(rds.size, *_gather([(w, x, Fraction(v).numerator, Fraction(v).denominator) for w, x, v in masses]))
         want = gather_by_loop(rds.size, masses)
         assert stored(got) == stored(want) and all_fractions(got), trial
         for mu in mus:

@@ -152,6 +152,15 @@ def test_factor_map_validation_catches_breakage():
     assert broken.validate()  # different bases reported
 
 
+def test_factor_map_checks_its_fiber_map_count():
+    # with too few fiber maps, apply, preimage and pullback_cover raised a
+    # bare IndexError for a base point in range
+    swap = swap_system()
+    for maps in ((), ({"a": "a", "b": "b"},), identity_factor(swap).maps * 2):
+        with pytest.raises(ValueError, match=f"^{len(maps)} fiber maps for 2 base points$"):
+            FactorMap(swap, swap, maps)
+
+
 def test_metric_space_validation():
     good = MetricSpace.discrete(("x", "y"))
     assert good.validate() == []

@@ -198,12 +198,14 @@ def test_library_keeps_no_memo_cache():
 
 
 def test_counts_build_no_whole_bundle_iterate():
-    # every count steps fiber sections: the counting module neither binds
-    # nor names the whole-bundle iterates, so no count path can build one
+    # every count steps fiber sections and every entropy sweep steps state
+    # memberships: neither the counting nor the measures module binds or
+    # names the whole-bundle iterates, so neither path can build one
     whole_bundle = {"_mask_iterate", "_mask_iterates", "_mask_steps"}
-    counting = sys.modules["rdstail.counting"]
-    assert not whole_bundle & set(vars(counting))
-    assert not whole_bundle & _referenced_names(counting.__file__)
+    for name in ("rdstail.counting", "rdstail.measures"):
+        module = sys.modules[name]
+        assert not whole_bundle & set(vars(module)), name
+        assert not whole_bundle & _referenced_names(module.__file__), name
 
 
 def _omega_calls():
