@@ -8,28 +8,28 @@ cover can be reused across systems sharing a base, e.g. a system and its
 m-step power.  In the finite discrete topology every random set is both open
 and closed, so no open/closed distinction is tracked.
 
-Iterated covers are built on packed bitmasks, one ``int`` per element over
-the whole bundle: bit ``offset + k`` is the k-th point of ``sort_points`` of
-the fiber at that offset (:func:`_layout`), so bit i is ``rds.states()[i]``
-and a join is one ``&``.  One generator, :func:`_mask_pullbacks`, pulls a
-cover back 0, 1, 2, ... steps, each the one-step preimage of the last through
-one table of state preimages; it is the only loop that reads the fiber maps
-for covers.  :func:`pullback` decodes one of its items, and one join fold
-over it, :func:`_mask_iterates`, builds every whole-bundle depth for
-:func:`iterate_cover` and ``invariant.separated_empirical``.  The counts
-and the entropy sweeps read no whole-bundle iterate: ``counting`` steps
-fibers' maximal sections, ``measures`` steps states' cell memberships.
+Iterated covers step per-state cell memberships: :func:`_cell_steps`, the
+one whole-bundle iterate engine, numbers each depth's cells from those of
+every state of ``rds.states()`` and the elements holding its image in one
+skew table; :func:`iterate_cover`, ``invariant.separated_empirical`` and the
+entropy sweeps of ``measures`` read it.  Pullbacks and counts run on packed
+bitmasks, one ``int`` per element over the whole bundle: bit ``offset + k``
+is the k-th point of ``sort_points`` of the fiber at that offset
+(:func:`_layout`), so bit i is ``rds.states()[i]``.  One generator,
+:func:`_mask_pullbacks`, pulls a cover back 0, 1, 2, ... steps through one
+table of state preimages; :func:`pullback` decodes one of its items and
+``counting`` steps fibers' maximal sections from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, islice
-from typing import Iterable, Iterator
+from itertools import accumulate, groupby, islice, product
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .budgets import Budgets, DEFAULTS
 from .errors import BudgetExceededError, DomainError, IncompatibleSystemsError
-from .model import BundleRDS, FactorMap, Point, sort_points
+from .model import BundleRDS, FactorMap, Point, State, sort_points
 
 
 @dataclass(frozen=True)
@@ -158,11 +158,8 @@ def point_partition(rds: BundleRDS) -> RandomPartition:
 def fiber_partition(rds: BundleRDS) -> RandomPartition:
     """Partition by base point: element w is the whole fiber at w, empty
     elsewhere.  Conditioning on it means conditioning on the base point."""
-    elems = tuple(
-        RandomSet(tuple(rds.fibers[w] if v == w else frozenset() for v in range(rds.size)))
-        for w in range(rds.size)
-    )
-    return RandomPartition(elems)
+    empty = (frozenset(),) * rds.size
+    return RandomPartition(tuple(RandomSet(empty[:w] + (f,) + empty[w + 1 :]) for w, f in enumerate(rds.fibers)))
 
 
 def state_partition(rds: BundleRDS) -> RandomPartition:
@@ -173,12 +170,8 @@ def state_partition(rds: BundleRDS) -> RandomPartition:
     algebra of the bundle.  Use it (or its factor-map pullbacks) wherever a
     conditioning algebra must separate base points.
     """
-    elems = tuple(
-        RandomSet(tuple(frozenset([x]) if v == w else frozenset() for v in range(rds.size)))
-        for w in range(rds.size)
-        for x in sort_points(rds.fibers[w])
-    )
-    return RandomPartition(elems)
+    empty = (frozenset(),) * rds.size
+    return RandomPartition(tuple(RandomSet(empty[:w] + (frozenset((x,)),) + empty[w + 1 :]) for w, x in rds.states()))
 
 
 def fiber_sigma(rds: BundleRDS) -> SigmaAlgebra:
@@ -293,31 +286,6 @@ def _preimage(table: dict[int, int], mask: int) -> int:
     return out
 
 
-def _mask_iterates(q: RandomCover, rds: BundleRDS, n_max: int, budgets: Budgets = DEFAULTS) -> Iterator[Masks]:
-    """The depth-1..n_max refinements of ``q`` as lists of packed masks, in
-    first-seen element order: depth i+1 joins depth i with the i-step item
-    of :func:`_mask_pullbacks`.
-
-    Raises :class:`DomainError` if a section of ``q`` leaves its fiber and
-    :class:`BudgetExceededError` with the offending depth when the element
-    count blows past ``budgets.cover_elements``.
-    """
-    for depth, pulled in enumerate(_mask_pullbacks(q, rds, n_max), 1):
-        out = pulled if depth == 1 else _distinct([a & b for a in out for b in pulled])
-        if depth > 1 and len(out) > budgets.cover_elements:
-            raise BudgetExceededError("cover_elements", budgets.cover_elements, len(out), depth=depth)
-        yield out
-
-
-def _mask_iterate(q: RandomCover, rds: BundleRDS, n: int, budgets: Budgets = DEFAULTS) -> Masks:
-    """The depth-n masks of ``q``: the last item of :func:`_mask_iterates`."""
-    if n < 1:
-        raise ValueError("depth must be >= 1")
-    for out in _mask_iterates(q, rds, n, budgets):
-        pass
-    return out
-
-
 def _decode(q: RandomCover, rds: BundleRDS, masks: Masks) -> RandomCover:
     """The cover of the masks, a partition iff ``q`` is one; a section that
     several elements share is decoded once."""
@@ -334,20 +302,103 @@ def _decode(q: RandomCover, rds: BundleRDS, masks: Masks) -> RandomCover:
     return cls(elements)
 
 
-def iterate_cover(
-    q: RandomCover, rds: BundleRDS, n: int, budgets: Budgets = DEFAULTS
-) -> RandomCover:
+Members = Sequence[Sequence[int]]  # per indexed state, the indices of the elements or cells holding it
+
+
+def _members(cover: RandomCover, index: Mapping[State, int], rest: int | None = None) -> list[list[int]]:
+    """Per state of ``index`` and one slot after them, the ascending indices of
+    the elements of ``cover`` holding it.  A state outside ``index`` goes to
+    slot ``rest`` or, with none, raises :class:`DomainError` at its first base point."""
+    out: list[list[int]] = [[] for _ in range(len(index) + 1)]
+    for i, e in enumerate(cover.elements):
+        for w, sec in enumerate(e.sections):
+            for x in sec:
+                if (k := index.get((w, x), rest)) is None:
+                    w = min(v for f in cover.elements for v, s in enumerate(f.sections) for y in s if (v, y) not in index)
+                    raise DomainError(f"cover leaves the fiber at omega={w}")
+                out[k].append(i)
+    return out
+
+
+def _skew_table(rds: BundleRDS, index: Mapping[State, int]) -> list[int]:
+    """The slot of the skew image of every state of ``index``, and one slot
+    after them, in no element and stepping to itself, for a point mapped
+    outside its image fiber.  A point with no image raises :class:`DomainError`."""
+    return [index.get((rds.base.theta[w], rds.apply(w, x)), len(index)) for w, x in index] + [len(index)]
+
+
+def _cell_steps(
+    r: RandomCover, rds: BundleRDS, index: Mapping[State, int], n_max: int, budgets: Budgets, step: list[int] | None = None
+) -> Iterator[tuple[Members, list[tuple[int, ...]]]]:
+    """Per depth 1..n_max of ``r`` over ``index`` (``rds.states()``): the cells
+    holding each state, as :func:`_members`, and the ascending states of each
+    cell.  Depth n+1 numbers the distinct state sets of the pairs (a, b), a a
+    depth-n cell of the state and b an element of ``r`` holding its n-step
+    image, in sorted pair order: the first-seen order of the join with the
+    n-step pullback.  ``step`` is built at depth 2 if not given.  Past depth 1,
+    more than ``budgets.cover_elements`` cells raise the budget error."""
+    cells: Members = [[0]] * len(index)  # depth 0: the whole bundle is one cell
+    for depth in range(1, n_max + 1):
+        if depth == 1:
+            _check_span(rds, r)
+            elements, image = _members(r, index), list(range(len(index)))
+        else:
+            step = step or _skew_table(rds, index)
+            image = [step[t] for t in image]
+        holders: dict[tuple[int, int], list[int]] = {}
+        for i, (c, t) in enumerate(zip(cells, image)):
+            for k in product(c, elements[t]):
+                holders.setdefault(k, []).append(i)
+        sets = dict.fromkeys(tuple(holders[k]) for k in sorted(holders))  # numbered first seen first
+        if depth > 1 and len(sets) > budgets.cover_elements:
+            raise BudgetExceededError("cover_elements", budgets.cover_elements, len(sets), depth=depth)
+        cells = [[] for _ in image]
+        for j, held in enumerate(sets):
+            for i in held:
+                cells[i].append(j)
+        yield cells, list(sets)
+
+
+def _iterate_cells(q: RandomCover, rds: BundleRDS, n: int, budgets: Budgets) -> tuple[list[State], list[tuple[int, ...]]]:
+    """``rds.states()`` and the ascending states of every depth-n cell of
+    :func:`_cell_steps`, in cell order."""
+    if n < 1:
+        raise ValueError("depth must be >= 1")
+    index = {state: i for i, state in enumerate(rds.states())}
+    for _, held in _cell_steps(q, rds, index, n, budgets):
+        pass
+    return list(index), held
+
+
+def _iterate_sections(q: RandomCover, rds: BundleRDS, n: int, budgets: Budgets) -> list[list[int]]:
+    """:func:`_sections` of the depth-n cells of ``q`` packed as masks: every
+    fiber's distinct sections in cell order, the empty section kept."""
+    _, held = _iterate_cells(q, rds, n, budgets)
+    return _sections([sum(1 << i for i in cell) for cell in held], _layout(rds))
+
+
+def iterate_cover(q: RandomCover, rds: BundleRDS, n: int, budgets: Budgets = DEFAULTS) -> RandomCover:
     """Join of the pullbacks at steps 0..n-1 (depth-n dynamical refinement):
-    the decoded masks of :func:`_mask_iterate`, a partition iff ``q`` is one."""
-    return _decode(q, rds, _mask_iterate(q, rds, n, budgets))
+    the depth-n cells of :func:`_cell_steps` in cell order, each read into
+    one section per base point, a partition iff ``q`` is one."""
+    states, held = _iterate_cells(q, rds, n, budgets)
+    fiber, points = [w for w, _ in states], [x for _, x in states]
+    empty = (frozenset(),) * rds.size
+    elements = []
+    for cell in held:
+        sections = list(empty)
+        for w, run in groupby(cell, fiber.__getitem__):
+            sections[w] = frozenset(map(points.__getitem__, run))
+        elements.append(RandomSet(tuple(sections)))
+    cls = RandomPartition if isinstance(q, RandomPartition) else RandomCover
+    return cls(tuple(elements))
 
 
 def pullback(q: RandomCover, rds: BundleRDS, i: int) -> RandomCover:
     """Pull every element back i dynamical steps: the section at a base point
     is the i-step fiber-map preimage of the element's section at the i-step
-    image base point.  It is the i-step item of :func:`_mask_pullbacks`, the
-    one loop that reads the fiber maps for covers.  Keeps the class of
-    ``q``."""
+    image base point: the i-step item of :func:`_mask_pullbacks`.  Keeps the
+    class of ``q``."""
     if i < 0:
         raise ValueError("pullback steps must be nonnegative")
     _check_span(rds, q)

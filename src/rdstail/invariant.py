@@ -34,9 +34,7 @@ from .covers import (
     RandomPartition,
     SigmaAlgebra,
     _check_span,
-    _layout,
-    _mask_iterate,
-    _sections,
+    _iterate_sections,
     pullback_cover,
     state_partition,
 )
@@ -380,8 +378,8 @@ def separated_empirical(
     """
     rds.requires_metric()
     deltas = _per_base(rds, delta)
-    pn = _mask_iterate(p, rds, n, budgets)
-    qn = _mask_iterate(q, rds, n, budgets)
+    p_sections = _iterate_sections(p, rds, n, budgets)
+    q_sections = _iterate_sections(q, rds, n, budgets)
     pair = pair_system(rds)
 
     chosen: list[frozenset] = []
@@ -390,9 +388,7 @@ def separated_empirical(
     sep_masks: list[int] = []
     counts: list[int] = []
     sigma_weights: list[dict[Point, Fraction]] = [{} for _ in range(rds.size)]
-    layout = _layout(rds)
-    p_sections = _sections(pn, layout)
-    for w, (p_masks, q_masks) in enumerate(zip(p_sections, _sections(qn, layout))):
+    for w, (p_masks, q_masks) in enumerate(zip(p_sections, q_sections)):
         # the first q-section with the largest count by the p-sections
         best, best_count = 0, 0
         for t in q_masks:

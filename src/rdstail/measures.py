@@ -10,26 +10,21 @@ carries the module tolerance.  The convention ``0 * log 0 = 0`` applies
 throughout.
 
 All measure arithmetic runs in one numerator kernel: a measure enters as
-its stored masses written as integer numerators over the lcm of their
-denominators (:func:`_numerators`), every sum, difference and skew step is
-integer arithmetic over one common denominator, and a measure leaves as
-one reduced ``Fraction(n, d)`` per stored mass (:func:`_measure`), so
-``Fraction`` appears only where a measure enters or leaves, and every
-result is the exact rational the ``Fraction`` sums give.  Every measure
-built from others (mixtures, pushforwards, and the Cesaro limits, lifts and
-polytope vertices of :mod:`rdstail.invariant`) sums its ``(omega, point,
-numerator, denominator)`` contributions in one accumulator,
-:func:`_gather`.  Total variation, :meth:`FiberedMeasure.validate` and
-:meth:`FiberedMeasure.total` sum numerators, and the invariance defect and
-the sweeps' invariance precondition are the integer L1 gap of one skew step
-(:func:`_skew_gap`).  A measure over another number of base points than the
-system, cover or measure it meets, or with a weight that is not an ``int``
-or a ``Fraction``, raises :class:`PreconditionError`.
+integer numerators over the lcm of its denominators (:func:`_numerators`),
+every sum, difference and skew step is integer arithmetic, and a measure
+leaves as one reduced ``Fraction(n, d)`` per stored mass (:func:`_measure`).
+Every measure built from others (mixtures, pushforwards, and the Cesaro
+limits, lifts and polytope vertices of :mod:`rdstail.invariant`) sums its
+contributions in one accumulator, :func:`_gather`, and the invariance defect
+and the sweeps' invariance precondition are the integer L1 gap of one skew
+step (:func:`_skew_gap`).  A measure over another number of base points than
+what it meets, or with a weight that is not an ``int`` or a ``Fraction``,
+raises :class:`PreconditionError`.
 
 The entropies and the containment optimum read every mass from one kernel,
-:func:`_joint_masses`, over per-state numerators and memberships
-(:func:`_members`).  The sweeps step the cell memberships of ``rds.states()``
-through one skew table (:func:`_cell_steps`), join no whole-bundle mask and
+:func:`_joint_masses`, over per-state numerators and memberships.  The
+sweeps take the cell memberships of ``rds.states()`` from the iterate engine
+behind :func:`rdstail.covers.iterate_cover`, ``covers._cell_steps``, and
 convert each measure once per sweep.
 """
 
@@ -38,22 +33,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .budgets import Budgets, DEFAULTS
 from .covers import (
+    Members,
     RandomCover,
     RandomPartition,
     SigmaAlgebra,
+    _cell_steps,
     _check_span,
+    _members,
+    _skew_table,
     fiber_partition,
     join,
     sigma_refines,
     state_partition,
 )
-from .errors import BudgetExceededError, DomainError, PreconditionError
-from .model import BundleRDS, FactorMap, Point, State, sort_points
+from .errors import PreconditionError
+from .model import BundleRDS, FactorMap, Point, sort_points
 from .tail_entropy import EntropyEstimate, TOL, integrated_log_count
 
 
@@ -115,7 +113,6 @@ def _same_size(mu: FiberedMeasure, *spans) -> None:
 
 
 Numerators = dict[tuple[int, Point], int]  # (omega, point) -> numerator over a common denominator
-Members = Sequence[Sequence[int]]  # per indexed state, the indices of the elements or cells holding it
 
 
 def _scaled(mu: FiberedMeasure, d: int) -> Numerators:
@@ -252,24 +249,9 @@ def pushforward_measure(pi: FactorMap, mu: FiberedMeasure) -> FiberedMeasure:
     return _measure(pi.source.size, *_gather((w, pi.apply(w, y), n, d) for (w, y), n in num.items() if n))
 
 
-def _members(cover: RandomCover, index: Mapping[State, int], rest: int | None = None) -> list[list[int]]:
-    """Per state of ``index`` and one slot after them, the ascending indices of
-    the elements of ``cover`` holding it.  A state outside ``index`` goes to
-    slot ``rest`` or, with none, raises :class:`DomainError` at its first base point."""
-    out: list[list[int]] = [[] for _ in range(len(index) + 1)]
-    for i, e in enumerate(cover.elements):
-        for w, sec in enumerate(e.sections):
-            for x in sec:
-                if (k := index.get((w, x), rest)) is None:
-                    w = min(v for f in cover.elements for v, s in enumerate(f.sections) for y in s if (v, y) not in index)
-                    raise DomainError(f"cover leaves the fiber at omega={w}")
-                out[k].append(i)
-    return out
-
-
 def _per_state(mu: FiberedMeasure, atoms: RandomCover, cells: RandomCover) -> tuple[int, list[int], Members, Members]:
     """The denominator of ``mu``, its numerator per stored state, and the covers'
-    :func:`_members` over those states, all others in the last, massless slot."""
+    ``covers._members`` over those states, all others in the last, massless slot."""
     d, num = _numerators(mu, cells, atoms)
     index = {state: i for i, state in enumerate(num)}
     return d, [*num.values(), 0], _members(atoms, index, len(index)), _members(cells, index, len(index))
@@ -326,34 +308,6 @@ class Filtration:
         )
 
 
-def _cell_steps(
-    r: RandomCover, rds: BundleRDS, index: Mapping[State, int], step: Sequence[int], n_max: int, budgets: Budgets
-) -> Iterator[Members]:
-    """:func:`rdstail.covers._mask_iterates` as :func:`_members` over ``index``
-    (``rds.states()``, skew table ``step``): depth n+1 numbers the distinct
-    state sets of the pairs (a, b), a a depth-n cell of the state and b an
-    element of ``r`` holding its n-step image, in sorted pair order."""
-    cells: Members = [[0]] * len(index)  # depth 0: the whole bundle is one cell
-    for depth in range(1, n_max + 1):
-        if depth == 1:
-            _check_span(rds, r)
-            elements, image = _members(r, index), list(range(len(index)))
-        else:
-            image = [step[t] for t in image]
-        holders: dict[tuple[int, int], list[int]] = {}
-        for i, (c, t) in enumerate(zip(cells, image)):
-            for k in product(c, elements[t]):
-                holders.setdefault(k, []).append(i)
-        sets = dict.fromkeys(tuple(holders[k]) for k in sorted(holders))  # numbered first seen first
-        if depth > 1 and len(sets) > budgets.cover_elements:
-            raise BudgetExceededError("cover_elements", budgets.cover_elements, len(sets), depth=depth)
-        cells = [[] for _ in image]
-        for j, held in enumerate(sets):
-            for i in held:
-                cells[i].append(j)
-        yield cells
-
-
 def relative_entropy_sequences(
     measures: Sequence[FiberedMeasure],
     r: RandomPartition,
@@ -364,7 +318,7 @@ def relative_entropy_sequences(
 ) -> list[EntropyEstimate]:
     """Conditional entropies of the depth-n iterates of ``r`` given ``s``,
     with the running-infimum bracket, for every measure of a family: one
-    pass of :func:`_cell_steps` evaluates all measures at each depth.
+    pass of ``covers._cell_steps`` evaluates all measures at each depth.
 
     Preconditions are verified, not assumed: each measure must be exactly
     invariant under the skew map and every atom's section must map into one
@@ -381,15 +335,14 @@ def relative_entropy_sequences(
     index = {state: i for i, state in enumerate(rds.states())}
     _check_span(rds, s.atoms)
     atoms = _members(s.atoms, index)
-    # a point mapped outside its image fiber steps to the slot after the states, which steps to itself
-    step = [index.get((rds.base.theta[w], rds.apply(w, x)), len(index)) for w, x in index] + [len(index)]
+    step = _skew_table(rds, index)
     for w, sec in ((w, sec) for e in s.atoms.elements for w, sec in enumerate(e.sections) if sec):
         images = [atoms[step[index[w, x]]] for x in sec]
         if not set(images[0]).intersection(*images):
             raise PreconditionError("backward_compatible_algebra", "pullback of the algebra escapes it")
     masses = [[num.get(state, 0) for state in index] for _, num in numerators]
     values: list[list[float]] = [[] for _ in measures]
-    for cells in _cell_steps(r, rds, index, step, n_max, budgets):
+    for cells, _ in _cell_steps(r, rds, index, n_max, budgets, step):
         for (d, _), mass, seq in zip(numerators, masses, values):
             seq.append(_entropy(d, mass, atoms, cells))
     return [EntropyEstimate(values=tuple(seq), requested=n_max) for seq in values]

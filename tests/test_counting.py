@@ -30,9 +30,11 @@ from rdstail import (
 from rdstail import counting
 from rdstail.budgets import DEFAULTS
 from rdstail.counting import _maximal
-from rdstail.covers import _layout, _mask_iterate, _mask_iterates, _sections
+from rdstail.covers import _layout, _sections
 from rdstail.model import BundleRDS, DrivingSystem
 from rdstail.verify import _rng, coarsen, random_cover, random_partition, random_system
+
+from mask_oracles import _mask_iterate, _mask_iterates
 
 SWAP = swap_system()
 

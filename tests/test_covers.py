@@ -22,6 +22,7 @@ from rdstail import (
     trivial_cover,
     validate_cover,
 )
+from rdstail.model import sort_points
 from rdstail.verify import _rng, random_cover, random_system
 
 SWAP = swap_system()
@@ -250,3 +251,32 @@ def test_fiber_partition_covers():
     fp = fiber_partition(SWAP)
     assert validate_cover(fp, SWAP) == []
     assert fp.validate_disjoint()
+
+
+def state_partition_by_comprehension(rds):
+    """Oracle: the state partition with one fresh section per (element, base
+    point), as built before the elements sliced one shared empty tuple."""
+    elems = tuple(
+        RandomSet(tuple(frozenset([x]) if v == w else frozenset() for v in range(rds.size)))
+        for w in range(rds.size)
+        for x in sort_points(rds.fibers[w])
+    )
+    return RandomPartition(elems)
+
+
+def fiber_partition_by_comprehension(rds):
+    """Oracle: the fiber partition built section by section."""
+    elems = tuple(
+        RandomSet(tuple(rds.fibers[w] if v == w else frozenset() for v in range(rds.size)))
+        for w in range(rds.size)
+    )
+    return RandomPartition(elems)
+
+
+def test_state_and_fiber_partitions_match_comprehensions():
+    for trial in range(300):
+        rds = random_system(_rng(141, trial))
+        for built, oracle in ((state_partition, state_partition_by_comprehension),
+                              (fiber_partition, fiber_partition_by_comprehension)):
+            got, want = built(rds), oracle(rds)
+            assert got == want and type(got) is type(want), trial

@@ -1,14 +1,16 @@
-"""Differential test of the bitmask join loop against the frozenset fold it
-replaced.
+"""Differential tests of the cover iterates against the folds they replaced.
 
 ``pullback_by_walk`` is the per-point orbit walk that pulled covers back
 before the mask pullbacks, and ``iterate_covers_by_joins`` is the fold over
 it: depth n+1 joins depth n with the n-step walk pullback of the cover, so
 the oracle never calls the mask engine.  ``decoded_iterates`` decodes every
-depth of the mask loop, which the library sweeps read without decoding.  Over random systems (non-bijective
-fiber maps, empty sections, covers and partitions) the mask loop
-must give equal pullbacks, equal covers, equal counts, the same budget stops
-and the same domain errors.
+depth of the bitmask join fold (``mask_oracles._mask_iterates``), which
+built ``iterate_cover`` and the sections of ``separated_empirical`` before
+both stepped state memberships (``covers._cell_steps``).  Over random
+systems (non-bijective fiber maps, empty sections, covers and partitions)
+the mask fold must give equal pullbacks, equal covers, equal counts, the
+same budget stops and the same domain errors, and the membership stepper
+must give what the decoded mask fold gives.
 
 ``tuple_iterates`` is the per-fiber engine the packed masks replaced: an
 element is one ``int`` per fiber, the i-step pullback reads the bit of every
@@ -17,6 +19,7 @@ must give the same elements in the same order once each packed mask is
 unpacked by the layout, the same budget stops and the same domain errors.
 """
 
+import os
 import random
 import re
 from fractions import Fraction
@@ -37,10 +40,13 @@ from rdstail import (
     count_profiles,
     iterate_cover,
     join,
+    load_scenario,
     point_partition,
     pullback,
     relative_count,
+    separated_empirical,
     state_partition,
+    validate_cover,
 )
 from rdstail.budgets import DEFAULTS
 from rdstail.covers import (
@@ -48,13 +54,17 @@ from rdstail.covers import (
     _decode,
     _fiber_index,
     _layout,
-    _mask_iterate,
-    _mask_iterates,
     _section_masks,
+    _sections,
 )
+from rdstail import invariant
+from rdstail.errors import RdstailError
 from rdstail.model import BundleRDS, DrivingSystem, sort_points
 from rdstail.verify import _rng, coarsen, random_cover, random_partition, random_system
 
+from mask_oracles import _mask_iterate, _mask_iterates, with_escape, with_stray
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 seeds = st.integers(min_value=0, max_value=10**6)
 
 
@@ -359,3 +369,117 @@ def test_point_mapped_outside_its_image_fiber_pulls_back_nothing():
             assert all("b" not in e.sections[0] for e in pullback(q, rds, i).elements)
     # up to the first step the tuple engine agrees
     assert list(unpacked_iterates(q, rds, 2)) == list(tuple_iterates(q, rds, 2))
+
+
+def without_image(rng, rds):
+    """``rds`` with one fiber point left out of its fiber map."""
+    maps = [dict(m) for m in rds.maps]
+    omega = rng.randrange(rds.size)
+    del maps[omega][rng.choice(sort_points(rds.fibers[omega]))]
+    return BundleRDS(rds.base, rds.fibers, tuple(maps), rds.space)
+
+
+def _error(exc):
+    return type(exc), str(exc), getattr(exc, "depth", None)
+
+
+def _cover_outcome(run):
+    """The class and element sections of a cover, or the error it raised."""
+    try:
+        cover = run()
+    except (RdstailError, ValueError) as exc:
+        return _error(exc)
+    return type(cover), [e.sections for e in cover.elements]
+
+
+def test_iterate_cover_matches_mask_fold():
+    # partitions, overlapping covers, empty sections and whole empty
+    # elements, non-bijective maps and escapes; budgets 1..8, depths 0..6, a
+    # cover over another base, a section leaving its fiber and a fiber point
+    # with no image: the same elements in the same order and class, or the
+    # same error at the same depth
+    seen = set()
+    for trial in range(60):
+        rng = _rng(131, trial)
+        rds = random_system(rng, max_fiber=rng.choice([3, 5]))
+        if rng.random() < 0.3:
+            rds = with_escape(rng, rds)
+        part = random_partition(rng, rds)
+        empty = RandomSet((frozenset(),) * rds.size)
+        covers = [
+            part,
+            random_cover(rng, rds),
+            coarsen(rng, random_cover(rng, rds)),
+            state_partition(rds),
+            point_partition(rds),
+            RandomCover(part.elements + (empty,)),
+            with_stray(rng, part),
+            RandomCover(tuple(RandomSet(e.sections + (frozenset(),)) for e in part.elements)),
+        ]
+        for system in (rds, without_image(rng, rds)):
+            for q in covers:
+                n = rng.randint(0, 6)
+                budgets = Budgets(cover_elements=rng.randint(1, 8)) if rng.random() < 0.5 else DEFAULTS
+                want = _cover_outcome(lambda: _decode(q, system, _mask_iterate(q, system, n, budgets)))
+                assert _cover_outcome(lambda: iterate_cover(q, system, n, budgets)) == want, trial
+                seen.add(want[0] if want[0] is not DomainError else (DomainError, "fiber map" in want[1]))
+    assert seen == {
+        RandomCover,
+        RandomPartition,
+        BudgetExceededError,
+        (DomainError, False),
+        (DomainError, True),
+        IncompatibleSystemsError,
+        ValueError,
+    }
+
+
+def sections_by_masks(q, rds, n, budgets):
+    """Oracle: every fiber's sections of the depth-n mask fold, as
+    ``separated_empirical`` cut them before it stepped memberships."""
+    return _sections(_mask_iterate(q, rds, n, budgets), _layout(rds))
+
+
+def _separated_outcome(run):
+    """Every field of a ``SeparatedEmpirical``, measures as their stored
+    weights in storage order and the pair system as its fibers and maps, or
+    the error raised."""
+    try:
+        se = run()
+    except (RdstailError, ValueError) as exc:
+        return _error(exc)
+    fields = dict(vars(se))
+    for name in ("mu_n", "mu_limit"):
+        fields[name] = [list(w.items()) for w in fields[name].weights]
+    fields["pair"] = (se.pair.system.fibers, se.pair.system.maps)
+    return fields
+
+
+def test_separated_empirical_matches_mask_path(monkeypatch):
+    # the metric scenarios' systems and covers, then random metric systems
+    # with covers, partitions, a section leaving its fiber, a cover over
+    # another base, budgets 1..8 and depths 0..3: equal
+    # fields, or the same error at the same depth, when the sections come
+    # from the mask fold
+    cases = []
+    for name in ("swap", "extension", "cycle4"):
+        sc = load_scenario(os.path.join(ROOT, "scenarios", f"{name}.json"))
+        for rds in sc.systems.values():
+            ok = [c for c in sc.covers.values() if c.size == rds.size and not validate_cover(c, rds)]
+            cases += [(rds, p, q, n, Fraction(1, 2), DEFAULTS) for p in ok for q in ok for n in (1, 2, 3)]
+    for trial in range(60):
+        rng = _rng(137, trial)
+        rds = random_system(rng, max_fiber=5, with_metric=True)
+        p, q = (rng.choice([random_cover, random_partition])(rng, rds) for _ in range(2))
+        if trial % 10 == 0:
+            p = with_stray(rng, p)
+        elif trial % 10 == 5:
+            q = RandomCover(tuple(RandomSet(e.sections + (frozenset(),)) for e in q.elements))
+        budgets = Budgets(cover_elements=rng.randint(1, 8)) if rng.random() < 0.5 else DEFAULTS
+        cases.append((rds, p, q, rng.randint(0, 3), rng.choice([Fraction(1, 2), Fraction(3, 2)]), budgets))
+    got = [_separated_outcome(lambda: separated_empirical(*case)) for case in cases]
+    monkeypatch.setattr(invariant, "_iterate_sections", sections_by_masks)
+    want = [_separated_outcome(lambda: separated_empirical(*case)) for case in cases]
+    assert got == want
+    kinds = {type(w) if isinstance(w, dict) else w[0] for w in want}
+    assert kinds == {dict, BudgetExceededError, DomainError, IncompatibleSystemsError, ValueError}

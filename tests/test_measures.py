@@ -54,12 +54,12 @@ from rdstail import (
     two_partition_count_bound_check,
     vertex_enumeration,
 )
-from rdstail.covers import RandomCover, _mask_iterates, pullback, pullback_cover, refines
+from rdstail.covers import RandomCover, pullback, pullback_cover, refines
 from rdstail.errors import RdstailError
 from rdstail.invariant import _cycle_structure
+from rdstail.covers import _cell_steps
 from rdstail.measures import (
     ContainmentWitness,
-    _cell_steps,
     _gather,
     _measure,
     _numerators,
@@ -75,6 +75,8 @@ from rdstail.verify import (
     random_partition,
     random_system,
 )
+
+from mask_oracles import _mask_iterates, with_escape, with_stray
 
 SWAP = swap_system()
 TOL = 1e-9
@@ -380,6 +382,25 @@ def _outcome(fn):
         return ("budget", str(exc))
 
 
+def test_point_queries_match_the_sweep_at_every_depth():
+    # the point query (conditional entropy of the depth-n iterate) and depth
+    # n of the sweep read one engine's cells in one order, so they give the
+    # same float, as the benchmark's entropy check asserts on one shape
+    for trial in range(30):
+        rng = _rng(139, trial)
+        base = random_driving(rng, 3)
+        left = random_system(rng, base=base, max_fiber=3, pool=4)
+        prod = product_system(left, random_system(rng, base=base, max_fiber=3, pool=4))
+        h = prod.system
+        mu = cesaro_limit(random_measure(rng, h), h)
+        s = SigmaAlgebra(pullback_cover(prod.to_left, state_partition(left)))
+        n_max = rng.randint(1, 5)
+        for r in (random_partition(rng, h, max_cells=3), random_cover(rng, h), state_partition(h)):
+            (sweep,) = relative_entropy_sequences([mu], r, s, h, n_max)
+            points = tuple(conditional_entropy(mu, iterate_cover(r, h, n), s) for n in range(1, n_max + 1))
+            assert points == sweep.values, trial
+
+
 def test_family_sweep_matches_per_measure_sequences():
     seen = set()
     for trial in range(30):
@@ -437,33 +458,14 @@ def cell_step_masks(r, rds, n_max, budgets):
     """The cells of ``_cell_steps`` at every depth as packed masks: bit k
     of cell c is set when state k lies in c."""
     index = {state: i for i, state in enumerate(rds.states())}
-    step = [index.get((rds.base.theta[w], rds.apply(w, x)), len(index)) for w, x in index] + [len(index)]
-    for cells in _cell_steps(r, rds, index, step, n_max, budgets):
+    for cells, held in _cell_steps(r, rds, index, n_max, budgets):
         masks = [0] * (1 + max((c for at in cells for c in at), default=-1))
         for k, at in enumerate(cells):
             for c in at:
                 masks[c] |= 1 << k
+        # the states of each cell are the memberships read cell by cell
+        assert masks == [sum(1 << k for k in states) for states in held]
         yield masks
-
-
-def with_escape(rng, rds):
-    """``rds`` with the extra point 'out' on one fiber, mapped outside the
-    image fiber; no measure or algebra of ``rds`` holds it."""
-    w = rng.randrange(rds.size)
-    fibers = tuple(f | {"out"} if v == w else f for v, f in enumerate(rds.fibers))
-    maps = tuple({**m, "out": "gone"} if v == w else m for v, m in enumerate(rds.maps))
-    return BundleRDS(rds.base, fibers, maps)
-
-
-def with_stray(rng, cover):
-    """``cover`` with the point 'stray', in no fiber, added to two random
-    sections."""
-    elements = list(cover.elements)
-    for _ in range(2):
-        i, w = rng.randrange(len(elements)), rng.randrange(cover.size)
-        secs = elements[i].sections
-        elements[i] = RandomSet(secs[:w] + (secs[w] | {"stray"},) + secs[w + 1 :])
-    return type(cover)(tuple(elements))
 
 
 def test_cell_steps_match_mask_sweep():
