@@ -6,9 +6,9 @@ without a word-size fallback): bit k over base point w is the k-th point of
 ``sort_points(rds.fibers[w])``.  Every count of an iterated cover reads only
 each fiber's maximal sections, and one stepper, :func:`_section_steps`, gives
 them: it carries them from depth to depth, intersected with the pullback each
-depth joins in, and never builds a whole-bundle iterate.  A sweep counts
-every depth it yields, a single depth only the last; the single-fiber queries
-encode their frozenset arguments with the same index.
+depth joins in, and never builds a whole-bundle iterate.  As depth i+1's
+sections depend on depth i's only, sweeps count to n*, the last new depth,
+and repeat; single-fiber queries encode their arguments with the same index.
 A fiber's count is the largest minimum subcover of a target section.  It is
 monotone in the target, so only maximal sections are solved, largest first.
 A target never needs more masks than it has points, so the walk stops at the
@@ -181,12 +181,21 @@ def _section_steps(c: RandomCover, rds: BundleRDS, n: int, budgets: Budgets) -> 
         yield sections
 
 
+def _fixed_steps(r: RandomCover, q: RandomCover, rds: BundleRDS, n: int, budgets: Budgets) -> Iterator[tuple[list, list]]:
+    """The zipped :func:`_section_steps` of ``r`` and ``q`` until a depth repeats the last one's."""
+    last = None
+    for sections in zip(_section_steps(r, rds, n, budgets), _section_steps(q, rds, n, budgets)):
+        if sections == last:  # _maximal lists are canonical: list equality is set equality
+            return
+        yield (last := sections)
+
+
 def count_profile(
     rds: BundleRDS, r: RandomCover, q: RandomCover, n: int, budgets: Budgets = DEFAULTS
 ) -> CountProfile:
     """Relative counts of the depth-n iterates, one entry per base point: the
-    sections of :func:`count_profiles`, counted at depth n only."""
-    for r_secs, q_secs in zip(_section_steps(r, rds, n, budgets), _section_steps(q, rds, n, budgets)):
+    sections of :func:`count_profiles`, counted once, at depth min(n, n*)."""
+    for r_secs, q_secs in _fixed_steps(r, q, rds, n, budgets):
         pass
     return CountProfile(tuple(map(_count, r_secs, q_secs)), n)
 
@@ -195,7 +204,7 @@ def count_profiles(
     rds: BundleRDS, r: RandomCover, q: RandomCover, n_max: int, budgets: Budgets = DEFAULTS
 ) -> Iterator[CountProfile]:
     """The profiles of depths 1..n_max in one pass, ``r`` before ``q`` at each
-    depth, by the sections of :func:`_section_steps`."""
-    steps = zip(_section_steps(r, rds, n_max, budgets), _section_steps(q, rds, n_max, budgets))
-    for n, (r_secs, q_secs) in enumerate(steps, 1):
-        yield CountProfile(tuple(map(_count, r_secs, q_secs)), n)
+    depth, counted through n* and repeated past it."""
+    for n, (r_secs, q_secs) in enumerate(_fixed_steps(r, q, rds, n_max, budgets), 1):
+        yield (profile := CountProfile(tuple(map(_count, r_secs, q_secs)), n))
+    yield from (CountProfile(profile.per_omega, k) for k in range(n + 1, n_max + 1))

@@ -8,23 +8,23 @@ cover can be reused across systems sharing a base, e.g. a system and its
 m-step power.  In the finite discrete topology every random set is both open
 and closed, so no open/closed distinction is tracked.
 
-Iterated covers step per-state cell memberships: :func:`_cell_steps`, the
-one whole-bundle iterate engine, numbers each depth's cells from those of
-every state of ``rds.states()`` and the elements holding its image in one
-skew table; :func:`iterate_cover`, ``invariant.separated_empirical`` and the
-entropy sweeps of ``measures`` read it.  Pullbacks and counts run on packed
-bitmasks, one ``int`` per element over the whole bundle: bit ``offset + k``
-is the k-th point of ``sort_points`` of the fiber at that offset
-(:func:`_layout`), so bit i is ``rds.states()[i]``.  One generator,
-:func:`_mask_pullbacks`, pulls a cover back 0, 1, 2, ... steps through one
-table of state preimages; :func:`pullback` decodes one of its items and
-``counting`` steps fibers' maximal sections from it.
+Iterated covers step per-state cell memberships: :func:`_cell_steps`, the one
+whole-bundle iterate engine, numbers each depth's cells (a partition's only
+until they repeat) from those of every state of ``rds.states()`` and the
+elements holding its image in one skew table; :func:`iterate_cover`,
+``invariant.separated_empirical`` and the entropy sweeps of ``measures`` read
+it.  Pullbacks and counts run on packed bitmasks, one ``int`` per element over
+the whole bundle: bit ``offset + k`` is the k-th point of ``sort_points`` of
+the fiber at that offset (:func:`_layout`), so bit i is ``rds.states()[i]``.
+One generator, :func:`_mask_pullbacks`, pulls a cover back 0, 1, 2, ... steps
+through one table of state preimages; :func:`pullback` decodes one of its
+items and ``counting`` steps fibers' maximal sections from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, groupby, islice, product
+from itertools import accumulate, groupby, islice, product, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .budgets import Budgets, DEFAULTS
@@ -336,8 +336,10 @@ def _cell_steps(
     depth-n cell of the state and b an element of ``r`` holding its n-step
     image, in sorted pair order: the first-seen order of the join with the
     n-step pullback.  ``step`` is built at depth 2 if not given.  Past depth 1,
-    more than ``budgets.cover_elements`` cells raise the budget error."""
-    cells: Members = [[0]] * len(index)  # depth 0: the whole bundle is one cell
+    more than ``budgets.cover_elements`` cells raise the budget error.  On a
+    partition, a depth repeating the last one's cells in order repeats them to
+    ``n_max``: each cell pairs with one element again and keeps its number."""
+    cells, held = [[0]] * len(index), None  # depth 0: the whole bundle is one cell
     for depth in range(1, n_max + 1):
         if depth == 1:
             _check_span(rds, r)
@@ -349,14 +351,17 @@ def _cell_steps(
         for i, (c, t) in enumerate(zip(cells, image)):
             for k in product(c, elements[t]):
                 holders.setdefault(k, []).append(i)
-        sets = dict.fromkeys(tuple(holders[k]) for k in sorted(holders))  # numbered first seen first
+        sets = list(dict.fromkeys(tuple(holders[k]) for k in sorted(holders)))  # numbered first seen first
         if depth > 1 and len(sets) > budgets.cover_elements:
             raise BudgetExceededError("cover_elements", budgets.cover_elements, len(sets), depth=depth)
+        if sets == held and all(len(e) < 2 for e in elements):  # no state in two elements
+            yield from repeat((cells, held), n_max + 1 - depth)
+            return
         cells = [[] for _ in image]
-        for j, held in enumerate(sets):
-            for i in held:
+        for j, cell in enumerate(sets):
+            for i in cell:
                 cells[i].append(j)
-        yield cells, list(sets)
+        yield cells, (held := sets)
 
 
 def _iterate_cells(q: RandomCover, rds: BundleRDS, n: int, budgets: Budgets) -> tuple[list[State], list[tuple[int, ...]]]:

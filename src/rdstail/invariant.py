@@ -38,7 +38,7 @@ from .covers import (
     pullback_cover,
     state_partition,
 )
-from .errors import BudgetExceededError, PreconditionError
+from .errors import BudgetExceededError, DomainError, PreconditionError
 from .measures import (
     FiberedMeasure,
     _gather,
@@ -396,7 +396,8 @@ def separated_empirical(
                 c = min_cover_size(t, p_masks)
                 if c > best_count:
                     best, best_count = t, c
-        assert best  # covers have a nonempty section somewhere
+        if not best:  # every point of the fiber leaves its image fiber within n steps
+            raise DomainError(f"every section of the depth-{n} iterate of q is empty at omega={w}")
         # mask bits follow sort_points, so decoding gives the sorted section
         best_bits = [(1 << k, x) for k, x in enumerate(sort_points(rds.fibers[w])) if best >> k & 1]
         anchor = best_bits[0][1]

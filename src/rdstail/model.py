@@ -109,7 +109,10 @@ class MetricSpace:
         return cls(pts, d)
 
     def d(self, p: Point, q: Point) -> Fraction:
-        return self.dist[(p, q)]
+        try:
+            return self.dist[(p, q)]
+        except KeyError:
+            raise DomainError(f"no distance from {p!r} to {q!r}: a point lies outside the metric space") from None
 
     def validate(self) -> list[str]:
         """Metric axioms by exhaustive enumeration (pairs and triples).  The

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from rdstail import (
     BudgetExceededError,
     Budgets,
+    CountProfile,
     DomainError,
+    EntropyEstimate,
     RandomCover,
     RandomSet,
     count_profile,
@@ -25,16 +27,17 @@ from rdstail import (
     point_partition,
     relative_count,
     swap_system,
+    tail_entropy_estimate,
     trivial_cover,
 )
-from rdstail import counting
+from rdstail import counting, tail_entropy
 from rdstail.budgets import DEFAULTS
 from rdstail.counting import _maximal
 from rdstail.covers import _layout, _sections
 from rdstail.model import BundleRDS, DrivingSystem
 from rdstail.verify import _rng, coarsen, random_cover, random_partition, random_system
 
-from mask_oracles import _mask_iterate, _mask_iterates
+from mask_oracles import _mask_iterate, _mask_iterates, with_escape
 
 SWAP = swap_system()
 
@@ -335,10 +338,12 @@ def test_count_profiles_match_the_callback_kernel(monkeypatch):
     cases.append(_explicit_system(random.Random(15)))
     for rds, r, q in cases:
         (got, stop), got_solves = profiles_and_solves(count_profiles(rds, r, q, 8))
-        want, want_solves = profiles_and_solves(profiles_by_sections(rds, r, q, 8))
+        want, _ = profiles_and_solves(profiles_by_sections(rds, r, q, 8))
         assert ([p.per_omega for p in got], stop) == want
         assert [p.depth for p in got] == list(range(1, len(got) + 1))
-        # the popcount stop skips only targets the greedy test skips too
+        # the popcount stop skips only targets the greedy test skips too;
+        # past the fixed depth the sweep repeats its profile and solves nothing
+        _, want_solves = profiles_and_solves(profiles_by_sections(rds, r, q, fixed_depth(rds, r, q, 8)))
         assert got_solves == want_solves
     assert stop is None and max(map(max, want[0])) > 2
 
@@ -375,6 +380,30 @@ def cuts_by_depth(rds, r, q, n_max, limit):
         cuts = [set_cut(masks, layout) for masks in sides]
         section_budget(n, cuts, limit)
         yield cuts
+
+
+def fixed_depth(rds, r, q, n_max, limit=DEFAULTS.cover_elements):
+    """Oracle of the stop: the last depth up to ``n_max`` whose maximal
+    sections of the cuts, of ``r`` and of ``q``, differ from the previous
+    depth's, or the last depth before a budget stop.  A stopping sweep counts
+    through this depth only."""
+    last, n = None, 0
+    try:
+        for n, cuts in enumerate(cuts_by_depth(rds, r, q, n_max, limit), 1):
+            sections = [[maximal_by_any(s) for s in cut] for cut in cuts]
+            if sections == last:
+                return n - 1
+            last = sections
+    except BudgetExceededError:
+        pass
+    return n
+
+
+def through_fixed_depth(want, solves, rds, r, q, n_max, limit=DEFAULTS.cover_elements):
+    """``want``, a :func:`_sweep` of :func:`profiles_by_cuts`, with the
+    solves of that sweep through :func:`fixed_depth` only."""
+    n = fixed_depth(rds, r, q, n_max, limit)
+    return *want[:2], _sweep(profiles_by_cuts(rds, r, q, n, limit), solves)[2]
 
 
 def profiles_by_cuts(rds, r, q, n_max, limit=DEFAULTS.cover_elements):
@@ -454,13 +483,14 @@ def test_sweep_by_fiber_sections_matches_the_whole_bundle_cut(monkeypatch):
     stops = errors = 0
     for rds, r, q, n_max in cases:
         want = _sweep(profiles_by_cuts(rds, r, q, n_max), solves)
-        assert _sweep(count_profiles(rds, r, q, n_max), solves) == want
+        assert _sweep(count_profiles(rds, r, q, n_max), solves) == through_fixed_depth(want, solves, rds, r, q, n_max)
         errors += want[1] is not None
         # the sweep stops where a fiber's maximal sections exceed the limit
         for limit in range(1, 9):
             tight = Budgets(cover_elements=limit)
             want = _sweep(profiles_by_cuts(rds, r, q, n_max, limit), solves)
-            assert _sweep(count_profiles(rds, r, q, n_max, tight), solves) == want
+            got = _sweep(count_profiles(rds, r, q, n_max, tight), solves)
+            assert got == through_fixed_depth(want, solves, rds, r, q, n_max, limit)
             stops += want[1] is not None and want[1][0] is BudgetExceededError
         # a section leaving its fiber fails on encoding, r before q
         omega = rds.size - 1
@@ -534,3 +564,53 @@ def test_base_point_out_of_range_raises_domain_error():
                 query()
     # the last base point is still a base point
     assert relative_count(pts, whole, 1, SWAP) == minimal_subcover(whole.elements[0], pts, 1, SWAP) == 2
+
+
+# Once both covers' maximal sections repeat, at depth n* + 1, every later
+# depth repeats them, so the sweeps count through n* and repeat the profile.
+# The steppers that never stop are the oracle: at every depth to 60, on the
+# two benchmark systems and on random covers, partitions, coarsenings and
+# families that leave points uncovered, over systems with and without an
+# escaping point and under tight budgets, the stopped sweeps give the same
+# profiles, floats and stops.
+
+
+def profiles_by_steps(rds, r, q, n_max, budgets=DEFAULTS):
+    """Oracle: every depth of the zipped ``_section_steps``, ``r`` before
+    ``q``, counted."""
+    steps = zip(counting._section_steps(r, rds, n_max, budgets), counting._section_steps(q, rds, n_max, budgets))
+    for n, (r_secs, q_secs) in enumerate(steps, 1):
+        yield CountProfile(tuple(map(counting._count, r_secs, q_secs)), n)
+
+
+def _result(run):
+    """A sweep's profiles, or its estimate with every float in hex, or its
+    error with the depth."""
+    try:
+        out = run()
+    except (BudgetExceededError, DomainError) as exc:
+        return type(exc), str(exc), getattr(exc, "depth", None)
+    if isinstance(out, EntropyEstimate):
+        return out, [v.hex() for v in out.values]
+    return [(p.per_omega, p.depth) for p in out]
+
+
+def test_sweeps_stopped_at_the_fixed_point_match_the_full_steppers(monkeypatch):
+    make = [random_cover, random_partition, lambda g, s: coarsen(g, random_cover(g, s)), _drop_first]
+    cases = [(*case, DEFAULTS) for case in _tail_explicit_shapes(monkeypatch)]
+    for trial in range(300):
+        rng = _rng(26, trial)
+        rds = random_system(rng, max_fiber=rng.choice([3, 5, 7]), pool=9)
+        rds = with_escape(rng, rds) if rng.random() < 0.3 else rds
+        budgets = Budgets(cover_elements=rng.randint(1, 8)) if rng.random() < 0.2 else DEFAULTS
+        cases.append((rds, rng.choice(make)(rng, rds), rng.choice(make[:3])(rng, rds), budgets))
+    outcomes = set()
+    for rds, r, q, budgets in cases:
+        want = _result(lambda: list(profiles_by_steps(rds, r, q, 60, budgets)))
+        assert _result(lambda: list(count_profiles(rds, r, q, 60, budgets))) == want
+        with monkeypatch.context() as patched:
+            patched.setattr(tail_entropy, "count_profiles", profiles_by_steps)
+            want = _result(lambda: tail_entropy_estimate(rds, r, q, 60, budgets))
+        assert _result(lambda: tail_entropy_estimate(rds, r, q, 60, budgets)) == want
+        outcomes.add(want[0] if isinstance(want[0], type) else "values")
+    assert outcomes == {"values", BudgetExceededError, DomainError}

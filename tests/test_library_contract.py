@@ -9,6 +9,7 @@ a bare ``IndexError`` or a wrong answer.
 returns its documented ``None``."""
 
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -132,3 +133,42 @@ def test_malformed_calls_raise_a_library_error(case):
         CALLS[name](args)
     if not isinstance(err.value, rd.RdstailError):
         assert str(err.value) in VALUE_ERRORS, (name, how, err.value)
+
+
+# Two systems on the metric path that ``validate_system`` reports: on the
+# first, every point escapes its image fiber within two steps, so every
+# section of the depth-2 iterate is empty; on the second, a fiber point
+# lies outside the metric space.  The calls raise a ``DomainError`` naming
+# what went wrong, not a bare ``AssertionError`` or ``KeyError``.
+BASE = rd.DrivingSystem((Fraction(1, 2),) * 2, (1, 0))
+METRIC = rd.MetricSpace.discrete("abcz")
+ESCAPING = rd.BundleRDS(BASE, (frozenset("a"), frozenset("bc")), ({"a": "z"}, {"b": "a", "c": "a"}), METRIC)
+OUTSIDE = rd.BundleRDS(
+    BASE, (frozenset({"a", "out"}), frozenset("bc")), ({"a": "b", "out": "c"}, {"b": "a", "c": "a"}), METRIC
+)
+HALF = Fraction(1, 2)
+METRIC_PATH = {
+    "empty iterate": (
+        ESCAPING,
+        lambda: rd.separated_empirical(ESCAPING, rd.point_partition(ESCAPING), rd.point_partition(ESCAPING), 2, HALF),
+        "every section of the depth-2 iterate of q is empty at omega=0",
+    ),
+    "point outside the metric": (
+        OUTSIDE,
+        lambda: rd.separated_empirical(OUTSIDE, rd.point_partition(OUTSIDE), rd.trivial_cover(OUTSIDE), 1, HALF),
+        "no distance from 'out' to 'a': a point lies outside the metric space",
+    ),
+    "ball around a point outside the metric": (
+        OUTSIDE,
+        lambda: rd.bowen_ball(OUTSIDE, 0, "out", 1, HALF),
+        "a point lies outside the metric space",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(METRIC_PATH))
+def test_systems_off_the_metric_path_raise_a_domain_error(case):
+    system, call, message = METRIC_PATH[case]
+    assert rd.validate_system(system)
+    with pytest.raises(rd.DomainError, match=re.escape(message)):
+        call()

@@ -434,6 +434,26 @@ def test_iterate_cover_matches_mask_fold():
     }
 
 
+def test_iterate_cover_at_every_depth_to_twelve_matches_mask_fold():
+    # a partition stops stepping once its cells repeat, in order; an
+    # overlapping cover steps every depth, since some cycle in cell order:
+    # the same cells at consecutive depths, numbered in another order.  At
+    # every depth to 12 both give the mask fold's elements, order and class
+    cycling = 0
+    for trial in range(40):
+        rng = _rng(226, trial)
+        rds = random_system(rng, max_fiber=rng.choice([3, 5, 7]), pool=9)
+        if rng.random() < 0.3:
+            rds = with_escape(rng, rds)
+        part = random_partition(rng, rds)
+        covers = [part, state_partition(rds), RandomCover(part.elements), random_cover(rng, rds)]
+        for q in covers + [coarsen(rng, covers[-1])]:
+            want = list(decoded_iterates(q, rds, 12))
+            assert [iterate_cover(q, rds, n) for n in range(1, 13)] == want, trial
+            cycling += want[-1] != want[-2] and set(want[-1].elements) == set(want[-2].elements)
+    assert cycling > 5
+
+
 def sections_by_masks(q, rds, n, budgets):
     """Oracle: every fiber's sections of the depth-n mask fold, as
     ``separated_empirical`` cut them before it stepped memberships."""

@@ -518,6 +518,33 @@ def test_cell_steps_match_mask_sweep():
     assert cells_seen == {None, "BudgetExceededError", "DomainError", "IncompatibleSystemsError"}
 
 
+def test_partition_sweeps_repeating_their_cells_match_the_mask_sweep():
+    # on a partition the stepper stops at the first depth that repeats the
+    # last one's cells and the sweep repeats its floats: to depth 12, the
+    # same floats, bit for bit, as the mask sweep, which steps every depth,
+    # and the same cells in the same order at every depth
+    repeated = 0
+    for trial in range(30):
+        rng = _rng(126, trial)
+        base = random_driving(rng, 3)
+        left = random_system(rng, base=base, max_fiber=3, pool=4)
+        prod = product_system(left, random_system(rng, base=base, max_fiber=3, pool=4))
+        h = prod.system
+        rds = with_escape(rng, h) if rng.random() < 0.3 else h
+        family = [cesaro_limit(random_measure(rng, h), h) for _ in range(rng.randint(1, 3))]
+        algebras = [SigmaAlgebra(pullback_cover(prod.to_left, state_partition(left))), fiber_sigma(h), state_sigma(h)]
+        for r in (random_partition(rng, rds, max_cells=3), point_partition(rds), state_partition(rds)):
+            for s in algebras:
+                got = _sweep_outcome(lambda: relative_entropy_sequences(family, r, s, rds, 12))
+                want = _sweep_outcome(lambda: sweep_by_masks(family, r, s, rds, 12))
+                assert got == want and got[0] == "values", (trial, got, want)
+                assert [list(map(float.hex, v)) for v in got[1]] == [list(map(float.hex, v)) for v in want[1]]
+            want = _items_outcome(_mask_iterates(r, rds, 12))
+            assert _items_outcome(cell_step_masks(r, rds, 12, Budgets())) == want
+            repeated += any(a == b for a, b in zip(want[0], want[0][1:]))
+    assert repeated == 90
+
+
 def test_entropy_continuous_along_tv_converging_sequences():
     # blend the invariant measure toward a perturbation with geometrically
     # shrinking weight: total variation halves each step and the entropy gap

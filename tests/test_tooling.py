@@ -2,8 +2,8 @@
 every name the package exports has a caller outside the tests, every export
 and model method that takes a base point checks it, the library imports
 only at module level and keeps no memo cache, the CLI looks scenario
-objects up in one function, and the verification suites are named in one
-pair of tables."""
+objects up in one function, the verification suites are named in one
+pair of tables, and the explicit sweeps stop stepping at their fixed point."""
 
 import ast
 import importlib
@@ -18,6 +18,10 @@ import pytest
 
 import rdstail
 import rdstail.cli  # noqa: F401  (the benchmark calls rd.cli.main)
+from rdstail import counting, covers, measures
+from rdstail.verify import _rng, random_driving, random_measure, random_system
+
+from test_counting import _tail_explicit_shapes
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -290,3 +294,42 @@ def test_suite_tables_name_every_suite_once():
         assert {"seed", "trials"} <= set(inspect.signature(fn).parameters), fn.__name__
     for fn in verify.NAMED_SUITES.values():
         assert not {"seed", "trials"} & set(inspect.signature(fn).parameters), fn.__name__
+
+
+def test_sweeps_stop_stepping_at_their_fixed_point(monkeypatch):
+    # a cost check with no clock: the two benchmark shapes' sections repeat
+    # first at depths 15 and 18, so a depth-400 estimate steps each side at
+    # most that often; the cells of the state partition of a system with no
+    # escape repeat at depth 2, so its entropy sweep steps twice and
+    # evaluates one entropy
+    section_steps, product, entropy = counting._section_steps, covers.product, measures._entropy
+    steps, calls = [], {"product": 0, "entropy": 0}
+
+    def counted_steps(*args):
+        side = len(steps)
+        steps.append(0)
+        for sections in section_steps(*args):
+            steps[side] += 1
+            yield sections
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(counting, "_section_steps", counted_steps)
+    for (rds, r, q), limit in zip(_tail_explicit_shapes(monkeypatch), (15, 18)):
+        steps.clear()
+        rdstail.tail_entropy_estimate(rds, r, q, 400)
+        assert len(steps) == 2 and 1 < max(steps) <= limit, steps
+    monkeypatch.setattr(covers, "product", counted("product", product))
+    monkeypatch.setattr(measures, "_entropy", counted("entropy", entropy))
+    rng = _rng(26, 3)
+    base = random_driving(rng, 3)
+    h = rdstail.product_system(*(random_system(rng, base=base, max_fiber=3, pool=4) for _ in range(2))).system
+    mu = rdstail.cesaro_limit(random_measure(rng, h), h)
+    sweep = rdstail.transformation_relative_entropy_sequence(mu, rdstail.fiber_sigma(h), h, 50)
+    assert len(sweep.values) == 50 and sweep.values[-1] > 0 and len(h.states()) == 12
+    assert calls == {"product": 2 * len(h.states()), "entropy": 1}
