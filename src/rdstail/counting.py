@@ -4,11 +4,14 @@ entropy sequences.
 Fiber sections are integer bitmasks (Python integers, so any fiber size works
 without a word-size fallback): bit k over base point w is the k-th point of
 ``sort_points(rds.fibers[w])``.  Every count of an iterated cover reads only
-each fiber's maximal sections, and one stepper, :func:`_section_steps`, gives
-them: it carries them from depth to depth, intersected with the pullback each
-depth joins in, and never builds a whole-bundle iterate.  As depth i+1's
-sections depend on depth i's only, sweeps count to n*, the last new depth,
-and repeat; single-fiber queries encode their arguments with the same index.
+each fiber's maximal sections, and one stepper, :func:`_fixed_steps`, gives
+them for ``r`` and ``q`` together: it indexes ``rds.states()`` once, steps
+one array of state images through the skew table of ``covers`` and carries
+the sections from depth to depth, intersected with the pullback each depth
+joins in, which every state builds by setting its bit in the elements
+holding its image.  As depth i+1's sections depend on depth i's only, sweeps
+count to n*, the last new depth, and repeat; single-fiber queries encode
+their arguments with the same bit order.
 A fiber's count is the largest minimum subcover of a target section.  It is
 monotone in the target, so only maximal sections are solved, largest first.
 A target never needs more masks than it has points, so the walk stops at the
@@ -25,7 +28,17 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .budgets import Budgets, DEFAULTS
-from .covers import RandomCover, RandomSet, _check_span, _fiber_index, _layout, _mask_pullbacks, _section_masks
+from .covers import (
+    Members,
+    RandomCover,
+    RandomSet,
+    _check_span,
+    _fiber_index,
+    _images,
+    _layout,
+    _members,
+    _section_masks,
+)
 from .errors import BudgetExceededError, DomainError
 from .model import BundleRDS
 
@@ -158,36 +171,54 @@ class CountProfile:
             raise ValueError("counts are always >= 1")
 
 
-def _section_steps(c: RandomCover, rds: BundleRDS, n: int, budgets: Budgets) -> Iterator[list[list[int]]]:
-    """Every fiber's maximal sections of the depth-1..n iterates of ``c``,
-    stepped from the whole fiber: depth i keeps the maximal ``a & p`` over
-    those ``a`` of depth i-1 and the sections ``p`` of the (i-1)-step
-    pullback (``a & p`` lies in ``a' & p`` if ``a`` in ``a'``).
+def _pulled(held: Members, size: int, image: list[int], bounds: list[int]) -> list[set[int]]:
+    """Every fiber's distinct sections of the pullback of a cover of ``size``
+    elements, ``held`` as :func:`~rdstail.covers._members` gives it, to the
+    states' images ``image``, as fiber-local masks: every state ORs its bit
+    into the elements holding its image.  A pullback empty on every fiber
+    has no sections."""
+    out = []
+    for start, end in zip(bounds, bounds[1:]):
+        sections, bit = [0] * size, 1
+        for t in image[start:end]:
+            for e in held[t]:
+                sections[e] |= bit
+            bit <<= 1
+        out.append(set(sections))
+    return out if any(map(any, out)) else [set() for _ in out]
+
+
+def _fixed_steps(
+    r: RandomCover, q: RandomCover, rds: BundleRDS, n: int, budgets: Budgets
+) -> Iterator[list[list[list[int]]]]:
+    """Every fiber's maximal sections of the depth-1..n iterates of ``r`` and
+    of ``q``, ``r`` before ``q`` at each depth, until a depth repeats the last
+    one's.  Both sides start at the whole fiber and step one array of state
+    images (:func:`~rdstail.covers._images`): depth i keeps the maximal
+    ``a & p`` over the sections ``a`` of depth i-1 and the sections ``p`` of
+    the (i-1)-step pullback (``a & p`` lies in ``a' & p`` if ``a`` in ``a'``).
 
     Raises :class:`BudgetExceededError` with the depth when, past depth 1, a
     fiber holds more than ``budgets.cover_elements`` maximal sections."""
     if n < 1:
         raise ValueError("depth must be >= 1")
-    layout = _layout(rds)
-    sections = [[full >> offset] for offset, full in layout]
-    for depth, pulled in enumerate(_mask_pullbacks(c, rds, n), 1):
-        # p is the section of the pulled element e on the fiber, at bit 0
-        sections = [
-            _maximal({a & p for e in pulled for p in [(e & full) >> offset] for a in s})
-            for s, (offset, full) in zip(sections, layout)
-        ]
-        if depth > 1 and (observed := max(map(len, sections))) > budgets.cover_elements:
-            raise BudgetExceededError("cover_elements", budgets.cover_elements, observed, depth=depth)
-        yield sections
-
-
-def _fixed_steps(r: RandomCover, q: RandomCover, rds: BundleRDS, n: int, budgets: Budgets) -> Iterator[tuple[list, list]]:
-    """The zipped :func:`_section_steps` of ``r`` and ``q`` until a depth repeats the last one's."""
-    last = None
-    for sections in zip(_section_steps(r, rds, n, budgets), _section_steps(q, rds, n, budgets)):
-        if sections == last:  # _maximal lists are canonical: list equality is set equality
+    index = {state: i for i, state in enumerate(rds.states())}
+    covers = []
+    for c in (r, q):
+        _check_span(rds, c)
+        covers.append((len(c.elements), _members(c, index)))
+    bounds = [offset for offset, _ in _layout(rds)] + [len(index)]
+    sides = [[[(1 << (end - start)) - 1] for start, end in zip(bounds, bounds[1:])]] * 2
+    for depth, image in zip(range(1, n + 1), _images(rds, index)):
+        last, sides = sides, []
+        for sections, (size, held) in zip(last, covers):
+            pulled = _pulled(held, size, image, bounds)  # the (i-1)-step pullback's sections
+            sides.append([_maximal({a & p for p in ps for a in s}) for s, ps in zip(sections, pulled)])
+            if depth > 1 and (observed := max(map(len, sides[-1]))) > budgets.cover_elements:
+                raise BudgetExceededError("cover_elements", budgets.cover_elements, observed, depth=depth)
+        if depth > 1 and sides == last:  # _maximal lists are canonical: list equality is set equality
             return
-        yield (last := sections)
+        yield sides
 
 
 def count_profile(

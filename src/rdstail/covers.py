@@ -8,17 +8,19 @@ cover can be reused across systems sharing a base, e.g. a system and its
 m-step power.  In the finite discrete topology every random set is both open
 and closed, so no open/closed distinction is tracked.
 
-Iterated covers step per-state cell memberships: :func:`_cell_steps`, the one
-whole-bundle iterate engine, numbers each depth's cells (a partition's only
-until they repeat) from those of every state of ``rds.states()`` and the
-elements holding its image in one skew table; :func:`iterate_cover`,
+Iterated covers, pullbacks and counts all read one index of ``rds.states()``,
+the elements holding each state (:func:`_members`) and one skew table of
+state images (:func:`_skew_table`), stepped 0, 1, 2, ... times by
+:func:`_images`.  :func:`_cell_steps`, the one whole-bundle iterate engine,
+numbers each depth's cells (a partition's only until they repeat) from those
+of every state and the elements holding its image; :func:`iterate_cover`,
 ``invariant.separated_empirical`` and the entropy sweeps of ``measures`` read
-it.  Pullbacks and counts run on packed bitmasks, one ``int`` per element over
-the whole bundle: bit ``offset + k`` is the k-th point of ``sort_points`` of
-the fiber at that offset (:func:`_layout`), so bit i is ``rds.states()[i]``.
-One generator, :func:`_mask_pullbacks`, pulls a cover back 0, 1, 2, ... steps
-through one table of state preimages; :func:`pullback` decodes one of its
-items and ``counting`` steps fibers' maximal sections from it.
+it.  :func:`pullback` reads the elements holding the i-step image of every
+state straight into frozenset sections, and ``counting`` steps every fiber's
+maximal sections from the same images.  Sections handed to the set-cover
+search are bitmasks: bit k over base point w is the k-th point of
+``sort_points`` of the fiber, and a packed mask over the whole bundle
+(:func:`_layout`) has bit i on ``rds.states()[i]``.
 """
 
 from __future__ import annotations
@@ -206,9 +208,6 @@ def sigma_join(s: SigmaAlgebra, t: SigmaAlgebra) -> SigmaAlgebra:
     return SigmaAlgebra(joined)
 
 
-Masks = list[int]
-
-
 def _layout(rds: BundleRDS) -> list[tuple[int, int]]:
     """The ``(offset, full mask)`` of every fiber in the packed layout: bit
     ``offset + k`` is the k-th point of ``sort_points`` of the fiber, so bit
@@ -217,11 +216,11 @@ def _layout(rds: BundleRDS) -> list[tuple[int, int]]:
     return [(offset, ((1 << len(f)) - 1) << offset) for offset, f in zip(offsets, rds.fibers)]
 
 
-def _sections(masks: Masks, layout: list[tuple[int, int]]) -> list[list[int]]:
+def _sections(masks: list[int], layout: list[tuple[int, int]]) -> list[list[int]]:
     """Every fiber's distinct sections of the packed masks, in first-seen
-    order.  The order is kept for the element order of :func:`_decode` and
-    for the q-section that ``invariant.separated_empirical`` picks (the first
-    with the largest count)."""
+    order.  The order is kept for the q-section that
+    ``invariant.separated_empirical`` picks (the first with the largest
+    count)."""
     return [list(dict.fromkeys((e & full) >> offset for e in masks)) for offset, full in layout]
 
 
@@ -235,71 +234,6 @@ def _section_masks(sections: Iterable[frozenset], index: dict[Point, int], omega
         return [sum(map(index.__getitem__, sec)) for sec in sections]
     except KeyError:
         raise DomainError(f"cover leaves the fiber at omega={omega}") from None
-
-
-def _distinct(elements: Iterable[int]) -> Masks:
-    # the mask form of _assemble: dedup in first-seen order, then drop 0,
-    # the element empty on every fiber
-    out = dict.fromkeys(elements)
-    out.pop(0, None)
-    return list(out)
-
-
-def _mask_pullbacks(q: RandomCover, rds: BundleRDS, n: int) -> Iterator[Masks]:
-    """The 0..n-1-step pullbacks of ``q`` as lists of distinct packed masks,
-    in the element order of ``q``.
-
-    Step i is the one-step preimage of every element of step i-1, read from
-    one table (state bit -> packed mask of the states mapped onto it) that
-    the first step builds with one ``rds.apply`` per fiber point.  A point
-    mapped outside the image fiber is filed under bit 0, which no mask has,
-    so it pulls back nothing from that step on.  Raises :class:`DomainError`
-    if a section of ``q`` leaves its fiber or a fiber point has no image."""
-    if n < 1:
-        return
-    _check_span(rds, q)
-    layout = _layout(rds)
-    indices = [_fiber_index(f) for f in rds.fibers]
-    columns = [_section_masks(q.sections(w), index, w) for w, index in enumerate(indices)]
-    out = _distinct([sum(m << offset for m, (offset, _) in zip(e, layout)) for e in zip(*columns)])
-    yield out
-    if n < 2:
-        return
-    table: dict[int, int] = {}
-    for w, ((offset, _), index, v) in enumerate(zip(layout, indices, rds.base.theta)):
-        for x, b in index.items():
-            bit = indices[v].get(rds.apply(w, x), 0) << layout[v][0]
-            table[bit] = table.get(bit, 0) | b << offset
-    for _ in range(1, n):
-        out = _distinct([_preimage(table, e) for e in out])
-        yield out
-
-
-def _preimage(table: dict[int, int], mask: int) -> int:
-    """The union of the preimage masks of the set bits of ``mask``: one
-    lookup per state of the element."""
-    out = 0
-    while mask:
-        bit = mask & -mask
-        out |= table.get(bit, 0)
-        mask ^= bit
-    return out
-
-
-def _decode(q: RandomCover, rds: BundleRDS, masks: Masks) -> RandomCover:
-    """The cover of the masks, a partition iff ``q`` is one; a section that
-    several elements share is decoded once."""
-    layout = _layout(rds)
-    points = [sort_points(f) for f in rds.fibers]
-    sections = [
-        {m: frozenset(x for k, x in enumerate(pts) if m >> k & 1) for m in col}
-        for pts, col in zip(points, _sections(masks, layout))
-    ]
-    cls = RandomPartition if isinstance(q, RandomPartition) else RandomCover
-    elements = tuple(
-        RandomSet(tuple(s[(e & full) >> offset] for s, (offset, full) in zip(sections, layout))) for e in masks
-    )
-    return cls(elements)
 
 
 Members = Sequence[Sequence[int]]  # per indexed state, the indices of the elements or cells holding it
@@ -327,6 +261,17 @@ def _skew_table(rds: BundleRDS, index: Mapping[State, int]) -> list[int]:
     return [index.get((rds.base.theta[w], rds.apply(w, x)), len(index)) for w, x in index] + [len(index)]
 
 
+def _images(rds: BundleRDS, index: Mapping[State, int], step: list[int] | None = None) -> Iterator[list[int]]:
+    """The slots of the 0-, 1-, 2-, ...-step skew images of the states of
+    ``index``, each step read from ``step``, the :func:`_skew_table`, which
+    the first step builds if not given."""
+    image = list(range(len(index)))
+    yield image
+    step = step or _skew_table(rds, index)
+    while True:
+        yield (image := [step[t] for t in image])
+
+
 def _cell_steps(
     r: RandomCover, rds: BundleRDS, index: Mapping[State, int], n_max: int, budgets: Budgets, step: list[int] | None = None
 ) -> Iterator[tuple[Members, list[tuple[int, ...]]]]:
@@ -335,18 +280,16 @@ def _cell_steps(
     cell.  Depth n+1 numbers the distinct state sets of the pairs (a, b), a a
     depth-n cell of the state and b an element of ``r`` holding its n-step
     image, in sorted pair order: the first-seen order of the join with the
-    n-step pullback.  ``step`` is built at depth 2 if not given.  Past depth 1,
-    more than ``budgets.cover_elements`` cells raise the budget error.  On a
-    partition, a depth repeating the last one's cells in order repeats them to
-    ``n_max``: each cell pairs with one element again and keeps its number."""
+    n-step pullback.  The images are those of :func:`_images` over ``step``.
+    Past depth 1, more than ``budgets.cover_elements`` cells raise the budget
+    error.  On a partition, a depth repeating the last one's cells in order
+    repeats them to ``n_max``: each cell pairs with one element again and
+    keeps its number."""
     cells, held = [[0]] * len(index), None  # depth 0: the whole bundle is one cell
-    for depth in range(1, n_max + 1):
+    for depth, image in zip(range(1, n_max + 1), _images(rds, index, step)):
         if depth == 1:
             _check_span(rds, r)
-            elements, image = _members(r, index), list(range(len(index)))
-        else:
-            step = step or _skew_table(rds, index)
-            image = [step[t] for t in image]
+            elements = _members(r, index)
         holders: dict[tuple[int, int], list[int]] = {}
         for i, (c, t) in enumerate(zip(cells, image)):
             for k in product(c, elements[t]):
@@ -402,14 +345,22 @@ def iterate_cover(q: RandomCover, rds: BundleRDS, n: int, budgets: Budgets = DEF
 def pullback(q: RandomCover, rds: BundleRDS, i: int) -> RandomCover:
     """Pull every element back i dynamical steps: the section at a base point
     is the i-step fiber-map preimage of the element's section at the i-step
-    image base point: the i-step item of :func:`_mask_pullbacks`.  Keeps the
-    class of ``q``."""
+    image base point, read from the i-step skew image of every state
+    (:func:`_images`) and the elements holding it (:func:`_members`).
+    Elements empty on every fiber are dropped and repeats merged, in
+    first-seen element order.  Keeps the class of ``q``."""
     if i < 0:
         raise ValueError("pullback steps must be nonnegative")
     _check_span(rds, q)
     if i == 0:
         return q
-    return _decode(q, rds, next(islice(_mask_pullbacks(q, rds, i + 1), i, None)))
+    index = {state: k for k, state in enumerate(rds.states())}
+    held = _members(q, index)
+    sections: list[list[list[Point]]] = [[[] for _ in range(rds.size)] for _ in q.elements]
+    for (w, x), t in zip(index, next(islice(_images(rds, index), i, None))):
+        for e in held[t]:
+            sections[e][w].append(x)
+    return _assemble((tuple(map(frozenset, e)) for e in sections), partition=isinstance(q, RandomPartition))
 
 
 def pullback_cover(pi: FactorMap, cover: RandomCover) -> RandomCover:

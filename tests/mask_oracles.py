@@ -1,18 +1,125 @@
-"""The whole-bundle mask join fold that built ``iterate_cover`` and the
-sections of ``separated_empirical`` before both stepped state memberships
-(``covers._cell_steps``), kept as a test oracle, and the malformed inputs
-the differential tests against it share.
+"""The packed-mask engine the cover iterates, the pullbacks and the counts
+ran on before they stepped state images, kept as test oracles, and the
+malformed inputs the differential tests against them share.
 
-Depth i+1 ANDs every depth-i mask with every mask of the i-step item of
-``covers._mask_pullbacks``: bit k of a mask is ``rds.states()[k]``.
+A packed mask is one ``int`` over the whole bundle: bit k is
+``rds.states()[k]`` (``covers._layout``).  :func:`_mask_pullbacks` pulls a
+cover back 0, 1, 2, ... steps through one table of state preimages and
+:func:`_decode` reads masks back into a cover.  :func:`_mask_iterates`, the
+whole-bundle join fold, built ``iterate_cover`` and the sections of
+``separated_empirical`` before both stepped state memberships
+(``covers._cell_steps``): depth i+1 ANDs every depth-i mask with every mask
+of the i-step pullback.  :func:`_section_steps` stepped every fiber's maximal
+sections of one cover from the pullbacks at every depth, without the stop
+at the fixed point of ``counting._fixed_steps``.
 """
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from rdstail.budgets import Budgets, DEFAULTS
-from rdstail.covers import Masks, RandomCover, RandomSet, _distinct, _mask_pullbacks
+from rdstail.counting import _maximal
+from rdstail.covers import (
+    RandomCover,
+    RandomPartition,
+    RandomSet,
+    _check_span,
+    _fiber_index,
+    _layout,
+    _section_masks,
+    _sections,
+)
 from rdstail.errors import BudgetExceededError
-from rdstail.model import BundleRDS
+from rdstail.model import BundleRDS, sort_points
+
+Masks = list[int]
+
+
+def _distinct(elements: Iterable[int]) -> Masks:
+    # the mask form of _assemble: dedup in first-seen order, then drop 0,
+    # the element empty on every fiber
+    out = dict.fromkeys(elements)
+    out.pop(0, None)
+    return list(out)
+
+
+def _mask_pullbacks(q: RandomCover, rds: BundleRDS, n: int) -> Iterator[Masks]:
+    """The 0..n-1-step pullbacks of ``q`` as lists of distinct packed masks,
+    in the element order of ``q``.
+
+    Step i is the one-step preimage of every element of step i-1, read from
+    one table (state bit -> packed mask of the states mapped onto it) that
+    the first step builds with one ``rds.apply`` per fiber point.  A point
+    mapped outside the image fiber is filed under bit 0, which no mask has,
+    so it pulls back nothing from that step on.  Raises :class:`DomainError`
+    if a section of ``q`` leaves its fiber or a fiber point has no image."""
+    if n < 1:
+        return
+    _check_span(rds, q)
+    layout = _layout(rds)
+    indices = [_fiber_index(f) for f in rds.fibers]
+    columns = [_section_masks(q.sections(w), index, w) for w, index in enumerate(indices)]
+    out = _distinct([sum(m << offset for m, (offset, _) in zip(e, layout)) for e in zip(*columns)])
+    yield out
+    if n < 2:
+        return
+    table: dict[int, int] = {}
+    for w, ((offset, _), index, v) in enumerate(zip(layout, indices, rds.base.theta)):
+        for x, b in index.items():
+            bit = indices[v].get(rds.apply(w, x), 0) << layout[v][0]
+            table[bit] = table.get(bit, 0) | b << offset
+    for _ in range(1, n):
+        out = _distinct([_preimage(table, e) for e in out])
+        yield out
+
+
+def _preimage(table: dict[int, int], mask: int) -> int:
+    """The union of the preimage masks of the set bits of ``mask``: one
+    lookup per state of the element."""
+    out = 0
+    while mask:
+        bit = mask & -mask
+        out |= table.get(bit, 0)
+        mask ^= bit
+    return out
+
+
+def _decode(q: RandomCover, rds: BundleRDS, masks: Masks) -> RandomCover:
+    """The cover of the masks, a partition iff ``q`` is one; a section that
+    several elements share is decoded once."""
+    layout = _layout(rds)
+    points = [sort_points(f) for f in rds.fibers]
+    sections = [
+        {m: frozenset(x for k, x in enumerate(pts) if m >> k & 1) for m in col}
+        for pts, col in zip(points, _sections(masks, layout))
+    ]
+    cls = RandomPartition if isinstance(q, RandomPartition) else RandomCover
+    elements = tuple(
+        RandomSet(tuple(s[(e & full) >> offset] for s, (offset, full) in zip(sections, layout))) for e in masks
+    )
+    return cls(elements)
+
+
+def _section_steps(c: RandomCover, rds: BundleRDS, n: int, budgets: Budgets) -> Iterator[list[list[int]]]:
+    """Every fiber's maximal sections of the depth-1..n iterates of ``c``,
+    stepped from the whole fiber: depth i keeps the maximal ``a & p`` over
+    those ``a`` of depth i-1 and the sections ``p`` of the (i-1)-step
+    pullback (``a & p`` lies in ``a' & p`` if ``a`` in ``a'``).
+
+    Raises :class:`BudgetExceededError` with the depth when, past depth 1, a
+    fiber holds more than ``budgets.cover_elements`` maximal sections."""
+    if n < 1:
+        raise ValueError("depth must be >= 1")
+    layout = _layout(rds)
+    sections = [[full >> offset] for offset, full in layout]
+    for depth, pulled in enumerate(_mask_pullbacks(c, rds, n), 1):
+        # p is the section of the pulled element e on the fiber, at bit 0
+        sections = [
+            _maximal({a & p for e in pulled for p in [(e & full) >> offset] for a in s})
+            for s, (offset, full) in zip(sections, layout)
+        ]
+        if depth > 1 and (observed := max(map(len, sections))) > budgets.cover_elements:
+            raise BudgetExceededError("cover_elements", budgets.cover_elements, observed, depth=depth)
+        yield sections
 
 
 def _mask_iterates(q: RandomCover, rds: BundleRDS, n_max: int, budgets: Budgets = DEFAULTS) -> Iterator[Masks]:
@@ -58,3 +165,11 @@ def with_stray(rng, cover):
         secs = elements[i].sections
         elements[i] = RandomSet(secs[:w] + (secs[w] | {"stray"},) + secs[w + 1 :])
     return type(cover)(tuple(elements))
+
+
+def without_image(rng, rds):
+    """``rds`` with one fiber point left out of its fiber map."""
+    maps = [dict(m) for m in rds.maps]
+    omega = rng.randrange(rds.size)
+    del maps[omega][rng.choice(sort_points(rds.fibers[omega]))]
+    return BundleRDS(rds.base, rds.fibers, tuple(maps), rds.space)

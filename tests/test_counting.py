@@ -37,7 +37,7 @@ from rdstail.covers import _layout, _sections
 from rdstail.model import BundleRDS, DrivingSystem
 from rdstail.verify import _rng, coarsen, random_cover, random_partition, random_system
 
-from mask_oracles import _mask_iterate, _mask_iterates, with_escape
+from mask_oracles import _mask_iterate, _mask_iterates, _section_steps, with_escape
 
 SWAP = swap_system()
 
@@ -576,9 +576,9 @@ def test_base_point_out_of_range_raises_domain_error():
 
 
 def profiles_by_steps(rds, r, q, n_max, budgets=DEFAULTS):
-    """Oracle: every depth of the zipped ``_section_steps``, ``r`` before
-    ``q``, counted."""
-    steps = zip(counting._section_steps(r, rds, n_max, budgets), counting._section_steps(q, rds, n_max, budgets))
+    """Oracle: every depth of the zipped ``mask_oracles._section_steps``,
+    ``r`` before ``q``, counted."""
+    steps = zip(_section_steps(r, rds, n_max, budgets), _section_steps(q, rds, n_max, budgets))
     for n, (r_secs, q_secs) in enumerate(steps, 1):
         yield CountProfile(tuple(map(counting._count, r_secs, q_secs)), n)
 

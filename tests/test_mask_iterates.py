@@ -49,20 +49,13 @@ from rdstail import (
     validate_cover,
 )
 from rdstail.budgets import DEFAULTS
-from rdstail.covers import (
-    _assemble,
-    _decode,
-    _fiber_index,
-    _layout,
-    _section_masks,
-    _sections,
-)
+from rdstail.covers import _assemble, _fiber_index, _layout, _section_masks, _sections
 from rdstail import invariant
 from rdstail.errors import RdstailError
 from rdstail.model import BundleRDS, DrivingSystem, sort_points
 from rdstail.verify import _rng, coarsen, random_cover, random_partition, random_system
 
-from mask_oracles import _mask_iterate, _mask_iterates, with_escape, with_stray
+from mask_oracles import _decode, _mask_iterate, _mask_iterates, with_escape, with_stray, without_image
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 seeds = st.integers(min_value=0, max_value=10**6)
@@ -369,14 +362,6 @@ def test_point_mapped_outside_its_image_fiber_pulls_back_nothing():
             assert all("b" not in e.sections[0] for e in pullback(q, rds, i).elements)
     # up to the first step the tuple engine agrees
     assert list(unpacked_iterates(q, rds, 2)) == list(tuple_iterates(q, rds, 2))
-
-
-def without_image(rng, rds):
-    """``rds`` with one fiber point left out of its fiber map."""
-    maps = [dict(m) for m in rds.maps]
-    omega = rng.randrange(rds.size)
-    del maps[omega][rng.choice(sort_points(rds.fibers[omega]))]
-    return BundleRDS(rds.base, rds.fibers, tuple(maps), rds.space)
 
 
 def _error(exc):

@@ -203,11 +203,12 @@ def test_library_keeps_no_memo_cache():
 
 
 def test_counts_build_no_whole_bundle_iterate():
-    # every count steps fiber sections, and the iterates, the separated
-    # sections and the entropy sweeps step state memberships: no library
-    # module binds or names the mask join fold, which lives on in the tests
-    # as an oracle only
+    # every count and pullback steps state images, and the iterates, the
+    # separated sections and the entropy sweeps step state memberships: no
+    # library module binds or names the mask join fold or the packed-mask
+    # pullbacks, which live on in the tests as oracles only
     whole_bundle = {"_mask_iterate", "_mask_iterates", "_mask_steps"}
+    whole_bundle |= {"_mask_pullbacks", "_preimage", "_decode", "_section_steps"}
     package = os.path.dirname(rdstail.__file__)
     names = sorted(name[:-3] for name in os.listdir(package) if name.endswith(".py"))
     assert {"covers", "counting", "invariant", "measures"} <= set(names)
@@ -298,19 +299,17 @@ def test_suite_tables_name_every_suite_once():
 
 def test_sweeps_stop_stepping_at_their_fixed_point(monkeypatch):
     # a cost check with no clock: the two benchmark shapes' sections repeat
-    # first at depths 15 and 18, so a depth-400 estimate steps each side at
-    # most that often; the cells of the state partition of a system with no
-    # escape repeat at depth 2, so its entropy sweep steps twice and
+    # first at depths 15 and 18, so a depth-400 estimate pulls each side
+    # back at most that often; the cells of the state partition of a system
+    # with no escape repeat at depth 2, so its entropy sweep steps twice and
     # evaluates one entropy
-    section_steps, product, entropy = counting._section_steps, covers.product, measures._entropy
-    steps, calls = [], {"product": 0, "entropy": 0}
+    pulled, product, entropy = counting._pulled, covers.product, measures._entropy
+    sides, calls = {}, {"product": 0, "entropy": 0}
 
-    def counted_steps(*args):
-        side = len(steps)
-        steps.append(0)
-        for sections in section_steps(*args):
-            steps[side] += 1
-            yield sections
+    def counted_pulled(held, *args):
+        # keyed by the side's membership table, kept alive so ids stay unique
+        sides.setdefault(id(held), [held, 0])[1] += 1
+        return pulled(held, *args)
 
     def counted(name, function):
         def wrapper(*args):
@@ -319,10 +318,11 @@ def test_sweeps_stop_stepping_at_their_fixed_point(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(counting, "_section_steps", counted_steps)
+    monkeypatch.setattr(counting, "_pulled", counted_pulled)
     for (rds, r, q), limit in zip(_tail_explicit_shapes(monkeypatch), (15, 18)):
-        steps.clear()
+        sides.clear()
         rdstail.tail_entropy_estimate(rds, r, q, 400)
+        steps = [count for _, count in sides.values()]
         assert len(steps) == 2 and 1 < max(steps) <= limit, steps
     monkeypatch.setattr(covers, "product", counted("product", product))
     monkeypatch.setattr(measures, "_entropy", counted("entropy", entropy))
