@@ -64,7 +64,7 @@ _BUILTINS = {
 class _Run:
     """Collects artifacts, then writes them with a digest manifest."""
 
-    def __init__(self, out_dir: str, command: str, args: dict, budgets: Budgets | None, scenario_digest: str | None):
+    def __init__(self, out_dir: str | None, command: str | None, args: dict, budgets: Budgets | None, scenario_digest: str | None):
         self.out_dir = out_dir
         self.command = command
         self.args = args
@@ -201,10 +201,12 @@ class _Parser(argparse.ArgumentParser):
     """Usage errors (a missing flag, an unknown choice, a stray argument)
     raise :class:`ScenarioError` instead of exiting, so that :func:`main`
     writes a manifest for them as for every other bad input.  Subcommand
-    parsers are built with the same class."""
+    parsers are built with the same class.  A one-subcommand grammar has no
+    help and raises unprinted: :func:`main` then parses with the whole one."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
+        if self.add_help:
+            self.print_usage(sys.stderr)
         raise ScenarioError(message)
 
 
@@ -219,76 +221,66 @@ def _out_dir(argv: list[str]) -> str:
         return "out"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="rdstail",
-        description="exact desk-scale calculus for driven fiberwise dynamics",
-    )
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The grammar of the CLI, or, given a ``command``, the same grammar
+    with only the subcommand of that name, if there is one, and no help."""
+    whole = command is None
+    parser = _Parser(prog="rdstail", description="exact desk-scale calculus for driven fiberwise dynamics",
+                     add_help=whole)
     parser.add_argument("--budget", action="append", default=[], metavar="NAME=VALUE",
                         help="override a budget for this run (repeatable)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, scenario_required=True):
+    def add(name, help, scenario_required=True):
+        # the subcommand's parser with the common flags; None when left out
+        if not whole and name != command:
+            return None
+        p = sub.add_parser(name, help=help, add_help=whole)
         p.add_argument("--scenario", required=scenario_required, help="scenario JSON file")
         p.add_argument("--out", default="out", help="artifact directory (default: ./out)")
         p.add_argument("--system", default=None, help="system the named objects live on (default: the first one's)")
+        return p
 
-    common(sub.add_parser("validate", help="load and validate a scenario"))
-
-    p = sub.add_parser("count", help="relative counts of iterated covers")
-    common(p)
-    p.add_argument("--r", required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--n", required=True)
-
-    p = sub.add_parser("tail", help="integrated log-count sequence")
-    common(p)
-    p.add_argument("--r", required=True)
-    p.add_argument("--q", required=True)
-    p.add_argument("--nmax", required=True)
-
-    p = sub.add_parser("tail-total", help="min over conditioning family of max over refining family")
-    common(p)
-    p.add_argument("--qfamily", required=True, help="comma-separated cover names")
-    p.add_argument("--rfamily", required=True, help="comma-separated cover names")
-    p.add_argument("--nmax", required=True)
-
-    p = sub.add_parser("sft-tail", help="cylinder-cover sequence on a driven subshift")
-    common(p)
-    p.add_argument("--sft", required=True)
-    p.add_argument("--rspec", required=True, help="components:depth, e.g. 0,1:1 (use :1 for trivial)")
-    p.add_argument("--qspec", required=True)
-    p.add_argument("--nmax", required=True)
-
-    p = sub.add_parser("entropy", help="conditional entropy, or its depth sequence with --nmax")
-    common(p)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--r", required=True)
-    p.add_argument("--sigma", required=True, help="partition name or builtin (@fibers, @states)")
-    p.add_argument("--nmax", default=None)
-
-    p = sub.add_parser("invariant", help="invariant-measure machinery")
-    common(p)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--vertices", action="store_true")
-    g.add_argument("--cesaro", metavar="MU")
-    g.add_argument("--lift", nargs=2, metavar=("PI", "MU"))
-
-    p = sub.add_parser("construct", help="empirical pair-measure constructions")
-    common(p)
-    g = p.add_mutually_exclusive_group(required=True)
-    g.add_argument("--separated", action="store_true")
-    g.add_argument("--diagonal", action="store_true")
-    p.add_argument("--p", dest="p_cover", help="refining cover")
-    p.add_argument("--q", dest="q_cover", help="conditioning cover")
-    p.add_argument("--n", required=True)
-    p.add_argument("--delta", required=True, help="exact rational radius, e.g. 1/2")
-
-    p = sub.add_parser("verify", help="run a verification suite")
-    common(p, scenario_required=False)
-    p.add_argument("--suite", required=True, choices=[*SUITES, *NAMED_SUITES])
-    p.add_argument("--seed", help="seeded suites only (default: 1)")
-    p.add_argument("--trials", help="seeded suites only (default: 100)")
+    add("validate", "load and validate a scenario")
+    if p := add("count", "relative counts of iterated covers"):
+        p.add_argument("--r", required=True)
+        p.add_argument("--q", required=True)
+        p.add_argument("--n", required=True)
+    if p := add("tail", "integrated log-count sequence"):
+        p.add_argument("--r", required=True)
+        p.add_argument("--q", required=True)
+        p.add_argument("--nmax", required=True)
+    if p := add("tail-total", "min over conditioning family of max over refining family"):
+        p.add_argument("--qfamily", required=True, help="comma-separated cover names")
+        p.add_argument("--rfamily", required=True, help="comma-separated cover names")
+        p.add_argument("--nmax", required=True)
+    if p := add("sft-tail", "cylinder-cover sequence on a driven subshift"):
+        p.add_argument("--sft", required=True)
+        p.add_argument("--rspec", required=True, help="components:depth, e.g. 0,1:1 (use :1 for trivial)")
+        p.add_argument("--qspec", required=True)
+        p.add_argument("--nmax", required=True)
+    if p := add("entropy", "conditional entropy, or its depth sequence with --nmax"):
+        p.add_argument("--mu", required=True)
+        p.add_argument("--r", required=True)
+        p.add_argument("--sigma", required=True, help="partition name or builtin (@fibers, @states)")
+        p.add_argument("--nmax", default=None)
+    if p := add("invariant", "invariant-measure machinery"):
+        g = p.add_mutually_exclusive_group(required=True)
+        g.add_argument("--vertices", action="store_true")
+        g.add_argument("--cesaro", metavar="MU")
+        g.add_argument("--lift", nargs=2, metavar=("PI", "MU"))
+    if p := add("construct", "empirical pair-measure constructions"):
+        g = p.add_mutually_exclusive_group(required=True)
+        g.add_argument("--separated", action="store_true")
+        g.add_argument("--diagonal", action="store_true")
+        p.add_argument("--p", dest="p_cover", help="refining cover")
+        p.add_argument("--q", dest="q_cover", help="conditioning cover")
+        p.add_argument("--n", required=True)
+        p.add_argument("--delta", required=True, help="exact rational radius, e.g. 1/2")
+    if p := add("verify", "run a verification suite", scenario_required=False):
+        p.add_argument("--suite", required=True, choices=[*SUITES, *NAMED_SUITES])
+        p.add_argument("--seed", help="seeded suites only (default: 1)")
+        p.add_argument("--trials", help="seeded suites only (default: 100)")
     return parser
 
 
@@ -480,11 +472,14 @@ def _budgets(items: list[str]) -> Budgets:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # a usage error leaves no command or flags to record
-    run = _Run(_out_dir(argv), None, {}, None, None)
+    # a usage error leaves no command, flags or output directory to record
+    run = _Run(None, None, {}, None, None)
     sc: Scenario | None = None
     try:
-        args = build_parser().parse_args(argv)
+        try:  # the usual call names its subcommand first, whose grammar alone parses it
+            args = build_parser(argv[0] if argv else "").parse_args(argv)
+        except ScenarioError:  # any other argv, a help request among them, parses as it always did
+            args = build_parser().parse_args(argv)
         if getattr(args, "suite", None) in SUITES:
             args.seed = 1 if args.seed is None else args.seed
             args.trials = 100 if args.trials is None else args.trials
@@ -511,6 +506,8 @@ def main(argv: list[str] | None = None) -> int:
     except RdstailError as exc:  # ScenarioError among them
         print(f"error: {exc}", file=sys.stderr)
         run.error = str(exc)
+        if run.out_dir is None:
+            run.out_dir = _out_dir(argv)
         run.flush()
         return EXIT_BAD_INPUT
     run.flush()

@@ -233,10 +233,6 @@ def skew_iterate(rds: BundleRDS, state: State, n: int) -> State:
     return (omega, x)
 
 
-def fiber_iterate(rds: BundleRDS, omega: int, x: Point, n: int) -> Point:
-    return skew_iterate(rds, (omega, x), n)[1]
-
-
 def power_system(rds: BundleRDS, m: int) -> BundleRDS:
     """Materialize the m-step system: base map iterated m times, fiber maps
     composed along the base orbit.  Same fibers, same masses."""
@@ -244,7 +240,7 @@ def power_system(rds: BundleRDS, m: int) -> BundleRDS:
         raise ValueError("m must be >= 1")
     base = DrivingSystem(rds.base.prob, tuple(rds.base.theta_iterate(w, m) for w in range(rds.size)))
     maps = tuple(
-        {x: fiber_iterate(rds, w, x, m) for x in rds.fibers[w]} for w in range(rds.size)
+        {x: skew_iterate(rds, (w, x), m)[1] for x in rds.fibers[w]} for w in range(rds.size)
     )
     return BundleRDS(base=base, fibers=rds.fibers, maps=maps, space=rds.space)
 
@@ -312,17 +308,27 @@ def identity_factor(rds: BundleRDS) -> FactorMap:
     return FactorMap(rds, rds, tuple({x: x for x in rds.fibers[w]} for w in range(rds.size)))
 
 
-def _product_space(left: MetricSpace | None, right: MetricSpace | None) -> MetricSpace | None:
-    # max metric on pairs; present only when both factors carry a metric
-    if left is None or right is None:
-        return None
-    pts = tuple((a, b) for a in left.points for b in right.points)
-    dist = {
-        ((a, b), (c, d)): max(left.d(a, c), right.d(b, d))
-        for (a, b) in pts
-        for (c, d) in pts
-    }
-    return MetricSpace(pts, dist)
+class _MaxDistances(Mapping):
+    """Max-metric distances on the pair ``points`` of two spaces, each read
+    from the factors on demand; the items, order and length are the table's."""
+
+    def __init__(self, points: tuple, left: MetricSpace, right: MetricSpace):
+        self.pairs, self.left, self.right = dict.fromkeys(points), left, right
+
+    def __getitem__(self, key):
+        try:  # any key but a pair of product points, a 2-character string too, is missing
+            p, q = key
+            if p in self.pairs and q in self.pairs:
+                return max(self.left.dist[p[0], q[0]], self.right.dist[p[1], q[1]])
+        except (TypeError, ValueError):
+            pass
+        raise KeyError(key)
+
+    def __iter__(self):
+        return ((p, q) for p in self.pairs for q in self.pairs)
+
+    def __len__(self):
+        return len(self.pairs) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -346,7 +352,11 @@ def product_system(s: BundleRDS, t: BundleRDS) -> ProductSystem:
     maps = tuple(
         {(y, x): (s.apply(w, y), t.apply(w, x)) for (y, x) in fibers[w]} for w in range(s.size)
     )
-    system = BundleRDS(base=s.base, fibers=fibers, maps=maps, space=_product_space(s.space, t.space))
+    space = None
+    if s.space is not None and t.space is not None:  # the max metric on pairs
+        pts = tuple((a, b) for a in s.space.points for b in t.space.points)
+        space = MetricSpace(pts, _MaxDistances(pts, s.space, t.space))
+    system = BundleRDS(base=s.base, fibers=fibers, maps=maps, space=space)
     to_left = FactorMap(system, s, tuple({(y, x): y for (y, x) in fibers[w]} for w in range(s.size)))
     to_right = FactorMap(system, t, tuple({(y, x): x for (y, x) in fibers[w]} for w in range(s.size)))
     return ProductSystem(system=system, to_left=to_left, to_right=to_right)

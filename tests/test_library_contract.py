@@ -172,3 +172,29 @@ def test_systems_off_the_metric_path_raise_a_domain_error(case):
     assert rd.validate_system(system)
     with pytest.raises(rd.DomainError, match=re.escape(message)):
         call()
+
+
+# A product space has a distance for each pair of its pair points and for
+# nothing else, as when it was a table: a pair with one factor point
+# outside, a two-character string, which would unpack into a pair of
+# points, and keys of another shape raise a ``DomainError`` from ``d`` and
+# are not in ``dist``.
+PAIRS = rd.pair_system(SWAP).system.space
+OFF_PAIRS = {
+    "first factor point outside": ("z", "a"),
+    "second factor point outside": ("a", "z"),
+    "two-character string": "ab",
+    "one factor point": "a",
+    "three coordinates": ("a", "b", "c"),
+    "list of two points": ["a", "b"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(OFF_PAIRS))
+def test_product_metric_has_no_distance_off_its_pair_points(case):
+    point, inside = OFF_PAIRS[case], ("a", "b")
+    assert inside in PAIRS.points and PAIRS.d(inside, ("c", "b")) == 1
+    for p, q in ((point, inside), (inside, point)):
+        with pytest.raises(rd.DomainError, match=re.escape(f"no distance from {p!r} to {q!r}")):
+            PAIRS.d(p, q)
+        assert (p, q) not in PAIRS.dist and PAIRS.dist.get((p, q)) is None

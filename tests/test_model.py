@@ -22,6 +22,7 @@ from rdstail import (
     swap_system,
     validate_system,
 )
+from rdstail.scenario import canonical_digest, system_payload
 from rdstail.verify import _rng, random_system
 
 
@@ -217,6 +218,41 @@ def test_triangle_check_matches_fraction_sums():
         seen_failures += bool(want)
         assert space.validate() == want
     assert 10 < seen_failures < 60
+
+
+def product_space_by_table(left, right):
+    """Oracle: the max metric on pairs as a table of every distance, as
+    product systems built it before they read distances on demand."""
+    pts = tuple((a, b) for a in left.points for b in right.points)
+    dist = {((a, b), (c, d)): max(left.d(a, c), right.d(b, d)) for (a, b) in pts for (c, d) in pts}
+    return MetricSpace(pts, dist)
+
+
+def test_product_metric_reads_as_its_table():
+    # every distance, in the table's order, the metric axioms and the
+    # system digest, on the presets, random metric systems and products
+    # with a product factor
+    pairs = []
+    for rds in (swap_system(), cycle_system(), cycle_system(3), extend_with_tags(swap_system(), 2, True).source):
+        pairs += [(rds, rds), (rds, one_point_system(rds.base))]
+    for trial in range(40):
+        rng = _rng(28, trial)
+        left = random_system(rng, max_fiber=3, pool=4, with_metric=True)
+        right = random_system(rng, base=left.base, max_fiber=3, pool=4, with_metric=True)
+        pairs.append((left, right))
+        if trial < 3:
+            pairs.append((pair_system(right).system, left))
+    for s, t in pairs:
+        got = product_system(s, t).system
+        want = product_space_by_table(s.space, t.space)
+        assert got.space.points == want.points
+        assert len(got.space.dist) == len(want.dist)
+        assert list(got.space.dist.items()) == list(want.dist.items())
+        assert all(got.space.d(p, q) == v for (p, q), v in want.dist.items())
+        assert got.space.validate() == want.validate() == []
+        tabled = BundleRDS(base=got.base, fibers=got.fibers, maps=got.maps, space=want)
+        assert canonical_digest(system_payload(got)) == canonical_digest(system_payload(tabled))
+
 
 def pair_system_by_hand(t):
     """Oracle: the squared system as it was built before it became

@@ -888,3 +888,106 @@ def test_sft_tail_artifacts_are_pinned(tmp_path, command):
         if name != "manifest.json"
     }
     assert got == SFT_TAIL_DIGESTS[command]
+
+
+def _workload_commands():
+    """The README command forms the benchmark runs, read from
+    ``bench/workloads.py`` without importing it."""
+    import ast
+
+    with open(os.path.join(HERE, "..", "bench", "workloads.py")) as fh:
+        tree = ast.parse(fh.read())
+    (table,) = (n.value for n in tree.body if isinstance(n, ast.Assign) and ast.unparse(n.targets[0]) == "README_COMMANDS")
+    # each row is (command, flags, kinds); the kinds are names, not literals
+    return [[ast.literal_eval(row.elts[0]), *ast.literal_eval(row.elts[1]).split()] for row in table.elts]
+
+
+def _readme_commands():
+    with open(os.path.join(HERE, "..", "README.md")) as fh:
+        return [line.split()[1:] for line in fh if line.startswith("rdstail ")]
+
+
+def _parser_corpus():
+    """Every argv :func:`main` meets in the README and the benchmark, which
+    all succeed, and the argvs that the one-subcommand grammar must hand to
+    the whole one."""
+    swap = ["--scenario", "scenarios/swap.json"]
+    tail = ["tail", *swap, "--r", "points", "--q", "whole", "--nmax", "3"]
+    calls = _readme_commands() + _workload_commands() + [
+        # the benchmark's other command forms, on packaged scenario objects
+        ["tail", *swap, "--r", "points", "--q", "whole", "--nmax", "12"],
+        ["count", *swap, "--r", "points", "--q", "whole", "--n", "6"],
+        ["sft-tail", "--scenario", "scenarios/shifts.json", "--sft", "pairshift", "--rspec", "0,1:2",
+         "--qspec", "0:1", "--nmax", "20"],
+        ["entropy", *swap, "--mu", "orbit", "--r", "@states", "--sigma", "@fibers", "--nmax", "4"],
+        ["invariant", *swap, "--cesaro", "uniform"],
+        ["invariant", "--scenario", "scenarios/cycle4.json", "--vertices", "--system", "loop"],
+    ]
+    others = [
+        # help, and no argv at all
+        ["--help"], ["-h"], [], ["tail", "--he"],
+        # usage errors
+        ["frobnicate", *swap], ["--scenario", "scenarios/swap.json"], tail[:-2], [*tail[:-2], "--out", "named"],
+        [*tail, "--bogus", "1"],
+        ["tail", *swap, "--r", "points", "--q"], ["tail", "--budget", "cover_elements=64", *tail[1:]],
+        ["verify", "--suite", "nosuch"], ["invariant", *swap, "--vertices", "--cesaro", "uniform"],
+        # budgets before the command, one whose value names a command, an abbreviation
+        ["--budget", "x=1", *tail], ["--budget", "cover_elements=64", *tail],
+        ["--budget", "count", "validate", *swap], ["--bud", "cover_elements=64", *tail],
+    ]
+    (commands,) = (a.choices for a in rdstail.cli.build_parser()._actions if a.dest == "command")
+    assert len(commands) == 9
+    return calls, others + [[command, "--help"] for command in commands]
+
+
+def _call(argv, where, monkeypatch, capsys):
+    """Exit code, stdout, stderr and the artifact bytes of one :func:`main`
+    call run from the directory ``where``, under which the packaged
+    scenarios are linked (``os.walk`` does not follow the link), so that
+    the outputs name no other path."""
+    where.mkdir()
+    os.symlink(os.path.abspath(SCENARIOS), where / "scenarios")
+    monkeypatch.chdir(where)
+    capsys.readouterr()
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # a help request exits from argparse
+        code = exc.code
+    out, err = capsys.readouterr()
+    files = {
+        os.path.relpath(os.path.join(d, name), where): open(os.path.join(d, name), "rb").read()
+        for d, _, names in os.walk(where, followlinks=False)
+        for name in names
+    }
+    return code, out, err, files
+
+
+def test_one_subcommand_grammar_parses_as_the_whole_one(tmp_path, monkeypatch, capsys):
+    # the differential test of the one-subcommand grammar: every argv gives
+    # the same exit code, output and artifact bytes as with the whole
+    # grammar, and no usage line twice
+    whole = rdstail.cli.build_parser
+
+    def whole_only(command=None):
+        # main parses with the whole grammar when the other does not parse
+        if command is not None:
+            raise ScenarioError("no one-subcommand grammar")
+        return whole()
+
+    calls, others = _parser_corpus()
+    assert len(calls) == 46
+    results = {}
+    for k, argv in enumerate(calls + others):
+        got = results[tuple(argv)] = _call(argv, tmp_path / f"one{k}", monkeypatch, capsys)
+        with monkeypatch.context() as m:
+            m.setattr(rdstail.cli, "build_parser", whole_only)
+            want = _call(argv, tmp_path / f"whole{k}", monkeypatch, capsys)
+        assert got == want, argv
+        assert got[0] == 0 if k < len(calls) else got[0] in (0, 2), argv
+        assert got[2].count("usage:") <= 1, argv
+    # a usage error writes its manifest to the --out it names, else to out/
+    missing = ["tail", "--scenario", "scenarios/swap.json", "--r", "points", "--q", "whole"]
+    for argv, where in ((missing, "out"), ([*missing, "--out", "named"], "named")):
+        code, _, err, files = results[tuple(argv)]
+        assert code == 2 and err.startswith("usage: rdstail tail") and list(files) == [f"{where}/manifest.json"]
+        assert json.loads(files[f"{where}/manifest.json"])["error"] == "the following arguments are required: --nmax"

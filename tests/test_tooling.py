@@ -3,15 +3,20 @@ every name the package exports has a caller outside the tests, every export
 and model method that takes a base point checks it, the library imports
 only at module level and keeps no memo cache, the CLI looks scenario
 objects up in one function, the verification suites are named in one
-pair of tables, and the explicit sweeps stop stepping at their fixed point."""
+pair of tables, the explicit sweeps stop stepping at their fixed point,
+a CLI call builds the parser of its own subcommand only and a pair
+system reads no distance while it is built."""
 
+import argparse
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
 import re
 import subprocess
 import sys
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -333,3 +338,48 @@ def test_sweeps_stop_stepping_at_their_fixed_point(monkeypatch):
     sweep = rdstail.transformation_relative_entropy_sequence(mu, rdstail.fiber_sigma(h), h, 50)
     assert len(sweep.values) == 50 and sweep.values[-1] > 0 and len(h.states()) == 12
     assert calls == {"product": 2 * len(h.states()), "entropy": 1}
+
+
+class _CountedReads(Mapping):
+    """A distance table that counts how often it is read."""
+
+    def __init__(self, table):
+        self.table, self.reads = table, 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return self.table[key]
+
+    def __iter__(self):
+        self.reads += 1
+        return iter(self.table)
+
+    def __len__(self):
+        self.reads += 1
+        return len(self.table)
+
+
+def test_a_call_pays_only_for_its_own_command(monkeypatch, tmp_path):
+    # a cost check with no clock: a README `tail` call builds the top-level
+    # parser and its subcommand's, not the other eight; building the pair
+    # system of the cycle4 scenario reads no distance of its factor, where
+    # a table of the product metric read 2 x 16^2 of them
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    scenarios = os.path.join(ROOT, "scenarios")
+    argv = ["tail", "--scenario", os.path.join(scenarios, "swap.json"), "--r", "points", "--q", "whole",
+            "--nmax", "8", "--out", str(tmp_path)]
+    assert rdstail.cli.main(argv) == 0
+    assert len(built) == 2
+    loop = rdstail.load_scenario(os.path.join(scenarios, "cycle4.json")).systems["loop"]
+    table = _CountedReads(loop.space.dist)
+    loop = dataclasses.replace(loop, space=rdstail.MetricSpace(loop.space.points, table))
+    pair = rdstail.pair_system(loop)
+    assert table.reads == 0 and len(pair.system.space.points) == 16
+    assert pair.system.space.d(("p0", "p1"), ("p2", "p1")) == 1 and table.reads == 2
