@@ -1,9 +1,10 @@
 """Exact minimal-subcover counting, the combinatorial core of the tail
 entropy sequences.
 
-Fiber sections are integer bitmasks (Python integers, so any fiber size works
-without a word-size fallback): bit k over base point w is the k-th point of
-``sort_points(rds.fibers[w])``.  Every count of an iterated cover reads only
+Fiber sections are integer bitmasks, built by no other module (Python
+integers, so any fiber size works without a word-size fallback): bit k over
+base point w is the k-th point of ``sort_points(rds.fibers[w])``
+(:func:`_fiber_index`).  Every count of an iterated cover reads only
 each fiber's maximal sections, and one stepper, :func:`_fixed_steps`, gives
 them for ``r`` and ``q`` together: it indexes ``rds.states()`` once, steps
 one array of state images through the skew table of ``covers`` and carries
@@ -25,22 +26,25 @@ returns an approximation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from .budgets import Budgets, DEFAULTS
-from .covers import (
-    Members,
-    RandomCover,
-    RandomSet,
-    _check_span,
-    _fiber_index,
-    _images,
-    _layout,
-    _members,
-    _section_masks,
-)
+from .covers import Members, RandomCover, RandomSet, _check_span, _images, _members
 from .errors import BudgetExceededError, DomainError
-from .model import BundleRDS
+from .model import BundleRDS, Point, sort_points
+
+
+def _fiber_index(fiber: Iterable[Point]) -> dict[Point, int]:
+    """Bit of every point of a fiber: bit k is the k-th of ``sort_points``."""
+    return {x: 1 << k for k, x in enumerate(sort_points(fiber))}
+
+
+def _section_masks(sections: Iterable[frozenset], index: dict[Point, int], omega: int) -> list[int]:
+    try:
+        return [sum(map(index.__getitem__, sec)) for sec in sections]
+    except KeyError:
+        raise DomainError(f"cover leaves the fiber at omega={omega}") from None
 
 
 def _maximal(masks: Iterable[int]) -> list[int]:
@@ -207,7 +211,7 @@ def _fixed_steps(
     for c in (r, q):
         _check_span(rds, c)
         covers.append((len(c.elements), _members(c, index)))
-    bounds = [offset for offset, _ in _layout(rds)] + [len(index)]
+    bounds = list(accumulate((len(f) for f in rds.fibers), initial=0))
     sides = [[[(1 << (end - start)) - 1] for start, end in zip(bounds, bounds[1:])]] * 2
     for depth, image in zip(range(1, n + 1), _images(rds, index)):
         last, sides = sides, []

@@ -13,20 +13,16 @@ the elements holding each state (:func:`_members`) and one skew table of
 state images (:func:`_skew_table`), stepped 0, 1, 2, ... times by
 :func:`_images`.  :func:`_cell_steps`, the one whole-bundle iterate engine,
 numbers each depth's cells (a partition's only until they repeat) from those
-of every state and the elements holding its image; :func:`iterate_cover`,
-``invariant.separated_empirical`` and the entropy sweeps of ``measures`` read
-it.  :func:`pullback` reads the elements holding the i-step image of every
+of every state and the elements holding its image; :func:`iterate_cover`
+and the entropy sweeps of ``measures`` read it.  :func:`pullback` reads the elements holding the i-step image of every
 state straight into frozenset sections, and ``counting`` steps every fiber's
-maximal sections from the same images.  Sections handed to the set-cover
-search are bitmasks: bit k over base point w is the k-th point of
-``sort_points`` of the fiber, and a packed mask over the whole bundle
-(:func:`_layout`) has bit i on ``rds.states()[i]``.
+maximal sections from the same images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, groupby, islice, product, repeat
+from itertools import groupby, islice, product, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .budgets import Budgets, DEFAULTS
@@ -208,34 +204,6 @@ def sigma_join(s: SigmaAlgebra, t: SigmaAlgebra) -> SigmaAlgebra:
     return SigmaAlgebra(joined)
 
 
-def _layout(rds: BundleRDS) -> list[tuple[int, int]]:
-    """The ``(offset, full mask)`` of every fiber in the packed layout: bit
-    ``offset + k`` is the k-th point of ``sort_points`` of the fiber, so bit
-    i of a packed mask is ``rds.states()[i]``."""
-    offsets = accumulate((len(f) for f in rds.fibers), initial=0)
-    return [(offset, ((1 << len(f)) - 1) << offset) for offset, f in zip(offsets, rds.fibers)]
-
-
-def _sections(masks: list[int], layout: list[tuple[int, int]]) -> list[list[int]]:
-    """Every fiber's distinct sections of the packed masks, in first-seen
-    order.  The order is kept for the q-section that
-    ``invariant.separated_empirical`` picks (the first with the largest
-    count)."""
-    return [list(dict.fromkeys((e & full) >> offset for e in masks)) for offset, full in layout]
-
-
-def _fiber_index(fiber: Iterable[Point]) -> dict[Point, int]:
-    """Bit of every point of a fiber: bit k is the k-th of ``sort_points``."""
-    return {x: 1 << k for k, x in enumerate(sort_points(fiber))}
-
-
-def _section_masks(sections: Iterable[frozenset], index: dict[Point, int], omega: int) -> list[int]:
-    try:
-        return [sum(map(index.__getitem__, sec)) for sec in sections]
-    except KeyError:
-        raise DomainError(f"cover leaves the fiber at omega={omega}") from None
-
-
 Members = Sequence[Sequence[int]]  # per indexed state, the indices of the elements or cells holding it
 
 
@@ -307,30 +275,16 @@ def _cell_steps(
         yield cells, (held := sets)
 
 
-def _iterate_cells(q: RandomCover, rds: BundleRDS, n: int, budgets: Budgets) -> tuple[list[State], list[tuple[int, ...]]]:
-    """``rds.states()`` and the ascending states of every depth-n cell of
-    :func:`_cell_steps`, in cell order."""
+def iterate_cover(q: RandomCover, rds: BundleRDS, n: int, budgets: Budgets = DEFAULTS) -> RandomCover:
+    """Join of the pullbacks at steps 0..n-1 (depth-n dynamical refinement):
+    the depth-n cells of :func:`_cell_steps` in cell order, each read into
+    one section per base point, a partition iff ``q`` is one."""
     if n < 1:
         raise ValueError("depth must be >= 1")
     index = {state: i for i, state in enumerate(rds.states())}
     for _, held in _cell_steps(q, rds, index, n, budgets):
         pass
-    return list(index), held
-
-
-def _iterate_sections(q: RandomCover, rds: BundleRDS, n: int, budgets: Budgets) -> list[list[int]]:
-    """:func:`_sections` of the depth-n cells of ``q`` packed as masks: every
-    fiber's distinct sections in cell order, the empty section kept."""
-    _, held = _iterate_cells(q, rds, n, budgets)
-    return _sections([sum(1 << i for i in cell) for cell in held], _layout(rds))
-
-
-def iterate_cover(q: RandomCover, rds: BundleRDS, n: int, budgets: Budgets = DEFAULTS) -> RandomCover:
-    """Join of the pullbacks at steps 0..n-1 (depth-n dynamical refinement):
-    the depth-n cells of :func:`_cell_steps` in cell order, each read into
-    one section per base point, a partition iff ``q`` is one."""
-    states, held = _iterate_cells(q, rds, n, budgets)
-    fiber, points = [w for w, _ in states], [x for _, x in states]
+    fiber, points = [w for w, _ in index], [x for _, x in index]
     empty = (frozenset(),) * rds.size
     elements = []
     for cell in held:

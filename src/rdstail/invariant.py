@@ -28,13 +28,13 @@ from itertools import product
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .budgets import Budgets, DEFAULTS
-from .counting import min_cover_size
+from .counting import minimal_subcover
 from .covers import (
     RandomCover,
     RandomPartition,
     SigmaAlgebra,
     _check_span,
-    _iterate_sections,
+    iterate_cover,
     pullback_cover,
     state_partition,
 )
@@ -264,14 +264,16 @@ def hull_certificate(
 
 
 def _per_base(rds: BundleRDS, delta: Fraction | Sequence[Fraction]) -> list[Fraction]:
-    """``delta`` as one exact rational per base point; a scalar applies to
-    every base point."""
+    """``delta`` as one exact rational per base point: an ``int`` or a
+    ``Fraction`` applies to every base point, a sequence of them gives one
+    per base point, and anything else raises :class:`PreconditionError`."""
     if isinstance(delta, (Fraction, int)):
         return [Fraction(delta)] * rds.size
-    out = [Fraction(d) for d in delta]
-    if len(out) != rds.size:
+    if not isinstance(delta, Sequence) or not all(isinstance(d, (Fraction, int)) for d in delta):
+        raise PreconditionError("exact_radii", f"radius {delta!r} is not an int, a Fraction or a sequence of them")
+    if len(delta) != rds.size:
         raise ValueError("need one delta per base point")
-    return out
+    return [Fraction(d) for d in delta]
 
 
 def bowen_ball(
@@ -282,7 +284,11 @@ def bowen_ball(
     space = rds.requires_metric()
     deltas = _per_base(rds, delta)
     fiber = rds.fibers[rds.base.check_point(omega)]
-    if y not in fiber:
+    try:
+        inside = y in fiber
+    except TypeError:  # an unhashable center is in no fiber
+        inside = False
+    if not inside:
         raise PreconditionError("center_in_fiber", f"{y!r} not in fiber {omega}")
     ball = []
     for x in fiber:
@@ -360,6 +366,42 @@ def _pair_support_mass(mu: FiberedMeasure, q: RandomCover) -> Fraction:
     return Fraction(sum(n for (w, (x, y)), n in num.items() if any(x in sec and y in sec for sec in secs[w])), d)
 
 
+def _separated_sets(
+    rds: BundleRDS, p: RandomCover, q: RandomCover, n: int, deltas: list[Fraction], budgets: Budgets
+) -> tuple[list[frozenset], list[Point], list[tuple[Point, ...]], list[int], bool | None]:
+    """The ``chosen``, ``anchors``, ``separated``, ``counts`` and
+    ``atoms_isolate_separated`` of :func:`separated_empirical`.  At every base
+    point the chosen set is the first nonempty section, in element order, of
+    the depth-n iterate of ``q`` with the largest :func:`minimal_subcover`
+    count by that of ``p``; its points are scanned in ``sort_points`` order,
+    so the first, the anchor, is always separated."""
+    p_n, q_n = iterate_cover(p, rds, n, budgets), iterate_cover(q, rds, n, budgets)
+    chosen: list[frozenset] = []
+    separated: list[tuple[Point, ...]] = []
+    counts: list[int] = []
+    for w in range(rds.size):
+        best, best_count = frozenset(), 0
+        for t, e in dict(zip(q_n.sections(w), q_n.elements)).items():
+            if t and (c := minimal_subcover(e, p_n, w, rds)) > best_count:
+                best, best_count = t, c
+        if not best:  # every point of the fiber leaves its image fiber within n steps
+            raise DomainError(f"every section of the depth-{n} iterate of q is empty at omega={w}")
+        # x is separated from an accepted y exactly when it leaves y's ball
+        sep: list[Point] = []
+        balls: list[frozenset] = []
+        for x in sort_points(best):
+            if not any(x in ball for ball in balls):
+                sep.append(x)
+                balls.append(bowen_ball(rds, w, x, n, deltas))
+        chosen.append(best)
+        separated.append(tuple(sep))
+        counts.append(best_count)
+    isolate: bool | None = None
+    if isinstance(p, RandomPartition):
+        isolate = all(len(sec.intersection(sep)) <= 1 for w, sep in enumerate(separated) for sec in p_n.sections(w))
+    return chosen, [sep[0] for sep in separated], separated, counts, isolate
+
+
 def separated_empirical(
     rds: BundleRDS,
     p: RandomCover,
@@ -378,48 +420,11 @@ def separated_empirical(
     """
     rds.requires_metric()
     deltas = _per_base(rds, delta)
-    p_sections = _iterate_sections(p, rds, n, budgets)
-    q_sections = _iterate_sections(q, rds, n, budgets)
+    chosen, anchors, separated, counts, isolate = _separated_sets(rds, p, q, n, deltas, budgets)
     pair = pair_system(rds)
-
-    chosen: list[frozenset] = []
-    anchors: list[Point] = []
-    separated: list[tuple[Point, ...]] = []
-    sep_masks: list[int] = []
-    counts: list[int] = []
-    sigma_weights: list[dict[Point, Fraction]] = [{} for _ in range(rds.size)]
-    for w, (p_masks, q_masks) in enumerate(zip(p_sections, q_sections)):
-        # the first q-section with the largest count by the p-sections
-        best, best_count = 0, 0
-        for t in q_masks:
-            if t:
-                c = min_cover_size(t, p_masks)
-                if c > best_count:
-                    best, best_count = t, c
-        if not best:  # every point of the fiber leaves its image fiber within n steps
-            raise DomainError(f"every section of the depth-{n} iterate of q is empty at omega={w}")
-        # mask bits follow sort_points, so decoding gives the sorted section
-        best_bits = [(1 << k, x) for k, x in enumerate(sort_points(rds.fibers[w])) if best >> k & 1]
-        anchor = best_bits[0][1]
-        # x is separated from an accepted y exactly when it leaves y's ball
-        sep: list[Point] = []
-        balls: list[frozenset] = []
-        sep_mask = 0
-        for bit, x in best_bits:
-            if not any(x in ball for ball in balls):
-                sep.append(x)
-                balls.append(bowen_ball(rds, w, x, n, deltas))
-                sep_mask |= bit
-        chosen.append(frozenset(x for _, x in best_bits))
-        sep_masks.append(sep_mask)
-        anchors.append(anchor)
-        separated.append(tuple(sep))
-        counts.append(best_count)
-        share = rds.base.prob[w] / len(sep) if sep else Fraction(0)
-        for y in sep:
-            sigma_weights[w][(anchor, y)] = share
-
-    sigma = FiberedMeasure(tuple(sigma_weights))
+    sigma = FiberedMeasure(
+        tuple({(a, y): prob / len(sep) for y in sep} for a, sep, prob in zip(anchors, separated, rds.base.prob))
+    )
     terms = []
     current = sigma
     for _ in range(n):
@@ -431,9 +436,6 @@ def separated_empirical(
     etas = [lebesgue_number(rds, p, w) for w in range(rds.size)]
     lebesgue_ok = all(eta is None or deltas[w] <= eta for w, eta in enumerate(etas))
     card_ok = all(len(separated[w]) >= counts[w] for w in range(rds.size))
-    isolate: bool | None = None
-    if isinstance(p, RandomPartition):
-        isolate = all((m & sep).bit_count() <= 1 for sep, col in zip(sep_masks, p_sections) for m in col)
     return SeparatedEmpirical(
         n=n,
         deltas=tuple(deltas),

@@ -111,7 +111,7 @@ class MetricSpace:
     def d(self, p: Point, q: Point) -> Fraction:
         try:
             return self.dist[(p, q)]
-        except KeyError:
+        except (KeyError, TypeError):  # an unhashable point has no distance either
             raise DomainError(f"no distance from {p!r} to {q!r}: a point lies outside the metric space") from None
 
     def validate(self) -> list[str]:

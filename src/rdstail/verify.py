@@ -686,11 +686,7 @@ def run_theorem_suite(budgets: Budgets = DEFAULTS) -> SuiteReport:
 # principal extensions
 
 
-def principal_extension_check(
-    pi: FactorMap,
-    budgets: Budgets = DEFAULTS,
-    label: str = "extension",
-) -> SuiteReport:
+def principal_extension_check(pi: FactorMap, budgets: Budgets = DEFAULTS) -> SuiteReport:
     """Certify an extension is principal and conserves the tail entropy at
     desk scale, to depth 4.
 
@@ -709,7 +705,7 @@ def principal_extension_check(
     checks = [_verdict("factor_map_valid", not bad, 1, {"violations": bad} if bad else None)]
     digests = [canonical_digest({"source": system_payload(pi.source), "target": system_payload(pi.target)})]
     if bad:
-        return _report(f"principal:{label}", 0, 1, checks, digests)
+        return _report("principal:extension", 0, 1, checks, digests)
 
     max_preimage = max(
         len(pi.preimage(w, x)) for w in range(pi.target.size) for x in pi.target.fibers[w]
@@ -744,7 +740,7 @@ def principal_extension_check(
             {"upstairs": up_star, "downstairs": down_star},
         )
     )
-    return _report(f"principal:{label}", 0, 1, checks, digests)
+    return _report("principal:extension", 0, 1, checks, digests)
 
 
 def run_principal_suite(budgets: Budgets = DEFAULTS) -> SuiteReport:
@@ -759,7 +755,7 @@ def run_principal_suite(budgets: Budgets = DEFAULTS) -> SuiteReport:
     checks: list[CheckResult] = []
     digests: list[str] = []
     for name, pi in cases:
-        report = principal_extension_check(pi, budgets=budgets, label=name)
+        report = principal_extension_check(pi, budgets=budgets)
         digests.extend(report.scenario_digests)
         checks.extend(replace(c, name=f"{name}:{c.name}") for c in report.checks)
     return _report("principal", 0, len(cases), checks, digests)

@@ -3,35 +3,46 @@ ran on before they stepped state images, kept as test oracles, and the
 malformed inputs the differential tests against them share.
 
 A packed mask is one ``int`` over the whole bundle: bit k is
-``rds.states()[k]`` (``covers._layout``).  :func:`_mask_pullbacks` pulls a
+``rds.states()[k]`` (:func:`_layout`).  :func:`_mask_pullbacks` pulls a
 cover back 0, 1, 2, ... steps through one table of state preimages and
 :func:`_decode` reads masks back into a cover.  :func:`_mask_iterates`, the
 whole-bundle join fold, built ``iterate_cover`` and the sections of
 ``separated_empirical`` before both stepped state memberships
 (``covers._cell_steps``): depth i+1 ANDs every depth-i mask with every mask
-of the i-step pullback.  :func:`_section_steps` stepped every fiber's maximal
+of the i-step pullback; :func:`_separated_sets` is the per-fiber mask walk
+``separated_empirical`` chose its sets by before it read ``iterate_cover``
+and ``minimal_subcover``.  :func:`_section_steps` stepped every fiber's maximal
 sections of one cover from the pullbacks at every depth, without the stop
 at the fixed point of ``counting._fixed_steps``.
 """
 
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 from rdstail.budgets import Budgets, DEFAULTS
-from rdstail.counting import _maximal
-from rdstail.covers import (
-    RandomCover,
-    RandomPartition,
-    RandomSet,
-    _check_span,
-    _fiber_index,
-    _layout,
-    _section_masks,
-    _sections,
-)
-from rdstail.errors import BudgetExceededError
+from rdstail.counting import _fiber_index, _maximal, _section_masks, min_cover_size
+from rdstail.covers import RandomCover, RandomPartition, RandomSet, _check_span
+from rdstail.errors import BudgetExceededError, DomainError
+from rdstail.invariant import bowen_ball
 from rdstail.model import BundleRDS, sort_points
 
 Masks = list[int]
+
+
+def _layout(rds: BundleRDS) -> list[tuple[int, int]]:
+    """The ``(offset, full mask)`` of every fiber in the packed layout: bit
+    ``offset + k`` is the k-th point of ``sort_points`` of the fiber, so bit
+    i of a packed mask is ``rds.states()[i]``."""
+    offsets = accumulate((len(f) for f in rds.fibers), initial=0)
+    return [(offset, ((1 << len(f)) - 1) << offset) for offset, f in zip(offsets, rds.fibers)]
+
+
+def _sections(masks: list[int], layout: list[tuple[int, int]]) -> list[list[int]]:
+    """Every fiber's distinct sections of the packed masks, in first-seen
+    order.  The order is kept for the q-section that
+    ``invariant.separated_empirical`` picks (the first with the largest
+    count)."""
+    return [list(dict.fromkeys((e & full) >> offset for e in masks)) for offset, full in layout]
 
 
 def _distinct(elements: Iterable[int]) -> Masks:
@@ -145,6 +156,48 @@ def _mask_iterate(q: RandomCover, rds: BundleRDS, n: int, budgets: Budgets = DEF
     for out in _mask_iterates(q, rds, n, budgets):
         pass
     return out
+
+
+def _iterate_sections(q: RandomCover, rds: BundleRDS, n: int, budgets: Budgets) -> list[list[int]]:
+    """:func:`_sections` of the depth-n masks of ``q``: every fiber's distinct
+    sections in element order, the empty section kept."""
+    return _sections(_mask_iterate(q, rds, n, budgets), _layout(rds))
+
+
+def _separated_sets(rds, p, q, n, deltas, budgets):
+    """The ``chosen``, ``anchors``, ``separated``, ``counts`` and
+    ``atoms_isolate_separated`` of ``separated_empirical`` by the mask walk:
+    per fiber, the first nonempty q-section with the largest
+    :func:`min_cover_size` by the p-sections, its bits decoded in
+    ``sort_points`` order, the lowest the anchor."""
+    p_sections = _iterate_sections(p, rds, n, budgets)
+    q_sections = _iterate_sections(q, rds, n, budgets)
+    chosen, anchors, separated, counts, sep_masks = [], [], [], [], []
+    for w, (p_masks, q_masks) in enumerate(zip(p_sections, q_sections)):
+        best, best_count = 0, 0
+        for t in q_masks:
+            if t:
+                c = min_cover_size(t, p_masks)
+                if c > best_count:
+                    best, best_count = t, c
+        if not best:
+            raise DomainError(f"every section of the depth-{n} iterate of q is empty at omega={w}")
+        best_bits = [(1 << k, x) for k, x in enumerate(sort_points(rds.fibers[w])) if best >> k & 1]
+        sep, balls, sep_mask = [], [], 0
+        for bit, x in best_bits:
+            if not any(x in ball for ball in balls):
+                sep.append(x)
+                balls.append(bowen_ball(rds, w, x, n, deltas))
+                sep_mask |= bit
+        chosen.append(frozenset(x for _, x in best_bits))
+        anchors.append(best_bits[0][1])
+        separated.append(tuple(sep))
+        counts.append(best_count)
+        sep_masks.append(sep_mask)
+    isolate = None
+    if isinstance(p, RandomPartition):
+        isolate = all((m & sep).bit_count() <= 1 for sep, col in zip(sep_masks, p_sections) for m in col)
+    return chosen, anchors, separated, counts, isolate
 
 
 def with_escape(rng, rds):

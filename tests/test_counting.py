@@ -33,11 +33,10 @@ from rdstail import (
 from rdstail import counting, tail_entropy
 from rdstail.budgets import DEFAULTS
 from rdstail.counting import _maximal
-from rdstail.covers import _layout, _sections
 from rdstail.model import BundleRDS, DrivingSystem
 from rdstail.verify import _rng, coarsen, random_cover, random_partition, random_system
 
-from mask_oracles import _mask_iterate, _mask_iterates, _section_steps, with_escape
+from mask_oracles import _layout, _mask_iterate, _mask_iterates, _section_steps, _sections, with_escape
 
 SWAP = swap_system()
 
@@ -221,7 +220,7 @@ def test_uncoverable_target_below_the_popcount_stop_raises():
 # The reference count kernel, with a Python callback per mask: ``_maximal``
 # with a lambda key and ``any``, ``_greedy`` over every mask, and
 # ``_fiber_count`` checking coverability per target with no popcount stop,
-# over the fibers cut by ``covers._sections``.  The exact solver is the
+# over the fibers cut by ``mask_oracles._sections``.  The exact solver is the
 # library's ``min_cover_size``, itself checked against brute force above,
 # looked up on ``counting`` so that a test can record the solves.
 

@@ -198,3 +198,46 @@ def test_product_metric_has_no_distance_off_its_pair_points(case):
         with pytest.raises(rd.DomainError, match=re.escape(f"no distance from {p!r} to {q!r}")):
             PAIRS.d(p, q)
         assert (p, q) not in PAIRS.dist and PAIRS.dist.get((p, q)) is None
+
+
+# An unhashable point is in no fiber and no metric space, and a radius must
+# be exact like a weight: an ``int``, a ``Fraction`` or one of them per base
+# point.  A float, a float per base point (which ``Fraction`` would read as
+# its binary expansion) and a string raise a ``PreconditionError``, not a
+# bare ``TypeError`` or an inexact ball.
+UNHASHABLE = {
+    "distance from a list": (
+        lambda: rd.MetricSpace.discrete("ab").d(["a"], "b"),
+        rd.DomainError,
+        "no distance from ['a'] to 'b'",
+    ),
+    "ball around a list": (
+        lambda: rd.bowen_ball(SWAP, 0, ["a"], 1, HALF),
+        rd.PreconditionError,
+        "precondition 'center_in_fiber' failed: ['a'] not in fiber 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNHASHABLE))
+def test_unhashable_points_raise_a_library_error(case):
+    call, error, message = UNHASHABLE[case]
+    with pytest.raises(error, match=re.escape(message)):
+        call()
+
+
+RADIUS_CALLS = {
+    "bowen_ball": lambda delta: rd.bowen_ball(SWAP, 0, "a", 1, delta),
+    "separated_empirical": lambda delta: rd.separated_empirical(SWAP, POINTS, WHOLE, 1, delta),
+    "diagonal_measure": lambda delta: rd.diagonal_measure(SWAP, WHOLE, POINTS, 1, delta),
+}
+INEXACT_RADII = [0.5, [0.1, 0.1], "1/2", [HALF, 0.5], None]
+
+
+@pytest.mark.parametrize("name", sorted(RADIUS_CALLS))
+def test_inexact_radii_raise_a_precondition_error(name):
+    for delta in (HALF, 1, [HALF, 1], (1, HALF)):
+        RADIUS_CALLS[name](delta)
+    for delta in INEXACT_RADII:
+        with pytest.raises(rd.PreconditionError, match=re.escape(f"'exact_radii' failed: radius {delta!r} ")):
+            RADIUS_CALLS[name](delta)

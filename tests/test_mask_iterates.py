@@ -49,13 +49,23 @@ from rdstail import (
     validate_cover,
 )
 from rdstail.budgets import DEFAULTS
-from rdstail.covers import _assemble, _fiber_index, _layout, _section_masks, _sections
+from rdstail.counting import _fiber_index, _section_masks
+from rdstail.covers import _assemble
 from rdstail import invariant
 from rdstail.errors import RdstailError
-from rdstail.model import BundleRDS, DrivingSystem, sort_points
+from rdstail.model import BundleRDS, DrivingSystem, MetricSpace, sort_points
 from rdstail.verify import _rng, coarsen, random_cover, random_partition, random_system
 
-from mask_oracles import _decode, _mask_iterate, _mask_iterates, with_escape, with_stray, without_image
+from mask_oracles import (
+    _decode,
+    _layout,
+    _mask_iterate,
+    _mask_iterates,
+    _separated_sets,
+    with_escape,
+    with_stray,
+    without_image,
+)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 seeds = st.integers(min_value=0, max_value=10**6)
@@ -439,12 +449,6 @@ def test_iterate_cover_at_every_depth_to_twelve_matches_mask_fold():
     assert cycling > 5
 
 
-def sections_by_masks(q, rds, n, budgets):
-    """Oracle: every fiber's sections of the depth-n mask fold, as
-    ``separated_empirical`` cut them before it stepped memberships."""
-    return _sections(_mask_iterate(q, rds, n, budgets), _layout(rds))
-
-
 def _separated_outcome(run):
     """Every field of a ``SeparatedEmpirical``, measures as their stored
     weights in storage order and the pair system as its fibers and maps, or
@@ -460,30 +464,45 @@ def _separated_outcome(run):
     return fields
 
 
+def with_metric_escape(rng, rds):
+    """:func:`with_escape` with 'out' in the metric space, at distance 1 from
+    every other point."""
+    rds = with_escape(rng, rds)
+    points = rds.space.points + ("out",)
+    dist = {(x, y): rds.space.d(x, y) if "out" not in (x, y) else Fraction(x != y) for x in points for y in points}
+    return BundleRDS(rds.base, rds.fibers, rds.maps, MetricSpace(points, dist))
+
+
 def test_separated_empirical_matches_mask_path(monkeypatch):
     # the metric scenarios' systems and covers, then random metric systems
-    # with covers, partitions, a section leaving its fiber, a cover over
-    # another base, budgets 1..8 and depths 0..3: equal
-    # fields, or the same error at the same depth, when the sections come
-    # from the mask fold
+    # with covers, partitions, an escaping point, a section leaving its
+    # fiber, an added empty section (a cover over another base), an element
+    # empty everywhere, budgets 1..12, depths 0..5 and radii 1/2, 1 and 3/2:
+    # equal fields, or the same error at the same depth, when the separated
+    # sets come from the per-fiber mask walk
     cases = []
     for name in ("swap", "extension", "cycle4"):
         sc = load_scenario(os.path.join(ROOT, "scenarios", f"{name}.json"))
         for rds in sc.systems.values():
             ok = [c for c in sc.covers.values() if c.size == rds.size and not validate_cover(c, rds)]
             cases += [(rds, p, q, n, Fraction(1, 2), DEFAULTS) for p in ok for q in ok for n in (1, 2, 3)]
-    for trial in range(60):
+    for trial in range(150):
         rng = _rng(137, trial)
         rds = random_system(rng, max_fiber=5, with_metric=True)
+        if trial % 5 == 1:
+            rds = with_metric_escape(rng, rds)
         p, q = (rng.choice([random_cover, random_partition])(rng, rds) for _ in range(2))
         if trial % 10 == 0:
             p = with_stray(rng, p)
         elif trial % 10 == 5:
             q = RandomCover(tuple(RandomSet(e.sections + (frozenset(),)) for e in q.elements))
-        budgets = Budgets(cover_elements=rng.randint(1, 8)) if rng.random() < 0.5 else DEFAULTS
-        cases.append((rds, p, q, rng.randint(0, 3), rng.choice([Fraction(1, 2), Fraction(3, 2)]), budgets))
+        elif trial % 10 == 7:
+            q = RandomCover(q.elements + (RandomSet((frozenset(),) * q.size),))
+        budgets = Budgets(cover_elements=rng.randint(1, 12)) if rng.random() < 0.5 else DEFAULTS
+        radius = rng.choice([Fraction(1, 2), Fraction(1), Fraction(3, 2)])
+        cases.append((rds, p, q, rng.randint(0, 5), radius, budgets))
     got = [_separated_outcome(lambda: separated_empirical(*case)) for case in cases]
-    monkeypatch.setattr(invariant, "_iterate_sections", sections_by_masks)
+    monkeypatch.setattr(invariant, "_separated_sets", _separated_sets)
     want = [_separated_outcome(lambda: separated_empirical(*case)) for case in cases]
     assert got == want
     kinds = {type(w) if isinstance(w, dict) else w[0] for w in want}

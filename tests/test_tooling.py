@@ -208,19 +208,27 @@ def test_library_keeps_no_memo_cache():
 
 
 def test_counts_build_no_whole_bundle_iterate():
-    # every count and pullback steps state images, and the iterates, the
-    # separated sections and the entropy sweeps step state memberships: no
-    # library module binds or names the mask join fold or the packed-mask
-    # pullbacks, which live on in the tests as oracles only
+    # every count and pullback steps state images, and the iterates and the
+    # entropy sweeps step state memberships: no library module binds or
+    # names the mask join fold, the packed-mask pullbacks or the packed
+    # layout, which live on in the tests as oracles only, and fiber bitmasks
+    # are built in ``counting`` alone (``min_cover_size`` is also exported)
     whole_bundle = {"_mask_iterate", "_mask_iterates", "_mask_steps"}
     whole_bundle |= {"_mask_pullbacks", "_preimage", "_decode", "_section_steps"}
+    whole_bundle |= {"_layout", "_sections", "_iterate_sections", "_iterate_cells"}
+    fiber_masks = {"_fiber_index", "_section_masks", "min_cover_size"}
     package = os.path.dirname(rdstail.__file__)
     names = sorted(name[:-3] for name in os.listdir(package) if name.endswith(".py"))
     assert {"covers", "counting", "invariant", "measures"} <= set(names)
     for name in names:
         module = importlib.import_module(f"rdstail.{name}")
+        referenced = _referenced_names(module.__file__)
         assert not whole_bundle & set(vars(module)), name
-        assert not whole_bundle & _referenced_names(module.__file__), name
+        assert not whole_bundle & referenced, name
+        if name == "__init__":
+            assert fiber_masks & referenced == {"min_cover_size"}
+        elif name != "counting":
+            assert not fiber_masks & (set(vars(module)) | referenced), name
 
 
 def _omega_calls():
