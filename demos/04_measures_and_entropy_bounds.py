@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from rdstail import (
     FiberedMeasure,
-    Filtration,
     SigmaAlgebra,
     conditional_entropy,
     containment_entropy_bound_check,
@@ -52,11 +51,11 @@ print("\ncontainment bound (radius 1/8, two target cells):")
 print(f"  achieved mismatch mass {res.witness.best_sum}, entropy {res.entropy:.6f}")
 print(f"  bound {res.bound:.6f}  (sign-variant form would read {res.bound_plus_variant:.6f})")
 
-chain = Filtration((
+chain = (
     SigmaAlgebra(trivial_cover(swap)),
     sigma_join(SigmaAlgebra(trivial_cover(swap)), fiber_sigma(swap)),
     state_sigma(swap),
-))
+)
 out = filtration_limit_check(uniform, points, chain, state_sigma(swap))
 print("\nentropies along a refining chain decrease to the target value:")
 print("  ", [round(h, 6) for h in out.entropies], "->", out.target_entropy)

@@ -71,7 +71,6 @@ from .measures import (
     ContainmentWitness,
     DefectEstimate,
     FiberedMeasure,
-    Filtration,
     FiltrationCheck,
     conditional_entropy,
     containment_entropy_bound_check,
@@ -81,7 +80,6 @@ from .measures import (
     entropy_count_bound_check,
     filtration_limit_check,
     measures_equal,
-    mix,
     pushforward_measure,
     relative_entropy_sequence,
     relative_entropy_sequences,

@@ -22,10 +22,11 @@ point and takes the next candidate lying in none of them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Sequence
 
 from .budgets import Budgets, DEFAULTS
 from .counting import minimal_subcover
@@ -44,15 +45,14 @@ from .measures import (
     _gather,
     _measure,
     _numerators,
+    _push,
     _skew_gap,
     _violations,
     measures_equal,
-    mix,
     pushforward_measure,
-    skew_pushforward,
     transformation_relative_entropy_sequence,
 )
-from .model import BundleRDS, FactorMap, Point, ProductSystem, State, pair_system, sort_points
+from .model import BundleRDS, FactorMap, Point, ProductSystem, State, pair_system, sort_points, terminal_cycles
 from .tail_entropy import EntropyEstimate
 
 
@@ -64,34 +64,6 @@ def invariance_defect(mu: FiberedMeasure, rds: BundleRDS) -> Fraction:
     than the system raises :class:`PreconditionError`."""
     d, num = _numerators(mu, rds)
     return Fraction(_skew_gap(num, rds), d)
-
-
-def terminal_cycles(
-    nodes: Iterable[Hashable], step: Callable[[Hashable], Hashable]
-) -> tuple[list[list], dict]:
-    """Terminal cycles of a map on a finite set, in order of discovery from
-    ``nodes``, and for every node reached the index of the cycle its forward
-    path falls into."""
-    cycles: list[list] = []
-    terminal: dict = {}
-    for start in nodes:
-        if start in terminal:
-            continue
-        path: list = []
-        on_path: dict = {}
-        s = start
-        while s not in terminal and s not in on_path:
-            on_path[s] = len(path)
-            path.append(s)
-            s = step(s)
-        if s in on_path:
-            cycles.append(path[on_path[s]:])
-            cid = len(cycles) - 1
-        else:
-            cid = terminal[s]
-        for p in path:
-            terminal[p] = cid
-    return cycles, terminal
 
 
 def _cycle_structure(rds: BundleRDS) -> tuple[list[list[State]], dict[State, int]]:
@@ -264,15 +236,19 @@ def hull_certificate(
 
 
 def _per_base(rds: BundleRDS, delta: Fraction | Sequence[Fraction]) -> list[Fraction]:
-    """``delta`` as one exact rational per base point: an ``int`` or a
-    ``Fraction`` applies to every base point, a sequence of them gives one
-    per base point, and anything else raises :class:`PreconditionError`."""
+    """``delta`` as one exact positive rational per base point: an ``int``
+    or a ``Fraction`` applies to every base point, a sequence of them gives
+    one per base point.  Anything else, or a radius of 0 or less, raises
+    :class:`PreconditionError`."""
     if isinstance(delta, (Fraction, int)):
-        return [Fraction(delta)] * rds.size
-    if not isinstance(delta, Sequence) or not all(isinstance(d, (Fraction, int)) for d in delta):
+        delta = [delta] * rds.size
+    elif not isinstance(delta, Sequence) or not all(isinstance(d, (Fraction, int)) for d in delta):
         raise PreconditionError("exact_radii", f"radius {delta!r} is not an int, a Fraction or a sequence of them")
-    if len(delta) != rds.size:
+    elif len(delta) != rds.size:
         raise ValueError("need one delta per base point")
+    for w, d in enumerate(delta):
+        if d <= 0:
+            raise PreconditionError("positive_radii", f"radius {d} at omega={w} is not positive")
     return [Fraction(d) for d in delta]
 
 
@@ -425,12 +401,12 @@ def separated_empirical(
     sigma = FiberedMeasure(
         tuple({(a, y): prob / len(sep) for y in sep} for a, sep, prob in zip(anchors, separated, rds.base.prob))
     )
-    terms = []
-    current = sigma
-    for _ in range(n):
-        terms.append((Fraction(1, n), current))
-        current = skew_pushforward(current, pair.system)
-    mu_n = mix(terms)
+    d, step = _numerators(sigma)
+    total = Counter(step)  # the n iterates summed over d, so mu_n is total / (n d)
+    for _ in range(n - 1):
+        step = _push(step, pair.system)
+        total.update(step)
+    mu_n = _measure(rds.size, n * d, total)
     mu_limit = cesaro_limit(mu_n, pair.system)
 
     etas = [lebesgue_number(rds, p, w) for w in range(rds.size)]
@@ -445,7 +421,7 @@ def separated_empirical(
         counts=tuple(counts),
         pair=pair,
         mu_n=mu_n,
-        mu_n_defect=invariance_defect(mu_n, pair.system),
+        mu_n_defect=Fraction(_skew_gap(total, pair.system), n * d),
         mu_limit=mu_limit,
         support_mass_mu_n=_pair_support_mass(mu_n, q),
         support_mass_limit=_pair_support_mass(mu_limit, q),

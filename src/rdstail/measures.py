@@ -13,11 +13,11 @@ All measure arithmetic runs in one numerator kernel: a measure enters as
 integer numerators over the lcm of its denominators (:func:`_numerators`),
 every sum, difference and skew step is integer arithmetic, and a measure
 leaves as one reduced ``Fraction(n, d)`` per stored mass (:func:`_measure`).
-Every measure built from others (mixtures, pushforwards, and the Cesaro
-limits, lifts and polytope vertices of :mod:`rdstail.invariant`) sums its
-contributions in one accumulator, :func:`_gather`, and the invariance defect
-and the sweeps' invariance precondition are the integer L1 gap of one skew
-step (:func:`_skew_gap`).  A measure over another number of base points than
+Every measure built from others (pushforwards, and the Cesaro limits, lifts
+and polytope vertices of :mod:`rdstail.invariant`) sums its contributions in
+one accumulator, :func:`_gather`, and the invariance defect and the sweeps'
+invariance precondition are the integer L1 gap of one skew step
+(:func:`_skew_gap`).  A measure over another number of base points than
 what it meets, or with a weight that is not an ``int`` or a ``Fraction``,
 raises :class:`PreconditionError`.
 
@@ -211,18 +211,6 @@ def _gather(masses: Iterable[tuple[int, Point, int, int]]) -> tuple[int, Numerat
     return d, num
 
 
-def mix(parts: Sequence[tuple[Fraction, FiberedMeasure]]) -> FiberedMeasure:
-    """Exact affine combination of measures over one bundle."""
-    if not parts:
-        raise ValueError("a mixture needs at least one measure")
-    _same_size(parts[0][1], *(mu for _, mu in parts))
-    terms = [(Fraction(c), *_numerators(mu)) for c, mu in parts]
-    return _measure(
-        parts[0][1].size,
-        *_gather((w, x, c.numerator * n, c.denominator * d) for c, d, num in terms for (w, x), n in num.items()),
-    )
-
-
 def disintegrate(mu: FiberedMeasure, rds: BundleRDS) -> tuple[dict[Point, Fraction] | None, ...]:
     """Fiber conditionals: weights divided by the base mass, summing to one
     on every fiber of positive base mass.  Fibers with zero base mass get
@@ -294,18 +282,6 @@ def conditional_entropy(mu: FiberedMeasure, r: RandomCover, s: SigmaAlgebra) -> 
     contributing nothing.  Lies in ``[0, log len(r)]``.  Overlaps are not
     rejected: a state in two cells or two atoms counts once in each."""
     return _entropy(*_per_state(mu, s.atoms, r))
-
-
-@dataclass(frozen=True)
-class Filtration:
-    """Increasing chain of finite sub-sigma-algebras."""
-
-    stages: tuple[SigmaAlgebra, ...]
-
-    def validate_chain(self) -> bool:
-        return all(
-            sigma_refines(self.stages[i + 1], self.stages[i]) for i in range(len(self.stages) - 1)
-        )
 
 
 def relative_entropy_sequences(
@@ -564,19 +540,22 @@ class FiltrationCheck:
 def filtration_limit_check(
     mu: FiberedMeasure,
     r: RandomPartition,
-    filt: Filtration,
+    stages: Sequence[SigmaAlgebra],
     target: SigmaAlgebra,
 ) -> FiltrationCheck:
-    """Along a refining chain whose last stage generates the target algebra,
-    the conditional entropies decrease monotonically to the target value
-    (finite chains terminate, so the limit is attained exactly)."""
-    if not filt.validate_chain():
+    """Along a chain of stages, each refining the one before, whose last
+    stage generates the target algebra, the conditional entropies decrease
+    monotonically to the target value (finite chains terminate, so the limit
+    is attained exactly)."""
+    if not stages:
+        raise ValueError("a filtration needs at least one stage")
+    if not all(map(sigma_refines, stages[1:], stages)):
         raise PreconditionError("refining_chain", "stages do not refine in order")
-    last = filt.stages[-1]
+    last = stages[-1]
     if not (sigma_refines(last, target) and sigma_refines(target, last)):
         raise PreconditionError("chain_generates_target", "last stage does not generate the target")
-    entropies = tuple(conditional_entropy(mu, r, s) for s in filt.stages)
-    monotone = all(entropies[i + 1] <= entropies[i] + TOL for i in range(len(entropies) - 1))
+    entropies = tuple(conditional_entropy(mu, r, s) for s in stages)
+    monotone = all(b <= a + TOL for a, b in zip(entropies, entropies[1:]))
     target_entropy = conditional_entropy(mu, r, target)
     ok = monotone and abs(entropies[-1] - target_entropy) <= TOL
     return FiltrationCheck(ok=ok, entropies=entropies, target_entropy=target_entropy)

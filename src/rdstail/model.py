@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Hashable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
 from .errors import DomainError, IncompatibleSystemsError
 
@@ -34,6 +34,35 @@ def point_key(p: Point) -> str:
 
 def sort_points(ps: Iterable[Point]) -> list[Point]:
     return sorted(ps, key=point_key)
+
+
+def terminal_cycles(
+    nodes: Iterable[Hashable], step: Callable[[Hashable], Hashable]
+) -> tuple[list[list], dict]:
+    """Terminal cycles of a map on a finite set, in order of discovery from
+    ``nodes``, and for every node reached, in order of discovery, the index
+    of the cycle its forward path falls into.  It finds the cycles of both
+    the base map and the skew map."""
+    cycles: list[list] = []
+    terminal: dict = {}
+    for start in nodes:
+        if start in terminal:
+            continue
+        path: list = []
+        on_path: dict = {}
+        s = start
+        while s not in terminal and s not in on_path:
+            on_path[s] = len(path)
+            path.append(s)
+            s = step(s)
+        if s in on_path:
+            cycles.append(path[on_path[s]:])
+            cid = len(cycles) - 1
+        else:
+            cid = terminal[s]
+        for p in path:
+            terminal[p] = cid
+    return cycles, terminal
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from operator import mul
 from typing import Iterable, Iterator
 
 from .errors import DomainError, PreconditionError
-from .model import DrivingSystem
+from .model import DrivingSystem, terminal_cycles
 from .tail_entropy import EntropyEstimate, _integrate
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -106,14 +106,8 @@ def _orbit(base: DrivingSystem, omega: int) -> Orbit:
     cycle repeated forever.  A base point out of range raises
     :class:`DomainError`."""
     base.check_point(omega)
-    seen: dict[int, int] = {}
-    points = []
-    while omega not in seen:
-        seen[omega] = len(points)
-        points.append(omega)
-        omega = base.theta[omega]
-    entry = seen[omega]
-    return tuple(points[:entry]), tuple(points[entry:])
+    (cycle,), reached = terminal_cycles((omega,), base.theta.__getitem__)
+    return tuple(reached)[: len(reached) - len(cycle)], tuple(cycle)
 
 
 def _orbit_point(orbit: Orbit, n: int) -> int:

@@ -25,7 +25,7 @@ import random
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from itertools import zip_longest
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .budgets import Budgets, DEFAULTS
 from .counting import count_profiles, relative_count
@@ -49,7 +49,6 @@ from .invariant import (
     diagonal_measure,
     invariance_defect,
     lift_invariant,
-    terminal_cycles,
     vertex_enumeration,
 )
 from .measures import (
@@ -59,7 +58,6 @@ from .measures import (
     defect_from_sequences,
     disintegrate,
     entropy_count_bound_check,
-    Filtration,
     filtration_limit_check,
     measures_equal,
     pushforward_measure,
@@ -75,6 +73,7 @@ from .model import (
     pair_system,
     product_system,
     sort_points,
+    terminal_cycles,
 )
 from .presets import cycle_system, extend_with_tags, one_point_system, swap_system
 from .scenario import canonical_digest, cover_payload, measure_payload, system_payload
@@ -196,6 +195,13 @@ def _report(
 
 def _rng(seed: int, trial: int) -> random.Random:
     return random.Random(f"{seed}:{trial}")
+
+
+def _trial_rngs(seed: int, trials: int) -> Iterator[random.Random]:
+    """One random stream per trial of a seeded suite; no trials raise ``ValueError``."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    return (_rng(seed, t) for t in range(trials))
 
 
 def random_driving(rng: random.Random, max_size: int = 4) -> DrivingSystem:
@@ -340,8 +346,7 @@ def run_cover_suite(seed: int, trials: int, budgets: Budgets = DEFAULTS) -> Suit
         "power_rule_identity",
     )
     digests: list[str] = []
-    for t in range(trials):
-        rng = _rng(seed, t)
+    for rng in _trial_rngs(seed, trials):
         rds = random_system(rng)
         theta = rds.base.theta
         r = random_cover(rng, rds)
@@ -435,8 +440,7 @@ def run_entropy_suite(seed: int, trials: int, budgets: Budgets = DEFAULTS) -> Su
         "containment_entropy_bound",
     )
     digests: list[str] = []
-    for t in range(trials):
-        rng = _rng(seed, t)
+    for rng in _trial_rngs(seed, trials):
         base = random_driving(rng)
         left = random_system(rng, base=base, max_fiber=3, pool=4)
         right = random_system(rng, base=base, max_fiber=3, pool=4)
@@ -490,7 +494,7 @@ def run_entropy_suite(seed: int, trials: int, budgets: Budgets = DEFAULTS) -> Su
         s1 = SigmaAlgebra(trivial_cover(h))
         s2 = sigma_join(s1, SigmaAlgebra(q))
         s3 = sigma_join(s2, d_h)
-        chk3 = filtration_limit_check(mu, r, Filtration((s1, s2, s3)), s3)
+        chk3 = filtration_limit_check(mu, r, (s1, s2, s3), s3)
         props["filtration_limit"].record(
             chk3.ok, lambda: {**payload(), "entropies": list(chk3.entropies)}
         )
@@ -710,7 +714,7 @@ def principal_extension_check(pi: FactorMap, budgets: Budgets = DEFAULTS) -> Sui
     max_preimage = max(
         len(pi.preimage(w, x)) for w in range(pi.target.size) for x in pi.target.fibers[w]
     )
-    bound = math.log(max_preimage) if max_preimage > 1 else 0.0
+    bound = math.log(max_preimage)
     _, _, seqs = _vertex_sequences(pi, _PRINCIPAL_DEPTH, budgets)
     per_vertex = [
         {
@@ -776,8 +780,7 @@ def run_invariant_suite(seed: int, trials: int, budgets: Budgets = DEFAULTS) -> 
         "cesaro_commutes_with_pushforward",
     )
     digests: list[str] = []
-    for t in range(trials):
-        rng = _rng(seed, t)
+    for rng in _trial_rngs(seed, trials):
         rds = random_system(rng)
         nu = random_measure(rng, rds)
         payload = _trial_payload(rds, nu=nu)

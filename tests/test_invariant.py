@@ -27,7 +27,6 @@ from rdstail import (
     lift_invariant,
     measures_equal,
     minimal_subcover,
-    mix,
     point_partition,
     pushforward_measure,
     separated_empirical,
@@ -35,9 +34,11 @@ from rdstail import (
     trivial_cover,
     vertex_enumeration,
 )
-from rdstail.invariant import _cycle_structure, terminal_cycles
-from rdstail.model import sort_points
+from rdstail.invariant import _cycle_structure
+from rdstail.model import sort_points, terminal_cycles
 from rdstail.verify import _rng, random_cover, random_driving, random_measure, random_partition, random_system
+
+from measure_oracles import average_by_pushforwards, mix
 
 SWAP = swap_system()
 CYCLE = cycle_system()
@@ -428,6 +429,37 @@ def test_separation_is_leaving_a_bowen_ball():
                 if all(_separation_at_least_one(rds, w, x, y, n, deltas) for y in sep):
                     sep.append(x)
             assert se.separated[w] == tuple(sep), trial
+
+
+def pair_support_mass_by_loop(mu, q):
+    """Oracle: the mass of the pairs that lie together in a section of ``q``."""
+    together = {(w, x, y) for w in range(q.size) for s in q.sections(w) for x in s for y in s}
+    return sum((v for w, ws in enumerate(mu.weights) for (x, y), v in ws.items() if (w, x, y) in together), Fraction(0))
+
+
+def test_separated_average_matches_the_pushforward_mixture():
+    # mu_n is one numerator pass; the oracle mixes n skew_pushforward
+    # iterates of the anchor-by-separated-point measure, each of weight 1/n
+    seen = set()
+    for trial in range(60):
+        rng = _rng(151, trial)
+        rds = random_system(rng, max_fiber=4, with_metric=True)
+        p, q = (rng.choice([random_cover, random_partition])(rng, rds) for _ in range(2))
+        n, delta = rng.randint(1, 6), rng.choice([Fraction(1, 2), Fraction(1), Fraction(2)])
+        se = separated_empirical(rds, p, q, n, delta)
+        pair = se.pair.system
+        sigma = FiberedMeasure(
+            tuple({(a, y): m / len(sep) for y in sep} for a, sep, m in zip(se.anchors, se.separated, rds.base.prob))
+        )
+        mu_n = average_by_pushforwards(sigma, pair, n)
+        limit = cesaro_limit(mu_n, pair)
+        assert [list(ws.items()) for ws in se.mu_n.weights] == [list(ws.items()) for ws in mu_n.weights], trial
+        assert measures_equal(se.mu_limit, limit), trial
+        assert se.mu_n_defect == invariance_defect(mu_n, pair), trial
+        assert se.support_mass_mu_n == pair_support_mass_by_loop(mu_n, q), trial
+        assert se.support_mass_limit == pair_support_mass_by_loop(limit, q), trial
+        seen |= {("n", n), ("partition", isinstance(p, RandomPartition)), ("zero mass", 0 in rds.base.prob)}
+    assert seen >= {("n", n) for n in range(1, 7)} | {(k, b) for k in ("partition", "zero mass") for b in (True, False)}
 
 
 def cesaro_limit_by_loop(nu, rds):

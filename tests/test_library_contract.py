@@ -1,7 +1,8 @@
 """Malformed calls to the library's exports: whichever argument of a
 well-formed call is swapped for a malformed one (a cover or measure over a
 three-point base, a float weight, a depth of 0 or -1, an empty family or
-mixture, a cylinder component the subshift lacks), the call raises an
+filtration, no trials or fewer, a cylinder component the subshift lacks),
+the call raises an
 ``RdstailError`` or a ``ValueError`` with one of the messages below, never
 a bare ``IndexError`` or a wrong answer.
 
@@ -22,11 +23,12 @@ SCENARIOS = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 
 # the ValueErrors that name a malformed argument of the call itself
 VALUE_ERRORS = {
-    "a mixture needs at least one measure",
+    "a filtration needs at least one stage",
     "an estimate needs at least one depth",
     "depth must be >= 1",
     "families must be nonempty",
     "skew steps must be nonnegative",
+    "trials must be >= 1",
     "word length must be >= 1",
 }
 
@@ -49,7 +51,8 @@ GOOD = {
     "depth": 2,
     "steps": 2,
     "family": [POINTS, WHOLE],
-    "measures": [MU, MU],
+    "stages": (rd.SigmaAlgebra(WHOLE), FIBERS),
+    "trials": 1,
     "spec": rd.CylinderCoverSpec(frozenset({0})),
     "component": 0,
 }
@@ -57,11 +60,13 @@ GOOD = {
 # each malformation swaps the arguments it names
 MALFORMED = {
     "cover over three base points": {"cover": rd.point_partition(THREE)},
-    "measure over three base points": {"measure": OVER_THREE, "measures": [MU, OVER_THREE]},
-    "float weight": {"measure": FLOAT_WEIGHT, "measures": [MU, FLOAT_WEIGHT]},
+    "measure over three base points": {"measure": OVER_THREE},
+    "float weight": {"measure": FLOAT_WEIGHT},
     "depth 0": {"depth": 0},
     "depth -1": {"depth": -1, "steps": -1},
-    "empty family or mixture": {"family": [], "measures": []},
+    "empty family or filtration": {"family": [], "stages": ()},
+    "no trials": {"trials": 0},
+    "negative trials": {"trials": -3},
     "missing component": {"spec": rd.CylinderCoverSpec(frozenset({1})), "component": 1},
 }
 
@@ -74,7 +79,6 @@ CALLS = {
     "relative_count": lambda a: rd.relative_count(a["cover"], WHOLE, 0, SWAP),
     "minimal_subcover": lambda a: rd.minimal_subcover(WHOLE.elements[0], a["cover"], 0, SWAP),
     "lebesgue_number": lambda a: rd.lebesgue_number(SWAP, a["cover"], 0),
-    "mix": lambda a: rd.mix([(Fraction(1, len(a["measures"])), m) for m in a["measures"]]),
     "skew_iterate": lambda a: rd.skew_iterate(SWAP, (0, "a"), a["steps"]),
     "count_profile": lambda a: rd.count_profile(SWAP, a["cover"], WHOLE, a["depth"]),
     "tail_entropy_estimate": lambda a: rd.tail_entropy_estimate(SWAP, a["cover"], WHOLE, a["depth"]),
@@ -88,6 +92,10 @@ CALLS = {
     "invariance_defect": lambda a: rd.invariance_defect(a["measure"], SWAP),
     "cesaro_limit": lambda a: rd.cesaro_limit(a["measure"], SWAP),
     "separated_empirical": lambda a: rd.separated_empirical(SWAP, a["cover"], WHOLE, a["depth"], Fraction(1, 2)),
+    "filtration_limit_check": lambda a: rd.filtration_limit_check(a["measure"], POINTS, a["stages"], FIBERS),
+    "run_cover_suite": lambda a: rd.run_cover_suite(1, a["trials"]),
+    "run_entropy_suite": lambda a: rd.run_entropy_suite(1, a["trials"]),
+    "run_invariant_suite": lambda a: rd.run_invariant_suite(1, a["trials"]),
 }
 
 
@@ -232,6 +240,18 @@ RADIUS_CALLS = {
     "diagonal_measure": lambda delta: rd.diagonal_measure(SWAP, WHOLE, POINTS, 1, delta),
 }
 INEXACT_RADII = [0.5, [0.1, 0.1], "1/2", [HALF, 0.5], None]
+
+
+# a radius of 0 left a ball without its own center, and a negative one
+# passed the Lebesgue-number gate
+NONPOSITIVE_RADII = [(0, "radius 0 at omega=0"), (-1, "radius -1 at omega=0"), ([HALF, 0], "radius 0 at omega=1")]
+
+
+@pytest.mark.parametrize("name", sorted(RADIUS_CALLS))
+def test_nonpositive_radii_raise_a_precondition_error(name):
+    for delta, radius in NONPOSITIVE_RADII:
+        with pytest.raises(rd.PreconditionError, match=re.escape(f"'positive_radii' failed: {radius} is not positive")):
+            RADIUS_CALLS[name](delta)
 
 
 @pytest.mark.parametrize("name", sorted(RADIUS_CALLS))

@@ -15,7 +15,6 @@ from rdstail import (
     DefectEstimate,
     EntropyEstimate,
     FiberedMeasure,
-    Filtration,
     PreconditionError,
     RandomPartition,
     RandomSet,
@@ -36,7 +35,6 @@ from rdstail import (
     iterate_cover,
     join,
     measures_equal,
-    mix,
     pair_system,
     point_partition,
     product_system,
@@ -77,6 +75,7 @@ from rdstail.verify import (
 )
 
 from mask_oracles import _mask_iterates, with_escape, with_stray
+from measure_oracles import mix
 
 SWAP = swap_system()
 TOL = 1e-9
@@ -701,25 +700,28 @@ def test_filtration_limit():
     pts = point_partition(SWAP)
     triv = SigmaAlgebra(trivial_cover(SWAP))
     full = state_sigma(SWAP)
-    two_step = Filtration((triv, full))
+    two_step = (triv, full)
     chk = filtration_limit_check(mu, pts, two_step, full)
     assert chk.ok
     assert abs(chk.entropies[0] - math.log(4)) <= TOL  # four uniform states
     assert chk.entropies[-1] == 0.0
 
-    const = Filtration((triv, triv))
+    const = [triv, triv]
     chk2 = filtration_limit_check(mu, pts, const, triv)
     assert chk2.ok and chk2.entropies[0] == chk2.entropies[1]
 
     mid = sigma_join(triv, fiber_sigma(SWAP))
-    three = Filtration((triv, mid, full))
+    three = (triv, mid, full)
     chk3 = filtration_limit_check(mu, pts, three, full)
     assert chk3.ok
     assert chk3.entropies[0] >= chk3.entropies[1] >= chk3.entropies[2]
 
-    bad = Filtration((full, triv))
+    bad = (full, triv)
     with pytest.raises(PreconditionError):
         filtration_limit_check(mu, pts, bad, triv)
+    assert filtration_limit_check(mu, pts, [full], full).ok
+    with pytest.raises(ValueError, match="a filtration needs at least one stage"):
+        filtration_limit_check(mu, pts, (), full)
 
 
 def test_pushforward_identity_affinity_and_collapse():
@@ -757,17 +759,8 @@ def test_total_variation_convention():
 
 
 # Oracles: the per-function accumulation loops that the measures accumulator
-# replaced.  The pushforwards skip zero masses; a mixture keeps them.
-
-
-def mix_by_loop(parts):
-    size = parts[0][1].size
-    acc = [{} for _ in range(size)]
-    for coeff, mu in parts:
-        for w in range(size):
-            for x, v in mu.weights[w].items():
-                acc[w][x] = acc[w].get(x, Fraction(0)) + Fraction(coeff) * v
-    return FiberedMeasure(tuple(acc))
+# replaced.  The pushforwards skip zero masses; a mixture
+# (``measure_oracles.mix``) keeps them.
 
 
 def skew_pushforward_by_loop(mu, rds):
@@ -819,7 +812,6 @@ def test_accumulator_matches_per_function_loops():
         mus = [random_measure(rng, rds, denom=2) for _ in range(rng.randint(1, 3))]
         parts = [(Fraction(rng.randint(0, 3), 3), mu) for mu in mus]
         mixed = mix(parts)
-        assert stored(mixed) == stored(mix_by_loop(parts)), trial
         zeros_kept += sum(v == 0 for w in mixed.weights for v in w.values())
         for mu in (*mus, mixed):
             assert stored(skew_pushforward(mu, rds)) == stored(skew_pushforward_by_loop(mu, rds)), trial
@@ -1007,8 +999,6 @@ def test_measure_over_another_number_of_base_points_is_refused():
         lambda m: total_variation(mu, m),
         lambda m: total_variation(m, mu),
         lambda m: invariance_defect(m, SWAP),
-        lambda m: mix([(Fraction(1, 2), mu), (Fraction(1, 2), m)]),
-        lambda m: mix([(Fraction(1, 2), m), (Fraction(1, 2), mu)]),
         lambda m: skew_pushforward(m, SWAP),
         lambda m: cesaro_limit(m, SWAP),
         lambda m: disintegrate(m, SWAP),
@@ -1042,7 +1032,6 @@ def test_inexact_weight_is_refused():
         lambda m: total_variation(m, mu),
         lambda m: invariance_defect(m, SWAP),
         lambda m: conditional_entropy(m, points, fibers),
-        lambda m: mix([(Fraction(1, 2), mu), (Fraction(1, 2), m)]),
         lambda m: pushforward_measure(pi, m),
         lambda m: disintegrate(m, SWAP),
     )
