@@ -114,7 +114,6 @@ from .symbolic import (
 from .tail_entropy import (
     EntropyEstimate,
     PowerRuleResult,
-    cover_conditional_entropy,
     integrated_log_count,
     power_rule_check,
     tail_entropy_estimate,

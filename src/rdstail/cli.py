@@ -53,6 +53,8 @@ COLUMN_CONVENTION = (
     "rows carry (scenario object names, omega or n index, value)"
 )
 
+COMMANDS = ("validate", "count", "tail", "tail-total", "sft-tail", "entropy", "invariant", "construct", "verify")
+
 _BUILTINS = {
     "@points": point_partition,
     "@trivial": trivial_cover,
@@ -199,14 +201,12 @@ def _parse_cylinder_spec(text: str, sft: RandomSFT) -> CylinderCoverSpec:
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors (a missing flag, an unknown choice, a stray argument)
-    raise :class:`ScenarioError` instead of exiting, so that :func:`main`
-    writes a manifest for them as for every other bad input.  Subcommand
-    parsers are built with the same class.  A one-subcommand grammar has no
-    help and raises unprinted: :func:`main` then parses with the whole one."""
+    print the usage line and raise :class:`ScenarioError` instead of
+    exiting, so that :func:`main` writes a manifest for them as for every
+    other bad input.  Subcommand parsers are built with the same class."""
 
     def error(self, message):
-        if self.add_help:
-            self.print_usage(sys.stderr)
+        self.print_usage(sys.stderr)
         raise ScenarioError(message)
 
 
@@ -222,20 +222,21 @@ def _out_dir(argv: list[str]) -> str:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The grammar of the CLI, or, given a ``command``, the same grammar
-    with only the subcommand of that name, if there is one, and no help."""
+    """The grammar of the CLI, or, given one of :data:`COMMANDS`, the same
+    grammar with only the subcommand of that name."""
     whole = command is None
-    parser = _Parser(prog="rdstail", description="exact desk-scale calculus for driven fiberwise dynamics",
-                     add_help=whole)
+    parser = _Parser(prog="rdstail", description="exact desk-scale calculus for driven fiberwise dynamics")
     parser.add_argument("--budget", action="append", default=[], metavar="NAME=VALUE",
                         help="override a budget for this run (repeatable)")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the whole grammar's usage line; on the whole grammar a metavar would
+    # rename the action in its invalid-choice error
+    sub = parser.add_subparsers(dest="command", required=True, metavar=None if whole else "{" + ",".join(COMMANDS) + "}")
 
     def add(name, help, scenario_required=True):
         # the subcommand's parser with the common flags; None when left out
         if not whole and name != command:
             return None
-        p = sub.add_parser(name, help=help, add_help=whole)
+        p = sub.add_parser(name, help=help)
         p.add_argument("--scenario", required=scenario_required, help="scenario JSON file")
         p.add_argument("--out", default="out", help="artifact directory (default: ./out)")
         p.add_argument("--system", default=None, help="system the named objects live on (default: the first one's)")
@@ -453,7 +454,7 @@ def _dispatch(args: argparse.Namespace, budgets: Budgets, run: _Run, sc: Scenari
             if args.suite not in SUITES and getattr(args, flag) is not None:
                 raise ScenarioError(f"--suite {args.suite} takes no --{flag}")
         report = run_suite(args.suite, args.seed, args.trials, budgets)
-        run.add_json("report.json", report.to_dict())
+        run.add_text("report.json", report.to_json())
         run.add_text("report.txt", report.summary() + "\n")
         return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
@@ -476,10 +477,8 @@ def main(argv: list[str] | None = None) -> int:
     run = _Run(None, None, {}, None, None)
     sc: Scenario | None = None
     try:
-        try:  # the usual call names its subcommand first, whose grammar alone parses it
-            args = build_parser(argv[0] if argv else "").parse_args(argv)
-        except ScenarioError:  # any other argv, a help request among them, parses as it always did
-            args = build_parser().parse_args(argv)
+        # a call naming its command first builds that command's grammar alone
+        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
         if getattr(args, "suite", None) in SUITES:
             args.seed = 1 if args.seed is None else args.seed
             args.trials = 100 if args.trials is None else args.trials

@@ -9,20 +9,21 @@ m-step power.  In the finite discrete topology every random set is both open
 and closed, so no open/closed distinction is tracked.
 
 Iterated covers, pullbacks and counts all read one index of ``rds.states()``,
-the elements holding each state (:func:`_members`) and one skew table of
-state images (:func:`_skew_table`), stepped 0, 1, 2, ... times by
-:func:`_images`.  :func:`_cell_steps`, the one whole-bundle iterate engine,
-numbers each depth's cells (a partition's only until they repeat) from those
-of every state and the elements holding its image; :func:`iterate_cover`
-and the entropy sweeps of ``measures`` read it.  :func:`pullback` reads the elements holding the i-step image of every
-state straight into frozenset sections, and ``counting`` steps every fiber's
-maximal sections from the same images.
+the elements holding each state (:func:`_members`) and one skew table of state
+images (:func:`_skew_table`), stepped 0, 1, 2, ... times by :func:`_images`.
+:func:`_cell_steps`, the one whole-bundle iterate engine, numbers each depth's
+cells from those of every state and the elements holding its image, and ends a
+partition's sweep at the depth its cells repeat; :func:`iterate_cover` reads
+its last depth, and the entropy sweeps of ``measures`` extend their last value
+past it.  :func:`pullback` reads the elements holding the i-step image of
+every state straight into frozenset sections, and ``counting`` steps every
+fiber's maximal sections from the same images.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, islice, product, repeat
+from itertools import groupby, islice, product
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .budgets import Budgets, DEFAULTS
@@ -90,10 +91,6 @@ class SigmaAlgebra:
     """Finite sub-sigma-algebra, represented by its atom partition."""
 
     atoms: RandomPartition
-
-    @property
-    def size(self) -> int:
-        return self.atoms.size
 
 
 def validate_cover(cover: RandomCover, rds: BundleRDS) -> list[str]:
@@ -250,9 +247,9 @@ def _cell_steps(
     image, in sorted pair order: the first-seen order of the join with the
     n-step pullback.  The images are those of :func:`_images` over ``step``.
     Past depth 1, more than ``budgets.cover_elements`` cells raise the budget
-    error.  On a partition, a depth repeating the last one's cells in order
-    repeats them to ``n_max``: each cell pairs with one element again and
-    keeps its number."""
+    error.  On a partition it returns at the first depth repeating the last
+    one's cells in order, each cell pairing with one element again and
+    keeping its number: it yields min(n_max, n*) items, n* the fixed depth."""
     cells, held = [[0]] * len(index), None  # depth 0: the whole bundle is one cell
     for depth, image in zip(range(1, n_max + 1), _images(rds, index, step)):
         if depth == 1:
@@ -266,7 +263,6 @@ def _cell_steps(
         if depth > 1 and len(sets) > budgets.cover_elements:
             raise BudgetExceededError("cover_elements", budgets.cover_elements, len(sets), depth=depth)
         if sets == held and all(len(e) < 2 for e in elements):  # no state in two elements
-            yield from repeat((cells, held), n_max + 1 - depth)
             return
         cells = [[] for _ in image]
         for j, cell in enumerate(sets):

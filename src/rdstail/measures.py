@@ -294,7 +294,8 @@ def relative_entropy_sequences(
 ) -> list[EntropyEstimate]:
     """Conditional entropies of the depth-n iterates of ``r`` given ``s``,
     with the running-infimum bracket, for every measure of a family: one
-    pass of ``covers._cell_steps`` evaluates them at every depth it steps.
+    pass of ``covers._cell_steps`` evaluates them at every depth it steps,
+    and the depths past its fixed depth repeat the last value.
 
     Preconditions are verified, not assumed: each measure must be exactly
     invariant under the skew map and every atom's section must map into one
@@ -318,12 +319,10 @@ def relative_entropy_sequences(
             raise PreconditionError("backward_compatible_algebra", "pullback of the algebra escapes it")
     masses = [[num.get(state, 0) for state in index] for _, num in numerators]
     values: list[list[float]] = [[] for _ in measures]
-    last = None
     for cells, _ in _cell_steps(r, rds, index, n_max, budgets, step):
         for (d, _), mass, seq in zip(numerators, masses, values):
-            seq.append(seq[-1] if cells is last else _entropy(d, mass, atoms, cells))
-        last = cells
-    return [EntropyEstimate(values=tuple(seq), requested=n_max) for seq in values]
+            seq.append(_entropy(d, mass, atoms, cells))
+    return [EntropyEstimate(values=(*seq, *seq[-1:] * (n_max - len(seq))), requested=n_max) for seq in values]
 
 
 def relative_entropy_sequence(

@@ -223,13 +223,9 @@ def _point(p) -> str:
     return p if isinstance(p, str) else point_key(p)
 
 
-def driving_payload(ds: DrivingSystem) -> dict:
-    return {"prob": [str(p) for p in ds.prob], "theta": list(ds.theta)}
-
-
 def system_payload(rds: BundleRDS) -> dict:
     out: dict[str, Any] = {
-        "base": driving_payload(rds.base),
+        "base": {"prob": [str(p) for p in rds.base.prob], "theta": list(rds.base.theta)},
         "fibers": [[_point(x) for x in sort_points(f)] for f in rds.fibers],
         "maps": [
             {_point(x): _point(m[x]) for x in sort_points(f)}

@@ -185,25 +185,6 @@ def tail_entropy_estimate(
     return EntropyEstimate(values=values, requested=n_max)
 
 
-def cover_conditional_entropy(
-    rds: BundleRDS,
-    q: RandomCover,
-    family: Sequence[RandomCover],
-    n_max: int,
-    budgets: Budgets = DEFAULTS,
-) -> float:
-    """Largest bracket over a family of refining covers.
-
-    On finite fibers the singleton partition refines every cover fiberwise,
-    so a family containing it attains the supremum over all covers at every
-    depth; supplying that family makes the value exact rather than a
-    family-limited surrogate.
-    """
-    if not family:
-        raise ValueError("family must be nonempty")
-    return max(tail_entropy_estimate(rds, r, q, n_max, budgets).value for r in family)
-
-
 def tail_entropy_total(
     rds: BundleRDS,
     q_family: Sequence[RandomCover],
@@ -211,14 +192,18 @@ def tail_entropy_total(
     n_max: int,
     budgets: Budgets = DEFAULTS,
 ) -> float:
-    """Smallest conditional value over the conditioning family.
+    """Smallest over the conditioning family of the largest bracket over the
+    refining family.
 
-    With the singleton partition present in ``q_family`` every count is 1,
-    so the result is exactly zero on any finite explicit system.
+    On finite fibers the singleton partition refines every cover fiberwise,
+    so an ``r_family`` containing it attains the supremum over all covers at
+    every depth, which makes the inner value exact rather than a
+    family-limited surrogate.  With it in ``q_family`` every count is 1, so
+    the result is exactly zero on any finite explicit system.
     """
     if not q_family or not r_family:
         raise ValueError("families must be nonempty")
-    return min(cover_conditional_entropy(rds, q, r_family, n_max, budgets) for q in q_family)
+    return min(max(tail_entropy_estimate(rds, r, q, n_max, budgets).value for r in r_family) for q in q_family)
 
 
 @dataclass(frozen=True)

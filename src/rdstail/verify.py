@@ -112,11 +112,8 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(c.status != STATUS_FAIL for c in self.checks)
 
-    def to_dict(self) -> dict:
-        return _jsonable({**asdict(self), "passed": self.passed})
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return json.dumps(_jsonable({**asdict(self), "passed": self.passed}), sort_keys=True, indent=2) + "\n"
 
     def summary(self) -> str:
         width = max((len(c.name) for c in self.checks), default=4)

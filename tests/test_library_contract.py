@@ -27,6 +27,8 @@ VALUE_ERRORS = {
     "an estimate needs at least one depth",
     "depth must be >= 1",
     "families must be nonempty",
+    "m must be >= 1",
+    "pullback steps must be nonnegative",
     "skew steps must be nonnegative",
     "trials must be >= 1",
     "word length must be >= 1",
@@ -84,6 +86,11 @@ CALLS = {
     "tail_entropy_estimate": lambda a: rd.tail_entropy_estimate(SWAP, a["cover"], WHOLE, a["depth"]),
     "tail_entropy_total": lambda a: rd.tail_entropy_total(SWAP, [a["cover"], WHOLE], a["family"], a["depth"]),
     "iterate_cover": lambda a: rd.iterate_cover(a["cover"], SWAP, a["depth"]),
+    "join": lambda a: rd.join(a["cover"], WHOLE),
+    "refines": lambda a: rd.refines(a["cover"], WHOLE),
+    "pullback": lambda a: rd.pullback(a["cover"], SWAP, a["steps"]),
+    "pullback_cover": lambda a: rd.pullback_cover(rd.identity_factor(SWAP), a["cover"]),
+    "power_system": lambda a: rd.power_system(SWAP, a["depth"]),
     "conditional_entropy": lambda a: rd.conditional_entropy(a["measure"], a["cover"], FIBERS),
     "relative_entropy_sequence": lambda a: rd.relative_entropy_sequence(
         a["measure"], a["cover"], FIBERS, SWAP, a["depth"]
@@ -180,6 +187,30 @@ def test_systems_off_the_metric_path_raise_a_domain_error(case):
     assert rd.validate_system(system)
     with pytest.raises(rd.DomainError, match=re.escape(message)):
         call()
+
+
+# ``THREE`` has no metric and another base than ``SWAP``: a ball on it and
+# a product of the two raise an error naming what is missing.
+UNMATCHED = {
+    "ball without a metric": (
+        lambda: rd.bowen_ball(THREE, 0, "a", 1, HALF),
+        rd.DomainError,
+        "operation requires a metric but the system has none",
+    ),
+    "product over two bases": (
+        lambda: rd.product_system(SWAP, THREE),
+        rd.IncompatibleSystemsError,
+        "product requires a shared driving system",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNMATCHED))
+def test_calls_on_systems_lacking_what_they_need_raise(case):
+    call, error, message = UNMATCHED[case]
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
 
 
 # A product space has a distance for each pair of its pair points and for

@@ -455,15 +455,19 @@ def _items_outcome(items):
 
 def cell_step_masks(r, rds, n_max, budgets):
     """The cells of ``_cell_steps`` at every depth as packed masks: bit k
-    of cell c is set when state k lies in c."""
+    of cell c is set when state k lies in c.  Past the stepper's fixed
+    depth every depth to ``n_max`` repeats the last masks."""
     index = {state: i for i, state in enumerate(rds.states())}
-    for cells, held in _cell_steps(r, rds, index, n_max, budgets):
+    depth = 0
+    for depth, (cells, held) in enumerate(_cell_steps(r, rds, index, n_max, budgets), 1):
         masks = [0] * (1 + max((c for at in cells for c in at), default=-1))
         for k, at in enumerate(cells):
             for c in at:
                 masks[c] |= 1 << k
         # the states of each cell are the memberships read cell by cell
         assert masks == [sum(1 << k for k in states) for states in held]
+        yield masks
+    for _ in range(depth, n_max):
         yield masks
 
 

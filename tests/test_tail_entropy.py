@@ -15,7 +15,6 @@ from rdstail import (
     EntropyEstimate,
     RandomCover,
     RandomSet,
-    cover_conditional_entropy,
     integrated_log_count,
     point_partition,
     power_rule_check,
@@ -79,7 +78,7 @@ def test_empty_estimate_is_rejected():
         with pytest.raises(ValueError, match="at least one depth"):
             tail_entropy_estimate(SWAP, pts, triv, n_max)
         with pytest.raises(ValueError, match="at least one depth"):
-            cover_conditional_entropy(SWAP, triv, [pts], n_max)
+            tail_entropy_total(SWAP, [triv], [pts], n_max)
 
 
 def test_synthetic_linear_sequence():
@@ -110,8 +109,8 @@ def test_sweeps_raise_on_budget():
     pts, triv = point_partition(SWAP), trivial_cover(SWAP)
     sweeps = {
         "tail_entropy_estimate": lambda: tail_entropy_estimate(SWAP, pts, triv, 6, tight),
-        "cover_conditional_entropy": lambda: cover_conditional_entropy(SWAP, triv, [pts], 6, tight),
         "tail_entropy_total": lambda: tail_entropy_total(SWAP, [triv], [pts], 6, tight),
+        "tail_entropy_total over two covers": lambda: tail_entropy_total(SWAP, [triv], [triv, pts], 6, tight),
     }
     for name, sweep in sweeps.items():
         with pytest.raises(BudgetExceededError) as stop:
@@ -120,12 +119,14 @@ def test_sweeps_raise_on_budget():
 
 
 def test_cover_conditional_entropy():
+    # one conditioning cover: the largest bracket over the refining family
     pts = point_partition(SWAP)
     triv = trivial_cover(SWAP)
-    assert cover_conditional_entropy(SWAP, triv, [triv], 4) == 0.0
-    val = cover_conditional_entropy(SWAP, triv, [pts], 8)
+    assert tail_entropy_total(SWAP, [triv], [triv], 4) == 0.0
+    val = tail_entropy_total(SWAP, [triv], [pts], 8)
+    assert val == tail_entropy_estimate(SWAP, pts, triv, 8).value
     assert abs(val - math.log(2) / 8) <= TOL
-    bigger = cover_conditional_entropy(SWAP, triv, [pts, triv], 8)
+    bigger = tail_entropy_total(SWAP, [triv], [pts, triv], 8)
     assert bigger >= val - TOL
 
 
@@ -134,7 +135,7 @@ def test_tail_entropy_total_exact_zero_with_singletons():
     triv = trivial_cover(SWAP)
     assert tail_entropy_total(SWAP, [pts, triv], [pts, triv], 6) == 0.0
     single = tail_entropy_total(SWAP, [triv], [pts], 8)
-    assert abs(single - cover_conditional_entropy(SWAP, triv, [pts], 8)) <= TOL
+    assert abs(single - tail_entropy_estimate(SWAP, pts, triv, 8).value) <= TOL
 
 
 def test_power_rule_on_swap():

@@ -4,8 +4,8 @@ and model method that takes a base point checks it, the library imports
 only at module level and keeps no memo cache, the CLI looks scenario
 objects up in one function, the verification suites are named in one
 pair of tables, the explicit sweeps stop stepping at their fixed point,
-a CLI call builds the parser of its own subcommand only and a pair
-system reads no distance while it is built."""
+a CLI call builds one grammar, holding the parser of its own subcommand
+only, and a pair system reads no distance while it is built."""
 
 import argparse
 import ast
@@ -27,6 +27,7 @@ from rdstail import counting, covers, measures
 from rdstail.verify import _rng, random_driving, random_measure, random_system
 
 from test_counting import _tail_explicit_shapes
+from test_scenario_cli import _call, _parser_corpus
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -391,3 +392,27 @@ def test_a_call_pays_only_for_its_own_command(monkeypatch, tmp_path):
     pair = rdstail.pair_system(loop)
     assert table.reads == 0 and len(pair.system.space.points) == 16
     assert pair.system.space.d(("p0", "p1"), ("p2", "p1")) == 1 and table.reads == 2
+
+
+def test_commands_are_the_whole_grammar_s_subcommands_in_order():
+    # main builds a one-subcommand grammar only for a name in COMMANDS: a
+    # command missing there would parse with the whole grammar unnoticed
+    (sub,) = (a for a in rdstail.cli.build_parser()._actions if a.dest == "command")
+    assert rdstail.cli.COMMANDS == tuple(sub.choices)
+
+
+def test_every_call_builds_one_grammar(monkeypatch, tmp_path, capsys):
+    # successes, help requests and usage errors alike parse once: the
+    # grammar of the command named first, else the whole one
+    calls, others = _parser_corpus()
+    built, build = [], rdstail.cli.build_parser
+
+    def counted(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(rdstail.cli, "build_parser", counted)
+    for k, argv in enumerate(calls + others):
+        built.clear()
+        _call(argv, tmp_path / str(k), monkeypatch, capsys)
+        assert built == [argv[0] if argv and argv[0] in rdstail.cli.COMMANDS else None], argv

@@ -18,6 +18,10 @@ from rdstail import (
     run_theorem_suite,
     swap_system,
 )
+from rdstail import verify
+from rdstail.counting import CountProfile
+from rdstail.errors import PreconditionError
+from rdstail.tail_entropy import PowerRuleResult
 
 
 def test_cover_suite_passes_and_is_deterministic():
@@ -89,6 +93,45 @@ def test_reports_serialize_to_valid_json():
     assert doc["passed"] is True
     assert len(doc["checks"]) == len(rep.checks)
     assert "PASS" in rep.summary()
+
+
+def test_a_failing_check_reports_its_first_counterexample(monkeypatch):
+    # a power rule that never holds fails every trial: the report keeps the
+    # first trial's system, covers and mismatches, and the suite fails
+    def broken(rds, r, q, m, n, budgets):
+        stepped, direct = CountProfile((1,) * rds.size, n), CountProfile((2,) * rds.size, n * m)
+        return PowerRuleResult(False, stepped, direct, ((0, 1, 2),))
+
+    monkeypatch.setattr(verify, "power_rule_check", broken)
+    rep = run_cover_suite(1, 2)
+    (check,) = (c for c in rep.checks if c.name == "power_rule_identity")
+    assert (check.status, check.trials, check.failures, check.skipped) == ("fail", 2, 2, 0)
+    example = check.detail["counterexample"]
+    assert set(example) == {"system", "r", "q", "u", "v", "mismatches"}
+    assert example["mismatches"] == [[0, 1, 2]]
+    size = len(example["system"]["fibers"])
+    for name in "rquv":
+        assert set(example[name]) == {"partition", "elements"}
+        assert all(len(sections) == size for sections in example[name]["elements"])
+    assert all(c.status == "pass" for c in rep.checks if c is not check)
+    doc = json.loads(rep.to_json())
+    assert doc["passed"] is False and doc["checks"][-1]["detail"]["counterexample"] == example
+    assert not rep.passed and rep.summary().endswith("=> FAIL")
+
+
+def test_a_check_that_cannot_run_reports_a_skip(monkeypatch):
+    # a containment bound that is never achievable skips every trial: the
+    # check reports skip with its reason, and a skip does not fail the suite
+    def unachievable(*args):
+        raise PreconditionError("containment", "no partition within delta")
+
+    monkeypatch.setattr(verify, "containment_entropy_bound_check", unachievable)
+    rep = run_entropy_suite(1, 3)
+    (check,) = (c for c in rep.checks if c.name == "containment_entropy_bound")
+    assert (check.status, check.trials, check.failures, check.skipped) == ("skip", 3, 0, 3)
+    assert check.detail == {"skip_reason": "containment not achievable at this delta"}
+    assert rep.passed and "skipped=3" in rep.summary()
+    assert json.loads(rep.to_json())["passed"] is True
 
 
 def test_run_suite_dispatcher():
